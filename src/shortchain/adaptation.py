@@ -23,7 +23,7 @@ TARGET_ACCEPTANCE = {
 
 _STEP_EXPONENT = {"rwmh": 1.0, "mala": 1.0 / 3.0, "barker": 1.0 / 3.0, "hmc": 0.25}
 
-_MAX_CHAINS_SCAN = 1_000_000
+_MAX_CHAINS = 1_000_000
 
 
 def target_acceptance(kind: str) -> float:
@@ -108,26 +108,41 @@ class SizingPolicy:
             raise ValueError("leapfrog_steps must be >= 1")
 
 
+def _smallest_chain_count(width, budget: float, name: str) -> int:
+    """Smallest n in [2, _MAX_CHAINS] with width(n) <= budget.
+
+    Both interval widths shrink monotonically in n, so bisection finds the
+    same n as a scan from 2 upward in O(log N) quantile evaluations.
+    """
+    if width(_MAX_CHAINS) > budget:
+        raise ValueError(f"no chain count up to {_MAX_CHAINS} meets {name}={budget}")
+    lo, hi = 1, _MAX_CHAINS  # width(hi) <= budget; lo is below every candidate
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if width(mid) <= budget:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def mean_error_chain_count(delta_mean: float, alpha: float) -> int:
     """Smallest n with t_{n-1}(1 - alpha/2) / sqrt(n) <= delta_mean."""
     if delta_mean <= 0:
         raise ValueError("delta_mean must be positive")
-    for n in range(2, _MAX_CHAINS_SCAN + 1):
-        if student_t_quantile(1.0 - alpha / 2.0, n - 1) / math.sqrt(n) <= delta_mean:
-            return n
-    raise ValueError(f"no chain count up to {_MAX_CHAINS_SCAN} meets delta_mean={delta_mean}")
+    return _smallest_chain_count(
+        lambda n: student_t_quantile(1.0 - alpha / 2.0, n - 1) / math.sqrt(n),
+        delta_mean, "delta_mean")
 
 
 def variance_error_chain_count(delta_var: float, alpha: float) -> int:
     """Smallest n whose chi-square interval width in log10 is within delta_var."""
     if delta_var <= 0:
         raise ValueError("delta_var must be positive")
-    for n in range(2, _MAX_CHAINS_SCAN + 1):
-        width = math.log10(chi_square_quantile(1.0 - alpha / 2.0, n - 1)
-                           / chi_square_quantile(alpha / 2.0, n - 1))
-        if width <= delta_var:
-            return n
-    raise ValueError(f"no chain count up to {_MAX_CHAINS_SCAN} meets delta_var={delta_var}")
+    return _smallest_chain_count(
+        lambda n: math.log10(chi_square_quantile(1.0 - alpha / 2.0, n - 1)
+                             / chi_square_quantile(alpha / 2.0, n - 1)),
+        delta_var, "delta_var")
 
 
 def chain_count(policy: SizingPolicy) -> int:

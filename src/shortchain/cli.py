@@ -182,7 +182,7 @@ def expand_functionals(items, dimension: int) -> list[str]:
     return out
 
 
-def build_run(cfg: dict, seed_override=None, threads=1, force_trace=False):
+def build_run(cfg: dict, seed_override=None, force_trace=False):
     """Validates the whole config and builds (run_config, target, approximation)."""
     _check_keys(cfg, _TOP_KEYS, {"target", "approximation", "kernel", "seed"}, "config")
     if cfg["kernel"] not in KERNEL_KINDS:
@@ -228,7 +228,6 @@ def build_run(cfg: dict, seed_override=None, threads=1, force_trace=False):
         n_iterations=n_iters,
         step_size_scale=step_scale,
         trace_every=trace_every,
-        threads=threads,
         reliability_cutoff=_number(cfg, "reliability_cutoff", "config", default=0.1))
     return run_config, target, approximation
 
@@ -288,7 +287,7 @@ def write_outputs(report: DiagnosticReport, out_dir, traces: bool) -> dict:
 def cmd_run(args, force_trace=False) -> int:
     cfg = load_config(args.config)
     run_config, target, approximation = build_run(
-        cfg, seed_override=args.seed, threads=args.threads, force_trace=force_trace)
+        cfg, seed_override=args.seed, force_trace=force_trace)
     report = run_diagnostic(run_config, target, approximation)
     paths = write_outputs(report, args.out, traces=force_trace)
     detected = sum(1 for f in report.functionals if f.result.detected)
@@ -341,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap for the chain fan-out (results never depend on it)")
 
     p_run = sub.add_parser("run", help="run the audit and write report.json plus CSVs")
     add_io(p_run)

@@ -4,8 +4,8 @@ A run draws N chains i.i.d. from the approximation, advances them T adapted
 MH iterations toward the target, and turns the final ensemble into
 per-functional error lower bounds plus a reliability verdict.  Results are
 reproducible bit for bit from (config, target, approximation): every chain
-owns its RNG stream, cross-chain reductions use exact summation, and the
-fixed block schedule makes the report independent of the thread count.
+owns its RNG stream, the whole ensemble moves in one batched step per
+iteration, and cross-chain reductions use exact summation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -31,10 +30,6 @@ from .kernels import KERNEL_KINDS, Preconditioner, step_batch
 from .rng import RandomStream, chain_streams
 from .stats import binomial_quantile, sample_quantile
 from .targets import TargetModel
-
-# chains are advanced in fixed blocks so the arithmetic (and therefore the
-# report) is identical whether blocks run on one thread or many
-_BLOCK = 64
 
 _FUNCTIONAL_RE = re.compile(
     r"^\s*(mean|variance|quantile|scalar)\s*\(\s*([^)]*?)\s*\)\s*$")
@@ -95,7 +90,8 @@ class RunConfig:
     Attributes:
         kernel: One of "rwmh", "mala", "barker", "hmc".
         seed: Ensemble seed; with the config it fully determines the report.
-        alpha: Miscoverage level for every interval.
+        alpha: Miscoverage level for every interval; when N is sized
+            automatically it must equal ``sizing.alpha``.
         sizing: Tolerances behind the automatic N and T choices.
         functionals: Strings or FunctionalSpec items; None audits every
             coordinate's mean and variance.
@@ -104,7 +100,6 @@ class RunConfig:
             tool; near-zero values freeze the chains on purpose).
         trace_every: Record bounds and reliability every trace_every
             iterations (0 disables tracing).
-        threads: Worker cap for the block fan-out; never changes results.
         reliability_cutoff: Failure threshold for the reliability check.
         scalar_functions: Extra name -> callable scalar functionals; the
             callable maps an (N, d) batch to (N,) values.
@@ -118,7 +113,6 @@ class RunConfig:
     n_iterations: Optional[int] = None
     step_size_scale: float = 1.0
     trace_every: int = 0
-    threads: int = 1
     reliability_cutoff: float = 0.1
     scalar_functions: Optional[dict] = None
 
@@ -336,14 +330,16 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     if target.dimension != approximation.dimension:
         raise ValueError(f"target dimension {target.dimension} does not match "
                          f"approximation dimension {approximation.dimension}")
-    if config.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {config.threads}")
     if config.trace_every < 0:
         raise ValueError(f"trace_every must be >= 0, got {config.trace_every}")
     if config.step_size_scale <= 0 or not math.isfinite(config.step_size_scale):
         raise ValueError(f"step_size_scale must be positive, got {config.step_size_scale}")
     if not 0.0 < config.alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {config.alpha}")
+    if config.n_chains is None and config.alpha != config.sizing.alpha:
+        raise ValueError(
+            f"alpha={config.alpha} differs from sizing.alpha={config.sizing.alpha}, "
+            "which sizes the chain count; set both to the same value or give n_chains")
 
     d = target.dimension
     policy = config.sizing
@@ -395,21 +391,21 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     if trace_rows is not None and 0 in checkpoints:
         record(0, x0)
 
-    x = x0.copy()
-    executor = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
-    try:
-        for t in range(n_iters):
-            h = adapt.step_size
-            eps, sign_u, accept_u = _gather_noise(kind, streams, d)
-            x, logpi, grad_cached, alphas = _advance_blocks(
-                kind, x, logpi, grad_cached, eps, sign_u, accept_u, h, pre,
-                target, config.leapfrog_steps, executor)
-            adapt.update(math.fsum(alphas) / n_chains, a_star)
-            if trace_rows is not None and (t + 1) in checkpoints:
-                record(t + 1, x)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+    # per-iteration noise buffers, refilled in place; see _gather_noise
+    generators = [s.generator for s in streams]
+    eps = np.empty((n_chains, d))
+    uniforms = np.empty((n_chains, d + 1))
+    sign_u = uniforms[:, :d] if kind == "barker" else None
+    accept_u = uniforms[:, d]
+    x = x0
+    for t in range(n_iters):
+        _gather_noise(kind, generators, eps, uniforms)
+        x, logpi, grad_cached, alphas = step_batch(
+            kind, x, logpi, grad_cached, eps, sign_u, accept_u, adapt.step_size,
+            pre, target, config.leapfrog_steps)
+        adapt.update(math.fsum(alphas) / n_chains, a_star)
+        if trace_rows is not None and (t + 1) in checkpoints:
+            record(t + 1, x)
 
     iter_grads = target.gradient_evaluations - grad_base - init_grads
 
@@ -504,53 +500,20 @@ def _checkpoint_iterations(trace_every: int, n_iters: int) -> set:
     return ts
 
 
-def _gather_noise(kind: str, streams, dimension: int):
-    """Collects each chain's step randomness in canonical per-chain order."""
-    n = len(streams)
-    eps = np.empty((n, dimension))
-    accept_u = np.empty(n)
-    if kind == "barker":
-        sign_u = np.empty((n, dimension))
-        for j, s in enumerate(streams):
-            eps[j] = s.standard_normal(dimension)
-            u = s.random(dimension + 1)
-            sign_u[j] = u[:dimension]
-            accept_u[j] = u[dimension]
-        return eps, sign_u, accept_u
-    for j, s in enumerate(streams):
-        eps[j] = s.standard_normal(dimension)
-        accept_u[j] = s.random()
-    return eps, None, accept_u
+def _gather_noise(kind: str, generators, eps: np.ndarray, uniforms: np.ndarray):
+    """Fills one iteration's noise, each chain drawing from its own generator.
 
-
-def _advance_blocks(kind, x, logpi, grad_cached, eps, sign_u, accept_u, h, pre,
-                    target, n_leapfrog, executor):
-    """One synchronized ensemble iteration over the fixed block schedule."""
-    n = x.shape[0]
-    new_x = np.empty_like(x)
-    new_logpi = np.empty(n)
-    new_grad = np.empty_like(x) if grad_cached is not None else None
-    alphas = np.empty(n)
-    blocks = [slice(b, min(b + _BLOCK, n)) for b in range(0, n, _BLOCK)]
-
-    def do_block(sl):
-        bx, blogpi, bgrad, balpha = step_batch(
-            kind, x[sl], logpi[sl],
-            None if grad_cached is None else grad_cached[sl],
-            eps[sl], None if sign_u is None else sign_u[sl],
-            accept_u[sl], h, pre, target, n_leapfrog)
-        new_x[sl] = bx
-        new_logpi[sl] = blogpi
-        if new_grad is not None:
-            new_grad[sl] = bgrad
-        alphas[sl] = balpha
-
-    if executor is None:
-        for sl in blocks:
-            do_block(sl)
-    else:
-        list(executor.map(do_block, blocks))
-    return new_x, new_logpi, new_grad, alphas
+    Chain j draws ``standard_normal(d)`` into ``eps[j]``, then ``random(d + 1)``
+    into ``uniforms[j]`` for Barker (d sign uniforms, then the acceptance
+    uniform) or one ``random()`` into ``uniforms[j, d]`` for every other
+    kernel.  Writing through ``out=`` consumes each stream exactly as the
+    allocating calls would.
+    """
+    d = eps.shape[1]
+    rows = uniforms if kind == "barker" else uniforms[:, d:]
+    for g, e, u in zip(generators, eps, rows):
+        g.standard_normal(out=e)
+        g.random(out=u)
 
 
 def _functional_results(specs, states, x0, approximation: Approximation,

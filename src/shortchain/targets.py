@@ -8,7 +8,6 @@ point of shape (d,) or a batch of shape (B, d).
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,7 +24,7 @@ class TargetModel:
         name: Short label used in reports.
 
     The gradient evaluation counter increments by the number of points in
-    each ``grad_log_density`` call and is safe to bump from worker threads.
+    each ``grad_log_density`` call.
     """
 
     def __init__(self, dimension: int,
@@ -39,16 +38,13 @@ class TargetModel:
         self._log_density = log_density
         self._grad_log_density = grad_log_density
         self._n_grad = 0
-        self._lock = threading.Lock()
 
     def log_density(self, x: np.ndarray):
         return self._log_density(np.asarray(x, dtype=float))
 
     def grad_log_density(self, x: np.ndarray):
         x = np.asarray(x, dtype=float)
-        n_points = 1 if x.ndim == 1 else x.shape[0]
-        with self._lock:
-            self._n_grad += n_points
+        self._n_grad += 1 if x.ndim == 1 else x.shape[0]
         return self._grad_log_density(x)
 
     @property
@@ -56,8 +52,7 @@ class TargetModel:
         return self._n_grad
 
     def reset_gradient_count(self):
-        with self._lock:
-            self._n_grad = 0
+        self._n_grad = 0
 
     def __repr__(self):
         return f"TargetModel(name={self.name!r}, dimension={self.dimension})"
@@ -113,7 +108,7 @@ def correlated_gaussian_target(dimension: int,
     def log_density(x):
         xb, flat = _as_batch(x)
         z = xb - mu
-        q = np.einsum("bi,ij,bj->b", z, precision, z)
+        q = np.sum((z @ precision) * z, axis=1)
         out = log_norm - 0.5 * q
         return float(out[0]) if flat else out
 

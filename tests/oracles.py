@@ -202,3 +202,11 @@ def variance_error_chain_count_oracle(delta_var: float, alpha: float) -> int:
                      / chi2_quantile(0.5 * alpha, n - 1)) > delta_var:
         n += 1
     return n
+
+
+def smallest_n_by_scan(width, budget: float) -> int:
+    """Smallest n >= 2 with width(n) <= budget, by scanning n = 2, 3, ..."""
+    n = 2
+    while width(n) > budget:
+        n += 1
+    return n

@@ -20,7 +20,10 @@ from shortchain.adaptation import (
     variance_error_chain_count,
 )
 
-from oracles import mean_error_chain_count_oracle, variance_error_chain_count_oracle
+from shortchain.stats import chi_square_quantile, student_t_quantile
+
+from oracles import (mean_error_chain_count_oracle, smallest_n_by_scan,
+                     variance_error_chain_count_oracle)
 
 
 class TestTargetAcceptance:
@@ -129,6 +132,38 @@ class TestChainCount:
             mean_error_chain_count(0.0, 0.05)
         with pytest.raises(ValueError):
             variance_error_chain_count(-1.0, 0.05)
+
+    def test_bisection_matches_linear_scan(self):
+        # The search must return exactly the n a scan from 2 upward finds,
+        # with the package's own quantile functions as the widths.
+        alphas = (0.01, 0.05, 0.1)
+        mean_scan = {}
+        var_scan = {}
+        for alpha in alphas:
+            for delta in (0.05, 0.1, 0.2, 0.3):
+                mean_scan[delta, alpha] = smallest_n_by_scan(
+                    lambda n: student_t_quantile(1.0 - alpha / 2.0, n - 1) / math.sqrt(n),
+                    delta)
+                assert mean_error_chain_count(delta, alpha) == mean_scan[delta, alpha]
+            for delta in (0.1, 0.15, 0.3):
+                var_scan[delta, alpha] = smallest_n_by_scan(
+                    lambda n: math.log10(chi_square_quantile(1.0 - alpha / 2.0, n - 1)
+                                         / chi_square_quantile(alpha / 2.0, n - 1)),
+                    delta)
+                assert variance_error_chain_count(delta, alpha) == var_scan[delta, alpha]
+        for (dm, alpha), n_mean in mean_scan.items():
+            for (dv, a), n_var in var_scan.items():
+                if a == alpha:
+                    policy = SizingPolicy(delta_mean=dm, delta_var=dv, alpha=alpha)
+                    assert chain_count(policy) == max(n_mean, n_var)
+
+    def test_unreachable_budget_raises(self):
+        with pytest.raises(ValueError,
+                           match=r"^no chain count up to 1000000 meets delta_mean=1e-06$"):
+            mean_error_chain_count(1e-6, 0.05)
+        with pytest.raises(ValueError,
+                           match=r"^no chain count up to 1000000 meets delta_var=1e-06$"):
+            variance_error_chain_count(1e-6, 0.05)
 
 
 class TestIterationCount:

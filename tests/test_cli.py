@@ -125,13 +125,6 @@ class TestRunCommand:
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         assert (a / "report.json").read_bytes() != (c / "report.json").read_bytes()
 
-    def test_threads_flag_does_not_change_outputs(self, tmp_path):
-        cfg = write_config(tmp_path, overrides={"chains": 130, "iterations": 8})
-        a, b = tmp_path / "a", tmp_path / "b"
-        main(["run", "--config", str(cfg), "--out", str(a)])
-        main(["run", "--config", str(cfg), "--out", str(b), "--threads", "4"])
-        assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
-
     def test_frozen_chains_exit_two_with_outputs(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -18,6 +18,8 @@ from shortchain import (
     run_diagnostic,
     run_with_traces,
 )
+from shortchain import runner
+from shortchain.kernels import step_batch
 from shortchain.runner import FunctionalSpec, cross_chain_independence_check
 from shortchain.targets import TargetModel
 
@@ -68,15 +70,6 @@ class TestDeterminism:
         b = run_diagnostic(cfg, target, approx)
         assert report_bytes(a) == report_bytes(b)
 
-    def test_thread_count_does_not_change_report(self):
-        # 97 chains split unevenly into 64-blocks; the fan-out must not
-        # change any arithmetic.
-        target, approx = small_setup()
-        one = RunConfig(kernel="mala", seed=5, n_chains=97, n_iterations=25, threads=1)
-        four = RunConfig(kernel="mala", seed=5, n_chains=97, n_iterations=25, threads=4)
-        assert report_bytes(run_diagnostic(one, target, approx)) == \
-            report_bytes(run_diagnostic(four, target, approx))
-
     def test_different_seeds_differ(self):
         target, approx = small_setup()
         a = run_diagnostic(RunConfig(kernel="rwmh", seed=1, n_chains=40,
@@ -96,6 +89,38 @@ class TestDeterminism:
         da.pop("traces")
         db.pop("traces")
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+
+
+class TestDrawOrder:
+    @pytest.mark.parametrize("kind", ["rwmh", "mala", "barker", "hmc"])
+    def test_step_noise_is_each_chains_canonical_draws(self, kind, monkeypatch):
+        # Chain j owns RandomStream(seed, j + 1): after its initial draw it
+        # takes standard_normal(d), then random(d + 1) for Barker or one
+        # random() otherwise.  97 chains is not a multiple of any block size.
+        n, d, seed = 97, 5, 31
+        target, approx = small_setup(d)
+        seen = []
+
+        def spy(kind, x, logpi, grad, eps, sign_u, accept_u, *rest):
+            seen.append((eps.copy(), None if sign_u is None else sign_u.copy(),
+                         accept_u.copy()))
+            return step_batch(kind, x, logpi, grad, eps, sign_u, accept_u, *rest)
+
+        monkeypatch.setattr(runner, "step_batch", spy)
+        run_diagnostic(RunConfig(kernel=kind, seed=seed, n_chains=n, n_iterations=1,
+                                 sizing=SizingPolicy(leapfrog_steps=2)), target, approx)
+        (eps, sign_u, accept_u), = seen
+        assert (sign_u is not None) == (kind == "barker")
+        for j in range(n):
+            stream = RandomStream(seed, j + 1)
+            approx.sample(stream)
+            assert np.array_equal(eps[j], stream.standard_normal(d))
+            if kind == "barker":
+                u = stream.random(d + 1)
+                assert np.array_equal(sign_u[j], u[:d])
+                assert accept_u[j] == u[d]
+            else:
+                assert accept_u[j] == stream.random()
 
 
 class TestTraces:
@@ -221,7 +246,6 @@ class TestConfigValidation:
         for cfg in (
             RunConfig(kernel="rwmh", seed=0, n_chains=1, n_iterations=2),
             RunConfig(kernel="rwmh", seed=0, n_chains=10, n_iterations=0),
-            RunConfig(kernel="rwmh", seed=0, n_chains=10, n_iterations=2, threads=0),
             RunConfig(kernel="rwmh", seed=0, n_chains=10, n_iterations=2, trace_every=-1),
             RunConfig(kernel="rwmh", seed=0, n_chains=10, n_iterations=2,
                       step_size_scale=0.0),
@@ -311,6 +335,15 @@ class TestOverridesAndSizing:
         assert report.n_chains == 17
         assert report.n_iterations == 9
         assert len(report.acceptance_history) == 9
+
+    def test_interval_alpha_must_match_sizing_alpha(self):
+        target, approx = small_setup()
+        with pytest.raises(ValueError, match=r"alpha=0\.01.*sizing\.alpha=0\.05"):
+            run_diagnostic(RunConfig(kernel="rwmh", seed=0, alpha=0.01), target, approx)
+        # a fixed chain count leaves nothing for sizing.alpha to size
+        report = run_diagnostic(RunConfig(kernel="rwmh", seed=0, alpha=0.01,
+                                          n_chains=700, n_iterations=2), target, approx)
+        assert report.alpha == 0.01
 
     def test_sized_defaults_used_without_overrides(self):
         target, approx = small_setup(2)

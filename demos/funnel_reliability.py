@@ -16,7 +16,6 @@ from shortchain import (
     mean_field_gaussian_approximation,
     neal_funnel_target,
     run_diagnostic,
-    run_with_traces,
 )
 
 
@@ -33,7 +32,7 @@ def main():
     approx = mean_field_gaussian_approximation(np.zeros(d), np.ones(d))
 
     config = RunConfig(kernel="barker", seed=1, trace_every=25)
-    report = run_with_traces(config, target, approx)
+    report = run_diagnostic(config, target, approx)
     summarize("healthy run ", report)
 
     wide = [f for f in report.functionals

@@ -5,13 +5,16 @@ Metropolis-Hastings iterations toward the target, and read off confidence
 intervals whose excluded zeros are lower bounds on the approximation's error
 in each audited functional, together with a reliability check on the chains
 themselves.
+
+The top level holds the user pipeline: targets, approximations, the run
+configuration and its sizing, the run itself, and the interval and
+reliability results it reports.  Kernels, step-size adaptation internals and
+distribution quantiles stay importable from their own modules.
 """
 
-from .adaptation import (AdaptationState, SizingPolicy, chain_count,
-                         initial_step_size, iteration_count,
-                         mean_error_chain_count, target_acceptance,
-                         update_log_step_size, variance_error_chain_count,
-                         TARGET_ACCEPTANCE)
+from .adaptation import (SizingPolicy, chain_count, initial_step_size,
+                         iteration_count, mean_error_chain_count,
+                         target_acceptance, variance_error_chain_count)
 from .approximations import (Approximation, approximation_from_sampler,
                              empirical_approximation, kl_optimal_mean_field,
                              mean_field_gaussian_approximation)
@@ -20,39 +23,31 @@ from .diagnostics import (ConfidenceInterval, LowerBoundResult,
                           log_variance_ratio_ci, mean_difference_ci,
                           quantile_difference_ci, reliability_check,
                           scalar_functional_diagnostics)
-from .kernels import (KERNEL_KINDS, Preconditioner, ProposalOutcome,
-                      barker_propose, hmc_propose, leapfrog, mala_propose,
-                      mh_acceptance_probability, mh_step, rwmh_propose)
-from .rng import RandomStream, chain_streams
+from .kernels import KERNEL_KINDS
+from .rng import RandomStream
 from .runner import (DiagnosticReport, FunctionalSpec, RunConfig,
-                     cross_chain_independence_check, default_functionals,
-                     parse_functional, run_diagnostic, run_with_traces)
-from .stats import (binomial_quantile, chi_square_quantile,
-                    pearson_correlation_squared, sample_quantile,
-                    student_t_quantile, summary_stats)
+                     default_functionals, parse_functional, run_diagnostic)
 from .targets import (TargetModel, correlated_gaussian_target,
                       neal_funnel_target, synthetic_logistic_regression_target)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptationState", "Approximation", "ConfidenceInterval",
-    "DiagnosticReport", "FunctionalSpec", "KERNEL_KINDS", "LowerBoundResult",
-    "Preconditioner", "ProposalOutcome", "RandomStream", "ReliabilityResult",
-    "RunConfig", "SizingPolicy", "TARGET_ACCEPTANCE", "TargetModel",
-    "approximation_from_sampler", "barker_propose", "chain_count",
-    "chain_streams", "correlated_gaussian_target",
-    "cross_chain_independence_check", "default_functionals",
-    "empirical_approximation", "error_lower_bound", "hmc_propose",
-    "initial_step_size", "iteration_count", "kl_optimal_mean_field",
-    "leapfrog", "log_variance_ratio_ci", "mala_propose",
-    "mean_difference_ci", "mean_error_chain_count",
-    "mean_field_gaussian_approximation", "mh_acceptance_probability",
-    "mh_step", "neal_funnel_target", "parse_functional",
-    "pearson_correlation_squared", "quantile_difference_ci",
-    "reliability_check", "rwmh_propose", "run_diagnostic", "run_with_traces",
-    "sample_quantile", "scalar_functional_diagnostics", "student_t_quantile",
-    "binomial_quantile", "chi_square_quantile", "summary_stats",
-    "synthetic_logistic_regression_target", "target_acceptance",
-    "update_log_step_size", "variance_error_chain_count",
+    # running an audit
+    "RunConfig", "run_diagnostic", "DiagnosticReport", "FunctionalSpec",
+    "parse_functional", "default_functionals", "KERNEL_KINDS", "RandomStream",
+    # sizing
+    "SizingPolicy", "chain_count", "iteration_count", "initial_step_size",
+    "target_acceptance", "mean_error_chain_count", "variance_error_chain_count",
+    # targets
+    "TargetModel", "correlated_gaussian_target", "neal_funnel_target",
+    "synthetic_logistic_regression_target",
+    # approximations
+    "Approximation", "approximation_from_sampler", "empirical_approximation",
+    "kl_optimal_mean_field", "mean_field_gaussian_approximation",
+    # intervals, bounds and reliability
+    "ConfidenceInterval", "LowerBoundResult", "ReliabilityResult",
+    "error_lower_bound", "mean_difference_ci", "log_variance_ratio_ci",
+    "quantile_difference_ci", "scalar_functional_diagnostics",
+    "reliability_check",
 ]

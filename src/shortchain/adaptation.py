@@ -87,7 +87,7 @@ class SizingPolicy:
     Attributes:
         delta_mean: Half-width budget for the standardized mean interval.
         delta_var: log10 budget for the variance-ratio interval width.
-        alpha: Interval miscoverage level.
+        alpha: Miscoverage level of every interval; also sizes the chain count.
         iteration_coefficient: The constant c in the iteration budget.
         leapfrog_steps: L, used only by the Hamiltonian iteration budget.
     """

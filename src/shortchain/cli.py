@@ -221,7 +221,6 @@ def build_run(cfg: dict, seed_override=None, force_trace=False):
     run_config = RunConfig(
         kernel=cfg["kernel"],
         seed=seed,
-        alpha=policy.alpha,
         sizing=policy,
         functionals=functionals,
         n_chains=n_chains,

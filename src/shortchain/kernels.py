@@ -7,23 +7,19 @@ log densities so the Metropolis-Hastings correction leaves any target
 invariant; non-finite densities or gradients at the proposed point reject
 the move instead of aborting the run.
 
-All cores operate on batches of shape (B, d).  Single-chain wrappers draw
-their randomness in a fixed order (position noise first, an acceptance
-uniform last) so a batched ensemble consumes each chain's stream exactly
-as the scalar path would.
+Every proposal and step operates on batches of shape (B, d).  The
+randomness of a step is drawn by the caller and passed in, so a kernel
+never touches a random stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import expit
-
-from .rng import RandomStream
 
 KERNEL_KINDS = ("rwmh", "mala", "barker", "hmc")
 
@@ -73,35 +69,6 @@ class Preconditioner:
     @classmethod
     def identity(cls, dimension: int) -> "Preconditioner":
         return cls(np.eye(dimension))
-
-
-@dataclass(frozen=True)
-class ProposalOutcome:
-    """A proposed point with the densities needed for the MH correction.
-
-    For Hamiltonian proposals the correction uses the start and end
-    Hamiltonians instead, and the directional densities are NaN.
-    """
-    proposal: np.ndarray
-    forward_log_density: float
-    reverse_log_density: float
-    hamiltonian_start: Optional[float] = None
-    hamiltonian_end: Optional[float] = None
-
-
-def draw_step_noise(kind: str, dimension: int, stream: RandomStream):
-    """Draws one MH step's randomness in the canonical order.
-
-    Returns:
-        ``(eps, sign_uniforms, accept_uniform)`` where ``sign_uniforms`` is
-        None for every kernel except Barker.
-    """
-    _check_kind(kind)
-    eps = stream.standard_normal(dimension)
-    if kind == "barker":
-        u = stream.random(dimension + 1)
-        return eps, u[:dimension], float(u[dimension])
-    return eps, None, float(stream.random())
 
 
 def _gauss_const(dimension: int, step_size: float, pre: Preconditioner) -> float:
@@ -166,8 +133,8 @@ def leapfrog(position, momentum, step_size: float, n_steps: int,
     evaluations (consecutive steps share the endpoint gradient).
 
     Args:
-        position: (d,) or (B, d) positions.
-        momentum: Matching momenta.
+        position: (B, d) positions.
+        momentum: (B, d) momenta.
         step_size: Leapfrog step size h > 0.
         n_steps: Number of leapfrog steps L >= 1.
         pre: Preconditioner supplying G.
@@ -178,19 +145,15 @@ def leapfrog(position, momentum, step_size: float, n_steps: int,
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    x = np.atleast_2d(np.asarray(position, dtype=float)).copy()
-    eta = np.atleast_2d(np.asarray(momentum, dtype=float)).copy()
-    flat = np.asarray(position).ndim == 1
+    x, eta = position, momentum
     G = pre.matrix
     with _quiet():
-        g = np.atleast_2d(grad_fn(x))
+        g = grad_fn(x)
         for _ in range(n_steps):
             eta = eta + 0.5 * step_size * g
             x = x + step_size * (eta @ G)
-            g = np.atleast_2d(grad_fn(x))
+            g = grad_fn(x)
             eta = eta + 0.5 * step_size * g
-    if flat:
-        return x[0], eta[0]
     return x, eta
 
 
@@ -269,110 +232,3 @@ def step_batch(kind: str, x, logpi_x, grad_x, eps, sign_uniforms, accept_uniform
         if grad_y is not None:
             new_grad = np.where(accept[:, None], grad_y, grad_x)
     return new_x, new_logpi, new_grad, alpha
-
-
-def rwmh_propose(x, step_size: float, pre: Preconditioner,
-                 stream: RandomStream) -> ProposalOutcome:
-    """Random-walk proposal y ~ N(x, h G); forward and reverse densities agree."""
-    x = np.asarray(x, dtype=float)
-    eps = stream.standard_normal(x.size)
-    with _quiet():
-        y, logq_fwd, logq_rev = _rwmh_core(x[None, :], eps[None, :], step_size, pre)
-    return ProposalOutcome(y[0], float(logq_fwd[0]), float(logq_rev[0]))
-
-
-def mala_propose(x, step_size: float, pre: Preconditioner,
-                 grad_fn: Callable, stream: RandomStream) -> ProposalOutcome:
-    """Langevin proposal y ~ N(x + (h/2) G grad(x), h G).
-
-    The reverse density recenters on a fresh gradient at the proposed point.
-    """
-    x = np.asarray(x, dtype=float)
-    eps = stream.standard_normal(x.size)
-    with _quiet():
-        grad_x = np.atleast_2d(grad_fn(x[None, :]))
-        y, logq_fwd, logq_rev, _ = _mala_core(
-            x[None, :], grad_x, eps[None, :], step_size, pre,
-            lambda p: np.atleast_2d(grad_fn(p)))
-    return ProposalOutcome(y[0], float(logq_fwd[0]), float(logq_rev[0]))
-
-
-def barker_propose(x, step_size: float, pre: Preconditioner,
-                   grad_fn: Callable, stream: RandomStream) -> ProposalOutcome:
-    """Barker proposal: whitened increments with gradient-informed sign flips.
-
-    The whitened increment draws w_i ~ N(0, h) and keeps its sign with
-    probability sigmoid(w_i c_i(x)) where c(x) = C grad(x); the move is
-    y = x + C^T z, so coordinate i of y - x has scale sqrt(h G_ii) for
-    diagonal G.
-    """
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    eps = stream.standard_normal(d)
-    u = stream.random(d + 1)  # last entry reserved for the acceptance draw
-    with _quiet():
-        grad_x = np.atleast_2d(grad_fn(x[None, :]))
-        y, logq_fwd, logq_rev, _ = _barker_core(
-            x[None, :], grad_x, eps[None, :], u[None, :d], step_size, pre,
-            lambda p: np.atleast_2d(grad_fn(p)))
-    return ProposalOutcome(y[0], float(logq_fwd[0]), float(logq_rev[0]))
-
-
-def hmc_propose(x, step_size: float, n_leapfrog: int, pre: Preconditioner,
-                log_density_fn: Callable, grad_fn: Callable,
-                stream: RandomStream) -> ProposalOutcome:
-    """Hamiltonian proposal: fresh N(0, G^-1) momentum, L leapfrog steps.
-
-    Consumes exactly ``n_leapfrog + 1`` gradient evaluations and carries the
-    start and end Hamiltonians for the acceptance rule.
-    """
-    x = np.asarray(x, dtype=float)
-    xi = stream.standard_normal(x.size)
-    with _quiet():
-        logpi_x = np.atleast_1d(log_density_fn(x[None, :]))
-        y, h_start, h_end, _ = _hmc_core(
-            x[None, :], logpi_x, xi[None, :], step_size, n_leapfrog, pre,
-            lambda p: np.atleast_1d(log_density_fn(p)),
-            lambda p: np.atleast_2d(grad_fn(p)))
-    return ProposalOutcome(y[0], float("nan"), float("nan"),
-                           hamiltonian_start=float(h_start[0]),
-                           hamiltonian_end=float(h_end[0]))
-
-
-def mh_acceptance_probability(outcome: ProposalOutcome,
-                              log_pi_x: float, log_pi_y: float) -> float:
-    """Metropolis-Hastings acceptance probability for a proposal outcome.
-
-    Non-finite quantities at the proposed point give probability 0; a chain
-    currently at a -inf density state accepts any finite proposal.
-    """
-    if outcome.hamiltonian_start is not None:
-        log_ratio = outcome.hamiltonian_start - outcome.hamiltonian_end
-    else:
-        log_ratio = ((log_pi_y - log_pi_x)
-                     + (outcome.reverse_log_density - outcome.forward_log_density))
-    if math.isnan(log_ratio):
-        return 0.0
-    return float(math.exp(min(log_ratio, 0.0)))
-
-
-def mh_step(kind: str, x, step_size: float, pre: Preconditioner, target,
-            stream: RandomStream, n_leapfrog: int = 10):
-    """One Metropolis-Hastings step of a single chain.
-
-    Draws the proposal noise and the acceptance uniform from ``stream`` in
-    the canonical order, so stepping chains one at a time consumes streams
-    exactly as the batched ensemble does.
-
-    Returns:
-        ``(new_state, alpha)``.
-    """
-    x = np.asarray(x, dtype=float)
-    eps, sign_u, accept_u = draw_step_noise(kind, x.size, stream)
-    with _quiet():
-        logpi_x = np.atleast_1d(target.log_density(x[None, :]))
-    new_x, _, _, alpha = step_batch(
-        kind, x[None, :], logpi_x, None, eps[None, :],
-        None if sign_u is None else sign_u[None, :],
-        np.array([accept_u]), step_size, pre, target, n_leapfrog)
-    return new_x[0], float(alpha[0])

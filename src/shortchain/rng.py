@@ -48,16 +48,3 @@ class RandomStream:
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, stream_index={self.stream_index})"
-
-
-def chain_streams(seed: int, n_chains: int) -> tuple[RandomStream, list[RandomStream]]:
-    """Builds the shared stream plus one stream per chain.
-
-    Returns:
-        ``(shared, chains)`` where ``shared`` has index 0 and ``chains[j]``
-        has index ``j + 1``.  Chain streams are only ever consumed by their
-        own chain, which keeps results independent of execution order.
-    """
-    shared = RandomStream(seed, 0)
-    chains = [RandomStream(seed, j + 1) for j in range(n_chains)]
-    return shared, chains

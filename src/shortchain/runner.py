@@ -27,7 +27,7 @@ from .diagnostics import (MONOTONE_ERROR_CAVEAT, ConfidenceInterval,
                           mean_difference_ci, quantile_difference_ci,
                           reliability_check, scalar_functional_diagnostics)
 from .kernels import KERNEL_KINDS, Preconditioner, step_batch
-from .rng import RandomStream, chain_streams
+from .rng import RandomStream
 from .stats import binomial_quantile, sample_quantile
 from .targets import TargetModel
 
@@ -90,9 +90,8 @@ class RunConfig:
     Attributes:
         kernel: One of "rwmh", "mala", "barker", "hmc".
         seed: Ensemble seed; with the config it fully determines the report.
-        alpha: Miscoverage level for every interval; when N is sized
-            automatically it must equal ``sizing.alpha``.
-        sizing: Tolerances behind the automatic N and T choices.
+        sizing: Tolerances behind the automatic N and T choices; its
+            ``alpha`` is also the miscoverage level of every interval.
         functionals: Strings or FunctionalSpec items; None audits every
             coordinate's mean and variance.
         n_chains / n_iterations: Overrides for the sized N and T.
@@ -106,7 +105,6 @@ class RunConfig:
     """
     kernel: str
     seed: int
-    alpha: float = 0.05
     sizing: SizingPolicy = field(default_factory=SizingPolicy)
     functionals: Optional[Sequence] = None
     n_chains: Optional[int] = None
@@ -249,76 +247,15 @@ def _functional_json(f: FunctionalResult) -> dict:
     return out
 
 
-@dataclass
-class IndependenceCheckResult:
-    max_abs_correlation: float
-    degenerate_pairs: int
-    suspicious: bool
-
-
-def cross_chain_independence_check(replicated_finals: np.ndarray, n_pairs: int,
-                                   stream: RandomStream) -> IndependenceCheckResult:
-    """Sanity check that chains do not share randomness.
-
-    Projects the final states of randomly chosen chain pairs onto one random
-    direction and correlates the two chains' projections across independent
-    replications.  Healthy ensembles give small correlations; replications
-    accidentally run with the same seed give degenerate (constant) series,
-    reported as suspicious.
-
-    Args:
-        replicated_finals: (R, N, d) final ensembles from R >= 2 independent
-            replications with N >= 10 chains each.
-        n_pairs: Number of chain pairs to probe, at least 1.
-        stream: Stream for pair and projection choices.
-    """
-    x = np.asarray(replicated_finals, dtype=float)
-    if x.ndim != 3 or x.shape[0] < 2 or x.shape[1] < 10:
-        raise ValueError(f"need (R >= 2, N >= 10, d) replicated finals, got shape {x.shape}")
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    r, n, d = x.shape
-    proj = stream.standard_normal(d)
-    proj = proj / math.sqrt(float(proj @ proj))
-    scalars = x @ proj  # (R, N)
-    max_abs = 0.0
-    degenerate = 0
-    for _ in range(n_pairs):
-        j = int(stream.integers(0, n))
-        k = int(stream.integers(0, n - 1))
-        if k >= j:
-            k += 1
-        a = scalars[:, j] - scalars[:, j].mean()
-        b = scalars[:, k] - scalars[:, k].mean()
-        denom = math.sqrt(float(a @ a) * float(b @ b))
-        if denom == 0.0:
-            degenerate += 1
-            max_abs = max(max_abs, 1.0)
-            continue
-        max_abs = max(max_abs, abs(float(a @ b) / denom))
-    return IndependenceCheckResult(max_abs, degenerate,
-                                   suspicious=degenerate > 0 or max_abs >= 0.999)
-
-
-def run_with_traces(config: RunConfig, target: TargetModel,
-                    approximation: Approximation) -> DiagnosticReport:
-    """Like ``run_diagnostic`` but guarantees per-checkpoint traces.
-
-    Tracing is pure bookkeeping: the final report matches the untraced run
-    for the same seed exactly.
-    """
-    if config.trace_every < 1:
-        raise ValueError("run_with_traces needs trace_every >= 1")
-    return run_diagnostic(config, target, approximation)
-
-
 def run_diagnostic(config: RunConfig, target: TargetModel,
                    approximation: Approximation) -> DiagnosticReport:
     """Runs the full audit and returns its report.
 
     Raises:
         ValueError: for invalid configuration (bad kernel, out-of-range
-            coordinates, infeasible quantile levels for the sized N, ...).
+            coordinates, infeasible quantile levels for the sized N, ...)
+            or a target whose outputs on the initial batch have the wrong
+            shape.
         RuntimeError: when more than half the chains start at non-finite
             log density, which means the approximation and target are too
             incompatible for the audit to say anything useful.
@@ -334,15 +271,10 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
         raise ValueError(f"trace_every must be >= 0, got {config.trace_every}")
     if config.step_size_scale <= 0 or not math.isfinite(config.step_size_scale):
         raise ValueError(f"step_size_scale must be positive, got {config.step_size_scale}")
-    if not 0.0 < config.alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {config.alpha}")
-    if config.n_chains is None and config.alpha != config.sizing.alpha:
-        raise ValueError(
-            f"alpha={config.alpha} differs from sizing.alpha={config.sizing.alpha}, "
-            "which sizes the chain count; set both to the same value or give n_chains")
 
     d = target.dimension
     policy = config.sizing
+    alpha = policy.alpha
     n_chains = config.n_chains if config.n_chains is not None else chain_count(policy)
     n_iters = (config.n_iterations if config.n_iterations is not None
                else iteration_count(kind, d, policy))
@@ -353,15 +285,16 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
 
     specs = _resolve_specs(config, d)
     scalar_fns = _resolve_scalar_functions(specs, config, target)
-    _validate_quantile_feasibility(specs, n_chains, config.alpha)
+    _validate_quantile_feasibility(specs, n_chains, alpha)
 
     pre = Preconditioner(approximation.covariance)
-    _, streams = chain_streams(config.seed, n_chains)
+    # chain j owns stream index j + 1 (see RandomStream)
+    streams = [RandomStream(config.seed, j + 1) for j in range(n_chains)]
 
     # initialization phase: i.i.d. draws, each from its chain's own stream
     x0 = np.stack([approximation.sample(streams[j]) for j in range(n_chains)])
     grad_base = target.gradient_evaluations
-    logpi = np.atleast_1d(np.asarray(target.log_density(x0), dtype=float))
+    logpi = _checked_output("log_density", target.log_density(x0), (n_chains,))
     n_bad = int(np.sum(~np.isfinite(logpi)))
     if n_bad * 2 > n_chains:
         raise RuntimeError(
@@ -371,7 +304,8 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
             "against the target before retrying.")
     grad_cached = None
     if kind in ("mala", "barker"):
-        grad_cached = np.asarray(target.grad_log_density(x0), dtype=float)
+        grad_cached = _checked_output("grad_log_density", target.grad_log_density(x0),
+                                      (n_chains, d))
     init_grads = target.gradient_evaluations - grad_base
 
     h0 = initial_step_size(kind, d) * config.step_size_scale
@@ -384,7 +318,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     def record(iteration, states):
         rel = reliability_check(x0, states, cutoff=config.reliability_cutoff)
         results = _functional_results(specs, states, x0, approximation,
-                                      config.alpha, scalar_fns)
+                                      alpha, scalar_fns)
         trace_rows.append(TraceRow(iteration, rel.rho2_max,
                                    {r.tag: r.result.bound for r in results}))
 
@@ -413,7 +347,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     if trace_rows is not None:
         reliability.trajectory = [(row.iteration, row.rho2_max) for row in trace_rows]
     functionals = _functional_results(specs, x, x0, approximation,
-                                      config.alpha, scalar_fns)
+                                      alpha, scalar_fns)
 
     caveats = MONOTONE_ERROR_CAVEAT
     if n_bad:
@@ -431,7 +365,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
         dimension=d,
         n_chains=n_chains,
         n_iterations=n_iters,
-        alpha=config.alpha,
+        alpha=alpha,
         seed=config.seed,
         leapfrog_steps=config.leapfrog_steps,
         initial_step_size=h0,
@@ -446,6 +380,20 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
         wall_time=time.perf_counter() - start_time,
         traces=trace_rows,
     )
+
+
+def _checked_output(name: str, value, shape: tuple) -> np.ndarray:
+    """Returns a target output on the initial (N, d) batch as a float array.
+
+    Raises when the shape or dtype is not what every later step relies on,
+    so a malformed target fails here instead of inside a kernel's NumPy.
+    """
+    out = np.asarray(value)
+    if out.shape != shape or out.dtype.kind not in "fiu":
+        raise ValueError(
+            f"target {name} must return a real array of shape {shape} for "
+            f"{shape[0]} points, got shape {out.shape} and dtype {out.dtype}")
+    return out.astype(float, copy=False)
 
 
 def _resolve_specs(config: RunConfig, dimension: int) -> list[FunctionalSpec]:

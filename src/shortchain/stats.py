@@ -1,4 +1,4 @@
-"""Distribution quantiles and small-sample summaries used by the diagnostics.
+"""Distribution quantiles, sample quantiles and correlations for the diagnostics.
 
 Continuous quantiles are delegated to scipy's special-function inversions
 (incomplete beta and gamma); the discrete binomial quantile is pinned to the
@@ -63,23 +63,6 @@ def binomial_quantile(q: float, n: int, p: float) -> int:
     while k < n and _sps.binom.cdf(k, n, p) < q:
         k += 1
     return k
-
-
-def summary_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate sample means and standard deviations (ddof = 1).
-
-    Args:
-        samples: Array of shape (N,) or (N, d) with N >= 2 rows.
-
-    Returns:
-        ``(means, sds)`` with one entry per coordinate.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError(f"need a (N, d) sample matrix with N >= 2, got shape {x.shape}")
-    return x.mean(axis=0), x.std(axis=0, ddof=1)
 
 
 def sample_quantile(samples: np.ndarray, p: float, coordinate: Optional[int] = None) -> float:

@@ -19,12 +19,15 @@ class TargetModel:
 
     Args:
         dimension: Dimension d of the state space.
-        log_density: Maps (d,) to a float, or (B, d) to (B,).
-        grad_log_density: Maps (d,) to (d,), or (B, d) to (B, d).
+        log_density: Maps a (B, d) batch to (B,) log densities.
+        grad_log_density: Maps a (B, d) batch to (B, d) gradients.
         name: Short label used in reports.
 
-    The gradient evaluation counter increments by the number of points in
-    each ``grad_log_density`` call.
+    The runner only ever passes (B, d) batches, and rejects a target whose
+    outputs on the initial batch have any other shape.  The built-in
+    targets also accept a single (d,) point.  The gradient evaluation
+    counter increments by the number of points in each
+    ``grad_log_density`` call.
     """
 
     def __init__(self, dimension: int,

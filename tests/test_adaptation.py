@@ -7,18 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shortchain import (
-    AdaptationState,
     SizingPolicy,
     chain_count,
     initial_step_size,
     iteration_count,
-    target_acceptance,
-    update_log_step_size,
-)
-from shortchain.adaptation import (
     mean_error_chain_count,
+    target_acceptance,
     variance_error_chain_count,
 )
+from shortchain.adaptation import AdaptationState, update_log_step_size
 
 from shortchain.stats import chi_square_quantile, student_t_quantile
 

@@ -12,8 +12,8 @@ from shortchain import (
     empirical_approximation,
     kl_optimal_mean_field,
     mean_field_gaussian_approximation,
-    sample_quantile,
 )
+from shortchain.stats import sample_quantile
 
 from oracles import normal_quantile
 

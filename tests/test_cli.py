@@ -1,16 +1,19 @@
 """Command line interface: configs, outputs, exit codes.
 
 Most tests drive ``shortchain.cli.main`` in process for speed; one test
-runs the installed module through a real subprocess.
+runs the module through a real subprocess.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shortchain
 from shortchain.cli import EXIT_ERROR, EXIT_OK, EXIT_UNRELIABLE, main
 
 
@@ -64,10 +67,13 @@ class TestSizingCommand:
         assert "chains N            7" in out
 
     def test_module_entry_point(self):
+        # the subprocess imports the same package as this test, installed or not
+        package_root = str(Path(shortchain.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "shortchain", "sizing", "--kernel", "rwmh",
              "--dimension", "10"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == EXIT_OK
         assert "0.576" in proc.stdout
 

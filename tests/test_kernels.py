@@ -13,50 +13,54 @@ import pytest
 from scipy import stats as sps
 from scipy.integrate import quad
 
-from shortchain import (
-    RandomStream,
-    correlated_gaussian_target,
-    mh_acceptance_probability,
-    mh_step,
-)
+from shortchain import RandomStream, correlated_gaussian_target
 from shortchain.kernels import (
     KERNEL_KINDS,
     Preconditioner,
+    _barker_core,
     _barker_increment_log_density,
-    barker_propose,
-    draw_step_noise,
-    hmc_propose,
+    _hmc_core,
+    _kinetic_energy,
+    _mala_core,
+    _rwmh_core,
     leapfrog,
-    mala_propose,
-    rwmh_propose,
     step_batch,
 )
 from shortchain.targets import TargetModel
 
 
-def flat_target(dimension):
-    """Improper constant-density target; every proposal is accepted."""
+def flat_target(dimension, level=0.0):
+    """Improper target with log density ``level`` everywhere."""
     return TargetModel(
         dimension=dimension,
-        log_density=lambda x: np.zeros(np.atleast_2d(x).shape[0]) if np.asarray(x).ndim > 1 else 0.0,
-        grad_log_density=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        log_density=lambda x: np.full(x.shape[0], level),
+        grad_log_density=np.zeros_like,
         name="flat")
 
 
 def box_target(dimension, half_width=1.0):
     """Uniform on a box; -inf outside, gradient zero everywhere."""
-    def log_density(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return 0.0 if np.all(np.abs(x) < half_width) else -np.inf
-        inside = np.all(np.abs(x) < half_width, axis=1)
-        return np.where(inside, 0.0, -np.inf)
-
     return TargetModel(
         dimension=dimension,
-        log_density=log_density,
-        grad_log_density=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        log_density=lambda x: np.where(np.all(np.abs(x) < half_width, axis=1), 0.0, -np.inf),
+        grad_log_density=np.zeros_like,
         name="box")
+
+
+def uphill_barker_increments(n, step_size, pre, gradient, stream):
+    """Barker increments from the origin of a constant-gradient 1-d target.
+
+    Draws each proposal's noise in the order a one-chain step consumes it
+    (one normal, then a sign uniform and an acceptance uniform), so the n
+    increments come from the same numbers as n successive steps would use.
+    """
+    draws = [(stream.standard_normal(1), stream.random(2)) for _ in range(n)]
+    eps = np.array([e for e, _ in draws])
+    sign_u = np.array([u[:1] for _, u in draws])
+    x = np.zeros((n, 1))
+    grad_fn = lambda p: np.full_like(p, gradient)
+    y, _, _, _ = _barker_core(x, grad_fn(x), eps, sign_u, step_size, pre, grad_fn)
+    return y[:, 0]
 
 
 class TestPreconditioner:
@@ -90,14 +94,15 @@ class TestPreconditioner:
 class TestRandomWalkProposal:
     def test_forward_equals_reverse(self):
         pre = Preconditioner(np.array([[2.0, 0.3], [0.3, 1.0]]))
-        out = rwmh_propose(np.array([1.0, -1.0]), 0.5, pre, RandomStream(0, 0))
-        assert out.forward_log_density == out.reverse_log_density
+        eps = RandomStream(0, 0).standard_normal((1, 2))
+        _, fwd, rev = _rwmh_core(np.array([[1.0, -1.0]]), eps, 0.5, pre)
+        assert fwd[0] == rev[0]
 
     def test_small_step_stays_close(self):
         pre = Preconditioner.identity(4)
-        x = np.ones(4)
-        out = rwmh_propose(x, 1e-12, pre, RandomStream(1, 0))
-        assert np.max(np.abs(out.proposal - x)) < 1e-5
+        x = np.ones((1, 4))
+        y, _, _ = _rwmh_core(x, RandomStream(1, 0).standard_normal((1, 4)), 1e-12, pre)
+        assert np.max(np.abs(y - x)) < 1e-5
 
     def test_proposal_covariance(self):
         G = np.array([[2.0, 0.6], [0.6, 1.0]])
@@ -105,8 +110,9 @@ class TestRandomWalkProposal:
         h = 0.7
         stream = RandomStream(2, 0)
         x = np.array([0.5, -0.5])
-        incs = np.stack([rwmh_propose(x, h, pre, stream).proposal - x
-                         for _ in range(20_000)])
+        n = 20_000
+        y, _, _ = _rwmh_core(np.tile(x, (n, 1)), stream.standard_normal((n, 2)), h, pre)
+        incs = y - x
         assert np.allclose(incs.mean(axis=0), 0.0, atol=0.03)
         assert np.allclose(np.cov(incs, rowvar=False), h * G, atol=0.06)
 
@@ -114,10 +120,10 @@ class TestRandomWalkProposal:
         G = np.array([[1.5, -0.4], [-0.4, 0.9]])
         pre = Preconditioner(G)
         h = 0.3
-        x = np.array([0.2, 1.0])
-        out = rwmh_propose(x, h, pre, RandomStream(3, 0))
-        expected = sps.multivariate_normal(mean=x, cov=h * G).logpdf(out.proposal)
-        assert out.forward_log_density == pytest.approx(expected, rel=1e-10)
+        x = np.array([[0.2, 1.0]])
+        y, fwd, _ = _rwmh_core(x, RandomStream(3, 0).standard_normal((1, 2)), h, pre)
+        expected = sps.multivariate_normal(mean=x[0], cov=h * G).logpdf(y[0])
+        assert fwd[0] == pytest.approx(expected, rel=1e-10)
 
 
 class TestLangevinProposal:
@@ -128,13 +134,17 @@ class TestLangevinProposal:
         pre = Preconditioner(np.array([[1.2, 0.2, 0.0],
                                        [0.2, 0.8, 0.1],
                                        [0.0, 0.1, 1.0]]))
-        x_r = np.zeros(3)
-        x_m = np.zeros(3)
-        stream_r = RandomStream(4, 0)
-        stream_m = RandomStream(4, 0)
+        x_r = x_m = np.zeros((1, 3))
+        logpi_r = logpi_m = np.zeros(1)
+        grad_m = None
+        stream = RandomStream(4, 0)
         for _ in range(200):
-            x_r, _ = mh_step("rwmh", x_r, 0.6, pre, target, stream_r)
-            x_m, _ = mh_step("mala", x_m, 0.6, pre, target, stream_m)
+            eps = stream.standard_normal((1, 3))
+            accept_u = stream.random(1)
+            x_r, logpi_r, _, _ = step_batch("rwmh", x_r, logpi_r, None, eps, None,
+                                            accept_u, 0.6, pre, target)
+            x_m, logpi_m, grad_m, _ = step_batch("mala", x_m, logpi_m, grad_m, eps, None,
+                                                 accept_u, 0.6, pre, target)
             assert np.array_equal(x_r, x_m)
 
     def test_drift_formula(self):
@@ -143,36 +153,39 @@ class TestLangevinProposal:
         target = correlated_gaussian_target(1)
         pre = Preconditioner.identity(1)
         h = 0.25
-        x = np.array([2.0])
-        probe = RandomStream(5, 0)
-        eps = probe.standard_normal(1)
-        out = mala_propose(x, h, pre, target.grad_log_density, RandomStream(5, 0))
+        x = np.array([[2.0]])
+        eps = RandomStream(5, 0).standard_normal((1, 1))
+        grad = target.grad_log_density
+        y, _, _, _ = _mala_core(x, grad(x), eps, h, pre, grad)
         expected = x * (1.0 - 0.5 * h) + math.sqrt(h) * eps
-        assert out.proposal == pytest.approx(expected, rel=1e-14)
+        assert y == pytest.approx(expected, rel=1e-14)
 
     def test_densities_match_scipy_with_full_preconditioner(self):
         target = correlated_gaussian_target(2, variances=[3.0, 0.5], correlation=0.4)
         G = np.array([[2.0, 0.7], [0.7, 1.1]])
         pre = Preconditioner(G)
         h = 0.35
-        x = np.array([0.8, -1.2])
-        out = mala_propose(x, h, pre, target.grad_log_density, RandomStream(6, 0))
-        y = out.proposal
-        fwd_mean = x + 0.5 * h * (G @ target.grad_log_density(x))
-        rev_mean = y + 0.5 * h * (G @ target.grad_log_density(y))
-        fwd = sps.multivariate_normal(mean=fwd_mean, cov=h * G).logpdf(y)
-        rev = sps.multivariate_normal(mean=rev_mean, cov=h * G).logpdf(x)
-        assert out.forward_log_density == pytest.approx(fwd, rel=1e-10)
-        assert out.reverse_log_density == pytest.approx(rev, rel=1e-10)
+        x = np.array([[0.8, -1.2]])
+        grad = target.grad_log_density
+        eps = RandomStream(6, 0).standard_normal((1, 2))
+        y, fwd, rev, _ = _mala_core(x, grad(x), eps, h, pre, grad)
+        fwd_mean = x[0] + 0.5 * h * (G @ grad(x)[0])
+        rev_mean = y[0] + 0.5 * h * (G @ grad(y)[0])
+        expected_fwd = sps.multivariate_normal(mean=fwd_mean, cov=h * G).logpdf(y[0])
+        expected_rev = sps.multivariate_normal(mean=rev_mean, cov=h * G).logpdf(x[0])
+        assert fwd[0] == pytest.approx(expected_fwd, rel=1e-10)
+        assert rev[0] == pytest.approx(expected_rev, rel=1e-10)
 
     def test_reverse_density_uses_fresh_gradient(self):
         # If the reverse density reused grad(x) instead of grad(y) the two
         # would coincide for this asymmetric target; assert they differ.
         target = correlated_gaussian_target(1, variances=[0.2])
         pre = Preconditioner.identity(1)
-        out = mala_propose(np.array([1.5]), 0.5, pre,
-                           target.grad_log_density, RandomStream(7, 0))
-        assert out.forward_log_density != out.reverse_log_density
+        x = np.array([[1.5]])
+        grad = target.grad_log_density
+        eps = RandomStream(7, 0).standard_normal((1, 1))
+        _, fwd, rev, _ = _mala_core(x, grad(x), eps, 0.5, pre, grad)
+        assert fwd[0] != rev[0]
 
 
 class TestBarkerProposal:
@@ -181,9 +194,13 @@ class TestBarkerProposal:
         pre = Preconditioner(np.array([[1.0, 0.3, 0.0],
                                        [0.3, 2.0, 0.1],
                                        [0.0, 0.1, 0.7]]))
-        out = barker_propose(np.zeros(3), 0.4, pre,
-                             target.grad_log_density, RandomStream(8, 0))
-        assert out.forward_log_density == out.reverse_log_density
+        stream = RandomStream(8, 0)
+        eps = stream.standard_normal((1, 3))
+        sign_u = stream.random((1, 3))
+        x = np.zeros((1, 3))
+        grad = target.grad_log_density
+        _, fwd, rev, _ = _barker_core(x, grad(x), eps, sign_u, 0.4, pre, grad)
+        assert fwd[0] == rev[0]
 
     def test_increment_density_normalizes(self):
         # The one-coordinate proposal density 2 mu_tau(z) sigmoid(z c) must
@@ -204,10 +221,7 @@ class TestBarkerProposal:
         # This pins the scale sqrt(h G), not sqrt(h) G.
         a, G, h = 0.9, 4.0, 0.49
         pre = Preconditioner(np.array([[G]]))
-        grad_fn = lambda p: np.full_like(np.asarray(p, dtype=float), a)
-        stream = RandomStream(7, 0)
-        incs = np.sort([barker_propose(np.zeros(1), h, pre, grad_fn, stream).proposal[0]
-                        for _ in range(30_000)])
+        incs = np.sort(uphill_barker_increments(30_000, h, pre, a, RandomStream(7, 0)))
         tau2 = h * G
         grid = np.linspace(-6 * math.sqrt(tau2), 6 * math.sqrt(tau2), 20_001)
         dens = (2.0 * np.exp(-0.5 * grid**2 / tau2) / math.sqrt(2 * math.pi * tau2)
@@ -220,20 +234,17 @@ class TestBarkerProposal:
 
     def test_gradient_pushes_uphill(self):
         # Strong positive gradient makes positive increments much likelier.
-        pre = Preconditioner.identity(1)
-        grad_fn = lambda p: np.full_like(np.asarray(p, dtype=float), 50.0)
-        stream = RandomStream(10, 0)
-        incs = [barker_propose(np.zeros(1), 0.5, pre, grad_fn, stream).proposal[0]
-                for _ in range(500)]
-        assert np.mean(np.array(incs) > 0) > 0.95
+        incs = uphill_barker_increments(500, 0.5, Preconditioner.identity(1), 50.0,
+                                        RandomStream(10, 0))
+        assert np.mean(incs > 0) > 0.95
 
 
 class TestHamiltonianProposal:
     def test_leapfrog_reversibility(self):
         target = correlated_gaussian_target(2, variances=[2.0, 0.5], correlation=0.3)
         pre = Preconditioner(np.array([[1.3, 0.4], [0.4, 0.9]]))
-        x = np.array([0.7, -0.4])
-        eta = np.array([0.5, 1.1])
+        x = np.array([[0.7, -0.4]])
+        eta = np.array([[0.5, 1.1]])
         y, eta_end = leapfrog(x, eta, 0.2, 8, pre, target.grad_log_density)
         x_back, eta_back = leapfrog(y, -eta_end, 0.2, 8, pre, target.grad_log_density)
         assert np.allclose(x_back, x, atol=1e-10)
@@ -242,16 +253,13 @@ class TestHamiltonianProposal:
     def test_energy_error_is_second_order(self):
         # Halving the step size at fixed integration time should shrink the
         # Hamiltonian error by about 4.
-        from shortchain.kernels import _kinetic_energy
-
         target = correlated_gaussian_target(2, variances=[2.0, 0.5], correlation=0.3)
         pre = Preconditioner(np.array([[1.3, 0.4], [0.4, 0.9]]))
-        x = np.array([0.7, -0.4])
-        eta = np.array([0.5, 1.1])
+        x = np.array([[0.7, -0.4]])
+        eta = np.array([[0.5, 1.1]])
 
         def energy(pos, mom):
-            return -target.log_density(pos) + float(
-                _kinetic_energy(mom[None, :], pre)[0])
+            return float(-target.log_density(pos)[0] + _kinetic_energy(mom, pre)[0])
 
         h0 = energy(x, eta)
         errors = []
@@ -267,21 +275,23 @@ class TestHamiltonianProposal:
         G = np.array([[2.0, 0.5], [0.5, 1.5]])
         pre = Preconditioner(G)
         h = 0.3
-        x = np.array([1.0, -2.0])
-        probe = RandomStream(11, 0)
-        xi = probe.standard_normal(2)
-        out = hmc_propose(x, h, 1, pre, target.log_density,
-                          target.grad_log_density, RandomStream(11, 0))
+        x = np.array([[1.0, -2.0]])
+        xi = RandomStream(11, 0).standard_normal((1, 2))
+        y, h_start, h_end, _ = _hmc_core(x, target.log_density(x), xi, h, 1, pre,
+                                         target.log_density, target.grad_log_density)
         expected = x + h * (xi @ pre.cholesky.T)
-        assert np.allclose(out.proposal, expected, atol=1e-12)
-        assert out.hamiltonian_start == pytest.approx(out.hamiltonian_end, abs=1e-12)
+        assert np.allclose(y, expected, atol=1e-12)
+        assert h_start[0] == pytest.approx(h_end[0], abs=1e-12)
 
     def test_gradient_evaluation_budget(self):
         target = correlated_gaussian_target(3)
         pre = Preconditioner.identity(3)
+        stream = RandomStream(12, 0)
+        x = np.zeros((1, 3))
+        logpi = target.log_density(x)
         target.reset_gradient_count()
-        hmc_propose(np.zeros(3), 0.1, 7, pre, target.log_density,
-                    target.grad_log_density, RandomStream(12, 0))
+        step_batch("hmc", x, logpi, None, stream.standard_normal((1, 3)), None,
+                   stream.random(1), 0.1, pre, target, n_leapfrog=7)
         assert target.gradient_evaluations == 8
 
     def test_momentum_covariance_is_inverse_preconditioner(self):
@@ -295,19 +305,25 @@ class TestHamiltonianProposal:
     def test_leapfrog_rejects_zero_steps(self):
         pre = Preconditioner.identity(1)
         with pytest.raises(ValueError):
-            leapfrog(np.zeros(1), np.zeros(1), 0.1, 0, pre, lambda x: x)
+            leapfrog(np.zeros((1, 1)), np.zeros((1, 1)), 0.1, 0, pre, lambda x: x)
 
 
 class TestAcceptanceProbability:
+    # rwmh's forward and reverse densities cancel, so on a constant-density
+    # target the acceptance probability is exp(level - logpi_x) capped at 1.
+    def rwmh_alpha(self, level, logpi_x, seed):
+        stream = RandomStream(seed, 0)
+        eps = stream.standard_normal((1, 2))
+        _, _, _, alpha = step_batch("rwmh", np.zeros((1, 2)), np.array([logpi_x]), None,
+                                    eps, None, stream.random(1), 0.5,
+                                    Preconditioner.identity(2), flat_target(2, level))
+        return alpha[0]
+
     def test_symmetric_equal_density_accepts(self):
-        out = rwmh_propose(np.zeros(2), 0.5, Preconditioner.identity(2),
-                           RandomStream(14, 0))
-        assert mh_acceptance_probability(out, -1.0, -1.0) == 1.0
+        assert self.rwmh_alpha(-1.0, -1.0, seed=14) == 1.0
 
     def test_half_probability_at_log_two_drop(self):
-        out = rwmh_propose(np.zeros(2), 0.5, Preconditioner.identity(2),
-                           RandomStream(15, 0))
-        alpha = mh_acceptance_probability(out, 0.0, -math.log(2.0))
+        alpha = self.rwmh_alpha(-math.log(2.0), 0.0, seed=15)
         assert alpha == pytest.approx(0.5, rel=1e-12)
 
     def test_langevin_ratio_hand_computed(self):
@@ -325,43 +341,40 @@ class TestAcceptanceProbability:
             (-0.5 * y * y) - (-0.5 * x * x) + logq_rev - logq_fwd))
 
         # Reconstruct the same pair through the kernel: eps solves
-        # y = x (1 - h/2) + sqrt(h) eps.
-        eps = (y - x * (1 - h / 2)) / math.sqrt(h)
-
-        class FixedStream:
-            def standard_normal(self, n):
-                return np.full(n, eps)
-
-        out = mala_propose(np.array([x]), h, pre, target.grad_log_density,
-                           FixedStream())
-        assert out.proposal[0] == pytest.approx(y, rel=1e-14)
-        alpha = mh_acceptance_probability(
-            out, float(target.log_density(np.array([x]))),
-            float(target.log_density(np.array([y]))))
+        # y = x (1 - h/2) + sqrt(h) eps.  A zero acceptance uniform accepts
+        # any move with positive probability, so the new state is y.
+        eps = np.array([[(y - x * (1 - h / 2)) / math.sqrt(h)]])
+        xb = np.array([[x]])
+        new_x, _, _, alpha = step_batch("mala", xb, target.log_density(xb), None, eps,
+                                        None, np.zeros(1), h, pre, target)
+        assert new_x[0, 0] == pytest.approx(y, rel=1e-14)
         # Both sides carry the same Gaussian normalizer, so compare directly.
-        assert alpha == pytest.approx(expected, rel=1e-10)
+        assert alpha[0] == pytest.approx(expected, rel=1e-10)
 
     def test_realized_langevin_pair(self):
         target = correlated_gaussian_target(1, variances=[0.7])
         pre = Preconditioner.identity(1)
         h = 0.4
-        x = np.array([1.1])
-        out = mala_propose(x, h, pre, target.grad_log_density, RandomStream(16, 0))
-        y = out.proposal
+        x = np.array([[1.1]])
+        logpi_x = target.log_density(x)
+        eps = RandomStream(16, 0).standard_normal((1, 1))
+        # a zero acceptance uniform makes the new state the proposal y
+        y, logpi_y, _, alpha = step_batch("mala", x, logpi_x, None, eps, None,
+                                          np.zeros(1), h, pre, target)
         fwd_mean = (x + 0.5 * h * target.grad_log_density(x)).item()
         rev_mean = (y + 0.5 * h * target.grad_log_density(y)).item()
         fwd = sps.norm(loc=fwd_mean, scale=math.sqrt(h)).logpdf(y.item())
         rev = sps.norm(loc=rev_mean, scale=math.sqrt(h)).logpdf(x.item())
-        logpi_x = float(target.log_density(x))
-        logpi_y = float(target.log_density(y))
-        expected = min(1.0, math.exp(logpi_y - logpi_x + rev - fwd))
-        alpha = mh_acceptance_probability(out, logpi_x, logpi_y)
-        assert alpha == pytest.approx(expected, rel=1e-10)
+        expected = min(1.0, math.exp(logpi_y.item() - logpi_x.item() + rev - fwd))
+        assert alpha[0] == pytest.approx(expected, rel=1e-10)
 
     def test_nan_ratio_rejects(self):
-        out = rwmh_propose(np.zeros(1), 0.5, Preconditioner.identity(1),
-                           RandomStream(17, 0))
-        assert mh_acceptance_probability(out, -np.inf, -np.inf) == 0.0
+        stream = RandomStream(17, 0)
+        _, _, _, alpha = step_batch("rwmh", np.zeros((1, 1)), np.array([-np.inf]), None,
+                                    stream.standard_normal((1, 1)), None, stream.random(1),
+                                    0.5, Preconditioner.identity(1),
+                                    flat_target(1, -np.inf))
+        assert alpha[0] == 0.0
 
 
 class TestMHStep:
@@ -369,12 +382,15 @@ class TestMHStep:
         target = flat_target(2)
         pre = Preconditioner.identity(2)
         stream = RandomStream(18, 0)
-        x = np.zeros(2)
+        x = np.zeros((1, 2))
         for kind in KERNEL_KINDS:
-            prev = x.copy()
-            new, alpha = mh_step(kind, prev, 0.5, pre, target, stream, n_leapfrog=2)
-            assert alpha == 1.0
-            assert not np.array_equal(new, prev)
+            eps = stream.standard_normal((1, 2))
+            sign_u = stream.random((1, 2)) if kind == "barker" else None
+            accept_u = stream.random(1)
+            new, _, _, alpha = step_batch(kind, x, np.zeros(1), None, eps, sign_u, accept_u,
+                                          0.5, pre, target, n_leapfrog=2)
+            assert alpha[0] == 1.0
+            assert not np.array_equal(new, x)
 
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
     def test_long_run_invariance_one_dimensional(self, kind):
@@ -384,11 +400,17 @@ class TestMHStep:
         pre = Preconditioner.identity(1)
         stream = RandomStream(19, 0)
         h = 0.9 if kind != "hmc" else 0.5
-        x = stream.standard_normal(1)
+        x = stream.standard_normal((1, 1))
+        logpi = target.log_density(x)
+        grad = None
         states = np.empty(10_000)
         for t in range(states.size):
-            x, _ = mh_step(kind, x, h, pre, target, stream, n_leapfrog=3)
-            states[t] = x[0]
+            eps = stream.standard_normal((1, 1))
+            sign_u = stream.random((1, 1)) if kind == "barker" else None
+            accept_u = stream.random(1)
+            x, logpi, grad, _ = step_batch(kind, x, logpi, grad, eps, sign_u, accept_u,
+                                           h, pre, target, n_leapfrog=3)
+            states[t] = x[0, 0]
         assert abs(states.mean()) < 0.05
         assert states.var() == pytest.approx(1.0, abs=0.1)
 
@@ -416,57 +438,45 @@ class TestMHStep:
         assert abs(n_ab - n_ba) <= 4.0 * math.sqrt(n_ab + n_ba)
 
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
-    def test_single_chain_matches_batch_of_one(self, kind):
-        target = correlated_gaussian_target(2, correlation=0.2)
-        pre = Preconditioner(target.covariance)
-        h = 0.4
-        x0 = np.array([0.3, -0.7])
-
-        stream = RandomStream(20, 0)
-        x_single, alpha_single = mh_step(kind, x0, h, pre, target, stream,
-                                         n_leapfrog=4)
-
-        stream = RandomStream(20, 0)
-        eps, sign_u, accept_u = draw_step_noise(kind, 2, stream)
-        logpi = target.log_density(x0[None, :])
-        x_batch, _, _, alpha_batch = step_batch(
-            kind, x0[None, :], logpi, None, eps[None, :],
-            None if sign_u is None else sign_u[None, :],
-            np.array([accept_u]), h, pre, target, n_leapfrog=4)
-        assert np.array_equal(x_single, x_batch[0])
-        assert alpha_single == float(alpha_batch[0])
-
-    @pytest.mark.parametrize("kind", KERNEL_KINDS)
     def test_hard_boundary_rejects_cleanly(self, kind):
         # Huge steps on a box target: proposals landing outside get alpha 0
         # and the chain never leaves the box or produces NaN.
         target = box_target(2)
         pre = Preconditioner.identity(2)
         stream = RandomStream(21, 0)
-        x = np.zeros(2)
+        x = np.zeros((1, 2))
+        logpi = target.log_density(x)
+        grad = None
         moved = 0
         h = 1.5 if kind == "hmc" else 25.0
         for _ in range(200):
-            new, alpha = mh_step(kind, x, h, pre, target, stream, n_leapfrog=2)
-            assert 0.0 <= alpha <= 1.0
+            eps = stream.standard_normal((1, 2))
+            sign_u = stream.random((1, 2)) if kind == "barker" else None
+            accept_u = stream.random(1)
+            new, logpi, grad, alpha = step_batch(kind, x, logpi, grad, eps, sign_u,
+                                                 accept_u, h, pre, target, n_leapfrog=2)
+            assert 0.0 <= alpha[0] <= 1.0
             assert np.all(np.isfinite(new))
             assert np.all(np.abs(new) < 1.0)
             moved += int(not np.array_equal(new, x))
             x = new
         assert moved > 0
 
+    # one chain at the origin with zero noise: arguments up to the step size
+    STILL = (np.zeros((1, 1)), np.zeros(1), None, np.zeros((1, 1)), None, np.zeros(1))
+
     def test_step_size_validation(self):
         target = flat_target(1)
         pre = Preconditioner.identity(1)
         with pytest.raises(ValueError):
-            mh_step("rwmh", np.zeros(1), 0.0, pre, target, RandomStream(0, 0))
+            step_batch("rwmh", *self.STILL, 0.0, pre, target)
         with pytest.raises(ValueError):
-            mh_step("rwmh", np.zeros(1), math.inf, pre, target, RandomStream(0, 0))
+            step_batch("rwmh", *self.STILL, math.inf, pre, target)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
-            mh_step("gibbs", np.zeros(1), 0.1, Preconditioner.identity(1),
-                    flat_target(1), RandomStream(0, 0))
+            step_batch("gibbs", *self.STILL, 0.1, Preconditioner.identity(1),
+                       flat_target(1))
 
 
 class TestStepBatchMoments:

@@ -16,11 +16,10 @@ from shortchain import (
     mean_field_gaussian_approximation,
     parse_functional,
     run_diagnostic,
-    run_with_traces,
 )
 from shortchain import runner
 from shortchain.kernels import step_batch
-from shortchain.runner import FunctionalSpec, cross_chain_independence_check
+from shortchain.runner import FunctionalSpec
 from shortchain.targets import TargetModel
 
 
@@ -84,7 +83,7 @@ class TestDeterminism:
         traced = RunConfig(kernel="rwmh", seed=7, n_chains=50, n_iterations=20,
                            trace_every=5)
         da = run_diagnostic(plain, target, approx).to_json_dict()
-        db = run_with_traces(traced, target, approx).to_json_dict()
+        db = run_diagnostic(traced, target, approx).to_json_dict()
         assert db["traces"] is not None
         da.pop("traces")
         db.pop("traces")
@@ -128,21 +127,21 @@ class TestTraces:
         target, approx = small_setup(1)
         cfg = RunConfig(kernel="rwmh", seed=3, n_chains=40, n_iterations=23,
                         trace_every=10, functionals=["mean(0)"])
-        report = run_with_traces(cfg, target, approx)
+        report = run_diagnostic(cfg, target, approx)
         assert [row.iteration for row in report.traces] == [0, 10, 20, 23]
 
     def test_every_iteration_gives_t_plus_one_rows(self):
         target, approx = small_setup(1)
         cfg = RunConfig(kernel="rwmh", seed=4, n_chains=40, n_iterations=50,
                         trace_every=1, functionals=["mean(0)"])
-        report = run_with_traces(cfg, target, approx)
+        report = run_diagnostic(cfg, target, approx)
         assert len(report.traces) == 51
 
     def test_initial_row_remembers_everything(self):
         target, approx = small_setup(1)
         cfg = RunConfig(kernel="rwmh", seed=5, n_chains=60, n_iterations=10,
                         trace_every=5)
-        report = run_with_traces(cfg, target, approx)
+        report = run_diagnostic(cfg, target, approx)
         assert report.traces[0].iteration == 0
         assert report.traces[0].rho2_max == pytest.approx(1.0)
 
@@ -150,7 +149,7 @@ class TestTraces:
         target, approx = small_setup(2)
         cfg = RunConfig(kernel="barker", seed=6, n_chains=80, n_iterations=20,
                         trace_every=7)
-        report = run_with_traces(cfg, target, approx)
+        report = run_diagnostic(cfg, target, approx)
         last = report.traces[-1]
         assert last.iteration == 20
         assert last.rho2_max == pytest.approx(report.reliability.rho2_max, rel=1e-12)
@@ -161,18 +160,12 @@ class TestTraces:
         target, approx = small_setup(1, correlation=0.0)
         cfg = RunConfig(kernel="rwmh", seed=3, n_chains=200, n_iterations=50,
                         trace_every=5, functionals=["mean(0)"])
-        report = run_with_traces(cfg, target, approx)
+        report = run_diagnostic(cfg, target, approx)
         values = [row.rho2_max for row in report.traces]
         assert values[0] == pytest.approx(1.0)
         assert values[-1] < 0.1
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 0.05
-
-    def test_run_with_traces_requires_schedule(self):
-        target, approx = small_setup(1)
-        cfg = RunConfig(kernel="rwmh", seed=1, n_chains=10, n_iterations=5)
-        with pytest.raises(ValueError):
-            run_with_traces(cfg, target, approx)
 
 
 class TestGradientBudget:
@@ -249,10 +242,11 @@ class TestConfigValidation:
             RunConfig(kernel="rwmh", seed=0, n_chains=10, n_iterations=2, trace_every=-1),
             RunConfig(kernel="rwmh", seed=0, n_chains=10, n_iterations=2,
                       step_size_scale=0.0),
-            RunConfig(kernel="rwmh", seed=0, n_chains=10, n_iterations=2, alpha=0.0),
         ):
             with pytest.raises(ValueError):
                 run_diagnostic(cfg, target, approx)
+        with pytest.raises(ValueError, match="alpha"):
+            SizingPolicy(alpha=0.0)
 
     def test_infeasible_quantile_fails_before_any_work(self):
         target, approx = small_setup()
@@ -269,6 +263,44 @@ class TestConfigValidation:
                         functionals=["scalar(nope)"])
         with pytest.raises(ValueError, match="target_log_density"):
             run_diagnostic(cfg, target, approx)
+
+
+class TestTargetOutputShapes:
+    # 40 chains on a d=3 Gaussian whose callables are bent out of shape; the
+    # run must refuse them at initialization, naming the callable at fault.
+    def run(self, kind, log_density=None, grad_log_density=None):
+        base = correlated_gaussian_target(3)
+        target = TargetModel(3, log_density or base.log_density,
+                             grad_log_density or base.grad_log_density)
+        approx = mean_field_gaussian_approximation(np.zeros(3), np.ones(3))
+        return run_diagnostic(RunConfig(kernel=kind, seed=0, n_chains=40,
+                                        n_iterations=2), target, approx)
+
+    @pytest.mark.parametrize("kind", ["rwmh", "mala", "barker", "hmc"])
+    def test_one_float_for_a_batch_is_rejected(self, kind):
+        gauss = correlated_gaussian_target(3).log_density
+        with pytest.raises(ValueError, match=r"log_density .*shape \(40,\).*got shape \(\)"):
+            self.run(kind, log_density=lambda x: float(gauss(x)[0]))
+
+    def test_column_of_log_densities_is_rejected(self):
+        gauss = correlated_gaussian_target(3).log_density
+        with pytest.raises(ValueError, match=r"log_density .*got shape \(40, 1\)"):
+            self.run("rwmh", log_density=lambda x: gauss(x)[:, None])
+
+    def test_complex_log_density_is_rejected(self):
+        gauss = correlated_gaussian_target(3).log_density
+        with pytest.raises(ValueError, match=r"log_density .*dtype complex128"):
+            self.run("rwmh", log_density=lambda x: gauss(x).astype(complex))
+
+    @pytest.mark.parametrize("kind", ["mala", "barker"])
+    def test_wrong_gradient_shape_is_rejected(self, kind):
+        grad = correlated_gaussian_target(3).grad_log_density
+        with pytest.raises(ValueError, match=r"grad_log_density .*shape \(40, 3\).*got shape \(40,\)"):
+            self.run(kind, grad_log_density=lambda x: grad(x).sum(axis=1))
+
+    def test_well_shaped_integer_log_density_runs(self):
+        report = self.run("rwmh", log_density=lambda x: np.zeros(x.shape[0], dtype=int))
+        assert report.n_chains == 40
 
 
 class TestIncompatibleSupport:
@@ -337,13 +369,14 @@ class TestOverridesAndSizing:
         assert len(report.acceptance_history) == 9
 
     def test_interval_alpha_must_match_sizing_alpha(self):
+        # sizing.alpha is the one miscoverage level, also with a fixed N
         target, approx = small_setup()
-        with pytest.raises(ValueError, match=r"alpha=0\.01.*sizing\.alpha=0\.05"):
-            run_diagnostic(RunConfig(kernel="rwmh", seed=0, alpha=0.01), target, approx)
-        # a fixed chain count leaves nothing for sizing.alpha to size
-        report = run_diagnostic(RunConfig(kernel="rwmh", seed=0, alpha=0.01,
-                                          n_chains=700, n_iterations=2), target, approx)
+        report = run_diagnostic(RunConfig(kernel="rwmh", seed=0, n_chains=700,
+                                          n_iterations=2,
+                                          sizing=SizingPolicy(alpha=0.01)),
+                                target, approx)
         assert report.alpha == 0.01
+        assert all(fr.result.interval.level == 0.99 for fr in report.functionals)
 
     def test_sized_defaults_used_without_overrides(self):
         target, approx = small_setup(2)
@@ -443,7 +476,7 @@ class TestReportSerialization:
         target, approx = small_setup()
         cfg = RunConfig(kernel="barker", seed=21, n_chains=50, n_iterations=10,
                         trace_every=5)
-        report = run_with_traces(cfg, target, approx)
+        report = run_diagnostic(cfg, target, approx)
         text = report_bytes(report)
         parsed = json.loads(text)
         assert parsed["kernel"] == "barker"
@@ -470,33 +503,3 @@ class TestReportSerialization:
         report = run_diagnostic(cfg, target, approx)
         text = report_bytes(report)
         json.loads(text)  # allow_nan=False would have raised on raw NaN/inf
-
-
-class TestIndependenceCheck:
-    def test_healthy_replications_pass(self):
-        stream = RandomStream(55, 0)
-        finals = stream.standard_normal((30, 50, 3))
-        res = cross_chain_independence_check(finals, 20, RandomStream(56, 0))
-        assert not res.suspicious
-        assert res.degenerate_pairs == 0
-        assert res.max_abs_correlation < 0.9
-
-    def test_cloned_replications_flagged(self):
-        stream = RandomStream(55, 0)
-        one = stream.standard_normal((1, 50, 3))
-        res = cross_chain_independence_check(np.repeat(one, 5, axis=0), 10,
-                                             RandomStream(57, 0))
-        assert res.suspicious
-        assert res.degenerate_pairs == 10
-
-    def test_validation(self):
-        stream = RandomStream(58, 0)
-        with pytest.raises(ValueError):
-            cross_chain_independence_check(stream.standard_normal((1, 50, 2)), 5,
-                                           stream)
-        with pytest.raises(ValueError):
-            cross_chain_independence_check(stream.standard_normal((3, 5, 2)), 5,
-                                           stream)
-        with pytest.raises(ValueError):
-            cross_chain_independence_check(stream.standard_normal((3, 50, 2)), 0,
-                                           stream)

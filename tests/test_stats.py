@@ -1,4 +1,4 @@
-"""Quantile functions, summary statistics, and random streams.
+"""Quantile functions, correlations, and random streams.
 
 Every derived expectation below is checked against the independent
 reference implementations in oracles.py (series/continued-fraction CDFs
@@ -7,7 +7,6 @@ the tests never share a numerical code path.
 """
 
 import math
-import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -15,14 +14,13 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import oracles
-from shortchain import (
-    RandomStream,
+from shortchain import RandomStream
+from shortchain.stats import (
     binomial_quantile,
     chi_square_quantile,
     pearson_correlation_squared,
     sample_quantile,
     student_t_quantile,
-    summary_stats,
 )
 
 
@@ -145,37 +143,6 @@ class TestBinomialQuantile:
             binomial_quantile(0.0, 10, 0.5)
         with pytest.raises(ValueError):
             binomial_quantile(0.5, 10, 1.5)
-
-
-class TestSummaryStats:
-    def test_constant_rows(self):
-        samples = np.full((6, 2), 3.25)
-        means, sds = summary_stats(samples)
-        assert np.allclose(means, 3.25)
-        assert np.allclose(sds, 0.0)
-
-    def test_two_point_example(self):
-        means, sds = summary_stats(np.array([[-1.0], [1.0]]))
-        assert means[0] == pytest.approx(0.0)
-        assert sds[0] == pytest.approx(math.sqrt(2.0))
-
-    def test_gaussian_draws(self):
-        x = RandomStream(11, 0).standard_normal(1000)[:, None]
-        means, sds = summary_stats(x)
-        assert abs(means[0]) < 0.1
-        assert 0.9 < sds[0] < 1.1
-
-    def test_matches_stdlib_statistics(self):
-        x = RandomStream(4, 2).standard_normal(37 * 3).reshape(37, 3)
-        means, sds = summary_stats(x)
-        for i in range(3):
-            col = [float(v) for v in x[:, i]]
-            assert means[i] == pytest.approx(statistics.fmean(col), rel=1e-12)
-            assert sds[i] == pytest.approx(statistics.stdev(col), rel=1e-10)
-
-    def test_requires_two_rows(self):
-        with pytest.raises(ValueError):
-            summary_stats(np.ones((1, 3)))
 
 
 class TestSampleQuantile:

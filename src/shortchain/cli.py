@@ -191,13 +191,18 @@ def build_run(cfg: dict, seed_override=None, force_trace=False):
     target = build_target(cfg["target"])
     approximation = build_approximation(cfg["approximation"], target)
 
+    # an absent key takes the SizingPolicy field default, its one home
     policy = SizingPolicy(
-        delta_mean=_number(cfg, "delta_mean", "config", default=0.1, positive=True),
-        delta_var=_number(cfg, "delta_var", "config", default=0.15, positive=True),
-        alpha=_number(cfg, "alpha", "config", default=0.05),
+        delta_mean=_number(cfg, "delta_mean", "config",
+                           default=SizingPolicy.delta_mean, positive=True),
+        delta_var=_number(cfg, "delta_var", "config",
+                          default=SizingPolicy.delta_var, positive=True),
+        alpha=_number(cfg, "alpha", "config", default=SizingPolicy.alpha),
         iteration_coefficient=_number(cfg, "iteration_coefficient", "config",
-                                      default=50.0, positive=True),
-        leapfrog_steps=_integer(cfg, "leapfrog_steps", "config", default=10, minimum=1))
+                                      default=SizingPolicy.iteration_coefficient,
+                                      positive=True),
+        leapfrog_steps=_integer(cfg, "leapfrog_steps", "config",
+                                default=SizingPolicy.leapfrog_steps, minimum=1))
 
     overrides = cfg.get("overrides", {})
     _check_keys(overrides, _OVERRIDE_KEYS, set(), "config.overrides")
@@ -351,11 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sizing = sub.add_parser("sizing", help="print the sized N, T and step size")
     p_sizing.add_argument("--kernel", required=True, choices=list(KERNEL_KINDS))
     p_sizing.add_argument("--dimension", required=True, type=int)
-    p_sizing.add_argument("--alpha", type=float, default=0.05)
-    p_sizing.add_argument("--delta-mean", dest="delta_mean", type=float, default=0.1)
-    p_sizing.add_argument("--delta-var", dest="delta_var", type=float, default=0.15)
-    p_sizing.add_argument("--c", dest="c", type=float, default=50.0)
-    p_sizing.add_argument("--leapfrog-steps", dest="leapfrog_steps", type=int, default=10)
+    p_sizing.add_argument("--alpha", type=float, default=SizingPolicy.alpha)
+    p_sizing.add_argument("--delta-mean", dest="delta_mean", type=float,
+                          default=SizingPolicy.delta_mean)
+    p_sizing.add_argument("--delta-var", dest="delta_var", type=float,
+                          default=SizingPolicy.delta_var)
+    p_sizing.add_argument("--c", dest="c", type=float,
+                          default=SizingPolicy.iteration_coefficient)
+    p_sizing.add_argument("--leapfrog-steps", dest="leapfrog_steps", type=int,
+                          default=SizingPolicy.leapfrog_steps)
     p_sizing.set_defaults(func=cmd_sizing)
     return parser
 

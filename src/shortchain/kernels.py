@@ -9,7 +9,9 @@ the move instead of aborting the run.
 
 Every proposal and step operates on batches of shape (B, d).  The
 randomness of a step is drawn by the caller and passed in, so a kernel
-never touches a random stream.
+never touches a random stream.  Barker's sigmoid and softplus are written
+with NumPy's vectorised tanh, exp and log1p, so they cannot overflow and
+map infinite and NaN inputs to the same values as their textbook forms.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import expit
+
+from .targets import checked_output
 
 KERNEL_KINDS = ("rwmh", "mala", "barker", "hmc")
 
@@ -95,6 +98,25 @@ def _mala_core(x, grad_x, eps, step_size, pre, grad_fn):
     return y, logq_fwd, logq_rev, grad_y
 
 
+def _softplus(u):
+    """log(1 + e^u) as max(u, 0) + log1p(e^-|u|), which cannot overflow."""
+    out = np.abs(u)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(u, 0.0)
+    return out
+
+
+def _sigmoid(u):
+    """1 / (1 + e^-u) as 1/2 + tanh(u / 2) / 2, which cannot overflow."""
+    out = 0.5 * u
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
+
+
 def _barker_increment_log_density(z, tau, c):
     """Log density of one whitened Barker increment vector z.
 
@@ -103,7 +125,7 @@ def _barker_increment_log_density(z, tau, c):
     2 N(z_i; 0, tau_i^2) sigmoid(z_i c_i) per coordinate.
     """
     log_mu = -0.5 * (_LOG_2PI + 2.0 * np.log(tau)) - 0.5 * (z / tau) ** 2
-    return np.sum(math.log(2.0) + log_mu - np.logaddexp(0.0, -z * c), axis=-1)
+    return np.sum(math.log(2.0) + log_mu - _softplus(-z * c), axis=-1)
 
 
 def _barker_core(x, grad_x, eps, sign_uniforms, step_size, pre, grad_fn):
@@ -113,7 +135,7 @@ def _barker_core(x, grad_x, eps, sign_uniforms, step_size, pre, grad_fn):
     tau = math.sqrt(step_size)
     w = eps * tau
     c_x = grad_x @ pre.cholesky.T
-    prob_plus = expit(w * c_x)
+    prob_plus = _sigmoid(w * c_x)
     b = np.where(sign_uniforms < prob_plus, 1.0, -1.0)
     z = b * w
     y = x + z @ pre.cholesky
@@ -142,13 +164,17 @@ def leapfrog(position, momentum, step_size: float, n_steps: int,
 
     Returns:
         ``(position, momentum)`` after ``n_steps`` steps.
+
+    Raises:
+        ValueError: when the first gradient does not have the shape of
+            ``position``, which names ``grad_log_density``.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     x, eta = position, momentum
     G = pre.matrix
     with _quiet():
-        g = grad_fn(x)
+        g = checked_output("grad_log_density", grad_fn(x), x.shape)
         for _ in range(n_steps):
             eta = eta + 0.5 * step_size * g
             x = x + step_size * (eta @ G)

@@ -29,7 +29,7 @@ from .diagnostics import (MONOTONE_ERROR_CAVEAT, ConfidenceInterval,
 from .kernels import KERNEL_KINDS, Preconditioner, step_batch
 from .rng import RandomStream
 from .stats import binomial_quantile, sample_quantile
-from .targets import TargetModel
+from .targets import TargetModel, checked_output
 
 _FUNCTIONAL_RE = re.compile(
     r"^\s*(mean|variance|quantile|scalar)\s*\(\s*([^)]*?)\s*\)\s*$")
@@ -294,7 +294,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     # initialization phase: i.i.d. draws, each from its chain's own stream
     x0 = np.stack([approximation.sample(streams[j]) for j in range(n_chains)])
     grad_base = target.gradient_evaluations
-    logpi = _checked_output("log_density", target.log_density(x0), (n_chains,))
+    logpi = checked_output("log_density", target.log_density(x0), (n_chains,))
     n_bad = int(np.sum(~np.isfinite(logpi)))
     if n_bad * 2 > n_chains:
         raise RuntimeError(
@@ -304,8 +304,8 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
             "against the target before retrying.")
     grad_cached = None
     if kind in ("mala", "barker"):
-        grad_cached = _checked_output("grad_log_density", target.grad_log_density(x0),
-                                      (n_chains, d))
+        grad_cached = checked_output("grad_log_density", target.grad_log_density(x0),
+                                     (n_chains, d))
     init_grads = target.gradient_evaluations - grad_base
 
     h0 = initial_step_size(kind, d) * config.step_size_scale
@@ -380,20 +380,6 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
         wall_time=time.perf_counter() - start_time,
         traces=trace_rows,
     )
-
-
-def _checked_output(name: str, value, shape: tuple) -> np.ndarray:
-    """Returns a target output on the initial (N, d) batch as a float array.
-
-    Raises when the shape or dtype is not what every later step relies on,
-    so a malformed target fails here instead of inside a kernel's NumPy.
-    """
-    out = np.asarray(value)
-    if out.shape != shape or out.dtype.kind not in "fiu":
-        raise ValueError(
-            f"target {name} must return a real array of shape {shape} for "
-            f"{shape[0]} points, got shape {out.shape} and dtype {out.dtype}")
-    return out.astype(float, copy=False)
 
 
 def _resolve_specs(config: RunConfig, dimension: int) -> list[FunctionalSpec]:

@@ -3,7 +3,8 @@
 A ``TargetModel`` bundles an unnormalized log density with its gradient and
 counts gradient evaluations, one per evaluated point, so that runs can verify
 their gradient budget in closed form.  All built-in targets accept a single
-point of shape (d,) or a batch of shape (B, d).
+point of shape (d,) or a batch of shape (B, d), and evaluate a batch with
+vectorised NumPy operations.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ class TargetModel:
         name: Short label used in reports.
 
     The runner only ever passes (B, d) batches, and rejects a target whose
-    outputs on the initial batch have any other shape.  The built-in
+    log density or gradient has any other shape at its first use.  The built-in
     targets also accept a single (d,) point.  The gradient evaluation
     counter increments by the number of points in each
     ``grad_log_density`` call.
@@ -59,6 +60,21 @@ class TargetModel:
 
     def __repr__(self):
         return f"TargetModel(name={self.name!r}, dimension={self.dimension})"
+
+
+def checked_output(name: str, value, shape: tuple) -> np.ndarray:
+    """Returns a target output on a (B, d) batch as a float array.
+
+    Raises when the shape or dtype is not what every later step relies on,
+    so a malformed target fails at its first use instead of inside a
+    kernel's NumPy.
+    """
+    out = np.asarray(value)
+    if out.shape != shape or out.dtype.kind not in "fiu":
+        raise ValueError(
+            f"target {name} must return a real array of shape {shape} for "
+            f"{shape[0]} points, got shape {out.shape} and dtype {out.dtype}")
+    return out.astype(float, copy=False)
 
 
 def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -170,7 +186,9 @@ def synthetic_logistic_regression_target(n_observations: int,
     Features z_n are i.i.d. standard normal, the generating coefficient
     vector is drawn from the N(0, prior_sd^2 I) prior, and labels follow
     y_n ~ Bernoulli(sigmoid(z_n . beta)).  The same ``data_seed`` always
-    regenerates the identical dataset.
+    regenerates the identical dataset.  For a batch of B points, each
+    log-density or gradient call builds one (B, n_observations) array and
+    works on it in place.
 
     Returns:
         A TargetModel for the posterior over beta, carrying ``features``,
@@ -188,20 +206,31 @@ def synthetic_logistic_regression_target(n_observations: int,
     labels = (stream.random(n_observations) < expit(features @ beta_true)).astype(float)
     prior_var = prior_sd * prior_sd
     prior_norm = -0.5 * d * np.log(2.0 * np.pi * prior_var)
+    # With logits s = F beta, sum_n y_n s_n - s_n / 2 = beta . offset
+    offset = labels @ features - 0.5 * features.sum(axis=0)
 
     def log_density(beta):
         bb, flat = _as_batch(beta)
-        logits = bb @ features.T
-        # log p(y | s) = y s - log(1 + e^s), stable via logaddexp
-        loglik = np.sum(labels * logits - np.logaddexp(0.0, logits), axis=1)
+        # log p(y | s) = y s - softplus(s) and
+        # softplus(s) = s / 2 + |s| / 2 + log1p(e^-|s|), so the (B, n)
+        # logits array is the only large temporary and is reused in place
+        s = bb @ features.T
+        np.abs(s, out=s)
+        half_abs = 0.5 * s.sum(axis=1)
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        np.log1p(s, out=s)
+        loglik = bb @ offset - half_abs - s.sum(axis=1)
         log_prior = prior_norm - 0.5 * np.sum(bb * bb, axis=1) / prior_var
         out = loglik + log_prior
         return float(out[0]) if flat else out
 
     def grad_log_density(beta):
         bb, flat = _as_batch(beta)
-        resid = labels - expit(bb @ features.T)
-        g = resid @ features - bb / prior_var
+        # sum_n (y_n - sigmoid(s_n)) f_n with sigmoid(s) = 1/2 + tanh(s / 2) / 2
+        t = (0.5 * bb) @ features.T
+        np.tanh(t, out=t)
+        g = offset - 0.5 * (t @ features) - bb / prior_var
         return g[0] if flat else g
 
     model = TargetModel(d, log_density, grad_log_density, name=name)

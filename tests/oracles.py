@@ -1,13 +1,18 @@
 """Independent reference implementations used only by the tests.
 
-Everything in this module is built from math/fractions/numpy primitives so
-that it shares no code path with the package under test. The distribution
-functions use classic series and continued-fraction evaluations plus
-bracketed bisection; the binomial helpers use exact rational arithmetic.
+Everything in this module is built from math/fractions/numpy/scipy.special
+primitives so that it shares no code path with the package under test. The
+distribution functions use classic series and continued-fraction evaluations
+plus bracketed bisection; the binomial helpers use exact rational arithmetic;
+the logistic regression posterior uses the textbook ``logaddexp`` and
+``expit`` forms.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
+from scipy.special import expit
 
 _EPS = 1e-15
 _MAX_ITER = 500
@@ -210,3 +215,20 @@ def smallest_n_by_scan(width, budget: float) -> int:
     while width(n) > budget:
         n += 1
     return n
+
+
+def logistic_log_density_oracle(beta, features, labels, prior_sd):
+    """Log posterior of logistic regression, y s - log(1 + e^s) per datum."""
+    logits = beta @ features.T
+    loglik = np.sum(labels * logits - np.logaddexp(0.0, logits), axis=1)
+    prior_var = prior_sd * prior_sd
+    d = features.shape[1]
+    log_prior = (-0.5 * d * np.log(2.0 * np.pi * prior_var)
+                 - 0.5 * np.sum(beta * beta, axis=1) / prior_var)
+    return loglik + log_prior
+
+
+def logistic_grad_oracle(beta, features, labels, prior_sd):
+    """Gradient of ``logistic_log_density_oracle`` in beta."""
+    resid = labels - expit(beta @ features.T)
+    return resid @ features - beta / (prior_sd * prior_sd)

@@ -14,7 +14,11 @@ import numpy as np
 import pytest
 
 import shortchain
-from shortchain.cli import EXIT_ERROR, EXIT_OK, EXIT_UNRELIABLE, main
+from shortchain.adaptation import (SizingPolicy, chain_count, iteration_count,
+                                   mean_error_chain_count,
+                                   variance_error_chain_count)
+from shortchain.cli import (EXIT_ERROR, EXIT_OK, EXIT_UNRELIABLE, build_run,
+                            load_config, main)
 
 
 def write_config(tmp_path, name="config.json", **updates):
@@ -65,6 +69,17 @@ class TestSizingCommand:
                      "--delta-mean", "1.0", "--delta-var", "2.0"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "chains N            7" in out
+
+    def test_defaults_are_the_sizing_policy_defaults(self, capsys):
+        assert main(["sizing", "--kernel", "barker", "--dimension", "30"]) == EXIT_OK
+        out = capsys.readouterr().out
+        policy = SizingPolicy()
+        n_mean = mean_error_chain_count(policy.delta_mean, policy.alpha)
+        n_var = variance_error_chain_count(policy.delta_var, policy.alpha)
+        assert f"chains (mean rule)  {n_mean}\n" in out
+        assert f"chains (var rule)   {n_var}\n" in out
+        assert f"chains N            {chain_count(policy)}\n" in out
+        assert f"iterations T        {iteration_count('barker', 30, policy)}\n" in out
 
     def test_module_entry_point(self):
         # the subprocess imports the same package as this test, installed or not
@@ -169,6 +184,21 @@ class TestRunCommand:
             approximation={"kind": "kl_optimal_mean_field"})
         out_dir = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
+
+
+class TestBuildRun:
+    def test_absent_sizing_keys_take_the_policy_defaults(self, tmp_path):
+        run_config, _, _ = build_run(load_config(write_config(tmp_path)))
+        assert run_config.sizing == SizingPolicy()
+
+    def test_present_sizing_keys_override_the_defaults(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, alpha=0.1, delta_mean=0.2,
+                                       delta_var=0.3, iteration_coefficient=20,
+                                       leapfrog_steps=4))
+        run_config, _, _ = build_run(cfg)
+        assert run_config.sizing == SizingPolicy(
+            delta_mean=0.2, delta_var=0.3, alpha=0.1, iteration_coefficient=20.0,
+            leapfrog_steps=4)
 
 
 class TestTraceCommand:
@@ -277,10 +307,6 @@ class TestPresets:
         "funnel_d20.json",
     ])
     def test_presets_validate(self, preset, tmp_path):
-        from pathlib import Path
-
-        from shortchain.cli import build_run, load_config
-
         path = Path(__file__).resolve().parent.parent / "presets" / preset
         cfg = load_config(path)
         run_config, target, approximation = build_run(cfg)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 from scipy.integrate import quad
+from scipy.special import expit
 
 from shortchain import RandomStream, correlated_gaussian_target
 from shortchain.kernels import (
@@ -23,6 +24,8 @@ from shortchain.kernels import (
     _kinetic_energy,
     _mala_core,
     _rwmh_core,
+    _sigmoid,
+    _softplus,
     leapfrog,
     step_batch,
 )
@@ -237,6 +240,28 @@ class TestBarkerProposal:
         incs = uphill_barker_increments(500, 0.5, Preconditioner.identity(1), 50.0,
                                         RandomStream(10, 0))
         assert np.mean(incs > 0) > 0.95
+
+
+class TestBarkerSoftplusSigmoid:
+    # 0, +-800 (where e^u overflows), +-inf, nan, tiny values and a fine grid
+    GRID = np.concatenate([
+        [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, 745.0, -745.0,
+         np.inf, -np.inf, np.nan],
+        np.linspace(-60.0, 60.0, 24_001)])
+
+    def assert_matches(self, got, want):
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(np.isfinite(got), finite)
+        np.testing.assert_array_equal(got[~finite], want[~finite])
+        assert np.max(np.abs(got[finite] - want[finite])) <= 1e-15
+
+    def test_softplus_matches_logaddexp(self):
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.assert_matches(_softplus(self.GRID), np.logaddexp(0.0, self.GRID))
+
+    def test_sigmoid_matches_expit(self):
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.assert_matches(_sigmoid(self.GRID), expit(self.GRID))
 
 
 class TestHamiltonianProposal:

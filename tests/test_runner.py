@@ -292,7 +292,9 @@ class TestTargetOutputShapes:
         with pytest.raises(ValueError, match=r"log_density .*dtype complex128"):
             self.run("rwmh", log_density=lambda x: gauss(x).astype(complex))
 
-    @pytest.mark.parametrize("kind", ["mala", "barker"])
+    # MALA and Barker check the initial gradient; HMC, which computes none
+    # at initialization, checks the first one of each leapfrog trajectory
+    @pytest.mark.parametrize("kind", ["mala", "barker", "hmc"])
     def test_wrong_gradient_shape_is_rejected(self, kind):
         grad = correlated_gaussian_target(3).grad_log_density
         with pytest.raises(ValueError, match=r"grad_log_density .*shape \(40, 3\).*got shape \(40,\)"):

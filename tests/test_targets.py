@@ -18,6 +18,8 @@ from shortchain import (
     synthetic_logistic_regression_target,
 )
 
+from oracles import logistic_grad_oracle, logistic_log_density_oracle
+
 
 def finite_difference_gradient(log_density, x, eps=1e-5):
     """Central-difference gradient of a scalar log density at one point."""
@@ -163,6 +165,53 @@ class TestSyntheticLogisticRegression:
     def test_labels_are_binary(self):
         target = synthetic_logistic_regression_target(50, 2)
         assert set(np.unique(target.labels)) <= {0.0, 1.0}
+
+
+class TestLogisticMatchesTextbookForms:
+    # The target evaluates y s - log(1 + e^s) and its gradient through a
+    # precomputed offset, |s|, log1p and tanh; the oracle keeps the textbook
+    # logaddexp and expit forms.  At scale 100 the logits pass +-1000,
+    # where e^s overflows.
+    @pytest.fixture(scope="class")
+    def target(self):
+        return synthetic_logistic_regression_target(2000, 20, prior_sd=1.5, data_seed=3)
+
+    def oracle(self, target, beta):
+        args = (beta, target.features, target.labels, 1.5)
+        return logistic_log_density_oracle(*args), logistic_grad_oracle(*args)
+
+    @pytest.mark.parametrize("scale", [0.1, 3.0, 100.0])
+    def test_log_density_and_gradient_match_oracle(self, target, scale):
+        beta = scale * RandomStream(11, 0).standard_normal((40, 20))
+        if scale == 100.0:
+            assert np.max(np.abs(beta @ target.features.T)) > 1000.0
+        want_ld, want_grad = self.oracle(target, beta)
+        got_ld = target.log_density(beta)
+        assert np.all(np.abs(got_ld - want_ld) <= 1e-13 * np.abs(want_ld))
+        # absolute error against each gradient's largest coordinate magnitude
+        magnitude = np.maximum(1.0, np.max(np.abs(want_grad), axis=1, keepdims=True))
+        got_grad = target.grad_log_density(beta)
+        assert np.all(np.abs(got_grad - want_grad) <= 1e-12 * magnitude)
+
+    def test_single_point_matches_oracle(self, target):
+        beta = 3.0 * RandomStream(12, 0).standard_normal(20)
+        want_ld, want_grad = self.oracle(target, beta[None, :])
+        assert target.log_density(beta) == pytest.approx(want_ld[0], rel=1e-13)
+        assert np.allclose(target.grad_log_density(beta), want_grad[0],
+                           rtol=0.0, atol=1e-12 * np.max(np.abs(want_grad)))
+
+    def test_non_finite_coefficients_never_give_a_finite_log_density(self, target):
+        beta = 0.3 * RandomStream(13, 0).standard_normal((6, 20))
+        beta[0, 4] = np.inf
+        beta[1, 4] = -np.inf
+        beta[2, 4] = np.nan
+        beta[3, [2, 7]] = [np.inf, -np.inf]
+        with np.errstate(invalid="ignore"):
+            got = target.log_density(beta)
+        assert not np.any(np.isfinite(got[:4]))
+        assert not np.any(got[:4] == np.inf)
+        want, _ = self.oracle(target, beta[4:])
+        assert np.all(np.abs(got[4:] - want) <= 1e-13 * np.abs(want))
 
 
 class TestGradientCounterContract:

@@ -191,7 +191,7 @@ def build_run(cfg: dict, seed_override=None, force_trace=False):
     target = build_target(cfg["target"])
     approximation = build_approximation(cfg["approximation"], target)
 
-    # an absent key takes the SizingPolicy field default, its one home
+    # an absent key takes its SizingPolicy or RunConfig field default, its one home
     policy = SizingPolicy(
         delta_mean=_number(cfg, "delta_mean", "config",
                            default=SizingPolicy.delta_mean, positive=True),
@@ -209,13 +209,14 @@ def build_run(cfg: dict, seed_override=None, force_trace=False):
     n_chains = _integer(overrides, "chains", "config.overrides", default=0, minimum=2) or None
     n_iters = _integer(overrides, "iterations", "config.overrides", default=0, minimum=1) or None
     step_scale = _number(overrides, "step_size_scale", "config.overrides",
-                         default=1.0, positive=True)
+                         default=RunConfig.step_size_scale, positive=True)
 
     functionals = None
     if "functionals" in cfg:
         functionals = expand_functionals(cfg["functionals"], target.dimension)
 
-    trace_every = _integer(cfg, "trace_every", "config", default=0, minimum=0)
+    trace_every = _integer(cfg, "trace_every", "config",
+                           default=RunConfig.trace_every, minimum=0)
     if force_trace and trace_every < 1:
         trace_every = 1
 
@@ -232,7 +233,8 @@ def build_run(cfg: dict, seed_override=None, force_trace=False):
         n_iterations=n_iters,
         step_size_scale=step_scale,
         trace_every=trace_every,
-        reliability_cutoff=_number(cfg, "reliability_cutoff", "config", default=0.1))
+        reliability_cutoff=_number(cfg, "reliability_cutoff", "config",
+                                   default=RunConfig.reliability_cutoff))
     return run_config, target, approximation
 
 

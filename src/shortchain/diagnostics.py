@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -58,7 +57,6 @@ class ReliabilityResult:
     cutoff: float
     passed: bool
     degenerate_coordinates: list = field(default_factory=list)
-    trajectory: Optional[list] = None
 
 
 def mean_difference_ci(final_values: np.ndarray, initial_mean: float,
@@ -163,13 +161,14 @@ def reliability_check(initial_samples: np.ndarray, final_samples: np.ndarray,
         initial_samples: (N, d) initialization matrix.
         final_samples: (N, d) final-iteration matrix, same shape.
         cutoff: Failure threshold on the squared correlation, in (0, 1).
+
+    Raises:
+        ValueError: unless both inputs are (N, d) matrices of one shape
+            with N >= 2 (a 1-d vector is refused, not promoted), or when
+            the cutoff is outside (0, 1).
     """
     x0 = np.asarray(initial_samples, dtype=float)
     xt = np.asarray(final_samples, dtype=float)
-    if x0.ndim == 1:
-        x0 = x0[:, None]
-    if xt.ndim == 1:
-        xt = xt[:, None]
     if x0.shape != xt.shape or x0.ndim != 2 or x0.shape[0] < 2:
         raise ValueError(f"need matching (N, d) matrices with N >= 2, "
                          f"got {x0.shape} and {xt.shape}")

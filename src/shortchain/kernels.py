@@ -174,7 +174,7 @@ def leapfrog(position, momentum, step_size: float, n_steps: int,
     x, eta = position, momentum
     G = pre.matrix
     with _quiet():
-        g = checked_output("grad_log_density", grad_fn(x), x.shape)
+        g = checked_output("target grad_log_density", grad_fn(x), x.shape)
         for _ in range(n_steps):
             eta = eta + 0.5 * step_size * g
             x = x + step_size * (eta @ G)

@@ -99,9 +99,11 @@ class RunConfig:
             tool; near-zero values freeze the chains on purpose).
         trace_every: Record bounds and reliability every trace_every
             iterations (0 disables tracing).
-        reliability_cutoff: Failure threshold for the reliability check.
+        reliability_cutoff: Failure threshold for the reliability check,
+            in (0, 1).
         scalar_functions: Extra name -> callable scalar functionals; the
-            callable maps an (N, d) batch to (N,) values.
+            callable maps an (N, d) batch to (N,) real values, which the
+            run checks on the initial ensemble.
     """
     kernel: str
     seed: int
@@ -113,10 +115,6 @@ class RunConfig:
     trace_every: int = 0
     reliability_cutoff: float = 0.1
     scalar_functions: Optional[dict] = None
-
-    @property
-    def leapfrog_steps(self) -> int:
-        return self.sizing.leapfrog_steps
 
 
 @dataclass
@@ -253,8 +251,9 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
 
     Raises:
         ValueError: for invalid configuration (bad kernel, out-of-range
-            coordinates, infeasible quantile levels for the sized N, ...)
-            or a target whose outputs on the initial batch have the wrong
+            coordinates, infeasible quantile levels for the sized N, a
+            reliability cutoff outside (0, 1), ...) or a target or scalar
+            functional whose outputs on the initial batch have the wrong
             shape.
         RuntimeError: when more than half the chains start at non-finite
             log density, which means the approximation and target are too
@@ -271,6 +270,9 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
         raise ValueError(f"trace_every must be >= 0, got {config.trace_every}")
     if config.step_size_scale <= 0 or not math.isfinite(config.step_size_scale):
         raise ValueError(f"step_size_scale must be positive, got {config.step_size_scale}")
+    if not 0.0 < config.reliability_cutoff < 1.0:
+        raise ValueError(f"reliability_cutoff must lie in (0, 1), "
+                         f"got {config.reliability_cutoff}")
 
     d = target.dimension
     policy = config.sizing
@@ -294,7 +296,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     # initialization phase: i.i.d. draws, each from its chain's own stream
     x0 = np.stack([approximation.sample(streams[j]) for j in range(n_chains)])
     grad_base = target.gradient_evaluations
-    logpi = checked_output("log_density", target.log_density(x0), (n_chains,))
+    logpi = checked_output("target log_density", target.log_density(x0), (n_chains,))
     n_bad = int(np.sum(~np.isfinite(logpi)))
     if n_bad * 2 > n_chains:
         raise RuntimeError(
@@ -304,9 +306,14 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
             "against the target before retrying.")
     grad_cached = None
     if kind in ("mala", "barker"):
-        grad_cached = checked_output("grad_log_density", target.grad_log_density(x0),
-                                     (n_chains, d))
+        grad_cached = checked_output("target grad_log_density",
+                                     target.grad_log_density(x0), (n_chains, d))
     init_grads = target.gradient_evaluations - grad_base
+    # each scalar functional's initial values, computed once and reused at
+    # every checkpoint: name -> (callable, (N,) values at x0)
+    scalars = {name: (fn, checked_output(f"scalar function {name!r}", fn(x0),
+                                         (n_chains,)))
+               for name, fn in scalar_fns.items()}
 
     h0 = initial_step_size(kind, d) * config.step_size_scale
     adapt = AdaptationState(log_step_size=math.log(h0))
@@ -315,15 +322,16 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     checkpoints = _checkpoint_iterations(config.trace_every, n_iters)
     trace_rows: Optional[list] = [] if checkpoints else None
 
-    def record(iteration, states):
-        rel = reliability_check(x0, states, cutoff=config.reliability_cutoff)
-        results = _functional_results(specs, states, x0, approximation,
-                                      alpha, scalar_fns)
-        trace_rows.append(TraceRow(iteration, rel.rho2_max,
+    def diagnose(states):
+        return (reliability_check(x0, states, cutoff=config.reliability_cutoff),
+                _functional_results(specs, states, x0, approximation, alpha, scalars))
+
+    def record(iteration, reliability, results):
+        trace_rows.append(TraceRow(iteration, reliability.rho2_max,
                                    {r.tag: r.result.bound for r in results}))
 
-    if trace_rows is not None and 0 in checkpoints:
-        record(0, x0)
+    if 0 in checkpoints:
+        record(0, *diagnose(x0))
 
     # per-iteration noise buffers, refilled in place; see _gather_noise
     generators = [s.generator for s in streams]
@@ -336,18 +344,17 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
         _gather_noise(kind, generators, eps, uniforms)
         x, logpi, grad_cached, alphas = step_batch(
             kind, x, logpi, grad_cached, eps, sign_u, accept_u, adapt.step_size,
-            pre, target, config.leapfrog_steps)
+            pre, target, policy.leapfrog_steps)
         adapt.update(math.fsum(alphas) / n_chains, a_star)
-        if trace_rows is not None and (t + 1) in checkpoints:
-            record(t + 1, x)
+        # the last checkpoint, n_iters, reuses the final diagnostics below
+        if (t + 1) in checkpoints and t + 1 < n_iters:
+            record(t + 1, *diagnose(x))
 
     iter_grads = target.gradient_evaluations - grad_base - init_grads
 
-    reliability = reliability_check(x0, x, cutoff=config.reliability_cutoff)
-    if trace_rows is not None:
-        reliability.trajectory = [(row.iteration, row.rho2_max) for row in trace_rows]
-    functionals = _functional_results(specs, x, x0, approximation,
-                                      alpha, scalar_fns)
+    reliability, functionals = diagnose(x)
+    if n_iters in checkpoints:
+        record(n_iters, reliability, functionals)
 
     caveats = MONOTONE_ERROR_CAVEAT
     if n_bad:
@@ -367,7 +374,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
         n_iterations=n_iters,
         alpha=alpha,
         seed=config.seed,
-        leapfrog_steps=config.leapfrog_steps,
+        leapfrog_steps=policy.leapfrog_steps,
         initial_step_size=h0,
         final_step_size=adapt.step_size,
         step_size_scale=config.step_size_scale,
@@ -451,7 +458,7 @@ def _gather_noise(kind: str, generators, eps: np.ndarray, uniforms: np.ndarray):
 
 
 def _functional_results(specs, states, x0, approximation: Approximation,
-                        alpha: float, scalar_fns: dict) -> list[FunctionalResult]:
+                        alpha: float, scalars: dict) -> list[FunctionalResult]:
     results = []
     ln10 = math.log(10.0)
     for spec in specs:
@@ -484,9 +491,8 @@ def _functional_results(specs, states, x0, approximation: Approximation,
             res = error_lower_bound(ci)
             results.append(FunctionalResult(spec, res, side, q0))
         else:
-            fn = scalar_fns[spec.name]
-            v0 = np.atleast_1d(np.asarray(fn(x0), dtype=float))
-            vt = np.atleast_1d(np.asarray(fn(states), dtype=float))
+            fn, v0 = scalars[spec.name]
+            vt = checked_output(f"scalar function {spec.name!r}", fn(states), v0.shape)
             mean_res, median_res = scalar_functional_diagnostics(
                 v0, vt, alpha, name=spec.name)
             results.append(FunctionalResult(spec, mean_res, "initial_samples",

@@ -9,7 +9,6 @@ intervals require.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 from scipy import stats as _sps
@@ -65,22 +64,16 @@ def binomial_quantile(q: float, n: int, p: float) -> int:
     return k
 
 
-def sample_quantile(samples: np.ndarray, p: float, coordinate: Optional[int] = None) -> float:
+def sample_quantile(samples: np.ndarray, p: float) -> float:
     """Empirical p-quantile using the lower order statistic X_(ceil(N p)).
 
     Args:
-        samples: (N,) vector, or (N, d) matrix with ``coordinate`` selecting
-            the column.
+        samples: (N,) vector; pass one column of an (N, d) ensemble.
         p: Probability level in (0, 1).
-        coordinate: Column index, required for matrix input.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     x = np.asarray(samples, dtype=float)
-    if x.ndim == 2:
-        if coordinate is None:
-            raise ValueError("coordinate is required for matrix input")
-        x = x[:, coordinate]
     if x.ndim != 1 or x.size < 1:
         raise ValueError(f"need a non-empty sample vector, got shape {x.shape}")
     n = x.size

@@ -2,9 +2,9 @@
 
 A ``TargetModel`` bundles an unnormalized log density with its gradient and
 counts gradient evaluations, one per evaluated point, so that runs can verify
-their gradient budget in closed form.  All built-in targets accept a single
-point of shape (d,) or a batch of shape (B, d), and evaluate a batch with
-vectorised NumPy operations.
+their gradient budget in closed form.  Every target takes a batch of shape
+(B, d) only, and the built-in ones evaluate it with vectorised NumPy
+operations.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ class TargetModel:
         grad_log_density: Maps a (B, d) batch to (B, d) gradients.
         name: Short label used in reports.
 
-    The runner only ever passes (B, d) batches, and rejects a target whose
-    log density or gradient has any other shape at its first use.  The built-in
-    targets also accept a single (d,) point.  The gradient evaluation
+    Both methods accept only a (B, d) array and raise a ``ValueError``
+    naming the target for any other shape, so the wrapped callables never
+    see anything else.  The runner rejects a target whose log density or
+    gradient has the wrong shape at its first use.  The gradient evaluation
     counter increments by the number of points in each
     ``grad_log_density`` call.
     """
@@ -44,12 +45,20 @@ class TargetModel:
         self._n_grad = 0
 
     def log_density(self, x: np.ndarray):
-        return self._log_density(np.asarray(x, dtype=float))
+        return self._log_density(self._batch(x))
 
     def grad_log_density(self, x: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        self._n_grad += 1 if x.ndim == 1 else x.shape[0]
+        x = self._batch(x)
+        self._n_grad += x.shape[0]
         return self._grad_log_density(x)
+
+    def _batch(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.dimension:
+            raise ValueError(
+                f"target {self.name!r} takes a (B, {self.dimension}) batch, "
+                f"got shape {x.shape}")
+        return x
 
     @property
     def gradient_evaluations(self) -> int:
@@ -62,26 +71,20 @@ class TargetModel:
         return f"TargetModel(name={self.name!r}, dimension={self.dimension})"
 
 
-def checked_output(name: str, value, shape: tuple) -> np.ndarray:
-    """Returns a target output on a (B, d) batch as a float array.
+def checked_output(label: str, value, shape: tuple) -> np.ndarray:
+    """Returns a callable's output on a (B, d) batch as a float array.
 
     Raises when the shape or dtype is not what every later step relies on,
-    so a malformed target fails at its first use instead of inside a
-    kernel's NumPy.
+    so a malformed target or scalar functional fails at its first use
+    instead of inside a kernel's NumPy.  ``label`` names the callable in
+    the message, for example "target log_density".
     """
     out = np.asarray(value)
     if out.shape != shape or out.dtype.kind not in "fiu":
         raise ValueError(
-            f"target {name} must return a real array of shape {shape} for "
+            f"{label} must return a real array of shape {shape} for "
             f"{shape[0]} points, got shape {out.shape} and dtype {out.dtype}")
     return out.astype(float, copy=False)
-
-
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Promotes (d,) to (1, d); returns the batch and whether input was flat."""
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
 
 
 def correlated_gaussian_target(dimension: int,
@@ -125,16 +128,12 @@ def correlated_gaussian_target(dimension: int,
     log_norm = -0.5 * d * np.log(2.0 * np.pi) - np.sum(np.log(np.diag(chol)))
 
     def log_density(x):
-        xb, flat = _as_batch(x)
-        z = xb - mu
+        z = x - mu
         q = np.sum((z @ precision) * z, axis=1)
-        out = log_norm - 0.5 * q
-        return float(out[0]) if flat else out
+        return log_norm - 0.5 * q
 
     def grad_log_density(x):
-        xb, flat = _as_batch(x)
-        g = -(xb - mu) @ precision
-        return g[0] if flat else g
+        return -(x - mu) @ precision
 
     model = TargetModel(d, log_density, grad_log_density, name=name)
     model.mean = mu
@@ -154,24 +153,21 @@ def neal_funnel_target(dimension: int, name: str = "funnel") -> TargetModel:
         raise ValueError(f"funnel needs dimension >= 2, got {d}")
 
     def log_density(x):
-        xb, flat = _as_batch(x)
-        x1 = xb[:, 0]
-        rest = xb[:, 1:]
+        x1 = x[:, 0]
+        rest = x[:, 1:]
         ss = np.sum(rest * rest, axis=1)
-        out = (-0.5 * np.log(2.0 * np.pi) - 0.5 * x1 * x1
-               - 0.5 * (d - 1) * (np.log(2.0 * np.pi) + x1)
-               - 0.5 * np.exp(-x1) * ss)
-        return float(out[0]) if flat else out
+        return (-0.5 * np.log(2.0 * np.pi) - 0.5 * x1 * x1
+                - 0.5 * (d - 1) * (np.log(2.0 * np.pi) + x1)
+                - 0.5 * np.exp(-x1) * ss)
 
     def grad_log_density(x):
-        xb, flat = _as_batch(x)
-        x1 = xb[:, 0]
-        rest = xb[:, 1:]
+        x1 = x[:, 0]
+        rest = x[:, 1:]
         inv_v = np.exp(-x1)
-        g = np.empty_like(xb)
+        g = np.empty_like(x)
         g[:, 0] = -x1 - 0.5 * (d - 1) + 0.5 * inv_v * np.sum(rest * rest, axis=1)
         g[:, 1:] = -rest * inv_v[:, None]
-        return g[0] if flat else g
+        return g
 
     return TargetModel(d, log_density, grad_log_density, name=name)
 
@@ -210,28 +206,24 @@ def synthetic_logistic_regression_target(n_observations: int,
     offset = labels @ features - 0.5 * features.sum(axis=0)
 
     def log_density(beta):
-        bb, flat = _as_batch(beta)
         # log p(y | s) = y s - softplus(s) and
         # softplus(s) = s / 2 + |s| / 2 + log1p(e^-|s|), so the (B, n)
         # logits array is the only large temporary and is reused in place
-        s = bb @ features.T
+        s = beta @ features.T
         np.abs(s, out=s)
         half_abs = 0.5 * s.sum(axis=1)
         np.negative(s, out=s)
         np.exp(s, out=s)
         np.log1p(s, out=s)
-        loglik = bb @ offset - half_abs - s.sum(axis=1)
-        log_prior = prior_norm - 0.5 * np.sum(bb * bb, axis=1) / prior_var
-        out = loglik + log_prior
-        return float(out[0]) if flat else out
+        loglik = beta @ offset - half_abs - s.sum(axis=1)
+        log_prior = prior_norm - 0.5 * np.sum(beta * beta, axis=1) / prior_var
+        return loglik + log_prior
 
     def grad_log_density(beta):
-        bb, flat = _as_batch(beta)
         # sum_n (y_n - sigmoid(s_n)) f_n with sigmoid(s) = 1/2 + tanh(s / 2) / 2
-        t = (0.5 * bb) @ features.T
+        t = (0.5 * beta) @ features.T
         np.tanh(t, out=t)
-        g = offset - 0.5 * (t @ features) - bb / prior_var
-        return g[0] if flat else g
+        return offset - 0.5 * (t @ features) - beta / prior_var
 
     model = TargetModel(d, log_density, grad_log_density, name=name)
     model.features = features

@@ -19,6 +19,7 @@ from shortchain.adaptation import (SizingPolicy, chain_count, iteration_count,
                                    variance_error_chain_count)
 from shortchain.cli import (EXIT_ERROR, EXIT_OK, EXIT_UNRELIABLE, build_run,
                             load_config, main)
+from shortchain.runner import RunConfig
 
 
 def write_config(tmp_path, name="config.json", **updates):
@@ -190,6 +191,12 @@ class TestBuildRun:
     def test_absent_sizing_keys_take_the_policy_defaults(self, tmp_path):
         run_config, _, _ = build_run(load_config(write_config(tmp_path)))
         assert run_config.sizing == SizingPolicy()
+
+    def test_absent_run_keys_take_the_run_config_defaults(self, tmp_path):
+        run_config, _, _ = build_run(load_config(write_config(tmp_path)))
+        defaults = RunConfig(kernel="rwmh", seed=0)
+        for key in ("step_size_scale", "trace_every", "reliability_cutoff"):
+            assert getattr(run_config, key) == getattr(defaults, key)
 
     def test_present_sizing_keys_override_the_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, alpha=0.1, delta_mean=0.2,

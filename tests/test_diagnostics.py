@@ -268,12 +268,14 @@ class TestReliabilityCheck:
         with pytest.raises(ValueError):
             reliability_check(np.zeros((5, 2)), np.zeros((5, 2)), cutoff=1.0)
 
-    def test_one_dimensional_inputs_promoted(self):
+    def test_one_dimensional_inputs_rejected(self):
         stream = RandomStream(10, 0)
         a = stream.standard_normal(50)
         b = stream.standard_normal(50)
-        res = reliability_check(a, b)
-        assert res.rho2_per_coordinate.shape == (1,)
+        with pytest.raises(ValueError, match=r"matching \(N, d\) matrices.*got \(50,\)"):
+            reliability_check(a, b)
+        with pytest.raises(ValueError, match=r"matching \(N, d\) matrices"):
+            reliability_check(a[:, None], b)
 
 
 class TestBoundValidity:

@@ -1,16 +1,19 @@
 """The package's public names, and the names its demos and benchmark use.
 
 Demos are parsed, never run, so this stays fast: a demo that imports a
-renamed or deleted name fails here instead of when someone runs it.
+renamed or deleted name fails here instead of when someone runs it.  The
+same holds for the entry points the benchmark's tracer wraps.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import shortchain
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # what perfbench/workload.py reaches through the top-level package
 BENCHMARK_NAMES = ("RunConfig", "run_diagnostic", "correlated_gaussian_target",
@@ -55,3 +58,18 @@ def test_benchmark_names_stay_at_top_level():
     cli = importlib.import_module("shortchain.cli")
     assert shortchain.cli is cli
     assert callable(cli.main)
+
+
+def test_tracer_entry_points_resolve():
+    # a renamed or deleted entry point would turn its per-layer benchmark
+    # metric into "absent" without failing anything else
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install("shortchain")
+        assert tracer.absent == []
+    finally:
+        assert tracer.restore() == []

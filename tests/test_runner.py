@@ -156,6 +156,29 @@ class TestTraces:
         for fr in report.functionals:
             assert last.bounds[fr.tag] == pytest.approx(fr.result.bound, rel=1e-12)
 
+    def test_each_checkpoint_diagnosed_once(self, monkeypatch):
+        # 10 iterations traced every one: 11 checkpoints, the last one shared
+        # with the final report; the scalar functional meets x0 once
+        calls = {"reliability": 0, "f": 0}
+        check = runner.reliability_check
+
+        def counted_check(*args, **kwargs):
+            calls["reliability"] += 1
+            return check(*args, **kwargs)
+
+        def f(x):
+            calls["f"] += 1
+            return np.sum(x, axis=1)
+
+        monkeypatch.setattr(runner, "reliability_check", counted_check)
+        target, approx = small_setup(2)
+        cfg = RunConfig(kernel="rwmh", seed=7, n_chains=40, n_iterations=10,
+                        trace_every=1, functionals=["scalar(f)"],
+                        scalar_functions={"f": f})
+        report = run_diagnostic(cfg, target, approx)
+        assert len(report.traces) == 11
+        assert calls == {"reliability": 11, "f": 12}
+
     def test_memory_of_initialization_decays(self):
         target, approx = small_setup(1, correlation=0.0)
         cfg = RunConfig(kernel="rwmh", seed=3, n_chains=200, n_iterations=50,
@@ -264,6 +287,36 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="target_log_density"):
             run_diagnostic(cfg, target, approx)
 
+    def test_bad_reliability_cutoff_fails_before_any_work(self):
+        target, approx = small_setup()
+        for cutoff in (1.5, 0.0):
+            cfg = RunConfig(kernel="mala", seed=0, n_chains=40, n_iterations=2000,
+                            reliability_cutoff=cutoff)
+            with pytest.raises(ValueError, match=r"reliability_cutoff .*\(0, 1\)"):
+                run_diagnostic(cfg, target, approx)
+        assert target.gradient_evaluations == 0
+
+
+class TestScalarFunctionShapes:
+    # A custom scalar functional must map the (N, d) ensemble to (N,) real
+    # values; a bad one is refused on the initial ensemble, before any step.
+    @pytest.mark.parametrize("fn, got", [
+        (lambda x: x[:, :2], r"\(40, 2\)"),
+        (lambda x: 1.0, r"\(\)"),
+        (lambda x: np.sum(x, axis=1).astype(complex), r"\(40,\) and dtype complex128"),
+    ], ids=["columns", "float", "complex"])
+    def test_bad_output_is_rejected_before_any_step(self, monkeypatch, fn, got):
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped before checking the scalar functional")
+
+        monkeypatch.setattr(runner, "step_batch", no_step)
+        target, approx = small_setup(3)
+        cfg = RunConfig(kernel="rwmh", seed=0, n_chains=40, n_iterations=3,
+                        functionals=["mean(0)", "scalar(f)"], scalar_functions={"f": fn})
+        with pytest.raises(ValueError, match=r"scalar function 'f' must return a real "
+                                             r"array of shape \(40,\).*got shape " + got):
+            run_diagnostic(cfg, target, approx)
+
 
 class TestTargetOutputShapes:
     # 40 chains on a d=3 Gaussian whose callables are bent out of shape; the
@@ -308,15 +361,10 @@ class TestTargetOutputShapes:
 class TestIncompatibleSupport:
     def box_target(self):
         def log_density(x):
-            x = np.asarray(x, dtype=float)
-            if x.ndim == 1:
-                return 0.0 if np.all(np.abs(x) < 1.0) else -np.inf
             return np.where(np.all(np.abs(x) < 1.0, axis=1), 0.0, -np.inf)
 
-        return TargetModel(
-            dimension=1, log_density=log_density,
-            grad_log_density=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            name="box")
+        return TargetModel(dimension=1, log_density=log_density,
+                           grad_log_density=np.zeros_like, name="box")
 
     def test_mostly_disjoint_support_aborts(self):
         target = self.box_target()
@@ -491,15 +539,10 @@ class TestReportSerialization:
         # A constant-coordinate approximation is impossible (sds > 0), so
         # force degeneracy through a target the chains cannot leave.
         def log_density(x):
-            x = np.asarray(x, dtype=float)
-            if x.ndim == 1:
-                return 0.0 if np.all(np.abs(x) < 1e-9) else -np.inf
             return np.where(np.all(np.abs(x) < 1e-9, axis=1), 0.0, -np.inf)
 
-        target = TargetModel(
-            dimension=1, log_density=log_density,
-            grad_log_density=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            name="spike")
+        target = TargetModel(dimension=1, log_density=log_density,
+                             grad_log_density=np.zeros_like, name="spike")
         approx = mean_field_gaussian_approximation([0.0], [1e-12])
         cfg = RunConfig(kernel="rwmh", seed=2, n_chains=30, n_iterations=5)
         report = run_diagnostic(cfg, target, approx)

@@ -156,9 +156,11 @@ class TestSampleQuantile:
     def test_single_sample(self):
         assert sample_quantile(np.array([5.0]), 0.37) == 5.0
 
-    def test_coordinate_selection(self):
+    def test_matrix_input_rejected(self):
+        # callers pass one column; a matrix is not silently reduced
         mat = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
-        assert sample_quantile(mat, 0.5, coordinate=1) == 20.0
+        with pytest.raises(ValueError, match=r"sample vector, got shape \(3, 2\)"):
+            sample_quantile(mat, 0.5)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
            st.floats(0.01, 0.999))

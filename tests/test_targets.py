@@ -6,6 +6,7 @@ model's generative form.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,26 +18,27 @@ from shortchain import (
     neal_funnel_target,
     synthetic_logistic_regression_target,
 )
+from shortchain.targets import TargetModel
 
 from oracles import logistic_grad_oracle, logistic_log_density_oracle
 
 
 def finite_difference_gradient(log_density, x, eps=1e-5):
-    """Central-difference gradient of a scalar log density at one point."""
+    """Central-difference gradient of a log density at one (d,) point.
+
+    The 2d perturbed points x + eps e_i and x - eps e_i are evaluated as
+    one (2d, d) batch.
+    """
     x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        hi = x.copy()
-        lo = x.copy()
-        hi[i] += eps
-        lo[i] -= eps
-        grad[i] = (log_density(hi) - log_density(lo)) / (2.0 * eps)
-    return grad
+    d = x.size
+    step = eps * np.eye(d)
+    values = log_density(np.concatenate([x + step, x - step]))
+    return (values[:d] - values[d:]) / (2.0 * eps)
 
 
 def assert_gradient_matches(target, points, rel=1e-4):
     for x in points:
-        exact = target.grad_log_density(x)
+        exact = target.grad_log_density(x[None, :])[0]
         approx = finite_difference_gradient(target.log_density, x)
         scale = np.maximum(np.abs(exact), 1.0)
         assert np.all(np.abs(exact - approx) <= rel * scale), (
@@ -46,7 +48,7 @@ def assert_gradient_matches(target, points, rel=1e-4):
 class TestCorrelatedGaussian:
     def test_gradient_zero_at_mean(self):
         target = correlated_gaussian_target(2)
-        assert np.allclose(target.grad_log_density(np.zeros(2)), 0.0)
+        assert np.allclose(target.grad_log_density(np.zeros((1, 2))), 0.0)
 
     def test_heterogeneous_config_constructs(self):
         target = correlated_gaussian_target(
@@ -54,7 +56,7 @@ class TestCorrelatedGaussian:
         assert target.dimension == 30
         assert target.covariance[0, 0] == pytest.approx(10.0)
         assert target.covariance[0, 1] == pytest.approx(0.7 * math.sqrt(10.0))
-        assert np.isfinite(target.log_density(np.zeros(30)))
+        assert np.isfinite(target.log_density(np.zeros((1, 30)))[0])
 
     def test_gradient_matches_finite_differences(self):
         target = correlated_gaussian_target(
@@ -67,17 +69,17 @@ class TestCorrelatedGaussian:
         target = correlated_gaussian_target(
             3, mean=[1.0, 0.0, -1.0], variances=[2.0, 1.0, 0.5], correlation=0.3)
         oracle = sps.multivariate_normal(mean=target.mean, cov=target.covariance)
-        for x in RandomStream(5, 0).standard_normal((20, 3)):
-            assert target.log_density(x) == pytest.approx(oracle.logpdf(x), rel=1e-10)
+        for x in RandomStream(5, 0).standard_normal((20, 1, 3)):
+            assert target.log_density(x)[0] == pytest.approx(oracle.logpdf(x[0]), rel=1e-10)
 
     def test_batch_evaluation_matches_single(self):
         target = correlated_gaussian_target(4, correlation=0.2)
         xs = RandomStream(1, 0).standard_normal((7, 4))
         batch = target.log_density(xs)
-        singles = np.array([target.log_density(x) for x in xs])
+        singles = np.array([target.log_density(x[None, :])[0] for x in xs])
         assert np.allclose(batch, singles, rtol=1e-12)
         gbatch = target.grad_log_density(xs)
-        gsingles = np.array([target.grad_log_density(x) for x in xs])
+        gsingles = np.array([target.grad_log_density(x[None, :])[0] for x in xs])
         assert np.allclose(gbatch, gsingles, rtol=1e-12)
 
     def test_invalid_correlation_rejected(self):
@@ -89,7 +91,7 @@ class TestCorrelatedGaussian:
     def test_gradient_counter(self):
         target = correlated_gaussian_target(3)
         assert target.gradient_evaluations == 0
-        target.grad_log_density(np.zeros(3))
+        target.grad_log_density(np.zeros((1, 3)))
         assert target.gradient_evaluations == 1
         target.grad_log_density(np.zeros((10, 3)))
         assert target.gradient_evaluations == 11
@@ -100,8 +102,8 @@ class TestCorrelatedGaussian:
 class TestNealFunnel:
     def test_conditional_mode_gradient(self):
         target = neal_funnel_target(6)
-        grad = target.grad_log_density(np.zeros(6))
-        assert np.allclose(grad[1:], 0.0)
+        grad = target.grad_log_density(np.zeros((1, 6)))
+        assert np.allclose(grad[0, 1:], 0.0)
 
     def test_variance_matches_generative_monte_carlo(self):
         # Draw x1 ~ N(0,1), x_i | x1 ~ N(0, e^{x1}); Var(X_i) should be
@@ -117,9 +119,9 @@ class TestNealFunnel:
         # The same scale appears in the density: for fixed x1 the x_i slice
         # is Gaussian with variance e^{x1}.
         x1v = 0.7
-        base = np.array([x1v, 0.0, 0.0])
-        bumped = np.array([x1v, 1.3, 0.0])
-        delta = target.log_density(bumped) - target.log_density(base)
+        base = np.array([[x1v, 0.0, 0.0]])
+        bumped = np.array([[x1v, 1.3, 0.0]])
+        delta = target.log_density(bumped)[0] - target.log_density(base)[0]
         assert delta == pytest.approx(-0.5 * 1.3**2 / math.exp(x1v), rel=1e-10)
 
     def test_gradient_matches_finite_differences(self):
@@ -140,7 +142,7 @@ class TestSyntheticLogisticRegression:
         n, d, sd = 40, 3, 1.5
         target = synthetic_logistic_regression_target(n, d, prior_sd=sd)
         prior_at_zero = -0.5 * d * math.log(2.0 * math.pi * sd * sd)
-        assert target.log_density(np.zeros(d)) == pytest.approx(
+        assert target.log_density(np.zeros((1, d)))[0] == pytest.approx(
             n * math.log(0.5) + prior_at_zero, rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -153,8 +155,8 @@ class TestSyntheticLogisticRegression:
         b = synthetic_logistic_regression_target(30, 3, data_seed=5)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
-        x = np.array([0.1, -0.2, 0.3])
-        assert a.log_density(x) == b.log_density(x)
+        x = np.array([[0.1, -0.2, 0.3]])
+        assert a.log_density(x)[0] == b.log_density(x)[0]
 
     def test_different_seed_changes_dataset(self):
         a = synthetic_logistic_regression_target(30, 3, data_seed=5)
@@ -193,13 +195,6 @@ class TestLogisticMatchesTextbookForms:
         got_grad = target.grad_log_density(beta)
         assert np.all(np.abs(got_grad - want_grad) <= 1e-12 * magnitude)
 
-    def test_single_point_matches_oracle(self, target):
-        beta = 3.0 * RandomStream(12, 0).standard_normal(20)
-        want_ld, want_grad = self.oracle(target, beta[None, :])
-        assert target.log_density(beta) == pytest.approx(want_ld[0], rel=1e-13)
-        assert np.allclose(target.grad_log_density(beta), want_grad[0],
-                           rtol=0.0, atol=1e-12 * np.max(np.abs(want_grad)))
-
     def test_non_finite_coefficients_never_give_a_finite_log_density(self, target):
         beta = 0.3 * RandomStream(13, 0).standard_normal((6, 20))
         beta[0, 4] = np.inf
@@ -218,10 +213,44 @@ class TestGradientCounterContract:
     def test_counter_counts_points_not_calls(self):
         target = neal_funnel_target(3)
         target.grad_log_density(np.zeros((17, 3)))
-        target.grad_log_density(np.zeros(3))
+        target.grad_log_density(np.zeros((1, 3)))
         assert target.gradient_evaluations == 18
 
     def test_log_density_does_not_count(self):
         target = correlated_gaussian_target(2)
         target.log_density(np.zeros((5, 2)))
         assert target.gradient_evaluations == 0
+
+
+class TestBatchShapeContract:
+    # Targets take (B, d) batches only; anything else is refused at the
+    # TargetModel boundary with the target's name and both shapes, before
+    # the wrapped callable or the gradient counter sees it.
+    TARGETS = {
+        "gaussian": lambda: correlated_gaussian_target(3, correlation=0.2),
+        "funnel": lambda: neal_funnel_target(3),
+        "logistic": lambda: synthetic_logistic_regression_target(30, 3),
+    }
+
+    @pytest.mark.parametrize("method", ["log_density", "grad_log_density"])
+    @pytest.mark.parametrize("name", sorted(TARGETS))
+    @pytest.mark.parametrize("shape", [(3,), (2, 4)], ids=["point", "wrong_width"])
+    def test_other_shapes_are_rejected(self, name, method, shape):
+        target = self.TARGETS[name]()
+        expected = re.escape(f"target '{name}' takes a (B, 3) batch, got shape {shape}")
+        with pytest.raises(ValueError, match=expected):
+            getattr(target, method)(np.zeros(shape))
+        assert target.gradient_evaluations == 0
+
+    def test_custom_callables_only_see_batches(self):
+        seen = []
+
+        def log_density(x):
+            seen.append(x.shape)
+            return np.zeros(x.shape[0])
+
+        target = TargetModel(2, log_density, lambda x: np.zeros_like(x), name="flat")
+        with pytest.raises(ValueError, match=r"'flat' takes a \(B, 2\) batch"):
+            target.log_density(np.zeros(2))
+        target.log_density([[0.0, 1.0]])
+        assert seen == [(1, 2)]

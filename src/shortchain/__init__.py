@@ -12,9 +12,10 @@ reliability results it reports.  Kernels, step-size adaptation internals and
 distribution quantiles stay importable from their own modules.
 """
 
-from .adaptation import (SizingPolicy, chain_count, initial_step_size,
-                         iteration_count, mean_error_chain_count,
-                         target_acceptance, variance_error_chain_count)
+from .adaptation import (KERNEL_KINDS, SizingPolicy, chain_count,
+                         initial_step_size, iteration_count,
+                         mean_error_chain_count, target_acceptance,
+                         variance_error_chain_count)
 from .approximations import (Approximation, approximation_from_sampler,
                              empirical_approximation, kl_optimal_mean_field,
                              mean_field_gaussian_approximation)
@@ -23,7 +24,6 @@ from .diagnostics import (ConfidenceInterval, LowerBoundResult,
                           log_variance_ratio_ci, mean_difference_ci,
                           quantile_difference_ci, reliability_check,
                           scalar_functional_diagnostics)
-from .kernels import KERNEL_KINDS
 from .rng import RandomStream
 from .runner import (DiagnosticReport, FunctionalSpec, RunConfig,
                      default_functionals, parse_functional, run_diagnostic)

@@ -1,4 +1,6 @@
-"""Cross-chain step-size adaptation and ensemble sizing rules.
+"""Per-kind kernel tuning, cross-chain step-size adaptation and sizing rules.
+
+``KERNEL_TUNING`` is the one table of kernel kinds; ``check_kind`` the one check.
 
 The ensemble shares one log step size psi.  After every iteration the mean
 acceptance rate across chains pulls psi toward the kernel's optimal rate
@@ -10,64 +12,54 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .stats import chi_square_quantile, student_t_quantile
 
-# optimal acceptance rates per kernel family
-TARGET_ACCEPTANCE = {
-    "rwmh": 0.234,
-    "barker": 0.4,
-    "mala": 0.574,
-    "hmc": 0.651,
-}
 
-_STEP_EXPONENT = {"rwmh": 1.0, "mala": 1.0 / 3.0, "barker": 1.0 / 3.0, "hmc": 0.25}
+class KernelTuning(NamedTuple):
+    """One kernel family's row of ``KERNEL_TUNING``."""
+    target_acceptance: float  # optimal mean acceptance rate psi adapts toward
+    step_exponent: float  # k in the initial step size 2.4^2 / d^k
+    carries_gradient: bool  # a step needs (and the runner caches) grad at x
+
+
+KERNEL_TUNING = {
+    "rwmh": KernelTuning(0.234, 1.0, False),
+    "mala": KernelTuning(0.574, 1.0 / 3.0, True),
+    "barker": KernelTuning(0.4, 1.0 / 3.0, True),
+    "hmc": KernelTuning(0.651, 0.25, False),
+}
+KERNEL_KINDS = tuple(KERNEL_TUNING)
 
 _MAX_CHAINS = 1_000_000
 
 
+def check_kind(kind: str) -> KernelTuning:
+    """Returns the kind's row of ``KERNEL_TUNING``; the one check of a kind."""
+    if kind not in KERNEL_TUNING:
+        raise ValueError(f"unknown kernel kind {kind!r}, expected one of {KERNEL_KINDS}")
+    return KERNEL_TUNING[kind]
+
+
 def target_acceptance(kind: str) -> float:
-    if kind not in TARGET_ACCEPTANCE:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    return TARGET_ACCEPTANCE[kind]
+    """Optimal mean acceptance rate of kernel family ``kind``."""
+    return check_kind(kind).target_acceptance
 
 
 def initial_step_size(kind: str, dimension: int) -> float:
     """Dimension-scaled starting step size 2.4^2 / d^k for kernel family k."""
-    if kind not in _STEP_EXPONENT:
-        raise ValueError(f"unknown kernel kind {kind!r}")
+    k = check_kind(kind).step_exponent
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
-    return 2.4 ** 2 / dimension ** _STEP_EXPONENT[kind]
-
-
-def update_log_step_size(psi: float, t: int, mean_acceptance: float,
-                         target_rate: float) -> tuple[float, int]:
-    """One stochastic-approximation update of the shared log step size.
-
-    Args:
-        psi: Current log step size psi^(t).
-        t: Zero-based iteration index.
-        mean_acceptance: Acceptance probability averaged across chains, in [0, 1].
-        target_rate: Optimal acceptance rate for the kernel.
-
-    Returns:
-        ``(psi_next, t_next)`` with psi moving by (mean - target)/sqrt(t+1).
-    """
-    if t < 0:
-        raise ValueError(f"iteration index must be >= 0, got {t}")
-    if not 0.0 <= mean_acceptance <= 1.0:
-        raise ValueError(f"mean_acceptance must lie in [0, 1], got {mean_acceptance}")
-    if not 0.0 < target_rate < 1.0:
-        raise ValueError(f"target_rate must lie in (0, 1), got {target_rate}")
-    return psi + (mean_acceptance - target_rate) / math.sqrt(t + 1.0), t + 1
+    return 2.4 ** 2 / dimension ** k
 
 
 @dataclass
 class AdaptationState:
-    """Shared adaptation state: log step size, iteration index, rate history."""
+    """Shared log step size psi and rate history; the history's length is
+    the zero-based index t of the next update."""
     log_step_size: float
-    iteration: int = 0
     acceptance_history: list = field(default_factory=list)
 
     @property
@@ -75,14 +67,16 @@ class AdaptationState:
         return math.exp(self.log_step_size)
 
     def update(self, mean_acceptance: float, target_rate: float):
+        """Records the cross-chain mean acceptance and moves psi by
+        (mean_acceptance - target_rate) / sqrt(t + 1)."""
+        t = len(self.acceptance_history)
         self.acceptance_history.append(float(mean_acceptance))
-        self.log_step_size, self.iteration = update_log_step_size(
-            self.log_step_size, self.iteration, mean_acceptance, target_rate)
+        self.log_step_size += (mean_acceptance - target_rate) / math.sqrt(t + 1.0)
 
 
 @dataclass(frozen=True)
 class SizingPolicy:
-    """Accuracy tolerances that size the ensemble.
+    """Accuracy tolerances that size the ensemble; every float field is finite.
 
     Attributes:
         delta_mean: Half-width budget for the standardized mean interval.
@@ -98,6 +92,10 @@ class SizingPolicy:
     leapfrog_steps: int = 10
 
     def __post_init__(self):
+        for name in ("delta_mean", "delta_var", "alpha", "iteration_coefficient"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.delta_mean <= 0 or self.delta_var <= 0:
             raise ValueError("tolerances must be positive")
         if not 0.0 < self.alpha < 1.0:
@@ -128,7 +126,7 @@ def _smallest_chain_count(width, budget: float, name: str) -> int:
 
 def mean_error_chain_count(delta_mean: float, alpha: float) -> int:
     """Smallest n with t_{n-1}(1 - alpha/2) / sqrt(n) <= delta_mean."""
-    if delta_mean <= 0:
+    if not delta_mean > 0:
         raise ValueError("delta_mean must be positive")
     return _smallest_chain_count(
         lambda n: student_t_quantile(1.0 - alpha / 2.0, n - 1) / math.sqrt(n),
@@ -137,7 +135,7 @@ def mean_error_chain_count(delta_mean: float, alpha: float) -> int:
 
 def variance_error_chain_count(delta_var: float, alpha: float) -> int:
     """Smallest n whose chi-square interval width in log10 is within delta_var."""
-    if delta_var <= 0:
+    if not delta_var > 0:
         raise ValueError("delta_var must be positive")
     return _smallest_chain_count(
         lambda n: math.log10(chi_square_quantile(1.0 - alpha / 2.0, n - 1)
@@ -155,10 +153,10 @@ def iteration_count(kind: str, dimension: int, policy: SizingPolicy) -> int:
     """Iteration budget T, scaled by the kernel family's mixing exponent.
 
     floor(c d^(1/3)) for the first-order kernels and floor(c d^(1/4) / L)
-    for Hamiltonian proposals, never below 1.
+    for Hamiltonian proposals, never below 1; a ``ValueError`` when that
+    overflows a float.
     """
-    if kind not in _STEP_EXPONENT:
-        raise ValueError(f"unknown kernel kind {kind!r}")
+    check_kind(kind)
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     c = policy.iteration_coefficient
@@ -166,4 +164,7 @@ def iteration_count(kind: str, dimension: int, policy: SizingPolicy) -> int:
         raw = c * dimension ** 0.25 / policy.leapfrog_steps
     else:
         raw = c * dimension ** (1.0 / 3.0)
+    if not math.isfinite(raw):
+        raise ValueError(f"iteration budget overflows for iteration_coefficient={c} "
+                         f"and dimension {dimension}")
     return max(1, math.floor(raw))

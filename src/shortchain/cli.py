@@ -16,13 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptation import (SizingPolicy, chain_count, initial_step_size,
-                         iteration_count, mean_error_chain_count,
-                         target_acceptance, variance_error_chain_count)
+from .adaptation import (KERNEL_KINDS, SizingPolicy, chain_count,
+                         initial_step_size, iteration_count,
+                         mean_error_chain_count, target_acceptance,
+                         variance_error_chain_count)
 from .approximations import (Approximation, empirical_approximation,
                              kl_optimal_mean_field,
                              mean_field_gaussian_approximation)
-from .kernels import KERNEL_KINDS
 from .runner import DiagnosticReport, RunConfig, run_diagnostic
 from .targets import (TargetModel, correlated_gaussian_target,
                       neal_funnel_target, synthetic_logistic_regression_target)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .stats import (binomial_quantile, chi_square_quantile,
-                    pearson_correlation_squared, student_t_quantile)
+                    pearson_correlation_squared, sample_quantile,
+                    student_t_quantile)
 
 MONOTONE_ERROR_CAVEAT = (
     "Bounds assume the chains move every audited functional monotonically "
@@ -193,8 +194,9 @@ def scalar_functional_diagnostics(initial_values: np.ndarray, final_values: np.n
     """Mean and median error bounds for a scalar functional of the state.
 
     The initial-side mean and median are estimated from ``initial_values``
-    (draws from the approximation), so both intervals inherit a little extra
-    noise from that estimate.
+    (draws from the approximation; the median is ``stats.sample_quantile``
+    at 0.5), so both intervals inherit a little extra noise from that
+    estimate.
 
     Returns:
         ``(mean_result, median_result)``.
@@ -203,8 +205,7 @@ def scalar_functional_diagnostics(initial_values: np.ndarray, final_values: np.n
     vt = _as_vector(final_values)
     mean_ci = mean_difference_ci(vt, float(v0.mean()), alpha,
                                  functional_tag=f"scalar_mean({name})")
-    median0 = float(np.sort(v0)[max(1, math.ceil(v0.size * 0.5)) - 1])
-    median_ci = quantile_difference_ci(vt, 0.5, median0, alpha,
+    median_ci = quantile_difference_ci(vt, 0.5, sample_quantile(v0, 0.5), alpha,
                                        functional_tag=f"scalar_median({name})")
     return error_lower_bound(mean_ci), error_lower_bound(median_ci)
 

@@ -22,16 +22,10 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .adaptation import SizingPolicy, check_kind
 from .targets import checked_output
 
-KERNEL_KINDS = ("rwmh", "mala", "barker", "hmc")
-
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _check_kind(kind: str):
-    if kind not in KERNEL_KINDS:
-        raise ValueError(f"unknown kernel kind {kind!r}, expected one of {KERNEL_KINDS}")
 
 
 def _quiet():
@@ -66,8 +60,6 @@ class Preconditioner:
         self.cholesky = C
         self.inverse_cholesky = solve_triangular(C, np.eye(G.shape[0]), lower=True)
         self.log_det_cholesky = float(np.sum(np.log(np.diag(C))))
-        self.diagonal = np.diag(G).copy()
-        self.dimension = G.shape[0]
 
     @classmethod
     def identity(cls, dimension: int) -> "Preconditioner":
@@ -197,11 +189,12 @@ def _hmc_core(x, logpi_x, xi, step_size, n_steps, pre, log_density_fn, grad_fn):
 
 
 def step_batch(kind: str, x, logpi_x, grad_x, eps, sign_uniforms, accept_uniforms,
-               step_size: float, pre: Preconditioner, target, n_leapfrog: int = 10):
+               step_size: float, pre: Preconditioner, target,
+               n_leapfrog: int = SizingPolicy.leapfrog_steps):
     """Advances a batch of chains one MH step with pre-drawn randomness.
 
     Args:
-        kind: Kernel kind.
+        kind: Kernel kind, one of ``adaptation.KERNEL_KINDS``.
         x: (B, d) current states.
         logpi_x: (B,) current log densities.
         grad_x: (B, d) cached gradients at x (MALA/Barker), else None.
@@ -211,40 +204,35 @@ def step_batch(kind: str, x, logpi_x, grad_x, eps, sign_uniforms, accept_uniform
         step_size: Current step size h > 0.
         pre: Preconditioner.
         target: TargetModel (its gradient counter tracks the budget).
-        n_leapfrog: Leapfrog steps for HMC.
+        n_leapfrog: Leapfrog steps for HMC (``SizingPolicy``'s default L).
 
     Returns:
         ``(new_x, new_logpi, new_grad, alpha)``; ``new_grad`` is None unless
         the kernel caches gradients.
     """
-    _check_kind(kind)
+    carries_gradient = check_kind(kind).carries_gradient
     if step_size <= 0 or not math.isfinite(step_size):
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
     with _quiet():
         grad_y = None
-        if kind == "rwmh":
-            y, logq_fwd, logq_rev = _rwmh_core(x, eps, step_size, pre)
-            logpi_y = target.log_density(y)
-            log_ratio = (logpi_y - logpi_x) + (logq_rev - logq_fwd)
-        elif kind == "mala":
-            if grad_x is None:
-                grad_x = target.grad_log_density(x)
-            y, logq_fwd, logq_rev, grad_y = _mala_core(
-                x, grad_x, eps, step_size, pre, target.grad_log_density)
-            logpi_y = target.log_density(y)
-            log_ratio = (logpi_y - logpi_x) + (logq_rev - logq_fwd)
-        elif kind == "barker":
-            if grad_x is None:
-                grad_x = target.grad_log_density(x)
-            y, logq_fwd, logq_rev, grad_y = _barker_core(
-                x, grad_x, eps, sign_uniforms, step_size, pre, target.grad_log_density)
-            logpi_y = target.log_density(y)
-            log_ratio = (logpi_y - logpi_x) + (logq_rev - logq_fwd)
-        else:
+        if carries_gradient and grad_x is None:
+            grad_x = target.grad_log_density(x)
+        if kind == "hmc":
             y, h_start, h_end, logpi_y = _hmc_core(
                 x, logpi_x, eps, step_size, n_leapfrog, pre,
                 target.log_density, target.grad_log_density)
             log_ratio = h_start - h_end
+        else:
+            if kind == "rwmh":
+                y, logq_fwd, logq_rev = _rwmh_core(x, eps, step_size, pre)
+            elif kind == "mala":
+                y, logq_fwd, logq_rev, grad_y = _mala_core(
+                    x, grad_x, eps, step_size, pre, target.grad_log_density)
+            else:
+                y, logq_fwd, logq_rev, grad_y = _barker_core(
+                    x, grad_x, eps, sign_uniforms, step_size, pre, target.grad_log_density)
+            logpi_y = target.log_density(y)
+            log_ratio = (logpi_y - logpi_x) + (logq_rev - logq_fwd)
 
         alpha = np.exp(np.minimum(log_ratio, 0.0))
         alpha = np.where(np.isnan(alpha), 0.0, alpha)

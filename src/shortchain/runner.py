@@ -19,14 +19,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .adaptation import (AdaptationState, SizingPolicy, chain_count,
-                         initial_step_size, iteration_count, target_acceptance)
+                         check_kind, initial_step_size, iteration_count)
 from .approximations import Approximation
 from .diagnostics import (MONOTONE_ERROR_CAVEAT, ConfidenceInterval,
                           LowerBoundResult, ReliabilityResult,
                           error_lower_bound, log_variance_ratio_ci,
                           mean_difference_ci, quantile_difference_ci,
                           reliability_check, scalar_functional_diagnostics)
-from .kernels import KERNEL_KINDS, Preconditioner, step_batch
+from .kernels import Preconditioner, step_batch
 from .rng import RandomStream
 from .stats import binomial_quantile, sample_quantile
 from .targets import TargetModel, checked_output
@@ -88,7 +88,7 @@ class RunConfig:
     """Everything a run needs besides the target and the approximation.
 
     Attributes:
-        kernel: One of "rwmh", "mala", "barker", "hmc".
+        kernel: One of ``KERNEL_KINDS``: "rwmh", "mala", "barker", "hmc".
         seed: Ensemble seed; with the config it fully determines the report.
         sizing: Tolerances behind the automatic N and T choices; its
             ``alpha`` is also the miscoverage level of every interval.
@@ -261,8 +261,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     """
     start_time = time.perf_counter()
     kind = config.kernel
-    if kind not in KERNEL_KINDS:
-        raise ValueError(f"unknown kernel kind {kind!r}, expected one of {KERNEL_KINDS}")
+    tuning = check_kind(kind)
     if target.dimension != approximation.dimension:
         raise ValueError(f"target dimension {target.dimension} does not match "
                          f"approximation dimension {approximation.dimension}")
@@ -286,7 +285,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
         raise ValueError(f"need at least 1 iteration, got {n_iters}")
 
     specs = _resolve_specs(config, d)
-    scalar_fns = _resolve_scalar_functions(specs, config, target)
+    scalar_fns = _resolve_scalar_functions(specs, config)
     _validate_quantile_feasibility(specs, n_chains, alpha)
 
     pre = Preconditioner(approximation.covariance)
@@ -305,33 +304,35 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
             "so the audit cannot run. Check the approximation (or its support) "
             "against the target before retrying.")
     grad_cached = None
-    if kind in ("mala", "barker"):
+    if tuning.carries_gradient:
         grad_cached = checked_output("target grad_log_density",
                                      target.grad_log_density(x0), (n_chains, d))
     init_grads = target.gradient_evaluations - grad_base
     # each scalar functional's initial values, computed once and reused at
-    # every checkpoint: name -> (callable, (N,) values at x0)
-    scalars = {name: (fn, checked_output(f"scalar function {name!r}", fn(x0),
-                                         (n_chains,)))
+    # every checkpoint: name -> (callable, (N,) values at x0); the built-in
+    # target_log_density has no callable and reads the run's own logpi
+    scalars = {name: (fn, logpi if fn is None else checked_output(
+                   f"scalar function {name!r}", fn(x0), (n_chains,)))
                for name, fn in scalar_fns.items()}
 
     h0 = initial_step_size(kind, d) * config.step_size_scale
     adapt = AdaptationState(log_step_size=math.log(h0))
-    a_star = target_acceptance(kind)
+    a_star = tuning.target_acceptance
 
     checkpoints = _checkpoint_iterations(config.trace_every, n_iters)
     trace_rows: Optional[list] = [] if checkpoints else None
 
-    def diagnose(states):
+    def diagnose(states, logpi_states):
         return (reliability_check(x0, states, cutoff=config.reliability_cutoff),
-                _functional_results(specs, states, x0, approximation, alpha, scalars))
+                _functional_results(specs, states, logpi_states, x0, approximation,
+                                    alpha, scalars))
 
     def record(iteration, reliability, results):
         trace_rows.append(TraceRow(iteration, reliability.rho2_max,
                                    {r.tag: r.result.bound for r in results}))
 
     if 0 in checkpoints:
-        record(0, *diagnose(x0))
+        record(0, *diagnose(x0, logpi))
 
     # per-iteration noise buffers, refilled in place; see _gather_noise
     generators = [s.generator for s in streams]
@@ -348,11 +349,11 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
         adapt.update(math.fsum(alphas) / n_chains, a_star)
         # the last checkpoint, n_iters, reuses the final diagnostics below
         if (t + 1) in checkpoints and t + 1 < n_iters:
-            record(t + 1, *diagnose(x))
+            record(t + 1, *diagnose(x, logpi))
 
     iter_grads = target.gradient_evaluations - grad_base - init_grads
 
-    reliability, functionals = diagnose(x)
+    reliability, functionals = diagnose(x, logpi)
     if n_iters in checkpoints:
         record(n_iters, reliability, functionals)
 
@@ -403,7 +404,7 @@ def _resolve_specs(config: RunConfig, dimension: int) -> list[FunctionalSpec]:
     return specs
 
 
-def _resolve_scalar_functions(specs, config: RunConfig, target: TargetModel) -> dict:
+def _resolve_scalar_functions(specs, config: RunConfig) -> dict:
     fns = {}
     for spec in specs:
         if spec.kind != "scalar":
@@ -412,7 +413,7 @@ def _resolve_scalar_functions(specs, config: RunConfig, target: TargetModel) -> 
         if spec.name in custom:
             fns[spec.name] = custom[spec.name]
         elif spec.name == "target_log_density":
-            fns[spec.name] = target.log_density
+            fns[spec.name] = None  # the run's logpi, never re-evaluated
         else:
             known = sorted(set(custom) | set(BUILTIN_SCALAR_FUNCTIONS))
             raise ValueError(f"unknown scalar functional {spec.name!r}; known: {known}")
@@ -457,7 +458,7 @@ def _gather_noise(kind: str, generators, eps: np.ndarray, uniforms: np.ndarray):
         g.random(out=u)
 
 
-def _functional_results(specs, states, x0, approximation: Approximation,
+def _functional_results(specs, states, logpi_states, x0, approximation: Approximation,
                         alpha: float, scalars: dict) -> list[FunctionalResult]:
     results = []
     ln10 = math.log(10.0)
@@ -492,7 +493,8 @@ def _functional_results(specs, states, x0, approximation: Approximation,
             results.append(FunctionalResult(spec, res, side, q0))
         else:
             fn, v0 = scalars[spec.name]
-            vt = checked_output(f"scalar function {spec.name!r}", fn(states), v0.shape)
+            vt = logpi_states if fn is None else checked_output(
+                f"scalar function {spec.name!r}", fn(states), v0.shape)
             mean_res, median_res = scalar_functional_diagnostics(
                 v0, vt, alpha, name=spec.name)
             results.append(FunctionalResult(spec, mean_res, "initial_samples",

@@ -2,20 +2,27 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from shortchain import (
+    KERNEL_KINDS,
+    RunConfig,
     SizingPolicy,
     chain_count,
+    correlated_gaussian_target,
     initial_step_size,
     iteration_count,
     mean_error_chain_count,
+    mean_field_gaussian_approximation,
+    run_diagnostic,
     target_acceptance,
     variance_error_chain_count,
 )
-from shortchain.adaptation import AdaptationState, update_log_step_size
+from shortchain.adaptation import AdaptationState, KERNEL_TUNING, check_kind
+from shortchain.kernels import Preconditioner, step_batch
 
 from shortchain.stats import chi_square_quantile, student_t_quantile
 
@@ -60,36 +67,37 @@ class TestInitialStepSize:
             initial_step_size("nuts", 5)
 
 
+def state_at(t, psi):
+    """An AdaptationState whose next update is the zero-based iteration t."""
+    return AdaptationState(log_step_size=psi, acceptance_history=[0.5] * t)
+
+
 class TestLogStepSizeUpdate:
     def test_on_target_rate_leaves_step_unchanged(self):
-        psi, t = update_log_step_size(0.3, 4, 0.4, 0.4)
-        assert psi == 0.3
-        assert t == 5
+        state = state_at(4, 0.3)
+        state.update(0.4, 0.4)
+        assert state.log_step_size == 0.3
+        assert len(state.acceptance_history) == 5
 
     def test_first_iteration_full_gain(self):
-        psi, t = update_log_step_size(0.0, 0, 0.826, 0.4)
-        assert psi == pytest.approx(0.426, rel=1e-12)
-        assert t == 1
+        state = state_at(0, 0.0)
+        state.update(0.826, 0.4)
+        assert state.log_step_size == pytest.approx(0.426, rel=1e-12)
+        assert state.acceptance_history == [0.826]
 
     def test_decay_schedule(self):
         # At t = 3 the gain is 1/sqrt(4) = 1/2.
-        psi, _ = update_log_step_size(1.0, 3, 0.174, 0.574)
-        assert psi == pytest.approx(1.0 - 0.4 / 2.0, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            update_log_step_size(0.0, -1, 0.5, 0.4)
-        with pytest.raises(ValueError):
-            update_log_step_size(0.0, 0, 1.2, 0.4)
-        with pytest.raises(ValueError):
-            update_log_step_size(0.0, 0, 0.5, 0.0)
+        state = state_at(3, 1.0)
+        state.update(0.174, 0.574)
+        assert state.log_step_size == pytest.approx(1.0 - 0.4 / 2.0, rel=1e-12)
 
     @given(st.floats(min_value=0.0, max_value=1.0),
            st.integers(min_value=0, max_value=10_000),
            st.floats(min_value=-5.0, max_value=5.0))
     def test_update_magnitude_bounded_by_gain(self, rate, t, psi):
-        new_psi, _ = update_log_step_size(psi, t, rate, 0.4)
-        assert abs(new_psi - psi) <= 1.0 / math.sqrt(t + 1.0) + 1e-12
+        state = state_at(t, psi)
+        state.update(rate, 0.4)
+        assert abs(state.log_step_size - psi) <= 1.0 / math.sqrt(t + 1.0) + 1e-12
 
     def test_state_wrapper_tracks_history(self):
         state = AdaptationState(log_step_size=math.log(0.5))
@@ -97,9 +105,47 @@ class TestLogStepSizeUpdate:
         state.update(0.9, 0.4)
         state.update(0.1, 0.4)
         assert state.acceptance_history == [0.9, 0.1]
-        assert state.iteration == 2
         expected = math.log(0.5) + 0.5 + (-0.3) / math.sqrt(2.0)
         assert state.log_step_size == pytest.approx(expected, rel=1e-12)
+
+
+def run_with_kind(kind):
+    target = correlated_gaussian_target(2)
+    approx = mean_field_gaussian_approximation(np.zeros(2), np.ones(2))
+    run_diagnostic(RunConfig(kernel=kind, seed=0, n_chains=10, n_iterations=2),
+                   target, approx)
+
+
+def step_with_kind(kind):
+    x = np.zeros((3, 2))
+    step_batch(kind, x, np.zeros(3), None, np.zeros((3, 2)), None, np.zeros(3),
+               0.5, Preconditioner.identity(2), correlated_gaussian_target(2))
+
+
+KIND_ENTRY_POINTS = {
+    "run_diagnostic": run_with_kind,
+    "step_batch": step_with_kind,
+    "target_acceptance": target_acceptance,
+    "initial_step_size": lambda kind: initial_step_size(kind, 3),
+    "iteration_count": lambda kind: iteration_count(kind, 3, SizingPolicy()),
+}
+
+
+class TestKernelTuning:
+    def test_kinds_are_the_table_keys(self):
+        assert KERNEL_KINDS == ("rwmh", "mala", "barker", "hmc")
+        assert KERNEL_KINDS == tuple(KERNEL_TUNING)
+
+    def test_gradient_carrying_kinds(self):
+        carries = [kind for kind in KERNEL_KINDS if check_kind(kind).carries_gradient]
+        assert carries == ["mala", "barker"]
+
+    @pytest.mark.parametrize("entry", sorted(KIND_ENTRY_POINTS))
+    def test_unknown_kind_raises_one_message(self, entry):
+        with pytest.raises(ValueError) as info:
+            KIND_ENTRY_POINTS[entry]("slice")
+        assert str(info.value) == ("unknown kernel kind 'slice', expected one of "
+                                   "('rwmh', 'mala', 'barker', 'hmc')")
 
 
 class TestChainCount:
@@ -192,6 +238,12 @@ class TestIterationCount:
         with pytest.raises(ValueError):
             iteration_count("gibbs", 5, SizingPolicy())
 
+    @pytest.mark.parametrize("kind", ["rwmh", "hmc"])
+    def test_overflowing_budget_raises(self, kind):
+        policy = SizingPolicy(iteration_coefficient=1e308)
+        with pytest.raises(ValueError, match="iteration budget overflows"):
+            iteration_count(kind, 30, policy)
+
 
 class TestSizingPolicy:
     def test_rejects_bad_parameters(self):
@@ -205,6 +257,13 @@ class TestSizingPolicy:
             SizingPolicy(iteration_coefficient=0.0)
         with pytest.raises(ValueError):
             SizingPolicy(leapfrog_steps=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["delta_mean", "delta_var", "alpha",
+                                      "iteration_coefficient"])
+    def test_non_finite_field_is_named(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
+            SizingPolicy(**{name: value})
 
     def test_defaults(self):
         policy = SizingPolicy()

@@ -5,6 +5,7 @@ runs the module through a real subprocess.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import shortchain
 from shortchain.adaptation import (SizingPolicy, chain_count, iteration_count,
@@ -305,6 +308,71 @@ class TestErrorHandling:
         assert main(["run", "--config", str(cfg), "--out",
                      str(tmp_path / "out")]) == EXIT_ERROR
         assert "alpha" in capsys.readouterr().err
+
+
+class TestNonFiniteSizing:
+    @pytest.mark.parametrize("key, value", [("delta_mean", math.nan),
+                                            ("delta_var", math.nan),
+                                            ("iteration_coefficient", math.inf),
+                                            ("alpha", -math.inf)])
+    def test_run_config_is_refused(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})  # json writes NaN/Infinity
+        assert main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be finite")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, field", [("--c", "iteration_coefficient"),
+                                             ("--delta-mean", "delta_mean")])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_sizing_flag_is_refused(self, capsys, flag, field, value):
+        assert main(["sizing", "--kernel", "rwmh", "--dimension", "5",
+                     flag, value]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field} must be finite")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+# numeric config values that plain float strategies rarely produce, beside
+# ordinary ones, so that most drawn configs still build
+EDGE_VALUES = [math.nan, math.inf, -math.inf, 0, 0.0, -1, -0.5, 1e308, -1e308,
+               True, False, "0.1", [], [1.0]]
+ORDINARY_VALUES = [0.05, 0.2, 0.5, 1, 2, 3, 10, 50.0]
+NUMBERS = st.sampled_from(EDGE_VALUES + ORDINARY_VALUES)
+NUMERIC_KEYS = ["seed", "alpha", "delta_mean", "delta_var", "iteration_coefficient",
+                "leapfrog_steps", "trace_every", "reliability_cutoff"]
+OVERRIDES = st.one_of(
+    st.dictionaries(st.sampled_from(["chains", "iterations", "step_size_scale"]),
+                    NUMBERS, max_size=3),
+    st.sampled_from(EDGE_VALUES))
+
+
+class TestConfigFuzz:
+    @given(kernel=st.sampled_from(list(shortchain.KERNEL_KINDS) + ["slice"]),
+           dimension=st.sampled_from([1, 2, 5, 0, -1, 2.0, math.nan, True, "3"]),
+           numbers=st.dictionaries(st.sampled_from(NUMERIC_KEYS), NUMBERS, max_size=4),
+           overrides=st.none() | OVERRIDES)
+    @example(kernel="rwmh", dimension=2, numbers={"delta_mean": math.nan}, overrides=None)
+    @example(kernel="hmc", dimension=5, numbers={"iteration_coefficient": math.inf},
+             overrides=None)
+    def test_config_builds_and_sizes_or_is_refused(self, kernel, dimension, numbers,
+                                                   overrides):
+        cfg = {"target": {"kind": "gaussian_correlated", "dimension": dimension},
+               "approximation": {"kind": "mean_field_gaussian"},
+               "kernel": kernel, "seed": 0, **numbers}
+        if overrides is not None:
+            cfg["overrides"] = overrides
+        try:
+            run_config, target, _ = build_run(cfg)
+            n = chain_count(run_config.sizing)
+            t = iteration_count(run_config.kernel, target.dimension, run_config.sizing)
+        except ValueError:  # ConfigError is a ValueError
+            return
+        assert 2 <= n < 1_000_000
+        assert t >= 1
 
 
 class TestPresets:

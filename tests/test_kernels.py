@@ -14,9 +14,8 @@ from scipy import stats as sps
 from scipy.integrate import quad
 from scipy.special import expit
 
-from shortchain import RandomStream, correlated_gaussian_target
+from shortchain import KERNEL_KINDS, RandomStream, correlated_gaussian_target
 from shortchain.kernels import (
-    KERNEL_KINDS,
     Preconditioner,
     _barker_core,
     _barker_increment_log_density,

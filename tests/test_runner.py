@@ -508,6 +508,30 @@ class TestFunctionalResults:
         report = run_diagnostic(cfg, target, approx)
         assert len(report.functionals) == 2
 
+    @pytest.mark.parametrize("trace_every", [0, 1])
+    def test_builtin_log_density_scalar_reads_the_runs_logpi(self, trace_every):
+        # the run evaluates N(1 + T) points and the built-in scalar adds none,
+        # yet it reports what re-evaluating the log density would give
+        base, approx = small_setup(3)
+        points = []
+
+        def log_density(x):
+            points.append(len(x))
+            return base.log_density(x)
+
+        target = TargetModel(3, log_density, base.grad_log_density)
+        cfg = RunConfig(kernel="rwmh", seed=5, n_chains=40, n_iterations=10,
+                        trace_every=trace_every,
+                        functionals=["scalar(target_log_density)", "scalar(again)"],
+                        scalar_functions={"again": base.log_density})
+        report = run_diagnostic(cfg, target, approx)
+        assert sum(points) == 40 * (1 + 10)
+        builtin, again = report.functionals[:2], report.functionals[2:]
+        for a, b in zip(builtin, again):
+            assert a.result.interval.lower == b.result.interval.lower
+            assert a.result.interval.upper == b.result.interval.upper
+            assert a.initial_value == b.initial_value
+
     def test_exact_null_detects_nothing_for_most_seeds(self):
         # Approximation equals the target: across a few seeds the two
         # per-coordinate checks should almost always stay silent.

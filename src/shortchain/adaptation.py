@@ -33,6 +33,7 @@ KERNEL_TUNING = {
 KERNEL_KINDS = tuple(KERNEL_TUNING)
 
 _MAX_CHAINS = 1_000_000
+_MAX_ITERATIONS = 1_000_000
 
 
 def check_kind(kind: str) -> KernelTuning:
@@ -153,8 +154,9 @@ def iteration_count(kind: str, dimension: int, policy: SizingPolicy) -> int:
     """Iteration budget T, scaled by the kernel family's mixing exponent.
 
     floor(c d^(1/3)) for the first-order kernels and floor(c d^(1/4) / L)
-    for Hamiltonian proposals, never below 1; a ``ValueError`` when that
-    overflows a float.
+    for Hamiltonian proposals, never below 1; a ``ValueError`` naming
+    ``iteration_coefficient`` when that exceeds ``_MAX_ITERATIONS``, as a
+    float overflow does.
     """
     check_kind(kind)
     if dimension < 1:
@@ -164,7 +166,7 @@ def iteration_count(kind: str, dimension: int, policy: SizingPolicy) -> int:
         raw = c * dimension ** 0.25 / policy.leapfrog_steps
     else:
         raw = c * dimension ** (1.0 / 3.0)
-    if not math.isfinite(raw):
-        raise ValueError(f"iteration budget overflows for iteration_coefficient={c} "
-                         f"and dimension {dimension}")
+    if not raw < _MAX_ITERATIONS + 1:
+        raise ValueError(f"iteration budget overflows {_MAX_ITERATIONS} iterations for "
+                         f"iteration_coefficient={c} and dimension {dimension}")
     return max(1, math.floor(raw))

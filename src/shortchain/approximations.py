@@ -23,8 +23,8 @@ class Approximation:
     Args:
         dimension: Dimension d.
         sampler: Maps a RandomStream to one point of shape (d,).
-        means: Length-d vector of coordinate means.
-        sds: Length-d vector of positive coordinate standard deviations.
+        means: Length-d vector of finite coordinate means.
+        sds: Length-d vector of positive, finite coordinate standard deviations.
         covariance: (d, d) covariance matrix used to build the preconditioner.
         quantile_fn: Optional ``(coordinate, p) -> float``.  When absent the
             runner falls back to initial-sample order statistics and records
@@ -46,6 +46,8 @@ class Approximation:
             raise ValueError(f"means and sds must have shape ({d},)")
         if covariance.shape != (d, d):
             raise ValueError(f"covariance must have shape ({d}, {d})")
+        if not np.all(np.isfinite(means)):
+            raise ValueError(f"means must be finite, got {means}")
         if np.any(sds <= 0) or not np.all(np.isfinite(sds)):
             raise ValueError("coordinate standard deviations must be positive and finite")
         self.dimension = d
@@ -61,9 +63,14 @@ class Approximation:
         return self.quantile_fn is not None
 
     def sample(self, stream: RandomStream) -> np.ndarray:
+        """One draw of shape (d,); raises a ``ValueError`` naming the
+        approximation for a point of another shape or with a non-finite value."""
         x = np.asarray(self.sampler(stream), dtype=float)
         if x.shape != (self.dimension,):
             raise ValueError(f"sampler returned shape {x.shape}, expected ({self.dimension},)")
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"the sampler of approximation {self.name!r} returned "
+                             f"a non-finite point {x}")
         return x
 
     def quantile(self, coordinate: int, p: float) -> float:

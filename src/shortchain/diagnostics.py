@@ -6,17 +6,23 @@ endpoint is a conservative lower bound on the approximation's error in F.
 The bound direction rests on the assumption that the kernel moves each
 functional monotonically toward its value under the target, which the
 companion reliability check probes but cannot guarantee.
+
+An interval's critical values (the t quantile, the two chi-square
+quantiles, the order-statistic ranks) depend only on the sample size N,
+alpha and the quantile level p.  A run builds them once as a
+``CriticalValues`` and passes it to every interval as ``critical=``; a
+standalone call without it computes the values it needs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .stats import (binomial_quantile, chi_square_quantile,
-                    pearson_correlation_squared, sample_quantile,
+from .stats import (binomial_quantile, chi_square_quantile, sample_quantile,
                     student_t_quantile)
 
 MONOTONE_ERROR_CAVEAT = (
@@ -25,6 +31,40 @@ MONOTONE_ERROR_CAVEAT = (
     "target; if a functional overshoots or oscillates, the reported bound "
     "can be invalid even when the reliability check passes."
 )
+
+
+@dataclass(frozen=True)
+class CriticalValues:
+    """The critical values of every interval at one (n, alpha).
+
+    Attributes:
+        n: Sample size N the values are for.
+        alpha: Miscoverage level the values are for.
+        t: Student t quantile at 1 - alpha/2 with n - 1 degrees of freedom.
+        chi2_lower / chi2_upper: Chi-square quantiles at alpha/2 and
+            1 - alpha/2 with n - 1 degrees of freedom.
+        ranks: p -> the 1-based order-statistic ranks (l, u) of the
+            quantile interval at level p; a p missing here is computed by
+            ``quantile_difference_ci`` itself.
+    """
+    n: int
+    alpha: float
+    t: float
+    chi2_lower: float
+    chi2_upper: float
+    ranks: dict = field(default_factory=dict)
+
+    @classmethod
+    def at(cls, n: int, alpha: float, ranks: Optional[dict] = None) -> "CriticalValues":
+        """Computes the t and chi-square values for N = n and ``alpha``."""
+        _check_alpha(alpha)
+        return cls(n, alpha, _t_value(n, alpha), *_chi2_values(n, alpha), dict(ranks or {}))
+
+    def check(self, n: int, alpha: float):
+        """Raises a ``ValueError`` unless these values are for (n, alpha)."""
+        if self.n != n or self.alpha != alpha:
+            raise ValueError(f"critical values for n={self.n}, alpha={self.alpha} "
+                             f"passed to an interval with n={n}, alpha={alpha}")
 
 
 @dataclass(frozen=True)
@@ -61,71 +101,100 @@ class ReliabilityResult:
 
 
 def mean_difference_ci(final_values: np.ndarray, initial_mean: float,
-                       alpha: float, functional_tag: str = "mean") -> ConfidenceInterval:
+                       alpha: float, functional_tag: str = "mean", *,
+                       critical: Optional[CriticalValues] = None) -> ConfidenceInterval:
     """Student-t interval for mean(final) - initial_mean.
 
     Args:
         final_values: (N,) final-iteration values of the coordinate, N >= 2.
         initial_mean: The approximation-side mean.
         alpha: Miscoverage level in (0, 1).
+        critical: Precomputed values for (N, alpha), whose ``t`` is used;
+            without it the t quantile is computed here.
 
     A zero-spread sample yields a degenerate point interval, flagged rather
     than raised so callers can surface it.
+
+    Raises:
+        ValueError: for N < 2, alpha outside (0, 1), or a ``critical`` for
+            another N or alpha.
     """
     x = _as_vector(final_values)
     _check_alpha(alpha)
     n = x.size
+    if critical is not None:
+        critical.check(n, alpha)
     center = float(x.mean()) - initial_mean
     s = float(x.std(ddof=1))
     if s == 0.0:
         return ConfidenceInterval(center, center, 1.0 - alpha, functional_tag, degenerate=True)
-    half = s / math.sqrt(n) * student_t_quantile(1.0 - alpha / 2.0, n - 1)
+    t = _t_value(n, alpha) if critical is None else critical.t
+    half = s / math.sqrt(n) * t
     return ConfidenceInterval(center - half, center + half, 1.0 - alpha, functional_tag)
 
 
 def log_variance_ratio_ci(final_values: np.ndarray, initial_sd: float,
-                          alpha: float, functional_tag: str = "log_variance") -> ConfidenceInterval:
+                          alpha: float, functional_tag: str = "log_variance", *,
+                          critical: Optional[CriticalValues] = None) -> ConfidenceInterval:
     """Chi-square interval for log(var(final) / initial_sd^2), natural log.
 
     Args:
         final_values: (N,) final-iteration values, N >= 2.
         initial_sd: The approximation-side standard deviation, positive.
         alpha: Miscoverage level in (0, 1).
+        critical: Precomputed values for (N, alpha), whose chi-square
+            quantiles are used; without it they are computed here.
+
+    Raises:
+        ValueError: for N < 2, alpha outside (0, 1), a non-positive
+            ``initial_sd``, or a ``critical`` for another N or alpha.
     """
     x = _as_vector(final_values)
     _check_alpha(alpha)
     if initial_sd <= 0:
         raise ValueError(f"initial_sd must be positive, got {initial_sd}")
     n = x.size
+    if critical is not None:
+        critical.check(n, alpha)
     s2 = float(x.var(ddof=1))
     if s2 == 0.0:
         return ConfidenceInterval(float("-inf"), float("-inf"), 1.0 - alpha,
                                   functional_tag, degenerate=True)
+    chi2_lower, chi2_upper = (_chi2_values(n, alpha) if critical is None
+                              else (critical.chi2_lower, critical.chi2_upper))
     scaled = (n - 1) * s2 / (initial_sd * initial_sd)
-    lower = math.log(scaled / chi_square_quantile(1.0 - alpha / 2.0, n - 1))
-    upper = math.log(scaled / chi_square_quantile(alpha / 2.0, n - 1))
+    lower = math.log(scaled / chi2_upper)
+    upper = math.log(scaled / chi2_lower)
     return ConfidenceInterval(lower, upper, 1.0 - alpha, functional_tag)
 
 
 def quantile_difference_ci(final_values: np.ndarray, p: float, initial_quantile: float,
-                           alpha: float, functional_tag: str = "quantile") -> ConfidenceInterval:
+                           alpha: float, functional_tag: str = "quantile", *,
+                           critical: Optional[CriticalValues] = None) -> ConfidenceInterval:
     """Order-statistic interval for Q_p(final) - initial_quantile.
 
     Uses the 1-based order statistics X_(l) and X_(u) with
-    l = BinomialQuantile(alpha/2; N, p) and u = BinomialQuantile(1 - alpha/2; N, p) + 1.
+    l = BinomialQuantile(alpha/2; N, p) and u = BinomialQuantile(1 - alpha/2; N, p) + 1,
+    taken from ``critical.ranks[p]`` when present and computed here otherwise.
 
     Raises:
         ValueError: when N is too small for the requested (p, alpha), i.e.
             l < 1 or u > N; widening by clamping would silently change the
-            level, so this is an error instead.
+            level, so this is an error instead.  Also for a ``critical``
+            for another N or alpha.
     """
     x = _as_vector(final_values)
     _check_alpha(alpha)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     n = x.size
-    l = binomial_quantile(alpha / 2.0, n, p)
-    u = binomial_quantile(1.0 - alpha / 2.0, n, p) + 1
+    if critical is not None:
+        critical.check(n, alpha)
+    if critical is not None and p in critical.ranks:
+        l, u = critical.ranks[p]
+    else:
+        l = binomial_quantile(alpha / 2.0, n, p)
+        u = binomial_quantile(1.0 - alpha / 2.0, n, p) + 1
     if l < 1 or u > n:
         raise ValueError(
             f"{n} chains are too few for a level {1 - alpha:.3g} interval on the "
@@ -154,9 +223,10 @@ def reliability_check(initial_samples: np.ndarray, final_samples: np.ndarray,
     """Checks that chains forgot their initialization coordinate by coordinate.
 
     Computes the squared Pearson correlation between initial and final values
-    of every coordinate across chains.  Any coordinate at or above ``cutoff``
-    fails the check, as does a degenerate (constant) coordinate, since both
-    mean the final ensemble still remembers where it started.
+    of every coordinate across chains, all coordinates at once.  Any
+    coordinate at or above ``cutoff`` fails the check, as does a degenerate
+    one (constant, or with a non-finite spread, so its correlation is NaN),
+    since both mean the final ensemble still remembers where it started.
 
     Args:
         initial_samples: (N, d) initialization matrix.
@@ -175,13 +245,19 @@ def reliability_check(initial_samples: np.ndarray, final_samples: np.ndarray,
                          f"got {x0.shape} and {xt.shape}")
     if not 0.0 < cutoff < 1.0:
         raise ValueError(f"cutoff must lie in (0, 1), got {cutoff}")
-    d = x0.shape[1]
-    rho2 = np.empty(d)
-    degenerate = []
-    for i in range(d):
-        rho2[i] = pearson_correlation_squared(x0[:, i], xt[:, i])
-        if math.isnan(rho2[i]):
-            degenerate.append(i)
+    # contiguous copies with one row per coordinate, so each row's mean and
+    # dot products reduce in the same order as on a single column (a copy,
+    # never a view: the rows are centred in place)
+    a = x0.T.copy()
+    b = xt.T.copy()
+    a -= a.mean(axis=1)[:, None]
+    b -= b.mean(axis=1)[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        denom = np.sqrt(np.vecdot(a, a) * np.vecdot(b, b))
+        r = np.vecdot(a, b) / denom
+    rho2 = np.minimum(r * r, 1.0)
+    rho2[(denom == 0.0) | ~np.isfinite(denom)] = np.nan
+    degenerate = np.flatnonzero(np.isnan(rho2)).tolist()
     finite = rho2[np.isfinite(rho2)]
     rho2_max = float(finite.max()) if finite.size else float("nan")
     passed = not degenerate and bool(rho2_max < cutoff)
@@ -189,14 +265,15 @@ def reliability_check(initial_samples: np.ndarray, final_samples: np.ndarray,
 
 
 def scalar_functional_diagnostics(initial_values: np.ndarray, final_values: np.ndarray,
-                                  alpha: float, name: str = "scalar"
+                                  alpha: float, name: str = "scalar", *,
+                                  critical: Optional[CriticalValues] = None
                                   ) -> tuple[LowerBoundResult, LowerBoundResult]:
     """Mean and median error bounds for a scalar functional of the state.
 
     The initial-side mean and median are estimated from ``initial_values``
     (draws from the approximation; the median is ``stats.sample_quantile``
     at 0.5), so both intervals inherit a little extra noise from that
-    estimate.
+    estimate.  ``critical`` is passed on to both intervals.
 
     Returns:
         ``(mean_result, median_result)``.
@@ -204,9 +281,10 @@ def scalar_functional_diagnostics(initial_values: np.ndarray, final_values: np.n
     v0 = _as_vector(initial_values)
     vt = _as_vector(final_values)
     mean_ci = mean_difference_ci(vt, float(v0.mean()), alpha,
-                                 functional_tag=f"scalar_mean({name})")
+                                 functional_tag=f"scalar_mean({name})", critical=critical)
     median_ci = quantile_difference_ci(vt, 0.5, sample_quantile(v0, 0.5), alpha,
-                                       functional_tag=f"scalar_median({name})")
+                                       functional_tag=f"scalar_median({name})",
+                                       critical=critical)
     return error_lower_bound(mean_ci), error_lower_bound(median_ci)
 
 
@@ -215,6 +293,15 @@ def _as_vector(values) -> np.ndarray:
     if x.ndim != 1 or x.size < 2:
         raise ValueError(f"need a 1-d sample vector with N >= 2, got shape {x.shape}")
     return x
+
+
+def _t_value(n: int, alpha: float) -> float:
+    return student_t_quantile(1.0 - alpha / 2.0, n - 1)
+
+
+def _chi2_values(n: int, alpha: float) -> tuple[float, float]:
+    return (chi_square_quantile(alpha / 2.0, n - 1),
+            chi_square_quantile(1.0 - alpha / 2.0, n - 1))
 
 
 def _check_alpha(alpha: float):

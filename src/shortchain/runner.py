@@ -22,7 +22,7 @@ from .adaptation import (AdaptationState, SizingPolicy, chain_count,
                          check_kind, initial_step_size, iteration_count)
 from .approximations import Approximation
 from .diagnostics import (MONOTONE_ERROR_CAVEAT, ConfidenceInterval,
-                          LowerBoundResult, ReliabilityResult,
+                          CriticalValues, LowerBoundResult, ReliabilityResult,
                           error_lower_bound, log_variance_ratio_ci,
                           mean_difference_ci, quantile_difference_ci,
                           reliability_check, scalar_functional_diagnostics)
@@ -254,7 +254,9 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
             coordinates, infeasible quantile levels for the sized N, a
             reliability cutoff outside (0, 1), ...) or a target or scalar
             functional whose outputs on the initial batch have the wrong
-            shape.
+            shape, an approximation that samples a non-finite start, or,
+            under MALA and Barker, a non-finite gradient at a start whose
+            log density is finite.
         RuntimeError: when more than half the chains start at non-finite
             log density, which means the approximation and target are too
             incompatible for the audit to say anything useful.
@@ -286,7 +288,9 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
 
     specs = _resolve_specs(config, d)
     scalar_fns = _resolve_scalar_functions(specs, config)
-    _validate_quantile_feasibility(specs, n_chains, alpha)
+    # every interval of the run shares N and alpha, so its critical values
+    # are computed here once rather than at each checkpoint
+    critical = CriticalValues.at(n_chains, alpha, _quantile_ranks(specs, n_chains, alpha))
 
     pre = Preconditioner(approximation.covariance)
     # chain j owns stream index j + 1 (see RandomStream)
@@ -307,6 +311,13 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     if tuning.carries_gradient:
         grad_cached = checked_output("target grad_log_density",
                                      target.grad_log_density(x0), (n_chains, d))
+        bad_grad = np.flatnonzero(np.isfinite(logpi)
+                                  & ~np.isfinite(grad_cached).all(axis=1))
+        if bad_grad.size:
+            raise ValueError(
+                f"target grad_log_density is not finite at {bad_grad.size} of "
+                f"{n_chains} starting points where the log density is finite "
+                f"(first at chain {bad_grad[0]}); a gradient kernel cannot move them")
     init_grads = target.gradient_evaluations - grad_base
     # each scalar functional's initial values, computed once and reused at
     # every checkpoint: name -> (callable, (N,) values at x0); the built-in
@@ -325,7 +336,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     def diagnose(states, logpi_states):
         return (reliability_check(x0, states, cutoff=config.reliability_cutoff),
                 _functional_results(specs, states, logpi_states, x0, approximation,
-                                    alpha, scalars))
+                                    critical, scalars))
 
     def record(iteration, reliability, results):
         trace_rows.append(TraceRow(iteration, reliability.rho2_max,
@@ -420,10 +431,13 @@ def _resolve_scalar_functions(specs, config: RunConfig) -> dict:
     return fns
 
 
-def _validate_quantile_feasibility(specs, n_chains: int, alpha: float):
+def _quantile_ranks(specs, n_chains: int, alpha: float) -> dict:
+    """p -> order-statistic ranks (l, u) for every quantile level the run
+    audits; raises when N is too few for one of them."""
     levels = [(spec.p, spec.tag) for spec in specs if spec.kind == "quantile"]
     if any(spec.kind == "scalar" for spec in specs):
         levels.append((0.5, "scalar median"))
+    ranks = {}
     for p, tag in levels:
         lo = binomial_quantile(alpha / 2.0, n_chains, p)
         hi = binomial_quantile(1.0 - alpha / 2.0, n_chains, p) + 1
@@ -431,6 +445,8 @@ def _validate_quantile_feasibility(specs, n_chains: int, alpha: float):
             raise ValueError(
                 f"{n_chains} chains are too few for a level {1 - alpha:.3g} interval "
                 f"on {tag}; increase chains or relax alpha")
+        ranks[p] = (lo, hi)
+    return ranks
 
 
 def _checkpoint_iterations(trace_every: int, n_iters: int) -> set:
@@ -459,7 +475,8 @@ def _gather_noise(kind: str, generators, eps: np.ndarray, uniforms: np.ndarray):
 
 
 def _functional_results(specs, states, logpi_states, x0, approximation: Approximation,
-                        alpha: float, scalars: dict) -> list[FunctionalResult]:
+                        critical: CriticalValues, scalars: dict) -> list[FunctionalResult]:
+    alpha = critical.alpha
     results = []
     ln10 = math.log(10.0)
     for spec in specs:
@@ -467,7 +484,8 @@ def _functional_results(specs, states, logpi_states, x0, approximation: Approxim
             i = spec.coordinate
             mu0 = float(approximation.means[i])
             sd0 = float(approximation.sds[i])
-            ci = mean_difference_ci(states[:, i], mu0, alpha, functional_tag=spec.tag)
+            ci = mean_difference_ci(states[:, i], mu0, alpha, functional_tag=spec.tag,
+                                    critical=critical)
             res = error_lower_bound(ci)
             results.append(FunctionalResult(
                 spec, res, "approximation", mu0,
@@ -475,7 +493,8 @@ def _functional_results(specs, states, logpi_states, x0, approximation: Approxim
         elif spec.kind == "variance":
             i = spec.coordinate
             sd0 = float(approximation.sds[i])
-            ci = log_variance_ratio_ci(states[:, i], sd0, alpha, functional_tag=spec.tag)
+            ci = log_variance_ratio_ci(states[:, i], sd0, alpha, functional_tag=spec.tag,
+                                       critical=critical)
             res = error_lower_bound(ci)
             results.append(FunctionalResult(
                 spec, res, "approximation", sd0 * sd0,
@@ -488,7 +507,8 @@ def _functional_results(specs, states, logpi_states, x0, approximation: Approxim
             else:
                 q0 = sample_quantile(x0[:, i], p)
                 side = "initial_samples"
-            ci = quantile_difference_ci(states[:, i], p, q0, alpha, functional_tag=spec.tag)
+            ci = quantile_difference_ci(states[:, i], p, q0, alpha, functional_tag=spec.tag,
+                                        critical=critical)
             res = error_lower_bound(ci)
             results.append(FunctionalResult(spec, res, side, q0))
         else:
@@ -496,7 +516,7 @@ def _functional_results(specs, states, logpi_states, x0, approximation: Approxim
             vt = logpi_states if fn is None else checked_output(
                 f"scalar function {spec.name!r}", fn(states), v0.shape)
             mean_res, median_res = scalar_functional_diagnostics(
-                v0, vt, alpha, name=spec.name)
+                v0, vt, alpha, name=spec.name, critical=critical)
             results.append(FunctionalResult(spec, mean_res, "initial_samples",
                                             float(v0.mean())))
             results.append(FunctionalResult(spec, median_res, "initial_samples",

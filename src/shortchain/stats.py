@@ -1,4 +1,4 @@
-"""Distribution quantiles, sample quantiles and correlations for the diagnostics.
+"""Distribution quantiles and sample quantiles for the diagnostics.
 
 Continuous quantiles are delegated to scipy's special-function inversions
 (incomplete beta and gamma); the discrete binomial quantile is pinned to the
@@ -80,21 +80,3 @@ def sample_quantile(samples: np.ndarray, p: float) -> float:
     rank = max(1, math.ceil(n * p))
     return float(np.sort(x)[rank - 1])
 
-
-def pearson_correlation_squared(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Pearson correlation of two equal-length vectors.
-
-    Returns NaN when either vector is constant; callers treat that degenerate
-    case as a failed reliability check rather than an exception.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 2:
-        raise ValueError(f"need two equal-length vectors with N >= 2, got {a.shape} and {b.shape}")
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = math.sqrt(float(da @ da) * float(db @ db))
-    if denom == 0.0 or not math.isfinite(denom):
-        return float("nan")
-    r = float(da @ db) / denom
-    return min(r * r, 1.0)

@@ -110,8 +110,12 @@ def correlated_gaussian_target(dimension: int,
     d = int(dimension)
     mu = np.broadcast_to(np.asarray(mean, dtype=float), (d,)).copy()
     var = np.broadcast_to(np.asarray(variances, dtype=float), (d,)).copy()
+    if not np.all(np.isfinite(mu)):
+        raise ValueError(f"mean must be finite, got {mu}")
     if np.any(var <= 0):
         raise ValueError("variances must be strictly positive")
+    if not np.all(np.isfinite(var)):
+        raise ValueError(f"variances must be finite, got {var}")
     lo = -1.0 / (d - 1) if d > 1 else -1.0
     if not lo < correlation < 1.0:
         raise ValueError(
@@ -192,8 +196,8 @@ def synthetic_logistic_regression_target(n_observations: int,
     """
     if n_observations < 1:
         raise ValueError(f"n_observations must be >= 1, got {n_observations}")
-    if prior_sd <= 0:
-        raise ValueError(f"prior_sd must be positive, got {prior_sd}")
+    if not (prior_sd > 0 and np.isfinite(prior_sd)):
+        raise ValueError(f"prior_sd must be positive and finite, got {prior_sd}")
     d = int(dimension)
     from .rng import RandomStream
     stream = RandomStream(data_seed, 0)

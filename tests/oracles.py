@@ -232,3 +232,22 @@ def logistic_grad_oracle(beta, features, labels, prior_sd):
     """Gradient of ``logistic_log_density_oracle`` in beta."""
     resid = labels - expit(beta @ features.T)
     return resid @ features - beta / (prior_sd * prior_sd)
+
+
+def pearson_correlation_squared(a, b) -> float:
+    """Squared Pearson correlation of two equal-length vectors, one column at
+    a time: the per-coordinate reference for ``reliability_check``.
+
+    Returns NaN when either vector is constant or its spread is not finite.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 1 or a.size < 2:
+        raise ValueError(f"need two equal-length vectors with N >= 2, got {a.shape} and {b.shape}")
+    da = a - a.mean()
+    db = b - b.mean()
+    denom = math.sqrt(float(da @ da) * float(db @ db))
+    if denom == 0.0 or not math.isfinite(denom):
+        return float("nan")
+    r = float(da @ db) / denom
+    return min(r * r, 1.0)

@@ -244,6 +244,19 @@ class TestIterationCount:
         with pytest.raises(ValueError, match="iteration budget overflows"):
             iteration_count(kind, 30, policy)
 
+    @pytest.mark.parametrize("kind, dimension", [("rwmh", 1), ("hmc", 1), ("mala", 30)])
+    def test_budget_above_a_million_raises(self, kind, dimension):
+        # finite, but a run of 10^300 iterations would never end
+        policy = SizingPolicy(iteration_coefficient=1e300)
+        with pytest.raises(ValueError, match=r"overflows 1000000 iterations for "
+                                             r"iteration_coefficient=1e\+300"):
+            iteration_count(kind, dimension, policy)
+
+    def test_budget_of_exactly_a_million_is_allowed(self):
+        assert iteration_count("rwmh", 1, SizingPolicy(iteration_coefficient=1e6)) == 1_000_000
+        with pytest.raises(ValueError, match="iteration_coefficient=1000001"):
+            iteration_count("rwmh", 1, SizingPolicy(iteration_coefficient=1_000_001.0))
+
 
 class TestSizingPolicy:
     def test_rejects_bad_parameters(self):

@@ -188,6 +188,18 @@ class TestApproximationValidation:
         with pytest.raises(ValueError):
             approx.sample(RandomStream(0, 0))
 
+    def test_non_finite_sample_names_the_approximation(self):
+        approx = mean_field_gaussian_approximation([0.0, 0.0], [1.0, 1.0], name="vi_fit")
+        approx.sampler = lambda stream: np.array([0.0, np.nan])
+        with pytest.raises(ValueError, match=r"sampler of approximation 'vi_fit' "
+                                             r"returned a non-finite point"):
+            approx.sample(RandomStream(0, 0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_means_are_named(self, value):
+        with pytest.raises(ValueError, match=r"^means must be finite"):
+            mean_field_gaussian_approximation([0.0, value], [1.0, 1.0])
+
     def test_quantile_without_fn_raises(self):
         approx = mean_field_gaussian_approximation([0.0], [1.0])
         approx.quantile_fn = None

@@ -336,6 +336,29 @@ class TestNonFiniteSizing:
         assert captured.out == ""
 
 
+class TestNonFiniteModelParameters:
+    # json writes NaN/Infinity; the factories refuse them by name instead of
+    # letting the run blame the approximation for where the chains start
+    @pytest.mark.parametrize("section, updates, name", [
+        ("target", {"kind": "logistic_synthetic", "dimension": 2, "observations": 50,
+                    "prior_sd": math.nan}, "prior_sd"),
+        ("target", {"kind": "gaussian_correlated", "dimension": 2,
+                    "variances": math.inf}, "variances"),
+        ("target", {"kind": "gaussian_correlated", "dimension": 2,
+                    "mean": [0.0, -math.inf]}, "mean"),
+        ("approximation", {"kind": "mean_field_gaussian", "means": math.inf}, "means"),
+    ], ids=["prior_sd", "variances", "mean", "means"])
+    def test_run_is_refused_naming_the_parameter(self, tmp_path, capsys, section,
+                                                 updates, name):
+        cfg = write_config(tmp_path, **{section: updates})
+        assert main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be ")
+        assert "finite" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 # numeric config values that plain float strategies rarely produce, beside
 # ordinary ones, so that most drawn configs still build
 EDGE_VALUES = [math.nan, math.inf, -math.inf, 0, 0.0, -1, -0.5, 1e308, -1e308,

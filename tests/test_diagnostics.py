@@ -23,9 +23,12 @@ from shortchain import (
     scalar_functional_diagnostics,
 )
 
+from shortchain.diagnostics import CriticalValues
+
 from oracles import (
     binom_cdf_exact,
     chi2_quantile,
+    pearson_correlation_squared,
     t_quantile,
 )
 
@@ -268,6 +271,58 @@ class TestReliabilityCheck:
         with pytest.raises(ValueError):
             reliability_check(np.zeros((5, 2)), np.zeros((5, 2)), cutoff=1.0)
 
+    def test_matches_per_column_oracle_exactly(self):
+        # every column at once must give each column's own bits, NaN for
+        # the degenerate ones included
+        stream = RandomStream(0, 0)
+        x0 = stream.standard_normal((60, 9))
+        xt = 0.3 * x0 + stream.standard_normal((60, 9))
+        xt[:, 1] = 4.0          # constant final column
+        x0[:, 2] = -1.0         # constant initial column
+        xt[5, 3] = np.inf
+        x0[7, 4] = -np.inf
+        xt[2, 5] = np.nan
+        x0[:, 6] *= 1e200       # spreads whose product overflows
+        xt[:, 6] *= 1e200
+        x0[:, 7] = xt[:, 7]     # perfectly correlated
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.array([pearson_correlation_squared(x0[:, i], xt[:, i])
+                                 for i in range(9)])
+            res = reliability_check(x0, xt)
+        assert np.array_equal(res.rho2_per_coordinate, expected, equal_nan=True)
+        assert res.degenerate_coordinates == [1, 2, 3, 4, 5, 6]
+        assert res.degenerate_coordinates == [i for i in range(9) if math.isnan(expected[i])]
+        assert all(type(i) is int for i in res.degenerate_coordinates)
+        assert res.rho2_max == float(np.max(expected[np.isfinite(expected)]))
+        assert not res.passed
+
+    @given(st.lists(st.sampled_from([0.0, 1.0, -2.5, 3e-3, 7.0, 1e154, -1e300,
+                                     math.inf, -math.inf, math.nan]),
+                    min_size=12, max_size=12),
+           st.integers(0, 10_000))
+    def test_matches_per_column_oracle_on_drawn_edge_values(self, edges, seed):
+        stream = RandomStream(seed, 0)
+        x0 = stream.standard_normal((6, 4))
+        xt = stream.standard_normal((6, 4))
+        cells = [(r, c) for r in range(6) for c in range(4)]
+        for k, value in enumerate(edges):
+            r, c = cells[(seed + 5 * k) % len(cells)]
+            (x0 if k % 2 else xt)[r, c] = value
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.array([pearson_correlation_squared(x0[:, i], xt[:, i])
+                                 for i in range(4)])
+            res = reliability_check(x0, xt)
+        assert np.array_equal(res.rho2_per_coordinate, expected, equal_nan=True)
+        assert res.degenerate_coordinates == [i for i in range(4) if math.isnan(expected[i])]
+
+    def test_inputs_are_not_modified(self):
+        stream = RandomStream(11, 0)
+        x0 = stream.standard_normal((30, 1))
+        xt = stream.standard_normal((30, 1))
+        before = (x0.copy(), xt.copy())
+        reliability_check(x0, xt)
+        assert np.array_equal(x0, before[0]) and np.array_equal(xt, before[1])
+
     def test_one_dimensional_inputs_rejected(self):
         stream = RandomStream(10, 0)
         a = stream.standard_normal(50)
@@ -276,6 +331,53 @@ class TestReliabilityCheck:
             reliability_check(a, b)
         with pytest.raises(ValueError, match=r"matching \(N, d\) matrices"):
             reliability_check(a[:, None], b)
+
+
+class TestCriticalValues:
+    def sample(self):
+        return 1.0 + 2.0 * RandomStream(21, 0).standard_normal(40)
+
+    def test_precomputed_values_give_the_same_intervals(self):
+        x = self.sample()
+        critical = CriticalValues.at(40, 0.05)
+        assert mean_difference_ci(x, 0.3, 0.05, critical=critical) == \
+            mean_difference_ci(x, 0.3, 0.05)
+        assert log_variance_ratio_ci(x, 1.5, 0.05, critical=critical) == \
+            log_variance_ratio_ci(x, 1.5, 0.05)
+        assert quantile_difference_ci(x, 0.5, 0.2, 0.05, critical=critical) == \
+            quantile_difference_ci(x, 0.5, 0.2, 0.05)
+        assert scalar_functional_diagnostics(x[::-1], x, 0.05, critical=critical) == \
+            scalar_functional_diagnostics(x[::-1], x, 0.05)
+
+    def test_values_match_oracles(self):
+        critical = CriticalValues.at(40, 0.05)
+        assert critical.t == pytest.approx(t_quantile(0.975, 39), rel=1e-9)
+        assert critical.chi2_lower == pytest.approx(chi2_quantile(0.025, 39), rel=1e-9)
+        assert critical.chi2_upper == pytest.approx(chi2_quantile(0.975, 39), rel=1e-9)
+
+    def test_quantile_ranks_are_read_from_critical(self):
+        x = self.sample()
+        critical = CriticalValues.at(40, 0.05, ranks={0.5: (1, 40)})
+        ci = quantile_difference_ci(x, 0.5, 0.0, 0.05, critical=critical)
+        assert (ci.lower, ci.upper) == (x.min(), x.max())
+
+    @pytest.mark.parametrize("n, alpha", [(39, 0.05), (41, 0.05), (40, 0.1)])
+    @pytest.mark.parametrize("interval", [
+        lambda x, c: mean_difference_ci(x, 0.0, 0.05, critical=c),
+        lambda x, c: log_variance_ratio_ci(x, 1.0, 0.05, critical=c),
+        lambda x, c: quantile_difference_ci(x, 0.5, 0.0, 0.05, critical=c),
+        lambda x, c: scalar_functional_diagnostics(x, x, 0.05, critical=c),
+    ], ids=["mean", "log_variance", "quantile", "scalar"])
+    def test_mismatched_critical_is_refused(self, interval, n, alpha):
+        critical = CriticalValues.at(n, alpha)
+        with pytest.raises(ValueError, match=rf"critical values for n={n}, alpha={alpha} "
+                                             r"passed to an interval with n=40, alpha=0.05"):
+            interval(self.sample(), critical)
+
+    def test_mismatch_is_refused_for_a_constant_sample_too(self):
+        with pytest.raises(ValueError, match="critical values for n=39"):
+            mean_difference_ci(np.full(40, 2.0), 0.0, 0.05,
+                               critical=CriticalValues.at(39, 0.05))
 
 
 class TestBoundValidity:

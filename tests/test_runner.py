@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from shortchain import (
     parse_functional,
     run_diagnostic,
 )
-from shortchain import runner
+from shortchain import runner, stats
 from shortchain.kernels import step_batch
 from shortchain.runner import FunctionalSpec
 from shortchain.targets import TargetModel
@@ -189,6 +190,38 @@ class TestTraces:
         assert values[-1] < 0.1
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 0.05
+
+
+class TestCriticalValuesOncePerRun:
+    def test_traced_run_inverts_no_more_distributions_than_untraced(self, monkeypatch):
+        # fixed N and T, so sizing inverts nothing; every t/chi2 ppf call
+        # comes from the intervals, which all share one (N, alpha)
+        calls = []
+        real = stats._sps
+
+        def counted(dist):
+            def ppf(*args, **kwargs):
+                calls.append(dist)
+                return getattr(real, dist).ppf(*args, **kwargs)
+            return SimpleNamespace(ppf=ppf)
+
+        monkeypatch.setattr(stats, "_sps", SimpleNamespace(
+            t=counted("t"), chi2=counted("chi2"), binom=real.binom))
+        target, approx = small_setup(2)
+        counts, reports = [], []
+        for trace_every in (0, 1):
+            cfg = RunConfig(kernel="rwmh", seed=9, n_chains=40, n_iterations=10,
+                            trace_every=trace_every,
+                            functionals=["mean(0)", "variance(1)", "quantile(0,0.5)",
+                                         "scalar(target_log_density)"])
+            report = run_diagnostic(cfg, target, approx)
+            counts.append(len(calls))
+            calls.clear()
+            report.traces = None
+            reports.append(report_bytes(report))
+        assert counts[0] == 3  # one t and two chi-square quantiles
+        assert counts[1] <= counts[0]
+        assert reports[1] == reports[0]
 
 
 class TestGradientBudget:
@@ -388,6 +421,52 @@ class TestIncompatibleSupport:
         report = run_diagnostic(RunConfig(kernel="rwmh", seed=1, n_chains=20,
                                           n_iterations=3), target, approx)
         assert "monotonically" in report.caveats
+
+
+class TestNonFiniteStart:
+    # a start that no kernel can move from is refused before the first
+    # step, naming the callable at fault
+    def test_sampler_non_finite_point_is_refused(self):
+        target, approx = small_setup(2)
+        sample = approx.sampler
+        approx.sampler = lambda stream: sample(stream) * np.array([1.0, np.inf])
+        with pytest.raises(ValueError, match=r"sampler of approximation 'mean_field' "
+                                             r"returned a non-finite point"):
+            run_diagnostic(RunConfig(kernel="rwmh", seed=0, n_chains=40, n_iterations=2),
+                           target, approx)
+
+    @pytest.mark.parametrize("kind", ["mala", "barker"])
+    def test_non_finite_gradient_at_finite_density_is_refused(self, kind):
+        base = correlated_gaussian_target(2)
+
+        def grad(x):
+            g = base.grad_log_density(x)
+            g[5, 1] = np.nan
+            return g
+
+        target = TargetModel(2, base.log_density, grad)
+        _, approx = small_setup(2)
+        with pytest.raises(ValueError, match=r"target grad_log_density is not finite at 1 "
+                                             r"of 40 starting points .*chain 5"):
+            run_diagnostic(RunConfig(kernel=kind, seed=0, n_chains=40, n_iterations=2),
+                           target, approx)
+
+    @pytest.mark.parametrize("kind", ["mala", "barker"])
+    def test_non_finite_gradient_at_non_finite_density_is_tolerated(self, kind):
+        # outside the box both the density and its gradient are undefined;
+        # those few chains keep the caveat rather than stopping the run
+        def log_density(x):
+            return np.where(np.all(np.abs(x) < 1.0, axis=1), 0.0, -np.inf)
+
+        def grad(x):
+            inside = np.all(np.abs(x) < 1.0, axis=1)
+            return np.where(inside[:, None], 0.0, np.nan) * np.ones_like(x)
+
+        target = TargetModel(1, log_density, grad, name="box")
+        approx = mean_field_gaussian_approximation([0.9], [0.05])
+        report = run_diagnostic(RunConfig(kind, seed=12, n_chains=200, n_iterations=5),
+                                target, approx)
+        assert "non-finite" in report.caveats
 
 
 class TestFrozenChains:

@@ -1,4 +1,4 @@
-"""Quantile functions, correlations, and random streams.
+"""Quantile functions, the correlation oracle, and random streams.
 
 Every derived expectation below is checked against the independent
 reference implementations in oracles.py (series/continued-fraction CDFs
@@ -14,11 +14,11 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import oracles
+from oracles import pearson_correlation_squared
 from shortchain import RandomStream
 from shortchain.stats import (
     binomial_quantile,
     chi_square_quantile,
-    pearson_correlation_squared,
     sample_quantile,
     student_t_quantile,
 )
@@ -170,6 +170,7 @@ class TestSampleQuantile:
 
 
 class TestPearsonCorrelationSquared:
+    # the per-column oracle that reliability_check is compared against
     def test_identical_vectors(self):
         a = np.array([0.3, -1.2, 4.0, 2.2])
         assert pearson_correlation_squared(a, a) == pytest.approx(1.0)

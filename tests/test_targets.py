@@ -88,6 +88,14 @@ class TestCorrelatedGaussian:
         with pytest.raises(ValueError):
             correlated_gaussian_target(3, correlation=-0.6)
 
+    # a negative variance is refused as not positive, before finiteness
+    @pytest.mark.parametrize("name, value", [("mean", math.nan), ("mean", math.inf),
+                                             ("mean", -math.inf), ("variances", math.nan),
+                                             ("variances", math.inf)])
+    def test_non_finite_parameter_is_named(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            correlated_gaussian_target(3, **{name: [1.0, value, 1.0]})
+
     def test_gradient_counter(self):
         target = correlated_gaussian_target(3)
         assert target.gradient_evaluations == 0
@@ -163,6 +171,11 @@ class TestSyntheticLogisticRegression:
         b = synthetic_logistic_regression_target(30, 3, data_seed=6)
         assert not np.array_equal(a.labels, b.labels) or not np.array_equal(
             a.features, b.features)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_prior_sd_is_named(self, value):
+        with pytest.raises(ValueError, match=r"^prior_sd must be positive and finite"):
+            synthetic_logistic_regression_target(50, 3, prior_sd=value)
 
     def test_labels_are_binary(self):
         target = synthetic_logistic_regression_target(50, 2)

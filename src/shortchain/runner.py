@@ -18,8 +18,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .adaptation import (AdaptationState, SizingPolicy, chain_count,
-                         check_kind, initial_step_size, iteration_count)
+from .adaptation import (_MAX_CHAINS, _MAX_ITERATIONS, AdaptationState,
+                         SizingPolicy, chain_count, check_kind,
+                         initial_step_size, iteration_count)
 from .approximations import Approximation
 from .diagnostics import (MONOTONE_ERROR_CAVEAT, ConfidenceInterval,
                           CriticalValues, LowerBoundResult, ReliabilityResult,
@@ -94,7 +95,8 @@ class RunConfig:
             ``alpha`` is also the miscoverage level of every interval.
         functionals: Strings or FunctionalSpec items; None audits every
             coordinate's mean and variance.
-        n_chains / n_iterations: Overrides for the sized N and T.
+        n_chains / n_iterations: Overrides for the sized N and T, each at
+            most 1,000,000 like the sized values.
         step_size_scale: Multiplier on the initial step size (diagnostic
             tool; near-zero values freeze the chains on purpose).
         trace_every: Record bounds and reliability every trace_every
@@ -285,6 +287,11 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
         raise ValueError(f"need at least 2 chains, got {n_chains}")
     if n_iters < 1:
         raise ValueError(f"need at least 1 iteration, got {n_iters}")
+    # the sized values stay within these limits; overrides are held to them too
+    if n_chains > _MAX_CHAINS:
+        raise ValueError(f"n_chains must be at most {_MAX_CHAINS}, got {n_chains}")
+    if n_iters > _MAX_ITERATIONS:
+        raise ValueError(f"n_iterations must be at most {_MAX_ITERATIONS}, got {n_iters}")
 
     specs = _resolve_specs(config, d)
     scalar_fns = _resolve_scalar_functions(specs, config)

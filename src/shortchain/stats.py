@@ -1,9 +1,13 @@
 """Distribution quantiles and sample quantiles for the diagnostics.
 
-Continuous quantiles are delegated to scipy's special-function inversions
-(incomplete beta and gamma); the discrete binomial quantile is pinned to the
-exact "smallest k with CDF(k) >= q" convention that the order-statistic
-intervals require.
+The quantiles call the ``scipy.special`` functions that ``scipy.stats``
+wraps, so the package never loads ``scipy.stats`` and its import cost:
+Student's t inverts with ``stdtrit`` and the chi-square with
+``gammaincinv`` (the bodies of ``t.ppf`` and ``chi2.ppf``, bit for bit).
+The discrete binomial quantile is pinned to the exact "smallest k with
+CDF(k) >= q" convention that the order-statistic intervals require; it
+bisects over k on the CDF ``betaincc(k + 1, n - k, p)``, the regularized
+incomplete beta form of the binomial CDF.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as _sps
+from scipy import special
 
 
 def student_t_quantile(p: float, df: int) -> float:
@@ -28,7 +32,7 @@ def student_t_quantile(p: float, df: int) -> float:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
-    return float(_sps.t.ppf(p, df))
+    return float(special.stdtrit(df, p))
 
 
 def chi_square_quantile(p: float, df: int) -> float:
@@ -37,7 +41,7 @@ def chi_square_quantile(p: float, df: int) -> float:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
-    return float(_sps.chi2.ppf(p, df))
+    return float(2 * special.gammaincinv(df / 2, p))
 
 
 def binomial_quantile(q: float, n: int, p: float) -> int:
@@ -54,14 +58,20 @@ def binomial_quantile(q: float, n: int, p: float) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    k = int(_sps.binom.ppf(q, n, p))
-    k = min(max(k, 0), n)
-    # ppf can be off by one at CDF plateaus; enforce minimality exactly.
-    while k > 0 and _sps.binom.cdf(k - 1, n, p) >= q:
-        k -= 1
-    while k < n and _sps.binom.cdf(k, n, p) < q:
-        k += 1
-    return k
+    if p == 0.0:
+        return 0
+    if p == 1.0:
+        return n
+    # CDF(n) = 1 >= q, so hi always holds an admissible k; CDF(k) for k < n
+    # is the regularized incomplete beta I_{1-p}(n - k, k + 1)
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if special.betaincc(mid + 1, n - mid, p) >= q:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def sample_quantile(samples: np.ndarray, p: float) -> float:

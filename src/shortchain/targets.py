@@ -14,6 +14,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import expit
 
+from .rng import RandomStream
+
 
 class TargetModel:
     """A differentiable (log) target density on R^d.
@@ -199,7 +201,6 @@ def synthetic_logistic_regression_target(n_observations: int,
     if not (prior_sd > 0 and np.isfinite(prior_sd)):
         raise ValueError(f"prior_sd must be positive and finite, got {prior_sd}")
     d = int(dimension)
-    from .rng import RandomStream
     stream = RandomStream(data_seed, 0)
     features = stream.standard_normal((n_observations, d))
     beta_true = prior_sd * stream.standard_normal(d)

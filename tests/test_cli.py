@@ -17,6 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import shortchain
+from shortchain import runner
 from shortchain.adaptation import (SizingPolicy, chain_count, iteration_count,
                                    mean_error_chain_count,
                                    variance_error_chain_count)
@@ -371,6 +372,27 @@ OVERRIDES = st.one_of(
     st.dictionaries(st.sampled_from(["chains", "iterations", "step_size_scale"]),
                     NUMBERS, max_size=3),
     st.sampled_from(EDGE_VALUES))
+
+
+class TestOverrideLimits:
+    # the sized N and T never exceed 1,000,000; overrides are held to it too
+    @pytest.mark.parametrize("overrides, field", [
+        ({"chains": 1000000000, "iterations": 1000000000000}, "n_chains"),
+        ({"chains": 100, "iterations": 1000000000000}, "n_iterations"),
+    ], ids=["chains", "iterations"])
+    def test_run_is_refused_naming_the_limit(self, tmp_path, capsys, monkeypatch,
+                                             overrides, field):
+        def unreachable(*args):
+            raise AssertionError("the run allocated per-chain state")
+
+        monkeypatch.setattr(runner, "RandomStream", unreachable)
+        cfg = write_config(tmp_path, overrides=overrides)
+        assert main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field} must be at most 1000000, got ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestConfigFuzz:

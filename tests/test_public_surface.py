@@ -2,18 +2,24 @@
 
 Demos are parsed, never run, so this stays fast: a demo that imports a
 renamed or deleted name fails here instead of when someone runs it.  The
-same holds for the entry points the benchmark's tracer wraps.
+same holds for the entry points the benchmark's tracer wraps.  The
+package's import diet is checked here too: it never loads ``scipy.stats``,
+whose import alone costs more than a small audit.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import shortchain
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PACKAGE = Path(shortchain.__file__).resolve().parent
 
 # what perfbench/workload.py reaches through the top-level package
 BENCHMARK_NAMES = ("RunConfig", "run_diagnostic", "correlated_gaussian_target",
@@ -73,3 +79,39 @@ def test_tracer_entry_points_resolve():
         assert tracer.absent == []
     finally:
         assert tracer.restore() == []
+
+
+# sized N and T, so the chain-count search and the order-statistic ranks run
+AUDIT_EVERY_KERNEL = """
+import sys
+import numpy as np
+import shortchain, shortchain.cli
+from shortchain import (KERNEL_KINDS, RunConfig, correlated_gaussian_target,
+                        mean_field_gaussian_approximation, run_diagnostic)
+target = correlated_gaussian_target(2, correlation=0.3)
+approx = mean_field_gaussian_approximation(np.zeros(2), np.ones(2))
+for kernel in KERNEL_KINDS:
+    run_diagnostic(RunConfig(kernel=kernel, seed=1, functionals=[
+        "quantile(0,0.5)", "quantile(1,0.1)", "scalar(target_log_density)"]),
+        target, approx)
+print(sorted(name for name in sys.modules if name.startswith("scipy.stats")))
+"""
+
+
+def test_audits_never_load_scipy_stats():
+    # a fresh interpreter, since the test suite itself imports scipy.stats
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", AUDIT_EVERY_KERNEL], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_import_is_deferred_into_a_function():
+    # a deferred import moves its cost into the first audit instead of removing it
+    for module in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(), filename=str(module))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested = [n.lineno for n in ast.walk(node)
+                          if isinstance(n, (ast.Import, ast.ImportFrom))]
+                assert nested == [], f"{module.name}:{nested} imports inside {node.name}"

@@ -194,19 +194,20 @@ class TestTraces:
 
 class TestCriticalValuesOncePerRun:
     def test_traced_run_inverts_no_more_distributions_than_untraced(self, monkeypatch):
-        # fixed N and T, so sizing inverts nothing; every t/chi2 ppf call
+        # fixed N and T, so sizing inverts nothing; every t/chi2 inversion
         # comes from the intervals, which all share one (N, alpha)
         calls = []
-        real = stats._sps
+        real = stats.special
 
-        def counted(dist):
-            def ppf(*args, **kwargs):
-                calls.append(dist)
-                return getattr(real, dist).ppf(*args, **kwargs)
-            return SimpleNamespace(ppf=ppf)
+        def counted(name):
+            def inversion(*args):
+                calls.append(name)
+                return getattr(real, name)(*args)
+            return inversion
 
-        monkeypatch.setattr(stats, "_sps", SimpleNamespace(
-            t=counted("t"), chi2=counted("chi2"), binom=real.binom))
+        monkeypatch.setattr(stats, "special", SimpleNamespace(
+            stdtrit=counted("stdtrit"), gammaincinv=counted("gammaincinv"),
+            betaincc=real.betaincc))
         target, approx = small_setup(2)
         counts, reports = [], []
         for trace_every in (0, 1):
@@ -496,6 +497,22 @@ class TestOverridesAndSizing:
         assert report.n_chains == 17
         assert report.n_iterations == 9
         assert len(report.acceptance_history) == 9
+
+    @pytest.mark.parametrize("field, value", [("n_chains", 10**9),
+                                              ("n_iterations", 10**12)])
+    def test_override_above_the_limit_is_refused_before_allocating(self, monkeypatch,
+                                                                 field, value):
+        # the per-chain streams are the run's first allocation of size N
+        def unreachable(*args):
+            raise AssertionError("the run allocated per-chain state")
+
+        monkeypatch.setattr(runner, "RandomStream", unreachable)
+        target, approx = small_setup()
+        cfg = RunConfig(kernel="rwmh", seed=1, **{"n_chains": 40, "n_iterations": 5,
+                                                  field: value})
+        with pytest.raises(ValueError,
+                           match=rf"^{field} must be at most 1000000, got {value}$"):
+            run_diagnostic(cfg, target, approx)
 
     def test_interval_alpha_must_match_sizing_alpha(self):
         # sizing.alpha is the one miscoverage level, also with a fixed N

@@ -3,7 +3,10 @@
 Every derived expectation below is checked against the independent
 reference implementations in oracles.py (series/continued-fraction CDFs
 with bisection, exact rational binomial enumeration), so the package and
-the tests never share a numerical code path.
+the tests never share a numerical code path.  The one exception is
+TestScipyStatsIdentity, which pins the quantiles bit for bit to the
+``scipy.stats`` routines the package used before it stopped loading that
+module.
 """
 
 import math
@@ -12,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
+from scipy import stats as sps
 
 import oracles
 from oracles import pearson_correlation_squared
@@ -143,6 +147,67 @@ class TestBinomialQuantile:
             binomial_quantile(0.0, 10, 0.5)
         with pytest.raises(ValueError):
             binomial_quantile(0.5, 10, 1.5)
+
+
+def scipy_stats_binomial_quantile(q, n, p):
+    """The ``binom.ppf`` guess and ``binom.cdf`` corrections that
+    ``binomial_quantile`` replaced, run on broadcast arrays of (q, n, p)."""
+    q, n, p = np.broadcast_arrays(q, n, p)
+    k = np.clip(sps.binom.ppf(q, n, p).astype(int), 0, n)
+    while (down := (k > 0) & (sps.binom.cdf(k - 1, n, p) >= q)).any():
+        k = k - down
+    while (up := (k < n) & (sps.binom.cdf(k, n, p) < q)).any():
+        k = k + up
+    return k
+
+
+LEVELS = (0.005, 0.025, 0.05, 0.1, 0.5, 0.9, 0.95, 0.975, 0.995)
+# alpha / 2 and 1 - alpha / 2 at alpha = 0.01, 0.05 and 0.1: the levels the
+# order-statistic ranks use
+TAIL_LEVELS = (0.005, 0.025, 0.05, 0.95, 0.975, 0.995)
+
+
+class TestScipyStatsIdentity:
+    DFS = np.r_[np.arange(1, 301), 384, 385, 386, 1000, 5000, 20000]
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_t_quantile_equals_t_ppf(self, level):
+        expected = sps.t.ppf(level, self.DFS)
+        assert [student_t_quantile(level, int(df)) for df in self.DFS] == expected.tolist()
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_chi_square_quantile_equals_chi2_ppf(self, level):
+        expected = sps.chi2.ppf(level, self.DFS)
+        assert [chi_square_quantile(level, int(df)) for df in self.DFS] == expected.tolist()
+
+    @pytest.mark.parametrize("levels, ns, ps", [
+        (TAIL_LEVELS, np.r_[np.arange(1, 121), 385, 386, 387, 1000, 5000],
+         np.linspace(0.01, 0.99, 41)),
+        ((1e-12, 0.005, 0.5, 0.995, 1 - 1e-12), (1, 2, 3, 97, 386, 100000),
+         (0.0, 5e-324, 1e-300, 1e-12, 1 - 1e-12, np.nextafter(1.0, 0.0), 1.0)),
+    ], ids=["grid", "extreme_p"])
+    def test_binomial_quantile_equals_scipy_stats_search(self, levels, ns, ps):
+        q, n, p = (a.ravel() for a in np.meshgrid(levels, ns, ps, indexing="ij"))
+        expected = scipy_stats_binomial_quantile(q, n, p)
+        got = [binomial_quantile(float(a), int(b), float(c)) for a, b, c in zip(q, n, p)]
+        assert got == expected.tolist()
+
+    def test_exact_oracle_agreement_is_kept(self):
+        agreed = 0
+        for q in LEVELS:
+            for n in range(1, 21):
+                for p in (0.1, 0.25, 0.5, 0.7, 0.9):
+                    exact = oracles.binom_quantile_exact(q, n, p)
+                    if scipy_stats_binomial_quantile(q, n, p) == exact:
+                        agreed += 1
+                        assert binomial_quantile(q, n, p) == exact
+        assert agreed > 800
+
+    def test_exact_tie_at_the_median_takes_the_lower_rank(self):
+        # for odd n and p = 1/2, CDF((n - 1) / 2) is exactly 1/2; binom.cdf
+        # rounds it below 1/2 at some n (n = 35 among them), betaincc does not
+        for n in range(1, 602, 2):
+            assert binomial_quantile(0.5, n, 0.5) == (n - 1) // 2
 
 
 class TestSampleQuantile:

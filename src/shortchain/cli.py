@@ -282,9 +282,9 @@ def write_outputs(report: DiagnosticReport, out_dir, traces: bool) -> dict:
         trace_path = out / "traces.csv"
         lines = ["t,functional_tag,bound,rho2_max"]
         for row in report.traces:
+            t, rho2_max = str(row.iteration), _fmt(row.rho2_max)
             for tag in sorted(row.bounds):
-                lines.append(",".join([str(row.iteration), tag,
-                                       _fmt(row.bounds[tag]), _fmt(row.rho2_max)]))
+                lines.append(",".join([t, tag, _fmt(row.bounds[tag]), rho2_max]))
         trace_path.write_text("\n".join(lines) + "\n")
         paths["traces"] = trace_path
     return paths

@@ -12,6 +12,13 @@ quantiles, the order-statistic ranks) depend only on the sample size N,
 alpha and the quantile level p.  A run builds them once as a
 ``CriticalValues`` and passes it to every interval as ``critical=``; a
 standalone call without it computes the values it needs.
+
+Each interval's endpoint formula lives in one elementwise helper
+(``_t_endpoints``, ``_log_variance_endpoints``, ``_quantile_endpoints``,
+and ``lower_bounds`` for the bound).  The per-functional functions apply it
+to one column; ``column_intervals`` applies it to every audited column of
+an ensemble at once, with the same bits, which is how a traced run
+diagnoses its checkpoints.
 """
 
 from __future__ import annotations
@@ -124,13 +131,9 @@ def mean_difference_ci(final_values: np.ndarray, initial_mean: float,
     n = x.size
     if critical is not None:
         critical.check(n, alpha)
-    center = float(x.mean()) - initial_mean
-    s = float(x.std(ddof=1))
-    if s == 0.0:
-        return ConfidenceInterval(center, center, 1.0 - alpha, functional_tag, degenerate=True)
     t = _t_value(n, alpha) if critical is None else critical.t
-    half = s / math.sqrt(n) * t
-    return ConfidenceInterval(center - half, center + half, 1.0 - alpha, functional_tag)
+    return _interval(alpha, functional_tag, *_t_endpoints(
+        x.mean(keepdims=True), x.var(ddof=1, keepdims=True), initial_mean, n, t))
 
 
 def log_variance_ratio_ci(final_values: np.ndarray, initial_sd: float,
@@ -145,6 +148,8 @@ def log_variance_ratio_ci(final_values: np.ndarray, initial_sd: float,
         critical: Precomputed values for (N, alpha), whose chi-square
             quantiles are used; without it they are computed here.
 
+    A zero-spread sample yields the degenerate interval (-inf, -inf).
+
     Raises:
         ValueError: for N < 2, alpha outside (0, 1), a non-positive
             ``initial_sd``, or a ``critical`` for another N or alpha.
@@ -156,16 +161,10 @@ def log_variance_ratio_ci(final_values: np.ndarray, initial_sd: float,
     n = x.size
     if critical is not None:
         critical.check(n, alpha)
-    s2 = float(x.var(ddof=1))
-    if s2 == 0.0:
-        return ConfidenceInterval(float("-inf"), float("-inf"), 1.0 - alpha,
-                                  functional_tag, degenerate=True)
     chi2_lower, chi2_upper = (_chi2_values(n, alpha) if critical is None
                               else (critical.chi2_lower, critical.chi2_upper))
-    scaled = (n - 1) * s2 / (initial_sd * initial_sd)
-    lower = math.log(scaled / chi2_upper)
-    upper = math.log(scaled / chi2_lower)
-    return ConfidenceInterval(lower, upper, 1.0 - alpha, functional_tag)
+    return _interval(alpha, functional_tag, *_log_variance_endpoints(
+        x.var(ddof=1, keepdims=True), initial_sd, n, chi2_lower, chi2_upper))
 
 
 def quantile_difference_ci(final_values: np.ndarray, p: float, initial_quantile: float,
@@ -201,9 +200,8 @@ def quantile_difference_ci(final_values: np.ndarray, p: float, initial_quantile:
             f"p={p} quantile (order statistics {l} and {u} requested); "
             "increase the number of chains or relax alpha")
     xs = np.sort(x)
-    return ConfidenceInterval(float(xs[l - 1]) - initial_quantile,
-                              float(xs[u - 1]) - initial_quantile,
-                              1.0 - alpha, functional_tag)
+    return _interval(alpha, functional_tag,
+                     *_quantile_endpoints(xs[[l - 1]], xs[[u - 1]], initial_quantile))
 
 
 def error_lower_bound(interval: ConfidenceInterval) -> LowerBoundResult:
@@ -213,9 +211,107 @@ def error_lower_bound(interval: ConfidenceInterval) -> LowerBoundResult:
     zero and 0 otherwise; it scales with the interval under any rescaling
     of the underlying coordinate.
     """
-    detected = interval.lower > 0.0 or interval.upper < 0.0
-    bound = min(abs(interval.lower), abs(interval.upper)) if detected else 0.0
-    return LowerBoundResult(interval.functional_tag, bound, interval, detected)
+    bound, detected = lower_bounds(np.array([interval.lower], dtype=float),
+                                   np.array([interval.upper], dtype=float))
+    return LowerBoundResult(interval.functional_tag, float(bound[0]), interval,
+                            bool(detected[0]))
+
+
+@dataclass(frozen=True)
+class IntervalColumns:
+    """Once-per-run constants of ``column_intervals``.
+
+    Functional j reads row ``rows[j]`` of an (R, N) value matrix and is
+    compared with ``initial[j]``, its initial-side value.  The functionals
+    at ``mean_at`` get the t interval (``initial`` is a mean), those at
+    ``log_variance_at`` the chi-square interval (a standard deviation), and
+    those at ``quantile_at`` the order-statistic interval (a quantile), with
+    0-based order-statistic indices ``lo`` and ``hi`` in ``quantile_at``
+    order.  ``sorted_rows`` lists the rows a quantile reads, once each, and
+    ``sorted_pos`` each quantile functional's place in it.
+    """
+    rows: np.ndarray
+    initial: np.ndarray
+    mean_at: np.ndarray
+    log_variance_at: np.ndarray
+    quantile_at: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    sorted_rows: np.ndarray
+    sorted_pos: np.ndarray
+
+    @classmethod
+    def of(cls, kinds, rows, initial, levels, critical: CriticalValues) -> "IntervalColumns":
+        """Builds the columns from one entry per functional.
+
+        Args:
+            kinds: "mean", "log_variance" or "quantile" per functional.
+            rows: The value-matrix row each functional reads.
+            initial: Each functional's initial-side mean, sd or quantile.
+            levels: Each functional's quantile level p (ignored elsewhere),
+                whose ranks are read from ``critical.ranks``.
+        """
+        kinds = np.asarray(kinds)
+        rows = np.asarray(rows, dtype=np.intp)
+        quantile_at = np.flatnonzero(kinds == "quantile")
+        ranks = np.array([critical.ranks[levels[j]] for j in quantile_at],
+                         dtype=np.intp).reshape(-1, 2)
+        sorted_rows, sorted_pos = np.unique(rows[quantile_at], return_inverse=True)
+        return cls(rows, np.asarray(initial, dtype=float),
+                   np.flatnonzero(kinds == "mean"), np.flatnonzero(kinds == "log_variance"),
+                   quantile_at, ranks[:, 0] - 1, ranks[:, 1] - 1,
+                   sorted_rows, sorted_pos.reshape(-1))
+
+
+def column_intervals(values: np.ndarray, columns: IntervalColumns, critical: CriticalValues
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every functional's interval from one pass over an (R, N) value matrix.
+
+    ``values`` holds one C-contiguous row per audited variable (an ensemble
+    coordinate or a scalar functional's values across chains).  The row
+    means and ``ddof=1`` variances are computed once, and each row a
+    quantile reads is sorted once.  A row reduces in the same order as a
+    single column does, so every endpoint equals, bit for bit, the one
+    ``mean_difference_ci``, ``log_variance_ratio_ci`` or
+    ``quantile_difference_ci`` gives on that row with the same ``critical``.
+
+    Returns:
+        ``(lower, upper, degenerate)``, one entry per functional.
+    """
+    n = values.shape[1]
+    critical.check(n, critical.alpha)
+    k = columns.rows.size
+    lower, upper, degenerate = np.empty(k), np.empty(k), np.zeros(k, dtype=bool)
+    if columns.mean_at.size or columns.log_variance_at.size:
+        means = values.mean(axis=1)
+        variances = values.var(axis=1, ddof=1)
+        at = columns.mean_at
+        rows = columns.rows[at]
+        lower[at], upper[at], degenerate[at] = _t_endpoints(
+            means[rows], variances[rows], columns.initial[at], n, critical.t)
+        at = columns.log_variance_at
+        lower[at], upper[at], degenerate[at] = _log_variance_endpoints(
+            variances[columns.rows[at]], columns.initial[at], n,
+            critical.chi2_lower, critical.chi2_upper)
+    if columns.quantile_at.size:
+        ordered = values[columns.sorted_rows]
+        ordered.sort(axis=1)
+        at, pos = columns.quantile_at, columns.sorted_pos
+        lower[at], upper[at] = _quantile_endpoints(
+            ordered[pos, columns.lo], ordered[pos, columns.hi], columns.initial[at])
+    return lower, upper, degenerate
+
+
+def lower_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise ``error_lower_bound``: ``(bound, detected)`` per interval.
+
+    An interval is a detection when it lies wholly above or below zero;
+    its bound is then the smaller of |lower| and |upper| (|lower| on a tie
+    or a NaN |upper|, as Python's ``min`` picks), and 0 otherwise.
+    """
+    detected = (lower > 0.0) | (upper < 0.0)
+    a, b = np.abs(lower), np.abs(upper)
+    return np.where(detected, np.where(b < a, b, a), 0.0), detected
 
 
 def reliability_check(initial_samples: np.ndarray, final_samples: np.ndarray,
@@ -280,12 +376,52 @@ def scalar_functional_diagnostics(initial_values: np.ndarray, final_values: np.n
     """
     v0 = _as_vector(initial_values)
     vt = _as_vector(final_values)
+    mean_tag, median_tag = scalar_tags(name)
     mean_ci = mean_difference_ci(vt, float(v0.mean()), alpha,
-                                 functional_tag=f"scalar_mean({name})", critical=critical)
+                                 functional_tag=mean_tag, critical=critical)
     median_ci = quantile_difference_ci(vt, 0.5, sample_quantile(v0, 0.5), alpha,
-                                       functional_tag=f"scalar_median({name})",
-                                       critical=critical)
+                                       functional_tag=median_tag, critical=critical)
     return error_lower_bound(mean_ci), error_lower_bound(median_ci)
+
+
+def scalar_tags(name: str) -> tuple[str, str]:
+    """The tags of a scalar functional's mean and median results."""
+    return f"scalar_mean({name})", f"scalar_median({name})"
+
+
+def _t_endpoints(mean, variance, initial_mean, n: int, t: float):
+    # centre -/+ s / sqrt(n) * t; zero spread gives the point interval at the centre
+    center = mean - initial_mean
+    half = np.sqrt(variance) / math.sqrt(n) * t
+    degenerate = variance == 0.0
+    return (np.where(degenerate, center, center - half),
+            np.where(degenerate, center, center + half), degenerate)
+
+
+def _log_variance_endpoints(variance, initial_sd, n: int, chi2_lower: float,
+                            chi2_upper: float):
+    # log((n - 1) s^2 / sd0^2 / chi2) at both chi-square quantiles; math.log
+    # per value, since np.log need not round as libm does
+    degenerate = variance == 0.0
+    scaled = (n - 1) * variance / (initial_sd * initial_sd)
+    lower = np.full(scaled.shape, -math.inf)
+    upper = np.full(scaled.shape, -math.inf)
+    for j in np.flatnonzero(~degenerate):
+        lower[j] = math.log(scaled[j] / chi2_upper)
+        upper[j] = math.log(scaled[j] / chi2_lower)
+    return lower, upper, degenerate
+
+
+def _quantile_endpoints(x_lower, x_upper, initial_quantile):
+    # the order statistics X_(l) and X_(u), shifted by the initial quantile
+    return x_lower - initial_quantile, x_upper - initial_quantile
+
+
+def _interval(alpha: float, functional_tag: str, lower, upper,
+              degenerate=(False,)) -> ConfidenceInterval:
+    # one functional's interval from one-element endpoint arrays
+    return ConfidenceInterval(float(lower[0]), float(upper[0]), 1.0 - alpha, functional_tag,
+                              degenerate=bool(degenerate[0]))
 
 
 def _as_vector(values) -> np.ndarray:

@@ -23,10 +23,12 @@ from .adaptation import (_MAX_CHAINS, _MAX_ITERATIONS, AdaptationState,
                          initial_step_size, iteration_count)
 from .approximations import Approximation
 from .diagnostics import (MONOTONE_ERROR_CAVEAT, ConfidenceInterval,
-                          CriticalValues, LowerBoundResult, ReliabilityResult,
+                          CriticalValues, IntervalColumns, LowerBoundResult,
+                          ReliabilityResult, column_intervals,
                           error_lower_bound, log_variance_ratio_ci,
-                          mean_difference_ci, quantile_difference_ci,
-                          reliability_check, scalar_functional_diagnostics)
+                          lower_bounds, mean_difference_ci,
+                          quantile_difference_ci, reliability_check,
+                          scalar_functional_diagnostics, scalar_tags)
 from .kernels import Preconditioner, step_batch
 from .rng import RandomStream
 from .stats import binomial_quantile, sample_quantile
@@ -332,6 +334,8 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     scalars = {name: (fn, logpi if fn is None else checked_output(
                    f"scalar function {name!r}", fn(x0), (n_chains,)))
                for name, fn in scalar_fns.items()}
+    # the other initial-side values that depend on x0, also computed once
+    initial = _initial_values(specs, approximation, x0, scalars)
 
     h0 = initial_step_size(kind, d) * config.step_size_scale
     adapt = AdaptationState(log_step_size=math.log(h0))
@@ -339,18 +343,20 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
 
     checkpoints = _checkpoint_iterations(config.trace_every, n_iters)
     trace_rows: Optional[list] = [] if checkpoints else None
+    if checkpoints:
+        # checkpoints before the last diagnose every functional column-wise
+        columns, tags = _interval_columns(specs, approximation, initial, scalars, critical)
 
-    def diagnose(states, logpi_states):
-        return (reliability_check(x0, states, cutoff=config.reliability_cutoff),
-                _functional_results(specs, states, logpi_states, x0, approximation,
-                                    critical, scalars))
-
-    def record(iteration, reliability, results):
+    def record(iteration, states, logpi_states):
+        reliability = reliability_check(x0, states, cutoff=config.reliability_cutoff)
+        values = _value_rows(states, _scalar_values(scalars, states, logpi_states))
+        lower, upper, _ = column_intervals(values, columns, critical)
+        bounds, _ = lower_bounds(lower, upper)
         trace_rows.append(TraceRow(iteration, reliability.rho2_max,
-                                   {r.tag: r.result.bound for r in results}))
+                                   dict(zip(tags, bounds.tolist()))))
 
     if 0 in checkpoints:
-        record(0, *diagnose(x0, logpi))
+        record(0, x0, logpi)
 
     # per-iteration noise buffers, refilled in place; see _gather_noise
     generators = [s.generator for s in streams]
@@ -367,13 +373,16 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
         adapt.update(math.fsum(alphas) / n_chains, a_star)
         # the last checkpoint, n_iters, reuses the final diagnostics below
         if (t + 1) in checkpoints and t + 1 < n_iters:
-            record(t + 1, *diagnose(x, logpi))
+            record(t + 1, x, logpi)
 
     iter_grads = target.gradient_evaluations - grad_base - init_grads
 
-    reliability, functionals = diagnose(x, logpi)
+    reliability = reliability_check(x0, x, cutoff=config.reliability_cutoff)
+    functionals = _functional_results(specs, x, _scalar_values(scalars, x, logpi),
+                                      approximation, critical, scalars, initial)
     if n_iters in checkpoints:
-        record(n_iters, reliability, functionals)
+        trace_rows.append(TraceRow(n_iters, reliability.rho2_max,
+                                   {r.tag: r.result.bound for r in functionals}))
 
     caveats = MONOTONE_ERROR_CAVEAT
     if n_bad:
@@ -481,8 +490,74 @@ def _gather_noise(kind: str, generators, eps: np.ndarray, uniforms: np.ndarray):
         g.random(out=u)
 
 
-def _functional_results(specs, states, logpi_states, x0, approximation: Approximation,
-                        critical: CriticalValues, scalars: dict) -> list[FunctionalResult]:
+def _initial_values(specs, approximation: Approximation, x0, scalars: dict) -> dict:
+    """spec -> its x0-dependent initial-side values, computed once per run.
+
+    A quantile spec maps to (side, quantile): the approximation's own
+    quantile when it has a quantile function, else the initial-sample one.
+    A scalar spec maps to the (mean, median) of its initial values.
+    """
+    initial = {}
+    for spec in specs:
+        if spec.kind == "quantile":
+            i, p = spec.coordinate, spec.p
+            initial[spec] = (("approximation", approximation.quantile(i, p))
+                             if approximation.has_quantiles
+                             else ("initial_samples", sample_quantile(x0[:, i], p)))
+        elif spec.kind == "scalar":
+            v0 = scalars[spec.name][1]
+            initial[spec] = (float(v0.mean()), sample_quantile(v0, 0.5))
+    return initial
+
+
+def _interval_columns(specs, approximation: Approximation, initial: dict, scalars: dict,
+                      critical: CriticalValues) -> tuple[IntervalColumns, list]:
+    """The column-wise diagnosis of every functional, and each one's tag.
+
+    Rows follow ``_value_rows``: coordinate i is row i, and the scalar
+    functionals follow in ``scalars`` order.
+    """
+    d = approximation.dimension
+    scalar_rows = {name: d + j for j, name in enumerate(scalars)}
+    entries = []  # (tag, interval kind, row, initial-side value, quantile level)
+    for spec in specs:
+        i = spec.coordinate
+        if spec.kind == "mean":
+            entries.append((spec.tag, "mean", i, approximation.means[i], None))
+        elif spec.kind == "variance":
+            entries.append((spec.tag, "log_variance", i, approximation.sds[i], None))
+        elif spec.kind == "quantile":
+            entries.append((spec.tag, "quantile", i, initial[spec][1], spec.p))
+        else:
+            row = scalar_rows[spec.name]
+            mean_tag, median_tag = scalar_tags(spec.name)
+            mean0, median0 = initial[spec]
+            entries.append((mean_tag, "mean", row, mean0, None))
+            entries.append((median_tag, "quantile", row, median0, 0.5))
+    tags, kinds, rows, values, levels = zip(*entries)
+    return IntervalColumns.of(kinds, rows, values, levels, critical), list(tags)
+
+
+def _scalar_values(scalars: dict, states, logpi_states) -> dict:
+    """name -> the scalar functional's (N,) values at ``states``."""
+    return {name: logpi_states if fn is None else checked_output(
+                f"scalar function {name!r}", fn(states), v0.shape)
+            for name, (fn, v0) in scalars.items()}
+
+
+def _value_rows(states, scalar_values: dict) -> np.ndarray:
+    """One C-contiguous row per coordinate, then one per scalar functional."""
+    n, d = states.shape
+    values = np.empty((d + len(scalar_values), n))
+    values[:d] = states.T
+    for row, v in enumerate(scalar_values.values(), start=d):
+        values[row] = v
+    return values
+
+
+def _functional_results(specs, states, scalar_values: dict, approximation: Approximation,
+                        critical: CriticalValues, scalars: dict,
+                        initial: dict) -> list[FunctionalResult]:
     alpha = critical.alpha
     results = []
     ln10 = math.log(10.0)
@@ -508,24 +583,16 @@ def _functional_results(specs, states, logpi_states, x0, approximation: Approxim
                 normalized={"bound_2log10": res.bound / ln10}))
         elif spec.kind == "quantile":
             i, p = spec.coordinate, spec.p
-            if approximation.has_quantiles:
-                q0 = approximation.quantile(i, p)
-                side = "approximation"
-            else:
-                q0 = sample_quantile(x0[:, i], p)
-                side = "initial_samples"
+            side, q0 = initial[spec]
             ci = quantile_difference_ci(states[:, i], p, q0, alpha, functional_tag=spec.tag,
                                         critical=critical)
             res = error_lower_bound(ci)
             results.append(FunctionalResult(spec, res, side, q0))
         else:
-            fn, v0 = scalars[spec.name]
-            vt = logpi_states if fn is None else checked_output(
-                f"scalar function {spec.name!r}", fn(states), v0.shape)
+            mean0, median0 = initial[spec]
             mean_res, median_res = scalar_functional_diagnostics(
-                v0, vt, alpha, name=spec.name, critical=critical)
-            results.append(FunctionalResult(spec, mean_res, "initial_samples",
-                                            float(v0.mean())))
-            results.append(FunctionalResult(spec, median_res, "initial_samples",
-                                            sample_quantile(v0, 0.5)))
+                scalars[spec.name][1], scalar_values[spec.name], alpha, name=spec.name,
+                critical=critical)
+            results.append(FunctionalResult(spec, mean_res, "initial_samples", mean0))
+            results.append(FunctionalResult(spec, median_res, "initial_samples", median0))
     return results

@@ -23,7 +23,9 @@ from shortchain import (
     scalar_functional_diagnostics,
 )
 
-from shortchain.diagnostics import CriticalValues
+from shortchain.diagnostics import (CriticalValues, IntervalColumns,
+                                    column_intervals, lower_bounds)
+from shortchain.stats import binomial_quantile
 
 from oracles import (
     binom_cdf_exact,
@@ -448,3 +450,83 @@ class TestScalarFunctionalDiagnostics:
         vt = np.full(100, 2.0)
         mean_res, _ = scalar_functional_diagnostics(v0, vt, 0.05)
         assert mean_res.interval.degenerate
+
+
+def _bits(x) -> str:
+    # NaN, -0.0 and every other float told apart
+    return float(x).hex()
+
+
+class TestColumnIntervals:
+    LEVELS = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 120),
+           alpha=st.sampled_from([0.05, 0.1, 0.3, 0.6]),
+           special=st.sampled_from(["none", "constant", "-0.0", "signed_zero",
+                                    "nan", "inf", "-inf"]))
+    def test_equal_the_per_functional_functions_bit_for_bit(self, seed, n, alpha, special):
+        rng = np.random.default_rng(seed)
+        k = 4
+        ensemble = (rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-3, 3, k)
+                    + rng.uniform(-5, 5, k))
+        # row 1 sits above zero, so its quantile intervals detect, and a NaN
+        # or inf among its largest values lands in an upper endpoint
+        ensemble[:, 1] = 1.0 + np.abs(ensemble[:, 1])
+        if special == "constant":
+            ensemble[:, 1] = 2.5
+        elif special == "-0.0":
+            ensemble[:, 1] = -0.0
+        elif special == "signed_zero":
+            ensemble[:, 1] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        elif special != "none":
+            ensemble[rng.integers(n, size=max(1, n // 4)), 1] = float(special)
+        ranks = {}
+        for p in self.LEVELS:
+            lo = binomial_quantile(alpha / 2.0, n, p)
+            hi = binomial_quantile(1.0 - alpha / 2.0, n, p) + 1
+            if lo >= 1 and hi <= n:
+                ranks[p] = (lo, hi)
+        critical = CriticalValues.at(n, alpha, ranks)
+        # every row gets a mean, a log-variance and each feasible quantile
+        # interval; row 1's initial values include 0.0, so a zero-spread
+        # row meets -0.0 - 0.0
+        entries = []
+        for row in range(k):
+            mu0 = 0.0 if row == 1 else float(rng.uniform(-5, 5))
+            entries.append(("mean", row, mu0, None))
+            entries.append(("log_variance", row, float(10.0 ** rng.uniform(-2, 2)), None))
+            for p in ranks:
+                entries.append(("quantile", row, 0.0 if row == 1 else float(rng.normal()), p))
+        kinds, rows, initial, levels = zip(*entries)
+        columns = IntervalColumns.of(kinds, rows, initial, levels, critical)
+        lower, upper, degenerate = column_intervals(ensemble.T.copy(), columns, critical)
+        bound, detected = lower_bounds(lower, upper)
+        for j, (kind, row, init, p) in enumerate(entries):
+            x = ensemble[:, row]
+            if kind == "mean":
+                ci = mean_difference_ci(x, init, alpha, critical=critical)
+            elif kind == "log_variance":
+                ci = log_variance_ratio_ci(x, init, alpha, critical=critical)
+            else:
+                ci = quantile_difference_ci(x, p, init, alpha, critical=critical)
+            res = error_lower_bound(ci)
+            assert (_bits(lower[j]), _bits(upper[j])) == (_bits(ci.lower), _bits(ci.upper))
+            assert bool(degenerate[j]) == ci.degenerate
+            assert (_bits(bound[j]), bool(detected[j])) == (_bits(res.bound), res.detected)
+
+    def test_bound_takes_lower_when_upper_is_nan(self):
+        # Python's min(|lower|, nan) keeps |lower|; np.minimum would give nan
+        bound, detected = lower_bounds(np.array([2.0, -3.0]), np.array([np.nan, np.nan]))
+        assert bound[0] == 2.0 and detected[0]
+        assert bound[1] == 0.0 and not detected[1]
+        ci = ConfidenceInterval(2.0, float("nan"), 0.95, "q")
+        assert error_lower_bound(ci).bound == 2.0
+
+    def test_quantile_rows_sorted_once_each(self):
+        critical = CriticalValues.at(40, 0.05, {0.1: (1, 9), 0.9: (32, 40)})
+        columns = IntervalColumns.of(["quantile", "quantile", "mean", "quantile"],
+                                     [2, 2, 0, 1], [0.0, 0.0, 0.0, 0.0],
+                                     [0.1, 0.9, None, 0.1], critical)
+        assert columns.sorted_rows.tolist() == [1, 2]
+        assert columns.sorted_pos.tolist() == [1, 1, 0]

@@ -31,6 +31,11 @@ def small_setup(dimension=2, correlation=0.3):
     return target, approx
 
 
+def _bits(x) -> str:
+    # NaN, -0.0 and every other float told apart
+    return float(x).hex()
+
+
 def report_bytes(report):
     return json.dumps(report.to_json_dict(), indent=2, sort_keys=True,
                       allow_nan=False)
@@ -153,9 +158,66 @@ class TestTraces:
         report = run_diagnostic(cfg, target, approx)
         last = report.traces[-1]
         assert last.iteration == 20
-        assert last.rho2_max == pytest.approx(report.reliability.rho2_max, rel=1e-12)
+        assert last.rho2_max == report.reliability.rho2_max
         for fr in report.functionals:
-            assert last.bounds[fr.tag] == pytest.approx(fr.result.bound, rel=1e-12)
+            assert last.bounds[fr.tag] == fr.result.bound
+
+    @pytest.mark.parametrize("kind", ["rwmh", "mala", "barker", "hmc"])
+    def test_every_row_equals_the_run_stopped_there(self, kind):
+        # a checkpoint is diagnosed column-wise, the final ensemble one
+        # functional at a time; row t must carry the very bits of a run
+        # whose last iteration is t
+        # a biased, mis-scaled approximation, so most bounds are detections
+        target = correlated_gaussian_target(3, correlation=0.3)
+        approx = mean_field_gaussian_approximation([1.5, -1.0, 0.5], [0.4, 2.5, 0.6])
+        base = Approximation(3, approx.sampler, approx.means, approx.sds,
+                             approx.covariance, quantile_fn=None, name="no_q")
+        functionals = ["mean(0)", "variance(1)", "quantile(2,0.1)", "quantile(0,0.5)",
+                       "quantile(2,0.9)", "scalar(target_log_density)", "scalar(r)"]
+        scalar_functions = {"r": lambda x: np.sum(x * x, axis=1)}
+        for approximation in (approx, base):
+            def run(n_iterations, trace_every):
+                return run_diagnostic(RunConfig(
+                    kernel=kind, seed=11, n_chains=70, n_iterations=n_iterations,
+                    trace_every=trace_every, functionals=functionals,
+                    scalar_functions=scalar_functions), target, approximation)
+            traced = run(6, 1)
+            assert [row.iteration for row in traced.traces] == list(range(7))
+            for row in traced.traces[1:]:
+                stopped = run(row.iteration, 0)
+                bounds = {fr.tag: fr.result.bound for fr in stopped.functionals}
+                assert len(bounds) == 9
+                assert {tag: _bits(v) for tag, v in row.bounds.items()} == \
+                    {tag: _bits(v) for tag, v in bounds.items()}
+                assert _bits(row.rho2_max) == _bits(stopped.reliability.rho2_max)
+
+    def test_initial_side_values_computed_once_per_run(self, monkeypatch):
+        # without a quantile function the initial quantile is an order
+        # statistic of x0; tracing must not recompute it at each checkpoint
+        calls = []
+        real = runner.sample_quantile
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "sample_quantile", counted)
+        target, approx = small_setup(2)
+        no_q = Approximation(2, approx.sampler, approx.means, approx.sds,
+                             approx.covariance, quantile_fn=None, name="no_q")
+        counts, reports = [], []
+        for trace_every in (0, 1):
+            cfg = RunConfig(kernel="rwmh", seed=12, n_chains=60, n_iterations=8,
+                            trace_every=trace_every,
+                            functionals=["quantile(0,0.5)", "quantile(1,0.1)",
+                                         "scalar(target_log_density)"])
+            report = run_diagnostic(cfg, target, no_q)
+            counts.append(len(calls))
+            calls.clear()
+            report.traces = None
+            reports.append(report_bytes(report))
+        assert counts == [3, 3]  # two quantiles and one scalar median
+        assert reports[1] == reports[0]
 
     def test_each_checkpoint_diagnosed_once(self, monkeypatch):
         # 10 iterations traced every one: 11 checkpoints, the last one shared

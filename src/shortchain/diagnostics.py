@@ -227,8 +227,7 @@ class IntervalColumns:
     ``log_variance_at`` the chi-square interval (a standard deviation), and
     those at ``quantile_at`` the order-statistic interval (a quantile), with
     0-based order-statistic indices ``lo`` and ``hi`` in ``quantile_at``
-    order.  ``sorted_rows`` lists the rows a quantile reads, once each, and
-    ``sorted_pos`` each quantile functional's place in it.
+    order.
     """
     rows: np.ndarray
     initial: np.ndarray
@@ -237,8 +236,6 @@ class IntervalColumns:
     quantile_at: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    sorted_rows: np.ndarray
-    sorted_pos: np.ndarray
 
     @classmethod
     def of(cls, kinds, rows, initial, levels, critical: CriticalValues) -> "IntervalColumns":
@@ -256,50 +253,48 @@ class IntervalColumns:
         quantile_at = np.flatnonzero(kinds == "quantile")
         ranks = np.array([critical.ranks[levels[j]] for j in quantile_at],
                          dtype=np.intp).reshape(-1, 2)
-        sorted_rows, sorted_pos = np.unique(rows[quantile_at], return_inverse=True)
         return cls(rows, np.asarray(initial, dtype=float),
                    np.flatnonzero(kinds == "mean"), np.flatnonzero(kinds == "log_variance"),
-                   quantile_at, ranks[:, 0] - 1, ranks[:, 1] - 1,
-                   sorted_rows, sorted_pos.reshape(-1))
+                   quantile_at, ranks[:, 0] - 1, ranks[:, 1] - 1)
 
 
 def column_intervals(values: np.ndarray, columns: IntervalColumns, critical: CriticalValues
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Every functional's interval from one pass over an (R, N) value matrix.
 
     ``values`` holds one C-contiguous row per audited variable (an ensemble
     coordinate or a scalar functional's values across chains).  The row
-    means and ``ddof=1`` variances are computed once, and each row a
-    quantile reads is sorted once.  A row reduces in the same order as a
+    means and ``ddof=1`` variances are computed once, and the rows the
+    quantiles read are sorted together.  A row reduces in the same order as a
     single column does, so every endpoint equals, bit for bit, the one
     ``mean_difference_ci``, ``log_variance_ratio_ci`` or
     ``quantile_difference_ci`` gives on that row with the same ``critical``.
 
     Returns:
-        ``(lower, upper, degenerate)``, one entry per functional.
+        ``(lower, upper)``, one entry per functional.
     """
     n = values.shape[1]
     critical.check(n, critical.alpha)
     k = columns.rows.size
-    lower, upper, degenerate = np.empty(k), np.empty(k), np.zeros(k, dtype=bool)
+    lower, upper = np.empty(k), np.empty(k)
     if columns.mean_at.size or columns.log_variance_at.size:
         means = values.mean(axis=1)
         variances = values.var(axis=1, ddof=1)
         at = columns.mean_at
         rows = columns.rows[at]
-        lower[at], upper[at], degenerate[at] = _t_endpoints(
+        lower[at], upper[at], _ = _t_endpoints(
             means[rows], variances[rows], columns.initial[at], n, critical.t)
         at = columns.log_variance_at
-        lower[at], upper[at], degenerate[at] = _log_variance_endpoints(
+        lower[at], upper[at], _ = _log_variance_endpoints(
             variances[columns.rows[at]], columns.initial[at], n,
             critical.chi2_lower, critical.chi2_upper)
     if columns.quantile_at.size:
-        ordered = values[columns.sorted_rows]
-        ordered.sort(axis=1)
-        at, pos = columns.quantile_at, columns.sorted_pos
+        at = columns.quantile_at
+        ordered = np.sort(values[columns.rows[at]], axis=1)
+        take = np.arange(at.size)
         lower[at], upper[at] = _quantile_endpoints(
-            ordered[pos, columns.lo], ordered[pos, columns.hi], columns.initial[at])
-    return lower, upper, degenerate
+            ordered[take, columns.lo], ordered[take, columns.hi], columns.initial[at])
+    return lower, upper
 
 
 def lower_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

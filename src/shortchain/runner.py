@@ -350,7 +350,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     def record(iteration, states, logpi_states):
         reliability = reliability_check(x0, states, cutoff=config.reliability_cutoff)
         values = _value_rows(states, _scalar_values(scalars, states, logpi_states))
-        lower, upper, _ = column_intervals(values, columns, critical)
+        lower, upper = column_intervals(values, columns, critical)
         bounds, _ = lower_bounds(lower, upper)
         trace_rows.append(TraceRow(iteration, reliability.rho2_max,
                                    dict(zip(tags, bounds.tolist()))))

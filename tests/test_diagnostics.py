@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from shortchain import (
@@ -461,7 +461,10 @@ class TestColumnIntervals:
     LEVELS = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 120),
+    # NumPy sums in pairwise blocks of 128 and iterates in buffers of 8192
+    # elements; the example reduces rows and strided columns past both
+    @example(seed=2024, n=20_000, alpha=0.05, special="none")
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400),
            alpha=st.sampled_from([0.05, 0.1, 0.3, 0.6]),
            special=st.sampled_from(["none", "constant", "-0.0", "signed_zero",
                                     "nan", "inf", "-inf"]))
@@ -500,7 +503,7 @@ class TestColumnIntervals:
                 entries.append(("quantile", row, 0.0 if row == 1 else float(rng.normal()), p))
         kinds, rows, initial, levels = zip(*entries)
         columns = IntervalColumns.of(kinds, rows, initial, levels, critical)
-        lower, upper, degenerate = column_intervals(ensemble.T.copy(), columns, critical)
+        lower, upper = column_intervals(ensemble.T.copy(), columns, critical)
         bound, detected = lower_bounds(lower, upper)
         for j, (kind, row, init, p) in enumerate(entries):
             x = ensemble[:, row]
@@ -512,7 +515,6 @@ class TestColumnIntervals:
                 ci = quantile_difference_ci(x, p, init, alpha, critical=critical)
             res = error_lower_bound(ci)
             assert (_bits(lower[j]), _bits(upper[j])) == (_bits(ci.lower), _bits(ci.upper))
-            assert bool(degenerate[j]) == ci.degenerate
             assert (_bits(bound[j]), bool(detected[j])) == (_bits(res.bound), res.detected)
 
     def test_bound_takes_lower_when_upper_is_nan(self):
@@ -522,11 +524,3 @@ class TestColumnIntervals:
         assert bound[1] == 0.0 and not detected[1]
         ci = ConfidenceInterval(2.0, float("nan"), 0.95, "q")
         assert error_lower_bound(ci).bound == 2.0
-
-    def test_quantile_rows_sorted_once_each(self):
-        critical = CriticalValues.at(40, 0.05, {0.1: (1, 9), 0.9: (32, 40)})
-        columns = IntervalColumns.of(["quantile", "quantile", "mean", "quantile"],
-                                     [2, 2, 0, 1], [0.0, 0.0, 0.0, 0.0],
-                                     [0.1, 0.9, None, 0.1], critical)
-        assert columns.sorted_rows.tolist() == [1, 2]
-        assert columns.sorted_pos.tolist() == [1, 1, 0]

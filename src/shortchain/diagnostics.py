@@ -309,8 +309,34 @@ def lower_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.n
     return np.where(detected, np.where(b < a, b, a), 0.0), detected
 
 
+@dataclass(frozen=True)
+class CentredRows:
+    """One (N, d) sample matrix as ``reliability_check`` reads it.
+
+    A run's initial ensemble is fixed, so the run builds its rows once and
+    passes them to every check as ``initial=``.
+
+    Attributes:
+        rows: (d, N) C-contiguous copy with one row per coordinate, each
+            row centred on its mean, so each row's mean and dot products
+            reduce in the same order as on a single column.
+        sum_squares: (d,) each row's dot product with itself.
+    """
+    rows: np.ndarray
+    sum_squares: np.ndarray
+
+    @classmethod
+    def of(cls, samples: np.ndarray) -> "CentredRows":
+        # a copy, never a view: the rows are centred in place
+        rows = samples.T.copy()
+        rows -= rows.mean(axis=1)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cls(rows, np.vecdot(rows, rows))
+
+
 def reliability_check(initial_samples: np.ndarray, final_samples: np.ndarray,
-                      cutoff: float = 0.1) -> ReliabilityResult:
+                      cutoff: float = 0.1, *,
+                      initial: Optional[CentredRows] = None) -> ReliabilityResult:
     """Checks that chains forgot their initialization coordinate by coordinate.
 
     Computes the squared Pearson correlation between initial and final values
@@ -323,11 +349,15 @@ def reliability_check(initial_samples: np.ndarray, final_samples: np.ndarray,
         initial_samples: (N, d) initialization matrix.
         final_samples: (N, d) final-iteration matrix, same shape.
         cutoff: Failure threshold on the squared correlation, in (0, 1).
+        initial: ``CentredRows.of(initial_samples)``, built once by a caller
+            that checks the same initial samples many times; without it
+            the rows are built here.
 
     Raises:
         ValueError: unless both inputs are (N, d) matrices of one shape
-            with N >= 2 (a 1-d vector is refused, not promoted), or when
-            the cutoff is outside (0, 1).
+            with N >= 2 (a 1-d vector is refused, not promoted), when the
+            cutoff is outside (0, 1), or when ``initial`` holds rows of
+            another shape.
     """
     x0 = np.asarray(initial_samples, dtype=float)
     xt = np.asarray(final_samples, dtype=float)
@@ -336,16 +366,15 @@ def reliability_check(initial_samples: np.ndarray, final_samples: np.ndarray,
                          f"got {x0.shape} and {xt.shape}")
     if not 0.0 < cutoff < 1.0:
         raise ValueError(f"cutoff must lie in (0, 1), got {cutoff}")
-    # contiguous copies with one row per coordinate, so each row's mean and
-    # dot products reduce in the same order as on a single column (a copy,
-    # never a view: the rows are centred in place)
-    a = x0.T.copy()
-    b = xt.T.copy()
-    a -= a.mean(axis=1)[:, None]
-    b -= b.mean(axis=1)[:, None]
+    if initial is None:
+        initial = CentredRows.of(x0)
+    elif initial.rows.shape != x0.T.shape:
+        raise ValueError(f"initial rows of shape {initial.rows.shape} passed with "
+                         f"(N, d) samples of shape {x0.shape}")
+    final = CentredRows.of(xt)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        denom = np.sqrt(np.vecdot(a, a) * np.vecdot(b, b))
-        r = np.vecdot(a, b) / denom
+        denom = np.sqrt(initial.sum_squares * final.sum_squares)
+        r = np.vecdot(initial.rows, final.rows) / denom
     rho2 = np.minimum(r * r, 1.0)
     rho2[(denom == 0.0) | ~np.isfinite(denom)] = np.nan
     degenerate = np.flatnonzero(np.isnan(rho2)).tolist()

@@ -12,6 +12,11 @@ randomness of a step is drawn by the caller and passed in, so a kernel
 never touches a random stream.  Barker's sigmoid and softplus are written
 with NumPy's vectorised tanh, exp and log1p, so they cannot overflow and
 map infinite and NaN inputs to the same values as their textbook forms.
+
+The module needs only NumPy: the preconditioner's inverse Cholesky factor
+comes from ``np.linalg.inv``, so no audit loads ``scipy.linalg``.  For a
+diagonal factor, which every mean-field approximation gives, the inverse is
+exactly the reciprocal of each diagonal entry.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .adaptation import SizingPolicy, check_kind
 from .targets import checked_output
@@ -58,7 +62,7 @@ class Preconditioner:
                              "got a matrix whose Cholesky factorization failed") from exc
         self.matrix = G
         self.cholesky = C
-        self.inverse_cholesky = solve_triangular(C, np.eye(G.shape[0]), lower=True)
+        self.inverse_cholesky = np.linalg.inv(C)
         self.log_det_cholesky = float(np.sum(np.log(np.diag(C))))
 
     @classmethod
@@ -109,15 +113,22 @@ def _sigmoid(u):
     return out
 
 
-def _barker_increment_log_density(z, tau, c):
+def _barker_log_normal(z, tau):
+    """log 2 + log N(z_i; 0, tau^2) per coordinate: the Gaussian part of a
+    Barker increment's log density, even in z, so the forward and reverse
+    densities of one step share it."""
+    return math.log(2.0) + (-0.5 * (_LOG_2PI + 2.0 * np.log(tau)) - 0.5 * (z / tau) ** 2)
+
+
+def _barker_increment_log_density(z, c, log_normal):
     """Log density of one whitened Barker increment vector z.
 
     The increment is drawn coordinate-wise as z_i = b_i w_i with
     w_i ~ N(0, tau_i^2) and P(b_i = +1) = sigmoid(w_i c_i), giving density
-    2 N(z_i; 0, tau_i^2) sigmoid(z_i c_i) per coordinate.
+    2 N(z_i; 0, tau_i^2) sigmoid(z_i c_i) per coordinate; ``log_normal`` is
+    ``_barker_log_normal(z, tau)``.
     """
-    log_mu = -0.5 * (_LOG_2PI + 2.0 * np.log(tau)) - 0.5 * (z / tau) ** 2
-    return np.sum(math.log(2.0) + log_mu - _softplus(-z * c), axis=-1)
+    return np.sum(log_normal - _softplus(-z * c), axis=-1)
 
 
 def _barker_core(x, grad_x, eps, sign_uniforms, step_size, pre, grad_fn):
@@ -127,14 +138,13 @@ def _barker_core(x, grad_x, eps, sign_uniforms, step_size, pre, grad_fn):
     tau = math.sqrt(step_size)
     w = eps * tau
     c_x = grad_x @ pre.cholesky.T
-    prob_plus = _sigmoid(w * c_x)
-    b = np.where(sign_uniforms < prob_plus, 1.0, -1.0)
-    z = b * w
+    z = np.where(sign_uniforms < _sigmoid(w * c_x), w, -w)
     y = x + z @ pre.cholesky
-    logq_fwd = _barker_increment_log_density(z, tau, c_x) - pre.log_det_cholesky
+    log_normal = _barker_log_normal(z, tau)
+    logq_fwd = _barker_increment_log_density(z, c_x, log_normal) - pre.log_det_cholesky
     grad_y = grad_fn(y)
     c_y = grad_y @ pre.cholesky.T
-    logq_rev = _barker_increment_log_density(-z, tau, c_y) - pre.log_det_cholesky
+    logq_rev = _barker_increment_log_density(-z, c_y, log_normal) - pre.log_det_cholesky
     return y, logq_fwd, logq_rev, grad_y
 
 

@@ -22,7 +22,7 @@ from .adaptation import (_MAX_CHAINS, _MAX_ITERATIONS, AdaptationState,
                          SizingPolicy, chain_count, check_kind,
                          initial_step_size, iteration_count)
 from .approximations import Approximation
-from .diagnostics import (MONOTONE_ERROR_CAVEAT, ConfidenceInterval,
+from .diagnostics import (MONOTONE_ERROR_CAVEAT, CentredRows, ConfidenceInterval,
                           CriticalValues, IntervalColumns, LowerBoundResult,
                           ReliabilityResult, column_intervals,
                           error_lower_bound, log_variance_ratio_ci,
@@ -336,6 +336,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
                for name, fn in scalar_fns.items()}
     # the other initial-side values that depend on x0, also computed once
     initial = _initial_values(specs, approximation, x0, scalars)
+    initial_rows = CentredRows.of(x0)
 
     h0 = initial_step_size(kind, d) * config.step_size_scale
     adapt = AdaptationState(log_step_size=math.log(h0))
@@ -348,7 +349,8 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
         columns, tags = _interval_columns(specs, approximation, initial, scalars, critical)
 
     def record(iteration, states, logpi_states):
-        reliability = reliability_check(x0, states, cutoff=config.reliability_cutoff)
+        reliability = reliability_check(x0, states, cutoff=config.reliability_cutoff,
+                                        initial=initial_rows)
         values = _value_rows(states, _scalar_values(scalars, states, logpi_states))
         lower, upper = column_intervals(values, columns, critical)
         bounds, _ = lower_bounds(lower, upper)
@@ -359,25 +361,26 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
         record(0, x0, logpi)
 
     # per-iteration noise buffers, refilled in place; see _gather_noise
-    generators = [s.generator for s in streams]
     eps = np.empty((n_chains, d))
     uniforms = np.empty((n_chains, d + 1))
     sign_u = uniforms[:, :d] if kind == "barker" else None
     accept_u = uniforms[:, d]
+    fillers = _noise_fillers(kind, streams, eps, uniforms)
     x = x0
     for t in range(n_iters):
-        _gather_noise(kind, generators, eps, uniforms)
+        _gather_noise(fillers)
         x, logpi, grad_cached, alphas = step_batch(
             kind, x, logpi, grad_cached, eps, sign_u, accept_u, adapt.step_size,
             pre, target, policy.leapfrog_steps)
-        adapt.update(math.fsum(alphas) / n_chains, a_star)
+        adapt.update(math.fsum(alphas.tolist()) / n_chains, a_star)
         # the last checkpoint, n_iters, reuses the final diagnostics below
         if (t + 1) in checkpoints and t + 1 < n_iters:
             record(t + 1, x, logpi)
 
     iter_grads = target.gradient_evaluations - grad_base - init_grads
 
-    reliability = reliability_check(x0, x, cutoff=config.reliability_cutoff)
+    reliability = reliability_check(x0, x, cutoff=config.reliability_cutoff,
+                                    initial=initial_rows)
     functionals = _functional_results(specs, x, _scalar_values(scalars, x, logpi),
                                       approximation, critical, scalars, initial)
     if n_iters in checkpoints:
@@ -474,20 +477,31 @@ def _checkpoint_iterations(trace_every: int, n_iters: int) -> set:
     return ts
 
 
-def _gather_noise(kind: str, generators, eps: np.ndarray, uniforms: np.ndarray):
-    """Fills one iteration's noise, each chain drawing from its own generator.
+def _noise_fillers(kind: str, streams, eps: np.ndarray, uniforms: np.ndarray) -> list:
+    """Each chain's (standard_normal, random, eps row, uniforms row), built
+    once per run for ``_gather_noise``.
 
-    Chain j draws ``standard_normal(d)`` into ``eps[j]``, then ``random(d + 1)``
-    into ``uniforms[j]`` for Barker (d sign uniforms, then the acceptance
-    uniform) or one ``random()`` into ``uniforms[j, d]`` for every other
-    kernel.  Writing through ``out=`` consumes each stream exactly as the
-    allocating calls would.
+    The rows are views, so refilling them refills ``eps`` and ``uniforms``.
+    For Barker chain j's uniforms row is ``uniforms[j]`` (d sign uniforms,
+    then the acceptance uniform); for every other kernel it is
+    ``uniforms[j, d:]``, the acceptance uniform alone.
     """
     d = eps.shape[1]
     rows = uniforms if kind == "barker" else uniforms[:, d:]
-    for g, e, u in zip(generators, eps, rows):
-        g.standard_normal(out=e)
-        g.random(out=u)
+    return [(s.generator.standard_normal, s.generator.random, e, u)
+            for s, e, u in zip(streams, eps, rows)]
+
+
+def _gather_noise(fillers):
+    """Fills one iteration's noise, each chain drawing from its own generator.
+
+    Chain j draws ``standard_normal(d)`` into its eps row, then ``random``
+    into its uniforms row (see ``_noise_fillers``).  Writing through ``out=``
+    consumes each stream exactly as the allocating calls would.
+    """
+    for normal, uniform, e, u in fillers:
+        normal(out=e)
+        uniform(out=u)
 
 
 def _initial_values(specs, approximation: Approximation, x0, scalars: dict) -> dict:

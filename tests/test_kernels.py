@@ -10,8 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.integrate import quad
+from scipy.linalg import solve_triangular
 from scipy.special import expit
 
 from shortchain import KERNEL_KINDS, RandomStream, correlated_gaussian_target
@@ -19,6 +22,7 @@ from shortchain.kernels import (
     Preconditioner,
     _barker_core,
     _barker_increment_log_density,
+    _barker_log_normal,
     _hmc_core,
     _kinetic_energy,
     _mala_core,
@@ -79,6 +83,24 @@ class TestPreconditioner:
         assert np.allclose(pre.inverse_cholesky @ pre.cholesky, np.eye(3), atol=1e-10)
         sign, logdet = np.linalg.slogdet(G)
         assert pre.log_det_cholesky == pytest.approx(0.5 * logdet, rel=1e-10)
+
+    @given(st.lists(st.floats(min_value=1e-150, max_value=1e150), min_size=1, max_size=40))
+    def test_diagonal_inverse_cholesky_equals_triangular_solve(self, diagonal):
+        # every mean-field approximation gives a diagonal factor, whose
+        # inverse must keep the triangular solve's bits
+        pre = Preconditioner(np.diag(diagonal))
+        expected = solve_triangular(pre.cholesky, np.eye(len(diagonal)), lower=True)
+        assert np.array_equal(pre.inverse_cholesky, expected)
+
+    def test_full_inverse_cholesky_matches_triangular_solve(self):
+        stream = RandomStream(4, 0)
+        a = stream.standard_normal((12, 12))
+        pre = Preconditioner(a @ a.T + 0.5 * np.eye(12))
+        expected = solve_triangular(pre.cholesky, np.eye(12), lower=True)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(pre.inverse_cholesky - expected)) <= 1e-14 * scale
+        assert np.allclose(pre.cholesky @ pre.inverse_cholesky, np.eye(12),
+                           rtol=0.0, atol=1e-13)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -213,7 +235,7 @@ class TestBarkerProposal:
             c = float(3.0 * stream.standard_normal(1)[0])
             mass, err = quad(
                 lambda z: math.exp(float(_barker_increment_log_density(
-                    np.array([z]), tau, np.array([c])))),
+                    np.array([z]), np.array([c]), _barker_log_normal(np.array([z]), tau)))),
                 -12 * tau, 12 * tau, limit=200)
             assert mass == pytest.approx(1.0, abs=1e-6)
 

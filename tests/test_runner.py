@@ -223,10 +223,12 @@ class TestTraces:
         # 10 iterations traced every one: 11 checkpoints, the last one shared
         # with the final report; the scalar functional meets x0 once
         calls = {"reliability": 0, "f": 0}
+        initial_rows = set()
         check = runner.reliability_check
 
         def counted_check(*args, **kwargs):
             calls["reliability"] += 1
+            initial_rows.add(id(kwargs["initial"]))
             return check(*args, **kwargs)
 
         def f(x):
@@ -241,6 +243,7 @@ class TestTraces:
         report = run_diagnostic(cfg, target, approx)
         assert len(report.traces) == 11
         assert calls == {"reliability": 11, "f": 12}
+        assert len(initial_rows) == 1  # the x0 side is built once per run
 
     def test_memory_of_initialization_decays(self):
         target, approx = small_setup(1, correlation=0.0)

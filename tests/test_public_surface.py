@@ -106,7 +106,7 @@ def test_audits_never_load_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", AUDIT_EVERY_KERNEL], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]", "[]"]
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_no_import_is_deferred_into_a_function():

@@ -166,22 +166,6 @@ _TOP_KEYS = {"target", "approximation", "kernel", "seed", "alpha", "delta_mean",
 _OVERRIDE_KEYS = {"chains", "iterations", "step_size_scale"}
 
 
-def expand_functionals(items, dimension: int) -> list[str]:
-    """Expands wildcard entries like mean(*) to one entry per coordinate."""
-    if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
-        raise ConfigError("functionals must be a list of strings")
-    out = []
-    for s in items:
-        stripped = s.replace(" ", "")
-        if stripped == "mean(*)":
-            out += [f"mean({i})" for i in range(dimension)]
-        elif stripped == "variance(*)":
-            out += [f"variance({i})" for i in range(dimension)]
-        else:
-            out.append(s)
-    return out
-
-
 def build_run(cfg: dict, seed_override=None, force_trace=False):
     """Validates the whole config and builds (run_config, target, approximation)."""
     _check_keys(cfg, _TOP_KEYS, {"target", "approximation", "kernel", "seed"}, "config")
@@ -211,9 +195,11 @@ def build_run(cfg: dict, seed_override=None, force_trace=False):
     step_scale = _number(overrides, "step_size_scale", "config.overrides",
                          default=RunConfig.step_size_scale, positive=True)
 
-    functionals = None
-    if "functionals" in cfg:
-        functionals = expand_functionals(cfg["functionals"], target.dimension)
+    # parsed, wildcards included, by the runner like RunConfig.functionals
+    functionals = cfg.get("functionals")
+    if "functionals" in cfg and not (isinstance(functionals, list)
+                                     and all(isinstance(s, str) for s in functionals)):
+        raise ConfigError("functionals must be a list of strings")
 
     trace_every = _integer(cfg, "trace_every", "config",
                            default=RunConfig.trace_every, minimum=0)

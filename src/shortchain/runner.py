@@ -6,6 +6,10 @@ per-functional error lower bounds plus a reliability verdict.  Results are
 reproducible bit for bit from (config, target, approximation): every chain
 owns its RNG stream, the whole ensemble moves in one batched step per
 iteration, and cross-chain reductions use exact summation.
+
+A run resolves its functionals once, right after drawing its initial
+ensemble, into an audit plan; its trace checkpoints and its final ensemble
+are diagnosed from that plan and the same value rows, with the same bits.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -60,7 +64,8 @@ class FunctionalSpec:
 
 
 def parse_functional(text: str) -> FunctionalSpec:
-    """Parses 'mean(i)', 'variance(i)', 'quantile(i,p)' or 'scalar(name)'."""
+    """Parses 'mean(i)', 'variance(i)', 'quantile(i,p)' or 'scalar(name)'; the
+    wildcards mean(*) and variance(*) expand only in a functionals list."""
     m = _FUNCTIONAL_RE.match(text)
     if not m:
         raise ValueError(
@@ -71,12 +76,18 @@ def parse_functional(text: str) -> FunctionalSpec:
         if not args:
             raise ValueError(f"scalar functional needs a name: {text!r}")
         return FunctionalSpec("scalar", name=args)
-    if kind == "quantile":
-        parts = [a.strip() for a in args.split(",")]
-        if len(parts) != 2:
-            raise ValueError(f"quantile functional needs (coordinate, p): {text!r}")
-        return FunctionalSpec("quantile", coordinate=int(parts[0]), p=float(parts[1]))
-    return FunctionalSpec(kind, coordinate=int(args))
+    if args == "*":
+        raise ValueError(f"{text!r}: mean(*) and variance(*) expand only in a functionals list")
+    parts = [a.strip() for a in args.split(",")]
+    if kind == "quantile" and len(parts) != 2:
+        raise ValueError(f"quantile functional needs (coordinate, p): {text!r}")
+    try:
+        if kind == "quantile":
+            return FunctionalSpec("quantile", coordinate=int(parts[0]), p=float(parts[1]))
+        return FunctionalSpec(kind, coordinate=int(args))
+    except ValueError:
+        wanted = "an integer coordinate" + (" and a number p" if kind == "quantile" else "")
+        raise ValueError(f"functional {text!r} needs {wanted}, got {args!r}") from None
 
 
 def default_functionals(dimension: int) -> list[FunctionalSpec]:
@@ -95,8 +106,9 @@ class RunConfig:
         seed: Ensemble seed; with the config it fully determines the report.
         sizing: Tolerances behind the automatic N and T choices; its
             ``alpha`` is also the miscoverage level of every interval.
-        functionals: Strings or FunctionalSpec items; None audits every
-            coordinate's mean and variance.
+        functionals: Strings or FunctionalSpec items, each tag at most
+            once after the wildcards mean(*) and variance(*) expand; None
+            audits every coordinate's mean and variance.
         n_chains / n_iterations: Overrides for the sized N and T, each at
             most 1,000,000 like the sized values.
         step_size_scale: Multiplier on the initial step size (diagnostic
@@ -143,6 +155,19 @@ class FunctionalResult:
     @property
     def tag(self) -> str:
         return self.result.functional_tag
+
+
+class _Audited(NamedTuple):
+    """One reported result of a run, as its audit plan holds it."""
+    spec: FunctionalSpec  # a scalar spec reports two results, mean then median
+    tag: str
+    interval: str  # "mean", "log_variance" or "quantile"
+    row: int  # the ``_value_rows`` row it reads
+    initial: float  # the initial-side mean, sd or quantile its interval takes
+    p: Optional[float]  # the level of a "quantile" interval
+    initial_side: str  # the initial side as the report shows it
+    initial_value: float
+    normalizers: tuple = ()  # (report key, divisor) of each normalized bound
 
 
 @dataclass
@@ -255,8 +280,9 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
 
     Raises:
         ValueError: for invalid configuration (bad kernel, out-of-range
-            coordinates, infeasible quantile levels for the sized N, a
-            reliability cutoff outside (0, 1), ...) or a target or scalar
+            coordinates, a quantile level outside (0, 1) or infeasible for
+            the sized N, a functional listed twice, a reliability cutoff
+            outside (0, 1), ...) or a target or scalar
             functional whose outputs on the initial batch have the wrong
             shape, an approximation that samples a non-finite start, or,
             under MALA and Barker, a non-finite gradient at a start whose
@@ -334,8 +360,8 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     scalars = {name: (fn, logpi if fn is None else checked_output(
                    f"scalar function {name!r}", fn(x0), (n_chains,)))
                for name, fn in scalar_fns.items()}
-    # the other initial-side values that depend on x0, also computed once
-    initial = _initial_values(specs, approximation, x0, scalars)
+    # every reported result with its initial side, also computed once
+    plan = _audit_plan(specs, approximation, x0, scalars)
     initial_rows = CentredRows.of(x0)
 
     h0 = initial_step_size(kind, d) * config.step_size_scale
@@ -346,13 +372,14 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     trace_rows: Optional[list] = [] if checkpoints else None
     if checkpoints:
         # checkpoints before the last diagnose every functional column-wise
-        columns, tags = _interval_columns(specs, approximation, initial, scalars, critical)
+        _, tags, kinds, rows, initial, levels, *_ = zip(*plan)
+        columns = IntervalColumns.of(kinds, rows, initial, levels, critical)
 
     def record(iteration, states, logpi_states):
         reliability = reliability_check(x0, states, cutoff=config.reliability_cutoff,
                                         initial=initial_rows)
-        values = _value_rows(states, _scalar_values(scalars, states, logpi_states))
-        lower, upper = column_intervals(values, columns, critical)
+        lower, upper = column_intervals(_value_rows(states, logpi_states, scalars),
+                                        columns, critical)
         bounds, _ = lower_bounds(lower, upper)
         trace_rows.append(TraceRow(iteration, reliability.rho2_max,
                                    dict(zip(tags, bounds.tolist()))))
@@ -381,8 +408,8 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
 
     reliability = reliability_check(x0, x, cutoff=config.reliability_cutoff,
                                     initial=initial_rows)
-    functionals = _functional_results(specs, x, _scalar_values(scalars, x, logpi),
-                                      approximation, critical, scalars, initial)
+    functionals = _functional_results(plan, _value_rows(x, logpi, scalars), critical,
+                                      scalars)
     if n_iters in checkpoints:
         trace_rows.append(TraceRow(n_iters, reliability.rho2_max,
                                    {r.tag: r.result.bound for r in functionals}))
@@ -421,16 +448,31 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
 
 
 def _resolve_specs(config: RunConfig, dimension: int) -> list[FunctionalSpec]:
+    """The run's functionals with mean(*) and variance(*) expanded; raises
+    for an empty list, or for a coordinate out of range, a quantile level p
+    outside (0, 1) or a tag listed twice, naming the functional."""
     if config.functionals is None:
         return default_functionals(dimension)
     specs = []
     for item in config.functionals:
-        spec = item if isinstance(item, FunctionalSpec) else parse_functional(str(item))
-        if spec.coordinate is not None and not 0 <= spec.coordinate < dimension:
-            raise ValueError(f"functional {spec.tag} is out of range for dimension {dimension}")
-        specs.append(spec)
+        if isinstance(item, FunctionalSpec):
+            specs.append(item)
+        elif (text := str(item).replace(" ", "")) in ("mean(*)", "variance(*)"):
+            specs += [FunctionalSpec(text[:-3], coordinate=i) for i in range(dimension)]
+        else:
+            specs.append(parse_functional(str(item)))
     if not specs:
         raise ValueError("functionals list is empty")
+    tags = set()
+    for spec in specs:
+        if spec.coordinate is not None and not 0 <= spec.coordinate < dimension:
+            raise ValueError(f"functional {spec.tag} is out of range for dimension {dimension}")
+        if spec.kind == "quantile" and not 0.0 < spec.p < 1.0:
+            raise ValueError(f"functional {spec.tag} needs a quantile level p in (0, 1), "
+                             f"got {spec.p}")
+        if spec.tag in tags:
+            raise ValueError(f"functional {spec.tag} is listed more than once")
+        tags.add(spec.tag)
     return specs
 
 
@@ -504,109 +546,78 @@ def _gather_noise(fillers):
         uniform(out=u)
 
 
-def _initial_values(specs, approximation: Approximation, x0, scalars: dict) -> dict:
-    """spec -> its x0-dependent initial-side values, computed once per run.
+def _audit_plan(specs, approximation: Approximation, x0, scalars: dict) -> list[_Audited]:
+    """Every reported result of the run in report order, built once from x0.
 
-    A quantile spec maps to (side, quantile): the approximation's own
-    quantile when it has a quantile function, else the initial-sample one.
-    A scalar spec maps to the (mean, median) of its initial values.
-    """
-    initial = {}
-    for spec in specs:
-        if spec.kind == "quantile":
-            i, p = spec.coordinate, spec.p
-            initial[spec] = (("approximation", approximation.quantile(i, p))
-                             if approximation.has_quantiles
-                             else ("initial_samples", sample_quantile(x0[:, i], p)))
-        elif spec.kind == "scalar":
-            v0 = scalars[spec.name][1]
-            initial[spec] = (float(v0.mean()), sample_quantile(v0, 0.5))
-    return initial
-
-
-def _interval_columns(specs, approximation: Approximation, initial: dict, scalars: dict,
-                      critical: CriticalValues) -> tuple[IntervalColumns, list]:
-    """The column-wise diagnosis of every functional, and each one's tag.
-
-    Rows follow ``_value_rows``: coordinate i is row i, and the scalar
-    functionals follow in ``scalars`` order.
+    Rows follow ``_value_rows``.  A quantile compares with the
+    approximation's own quantile when it has a quantile function, else
+    with the initial-sample one.
     """
     d = approximation.dimension
     scalar_rows = {name: d + j for j, name in enumerate(scalars)}
-    entries = []  # (tag, interval kind, row, initial-side value, quantile level)
+    plan = []
     for spec in specs:
         i = spec.coordinate
         if spec.kind == "mean":
-            entries.append((spec.tag, "mean", i, approximation.means[i], None))
+            mu0, sd0 = float(approximation.means[i]), float(approximation.sds[i])
+            plan.append(_Audited(spec, spec.tag, "mean", i, mu0, None, "approximation",
+                                 mu0, (("bound_relative", sd0),)))
         elif spec.kind == "variance":
-            entries.append((spec.tag, "log_variance", i, approximation.sds[i], None))
+            sd0 = float(approximation.sds[i])
+            plan.append(_Audited(spec, spec.tag, "log_variance", i, sd0, None,
+                                 "approximation", sd0 * sd0,
+                                 (("bound_2log10", math.log(10.0)),)))
         elif spec.kind == "quantile":
-            entries.append((spec.tag, "quantile", i, initial[spec][1], spec.p))
+            side, q0 = (("approximation", approximation.quantile(i, spec.p))
+                        if approximation.has_quantiles
+                        else ("initial_samples", sample_quantile(x0[:, i], spec.p)))
+            plan.append(_Audited(spec, spec.tag, "quantile", i, q0, spec.p, side, q0))
         else:
-            row = scalar_rows[spec.name]
+            v0 = scalars[spec.name][1]
+            mean0, median0 = float(v0.mean()), sample_quantile(v0, 0.5)
             mean_tag, median_tag = scalar_tags(spec.name)
-            mean0, median0 = initial[spec]
-            entries.append((mean_tag, "mean", row, mean0, None))
-            entries.append((median_tag, "quantile", row, median0, 0.5))
-    tags, kinds, rows, values, levels = zip(*entries)
-    return IntervalColumns.of(kinds, rows, values, levels, critical), list(tags)
+            row = scalar_rows[spec.name]
+            plan.append(_Audited(spec, mean_tag, "mean", row, mean0, None,
+                                 "initial_samples", mean0))
+            plan.append(_Audited(spec, median_tag, "quantile", row, median0, 0.5,
+                                 "initial_samples", median0))
+    return plan
 
 
-def _scalar_values(scalars: dict, states, logpi_states) -> dict:
-    """name -> the scalar functional's (N,) values at ``states``."""
-    return {name: logpi_states if fn is None else checked_output(
-                f"scalar function {name!r}", fn(states), v0.shape)
-            for name, (fn, v0) in scalars.items()}
-
-
-def _value_rows(states, scalar_values: dict) -> np.ndarray:
-    """One C-contiguous row per coordinate, then one per scalar functional."""
+def _value_rows(states, logpi_states, scalars: dict) -> np.ndarray:
+    """One C-contiguous row per coordinate, then one per scalar functional
+    in ``scalars`` order, evaluated at ``states`` and checked."""
     n, d = states.shape
-    values = np.empty((d + len(scalar_values), n))
+    values = np.empty((d + len(scalars), n))
     values[:d] = states.T
-    for row, v in enumerate(scalar_values.values(), start=d):
-        values[row] = v
+    for row, (name, (fn, _)) in enumerate(scalars.items(), start=d):
+        values[row] = logpi_states if fn is None else checked_output(
+            f"scalar function {name!r}", fn(states), (n,))
     return values
 
 
-def _functional_results(specs, states, scalar_values: dict, approximation: Approximation,
-                        critical: CriticalValues, scalars: dict,
-                        initial: dict) -> list[FunctionalResult]:
+def _functional_results(plan, values: np.ndarray, critical: CriticalValues,
+                        scalars: dict) -> list[FunctionalResult]:
+    """Each planned result from the final ``_value_rows``, with the bits
+    ``column_intervals`` gives.  The interval functions are looked up in this
+    module at each call, so a wrapper set on it sees every call."""
     alpha = critical.alpha
     results = []
-    ln10 = math.log(10.0)
-    for spec in specs:
-        if spec.kind == "mean":
-            i = spec.coordinate
-            mu0 = float(approximation.means[i])
-            sd0 = float(approximation.sds[i])
-            ci = mean_difference_ci(states[:, i], mu0, alpha, functional_tag=spec.tag,
-                                    critical=critical)
-            res = error_lower_bound(ci)
-            results.append(FunctionalResult(
-                spec, res, "approximation", mu0,
-                normalized={"bound_relative": res.bound / sd0}))
-        elif spec.kind == "variance":
-            i = spec.coordinate
-            sd0 = float(approximation.sds[i])
-            ci = log_variance_ratio_ci(states[:, i], sd0, alpha, functional_tag=spec.tag,
-                                       critical=critical)
-            res = error_lower_bound(ci)
-            results.append(FunctionalResult(
-                spec, res, "approximation", sd0 * sd0,
-                normalized={"bound_2log10": res.bound / ln10}))
-        elif spec.kind == "quantile":
-            i, p = spec.coordinate, spec.p
-            side, q0 = initial[spec]
-            ci = quantile_difference_ci(states[:, i], p, q0, alpha, functional_tag=spec.tag,
-                                        critical=critical)
-            res = error_lower_bound(ci)
-            results.append(FunctionalResult(spec, res, side, q0))
+    for a in plan:
+        row = values[a.row]
+        if a.spec.kind == "scalar":
+            if a.interval == "mean":  # the median's entry follows
+                pair = scalar_functional_diagnostics(scalars[a.spec.name][1], row, alpha,
+                                                     name=a.spec.name, critical=critical)
+            res = pair[0] if a.interval == "mean" else pair[1]
+        elif a.interval == "quantile":
+            res = error_lower_bound(quantile_difference_ci(
+                row, a.p, a.initial, alpha, functional_tag=a.tag, critical=critical))
         else:
-            mean0, median0 = initial[spec]
-            mean_res, median_res = scalar_functional_diagnostics(
-                scalars[spec.name][1], scalar_values[spec.name], alpha, name=spec.name,
-                critical=critical)
-            results.append(FunctionalResult(spec, mean_res, "initial_samples", mean0))
-            results.append(FunctionalResult(spec, median_res, "initial_samples", median0))
+            interval = mean_difference_ci if a.interval == "mean" else log_variance_ratio_ci
+            res = error_lower_bound(interval(row, a.initial, alpha, functional_tag=a.tag,
+                                             critical=critical))
+        normalized = {key: res.bound / divisor for key, divisor in a.normalizers}
+        results.append(FunctionalResult(a.spec, res, a.initial_side, a.initial_value,
+                                        normalized))
     return results

@@ -252,6 +252,23 @@ class TestErrorHandling:
         assert "line 2" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("functionals, message", [
+        (["quantile(0,2)"], "functional quantile(0,2) needs a quantile level p in (0, 1)"),
+        (["quantile(0,nan)"], "functional quantile(0,nan) needs a quantile level p in (0, 1)"),
+        (["quantile(0,0)"], "functional quantile(0,0) needs a quantile level p in (0, 1)"),
+        (["quantile(0,1)"], "functional quantile(0,1) needs a quantile level p in (0, 1)"),
+        (["mean(*)", "mean(0)"], "functional mean(0) is listed more than once"),
+        (["mean(x)"], "functional 'mean(x)' needs an integer coordinate"),
+        ("mean(0)", "functionals must be a list of strings")])
+    def test_bad_functional_is_named(self, tmp_path, capsys, functionals, message):
+        cfg = write_config(tmp_path, functionals=functionals)
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_unknown_top_level_key_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path, chains=50)  # belongs under overrides
         assert main(["run", "--config", str(cfg), "--out",

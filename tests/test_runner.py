@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +20,7 @@ from shortchain import (
     run_diagnostic,
 )
 from shortchain import runner, stats
+from shortchain.diagnostics import CriticalValues, IntervalColumns, column_intervals
 from shortchain.kernels import step_batch
 from shortchain.runner import FunctionalSpec
 from shortchain.targets import TargetModel
@@ -65,6 +67,119 @@ class TestParseFunctional:
         assert [s.tag for s in specs] == [
             "mean(0)", "mean(1)", "mean(2)",
             "log_variance(0)", "log_variance(1)", "log_variance(2)"]
+
+    @pytest.mark.parametrize("text, got", [("mean(x)", "'x'"), ("variance(1.5)", "'1.5'"),
+                                           ("quantile(a,0.5)", "'a,0.5'"),
+                                           ("quantile(0,half)", "'0,half'")])
+    def test_non_integer_coordinate_names_the_functional(self, text, got):
+        with pytest.raises(ValueError, match=rf"functional '{re.escape(text)}' needs an "
+                                             rf"integer coordinate.*, got {got}"):
+            parse_functional(text)
+
+    @pytest.mark.parametrize("text", ["mean(*)", "variance( * )"])
+    def test_wildcard_expands_only_in_a_list(self, text):
+        with pytest.raises(ValueError, match="expand only in a functionals list"):
+            parse_functional(text)
+
+
+class TestFunctionalsList:
+    # RunConfig.functionals and a config file share one grammar: wildcards
+    # expand, and every bad entry fails before any work, naming the functional
+    def test_wildcards_give_the_default_report(self):
+        target, approx = small_setup(3)
+        reports = [report_bytes(run_diagnostic(RunConfig(
+            kernel="barker", seed=8, n_chains=50, n_iterations=6, trace_every=2,
+            functionals=functionals), target, approx))
+            for functionals in (None, ["mean(*)", "variance(*)"], [" mean (*)", "variance(*)"])]
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
+
+    @pytest.mark.parametrize("functional, tag", [
+        ("quantile(0,2)", "quantile(0,2)"), ("quantile(0,nan)", "quantile(0,nan)"),
+        ("quantile(0,0)", "quantile(0,0)"), ("quantile(0,1)", "quantile(0,1)"),
+        ("quantile(1,-0.25)", "quantile(1,-0.25)"), ("quantile(1,inf)", "quantile(1,inf)"),
+        (FunctionalSpec("quantile", coordinate=0, p=1.5), "quantile(0,1.5)")])
+    def test_bad_quantile_level_fails_before_any_work(self, functional, tag):
+        target, approx = small_setup()
+        cfg = RunConfig(kernel="mala", seed=0, n_chains=400, n_iterations=5,
+                        functionals=["mean(0)", functional])
+        with pytest.raises(ValueError, match=rf"functional {re.escape(tag)} needs a "
+                                             r"quantile level p in \(0, 1\)"):
+            run_diagnostic(cfg, target, approx)
+        assert target.gradient_evaluations == 0
+
+    @pytest.mark.parametrize("functionals, tag", [
+        (["mean(*)", "mean(0)"], "mean(0)"),
+        (["variance(1)", "variance(*)"], "log_variance(1)"),
+        (["quantile(0,0.5)", "quantile( 0 , 0.50 )"], "quantile(0,0.5)"),
+        (["scalar(target_log_density)"] * 2, "scalar(target_log_density)"),
+        ([FunctionalSpec("mean", coordinate=1), "mean(1)"], "mean(1)")])
+    def test_duplicate_tag_fails_before_any_work(self, functionals, tag):
+        # the trace rows are keyed by tag, so a duplicate would report one
+        # more bound than its trace rows hold
+        target, approx = small_setup()
+        cfg = RunConfig(kernel="mala", seed=0, n_chains=40, n_iterations=5,
+                        trace_every=1, functionals=functionals)
+        with pytest.raises(ValueError, match=rf"functional {re.escape(tag)} is listed "
+                                             "more than once"):
+            run_diagnostic(cfg, target, approx)
+        assert target.gradient_evaluations == 0
+
+
+class TestFinalIntervalsMatchColumnPass:
+    # the final ensemble is diagnosed one functional at a time, a checkpoint
+    # by column_intervals; on the final value rows both must give the same
+    # bits, traced or not
+    @pytest.mark.parametrize("trace_every", [0, 1])
+    @pytest.mark.parametrize("kind", ["rwmh", "mala", "barker", "hmc"])
+    def test_every_endpoint_equals_the_column_pass(self, kind, trace_every, monkeypatch):
+        rows = []
+        real = runner._value_rows
+
+        def recorded(*args):
+            rows.append(real(*args))
+            return rows[-1]
+
+        monkeypatch.setattr(runner, "_value_rows", recorded)
+        target = correlated_gaussian_target(3, correlation=0.3)
+        approx = mean_field_gaussian_approximation([1.5, -1.0, 0.5], [0.4, 2.5, 0.6])
+        no_q = Approximation(3, approx.sampler, approx.means, approx.sds,
+                             approx.covariance, quantile_fn=None, name="no_q")
+        functionals = ["mean(*)", "variance(*)", "quantile(2,0.1)", "quantile(0,0.5)",
+                       "scalar(target_log_density)", "scalar(r)"]
+        scalar_rows = {"target_log_density": 3, "r": 4}
+        for approximation in (approx, no_q):
+            rows.clear()
+            report = run_diagnostic(RunConfig(
+                kernel=kind, seed=13, n_chains=70, n_iterations=6, trace_every=trace_every,
+                functionals=functionals,
+                scalar_functions={"r": lambda x: np.sum(x * x, axis=1)}), target, approximation)
+            assert len(rows) == (7 if trace_every else 1)
+            columns = []  # (interval kind, row, initial-side value, level)
+            for f in report.functionals:
+                i, p = f.spec.coordinate, f.spec.p
+                if f.spec.kind == "mean":
+                    columns.append(("mean", i, approximation.means[i], None))
+                elif f.spec.kind == "variance":
+                    columns.append(("log_variance", i, approximation.sds[i], None))
+                elif f.spec.kind == "quantile":
+                    columns.append(("quantile", i, f.initial_value, p))
+                elif f.tag.startswith("scalar_mean"):
+                    columns.append(("mean", scalar_rows[f.spec.name], f.initial_value, None))
+                else:
+                    columns.append(("quantile", scalar_rows[f.spec.name], f.initial_value, 0.5))
+            kinds, at, initial, levels = zip(*columns)
+            n, alpha = report.n_chains, report.alpha
+            critical = CriticalValues.at(n, alpha, {
+                p: (stats.binomial_quantile(alpha / 2, n, p),
+                    stats.binomial_quantile(1 - alpha / 2, n, p) + 1)
+                for p in (0.1, 0.5)})
+            lower, upper = column_intervals(
+                rows[-1], IntervalColumns.of(kinds, at, initial, levels, critical), critical)
+            assert len(report.functionals) == 12
+            assert [(_bits(f.result.interval.lower), _bits(f.result.interval.upper))
+                    for f in report.functionals] == \
+                [(_bits(lo), _bits(hi)) for lo, hi in zip(lower, upper)]
 
 
 class TestDeterminism:

@@ -458,7 +458,8 @@ def _resolve_specs(config: RunConfig, dimension: int) -> list[FunctionalSpec]:
         if isinstance(item, FunctionalSpec):
             specs.append(item)
         elif (text := str(item).replace(" ", "")) in ("mean(*)", "variance(*)"):
-            specs += [FunctionalSpec(text[:-3], coordinate=i) for i in range(dimension)]
+            kind = text.removesuffix("(*)")
+            specs += [FunctionalSpec(kind, coordinate=i) for i in range(dimension)]
         else:
             specs.append(parse_functional(str(item)))
     if not specs:

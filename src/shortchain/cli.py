@@ -195,7 +195,7 @@ def build_run(cfg: dict, seed_override=None, force_trace=False):
     step_scale = _number(overrides, "step_size_scale", "config.overrides",
                          default=RunConfig.step_size_scale, positive=True)
 
-    # parsed, wildcards included, by the runner like RunConfig.functionals
+    # the runner parses the list and expands its wildcards, as for RunConfig
     functionals = cfg.get("functionals")
     if "functionals" in cfg and not (isinstance(functionals, list)
                                      and all(isinstance(s, str) for s in functionals)):

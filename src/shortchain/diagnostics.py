@@ -11,14 +11,12 @@ An interval's critical values (the t quantile, the two chi-square
 quantiles, the order-statistic ranks) depend only on the sample size N,
 alpha and the quantile level p.  A run builds them once as a
 ``CriticalValues`` and passes it to every interval as ``critical=``; a
-standalone call without it computes the values it needs.
+standalone call without it builds them with ``CriticalValues.at``.
 
-Each interval's endpoint formula lives in one elementwise helper
-(``_t_endpoints``, ``_log_variance_endpoints``, ``_quantile_endpoints``,
-and ``lower_bounds`` for the bound).  The per-functional functions apply it
-to one column; ``column_intervals`` applies it to every audited column of
-an ensemble at once, with the same bits, which is how a traced run
-diagnoses its checkpoints.
+``column_intervals`` is the one implementation of the intervals: it
+diagnoses every audited row of a value matrix in one pass, and
+``lower_bounds`` turns its endpoints into bounds.  The per-functional
+functions check their arguments and make a one-row call into it.
 """
 
 from __future__ import annotations
@@ -65,7 +63,9 @@ class CriticalValues:
     def at(cls, n: int, alpha: float, ranks: Optional[dict] = None) -> "CriticalValues":
         """Computes the t and chi-square values for N = n and ``alpha``."""
         _check_alpha(alpha)
-        return cls(n, alpha, _t_value(n, alpha), *_chi2_values(n, alpha), dict(ranks or {}))
+        return cls(n, alpha, student_t_quantile(1.0 - alpha / 2.0, n - 1),
+                   chi_square_quantile(alpha / 2.0, n - 1),
+                   chi_square_quantile(1.0 - alpha / 2.0, n - 1), dict(ranks or {}))
 
     def check(self, n: int, alpha: float):
         """Raises a ``ValueError`` unless these values are for (n, alpha)."""
@@ -117,7 +117,8 @@ def mean_difference_ci(final_values: np.ndarray, initial_mean: float,
         initial_mean: The approximation-side mean.
         alpha: Miscoverage level in (0, 1).
         critical: Precomputed values for (N, alpha), whose ``t`` is used;
-            without it the t quantile is computed here.
+            without it all three t and chi-square quantiles are computed
+            here.
 
     A zero-spread sample yields a degenerate point interval, flagged rather
     than raised so callers can surface it.
@@ -128,12 +129,7 @@ def mean_difference_ci(final_values: np.ndarray, initial_mean: float,
     """
     x = _as_vector(final_values)
     _check_alpha(alpha)
-    n = x.size
-    if critical is not None:
-        critical.check(n, alpha)
-    t = _t_value(n, alpha) if critical is None else critical.t
-    return _interval(alpha, functional_tag, *_t_endpoints(
-        x.mean(keepdims=True), x.var(ddof=1, keepdims=True), initial_mean, n, t))
+    return _one_row(x, "mean", initial_mean, alpha, functional_tag, critical)
 
 
 def log_variance_ratio_ci(final_values: np.ndarray, initial_sd: float,
@@ -146,7 +142,8 @@ def log_variance_ratio_ci(final_values: np.ndarray, initial_sd: float,
         initial_sd: The approximation-side standard deviation, positive.
         alpha: Miscoverage level in (0, 1).
         critical: Precomputed values for (N, alpha), whose chi-square
-            quantiles are used; without it they are computed here.
+            quantiles are used; without it all three t and chi-square
+            quantiles are computed here.
 
     A zero-spread sample yields the degenerate interval (-inf, -inf).
 
@@ -158,13 +155,7 @@ def log_variance_ratio_ci(final_values: np.ndarray, initial_sd: float,
     _check_alpha(alpha)
     if initial_sd <= 0:
         raise ValueError(f"initial_sd must be positive, got {initial_sd}")
-    n = x.size
-    if critical is not None:
-        critical.check(n, alpha)
-    chi2_lower, chi2_upper = (_chi2_values(n, alpha) if critical is None
-                              else (critical.chi2_lower, critical.chi2_upper))
-    return _interval(alpha, functional_tag, *_log_variance_endpoints(
-        x.var(ddof=1, keepdims=True), initial_sd, n, chi2_lower, chi2_upper))
+    return _one_row(x, "log_variance", initial_sd, alpha, functional_tag, critical)
 
 
 def quantile_difference_ci(final_values: np.ndarray, p: float, initial_quantile: float,
@@ -175,6 +166,8 @@ def quantile_difference_ci(final_values: np.ndarray, p: float, initial_quantile:
     Uses the 1-based order statistics X_(l) and X_(u) with
     l = BinomialQuantile(alpha/2; N, p) and u = BinomialQuantile(1 - alpha/2; N, p) + 1,
     taken from ``critical.ranks[p]`` when present and computed here otherwise.
+    A call without ``critical`` also computes the t and chi-square
+    quantiles, which this interval does not use.
 
     Raises:
         ValueError: when N is too small for the requested (p, alpha), i.e.
@@ -186,22 +179,7 @@ def quantile_difference_ci(final_values: np.ndarray, p: float, initial_quantile:
     _check_alpha(alpha)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    n = x.size
-    if critical is not None:
-        critical.check(n, alpha)
-    if critical is not None and p in critical.ranks:
-        l, u = critical.ranks[p]
-    else:
-        l = binomial_quantile(alpha / 2.0, n, p)
-        u = binomial_quantile(1.0 - alpha / 2.0, n, p) + 1
-    if l < 1 or u > n:
-        raise ValueError(
-            f"{n} chains are too few for a level {1 - alpha:.3g} interval on the "
-            f"p={p} quantile (order statistics {l} and {u} requested); "
-            "increase the number of chains or relax alpha")
-    xs = np.sort(x)
-    return _interval(alpha, functional_tag,
-                     *_quantile_endpoints(xs[[l - 1]], xs[[u - 1]], initial_quantile))
+    return _one_row(x, "quantile", initial_quantile, alpha, functional_tag, critical, p)
 
 
 def error_lower_bound(interval: ConfidenceInterval) -> LowerBoundResult:
@@ -219,7 +197,7 @@ def error_lower_bound(interval: ConfidenceInterval) -> LowerBoundResult:
 
 @dataclass(frozen=True)
 class IntervalColumns:
-    """Once-per-run constants of ``column_intervals``.
+    """The constants of a ``column_intervals`` call, which a run builds once.
 
     Functional j reads row ``rows[j]`` of an (R, N) value matrix and is
     compared with ``initial[j]``, its initial-side value.  The functionals
@@ -259,42 +237,56 @@ class IntervalColumns:
 
 
 def column_intervals(values: np.ndarray, columns: IntervalColumns, critical: CriticalValues
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every functional's interval from one pass over an (R, N) value matrix.
 
-    ``values`` holds one C-contiguous row per audited variable (an ensemble
-    coordinate or a scalar functional's values across chains).  The row
-    means and ``ddof=1`` variances are computed once, and the rows the
-    quantiles read are sorted together.  A row reduces in the same order as a
-    single column does, so every endpoint equals, bit for bit, the one
-    ``mean_difference_ci``, ``log_variance_ratio_ci`` or
-    ``quantile_difference_ci`` gives on that row with the same ``critical``.
+    ``values`` holds one row per audited variable (an ensemble coordinate
+    or a scalar functional's values across chains).  The row means and
+    ``ddof=1`` variances are computed once, and the rows the quantiles read
+    are sorted together.  Each row reduces on its own, so its endpoints do
+    not depend on the other rows.  A t or chi-square interval is degenerate
+    when its row has zero spread: the t interval is then the point at the
+    centre, the chi-square one (-inf, -inf).  An order-statistic interval
+    is never degenerate.
 
     Returns:
-        ``(lower, upper)``, one entry per functional.
+        ``(lower, upper, degenerate)``, one entry per functional.
     """
     n = values.shape[1]
     critical.check(n, critical.alpha)
     k = columns.rows.size
     lower, upper = np.empty(k), np.empty(k)
+    degenerate = np.zeros(k, dtype=bool)
     if columns.mean_at.size or columns.log_variance_at.size:
-        means = values.mean(axis=1)
         variances = values.var(axis=1, ddof=1)
+    if columns.mean_at.size:
+        # centre -/+ s / sqrt(n) * t; zero spread gives the point interval at the centre
         at = columns.mean_at
         rows = columns.rows[at]
-        lower[at], upper[at], _ = _t_endpoints(
-            means[rows], variances[rows], columns.initial[at], n, critical.t)
+        center = values.mean(axis=1)[rows] - columns.initial[at]
+        half = np.sqrt(variances[rows]) / math.sqrt(n) * critical.t
+        degenerate[at] = flat = variances[rows] == 0.0
+        lower[at] = np.where(flat, center, center - half)
+        upper[at] = np.where(flat, center, center + half)
+    if columns.log_variance_at.size:
+        # log((n - 1) s^2 / sd0^2 / chi2) at both chi-square quantiles, -inf at
+        # zero spread; math.log per value, since np.log need not round as libm does
         at = columns.log_variance_at
-        lower[at], upper[at], _ = _log_variance_endpoints(
-            variances[columns.rows[at]], columns.initial[at], n,
-            critical.chi2_lower, critical.chi2_upper)
+        variance = variances[columns.rows[at]]
+        scaled = (n - 1) * variance / (columns.initial[at] * columns.initial[at])
+        degenerate[at] = flat = variance == 0.0
+        lower[at] = upper[at] = -math.inf
+        for j, v in zip(at[~flat].tolist(), scaled[~flat].tolist()):
+            lower[j] = math.log(v / critical.chi2_upper)
+            upper[j] = math.log(v / critical.chi2_lower)
     if columns.quantile_at.size:
+        # the order statistics X_(l) and X_(u), shifted by the initial quantile
         at = columns.quantile_at
         ordered = np.sort(values[columns.rows[at]], axis=1)
         take = np.arange(at.size)
-        lower[at], upper[at] = _quantile_endpoints(
-            ordered[take, columns.lo], ordered[take, columns.hi], columns.initial[at])
-    return lower, upper
+        lower[at] = ordered[take, columns.lo] - columns.initial[at]
+        upper[at] = ordered[take, columns.hi] - columns.initial[at]
+    return lower, upper, degenerate
 
 
 def lower_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -413,37 +405,29 @@ def scalar_tags(name: str) -> tuple[str, str]:
     return f"scalar_mean({name})", f"scalar_median({name})"
 
 
-def _t_endpoints(mean, variance, initial_mean, n: int, t: float):
-    # centre -/+ s / sqrt(n) * t; zero spread gives the point interval at the centre
-    center = mean - initial_mean
-    half = np.sqrt(variance) / math.sqrt(n) * t
-    degenerate = variance == 0.0
-    return (np.where(degenerate, center, center - half),
-            np.where(degenerate, center, center + half), degenerate)
-
-
-def _log_variance_endpoints(variance, initial_sd, n: int, chi2_lower: float,
-                            chi2_upper: float):
-    # log((n - 1) s^2 / sd0^2 / chi2) at both chi-square quantiles; math.log
-    # per value, since np.log need not round as libm does
-    degenerate = variance == 0.0
-    scaled = (n - 1) * variance / (initial_sd * initial_sd)
-    lower = np.full(scaled.shape, -math.inf)
-    upper = np.full(scaled.shape, -math.inf)
-    for j in np.flatnonzero(~degenerate):
-        lower[j] = math.log(scaled[j] / chi2_upper)
-        upper[j] = math.log(scaled[j] / chi2_lower)
-    return lower, upper, degenerate
-
-
-def _quantile_endpoints(x_lower, x_upper, initial_quantile):
-    # the order statistics X_(l) and X_(u), shifted by the initial quantile
-    return x_lower - initial_quantile, x_upper - initial_quantile
-
-
-def _interval(alpha: float, functional_tag: str, lower, upper,
-              degenerate=(False,)) -> ConfidenceInterval:
-    # one functional's interval from one-element endpoint arrays
+def _one_row(x: np.ndarray, kind: str, initial: float, alpha: float, functional_tag: str,
+             critical: Optional[CriticalValues], p: Optional[float] = None
+             ) -> ConfidenceInterval:
+    # the one-row column_intervals call behind each per-functional function
+    n = x.size
+    if critical is None:
+        critical = CriticalValues.at(n, alpha)
+    critical.check(n, alpha)
+    one, none = np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    lo = hi = none
+    if kind == "quantile":
+        l, u = critical.ranks[p] if p in critical.ranks else (
+            binomial_quantile(alpha / 2.0, n, p), binomial_quantile(1.0 - alpha / 2.0, n, p) + 1)
+        if l < 1 or u > n:
+            raise ValueError(
+                f"{n} chains are too few for a level {1 - alpha:.3g} interval on the "
+                f"p={p} quantile (order statistics {l} and {u} requested); "
+                "increase the number of chains or relax alpha")
+        lo, hi = np.array([l - 1], dtype=np.intp), np.array([u - 1], dtype=np.intp)
+    columns = IntervalColumns(one, np.array([initial], dtype=float),
+                              *(one if k == kind else none
+                                for k in ("mean", "log_variance", "quantile")), lo, hi)
+    lower, upper, degenerate = column_intervals(x[None, :], columns, critical)
     return ConfidenceInterval(float(lower[0]), float(upper[0]), 1.0 - alpha, functional_tag,
                               degenerate=bool(degenerate[0]))
 
@@ -453,15 +437,6 @@ def _as_vector(values) -> np.ndarray:
     if x.ndim != 1 or x.size < 2:
         raise ValueError(f"need a 1-d sample vector with N >= 2, got shape {x.shape}")
     return x
-
-
-def _t_value(n: int, alpha: float) -> float:
-    return student_t_quantile(1.0 - alpha / 2.0, n - 1)
-
-
-def _chi2_values(n: int, alpha: float) -> tuple[float, float]:
-    return (chi_square_quantile(alpha / 2.0, n - 1),
-            chi_square_quantile(1.0 - alpha / 2.0, n - 1))
 
 
 def _check_alpha(alpha: float):

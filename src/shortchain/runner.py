@@ -15,10 +15,11 @@ are diagnosed from that plan and the same value rows, with the same bits.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -26,11 +27,10 @@ from .adaptation import (_MAX_CHAINS, _MAX_ITERATIONS, AdaptationState,
                          SizingPolicy, chain_count, check_kind,
                          initial_step_size, iteration_count)
 from .approximations import Approximation
-from .diagnostics import (MONOTONE_ERROR_CAVEAT, CentredRows, ConfidenceInterval,
-                          CriticalValues, IntervalColumns, LowerBoundResult,
-                          ReliabilityResult, column_intervals,
-                          error_lower_bound, log_variance_ratio_ci,
-                          lower_bounds, mean_difference_ci,
+from .diagnostics import (MONOTONE_ERROR_CAVEAT, CentredRows, CriticalValues,
+                          IntervalColumns, LowerBoundResult, ReliabilityResult,
+                          column_intervals, error_lower_bound,
+                          log_variance_ratio_ci, lower_bounds, mean_difference_ci,
                           quantile_difference_ci, reliability_check,
                           scalar_functional_diagnostics, scalar_tags)
 from .kernels import Preconditioner, step_batch
@@ -38,6 +38,7 @@ from .rng import RandomStream
 from .stats import binomial_quantile, sample_quantile
 from .targets import TargetModel, checked_output
 
+_KINDS = ("mean", "variance", "quantile", "scalar")
 _FUNCTIONAL_RE = re.compile(
     r"^\s*(mean|variance|quantile|scalar)\s*\(\s*([^)]*?)\s*\)\s*$")
 
@@ -378,8 +379,8 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     def record(iteration, states, logpi_states):
         reliability = reliability_check(x0, states, cutoff=config.reliability_cutoff,
                                         initial=initial_rows)
-        lower, upper = column_intervals(_value_rows(states, logpi_states, scalars),
-                                        columns, critical)
+        lower, upper, _ = column_intervals(_value_rows(states, logpi_states, scalars),
+                                           columns, critical)
         bounds, _ = lower_bounds(lower, upper)
         trace_rows.append(TraceRow(iteration, reliability.rho2_max,
                                    dict(zip(tags, bounds.tolist()))))
@@ -449,14 +450,17 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
 
 def _resolve_specs(config: RunConfig, dimension: int) -> list[FunctionalSpec]:
     """The run's functionals with mean(*) and variance(*) expanded; raises
-    for an empty list, or for a coordinate out of range, a quantile level p
-    outside (0, 1) or a tag listed twice, naming the functional."""
+    for a bare string or an empty list, or for a malformed FunctionalSpec, a
+    coordinate out of range, a quantile level p outside (0, 1) or a tag
+    listed twice, naming the functional."""
     if config.functionals is None:
         return default_functionals(dimension)
+    if isinstance(config.functionals, str):
+        raise ValueError(f"functionals must be a list, got {config.functionals!r}")
     specs = []
     for item in config.functionals:
         if isinstance(item, FunctionalSpec):
-            specs.append(item)
+            specs.append(_checked_spec(item))
         elif (text := str(item).replace(" ", "")) in ("mean(*)", "variance(*)"):
             kind = text.removesuffix("(*)")
             specs += [FunctionalSpec(kind, coordinate=i) for i in range(dimension)]
@@ -464,17 +468,40 @@ def _resolve_specs(config: RunConfig, dimension: int) -> list[FunctionalSpec]:
             specs.append(parse_functional(str(item)))
     if not specs:
         raise ValueError("functionals list is empty")
-    tags = set()
+    seen = {}
     for spec in specs:
         if spec.coordinate is not None and not 0 <= spec.coordinate < dimension:
             raise ValueError(f"functional {spec.tag} is out of range for dimension {dimension}")
         if spec.kind == "quantile" and not 0.0 < spec.p < 1.0:
             raise ValueError(f"functional {spec.tag} needs a quantile level p in (0, 1), "
                              f"got {spec.p}")
-        if spec.tag in tags:
+        if spec.tag in seen:
+            if seen[spec.tag].p != spec.p:
+                raise ValueError(f"functionals at quantile levels {seen[spec.tag].p!r} and "
+                                 f"{spec.p!r} differ but both print as {spec.tag}")
             raise ValueError(f"functional {spec.tag} is listed more than once")
-        tags.add(spec.tag)
+        seen[spec.tag] = spec
     return specs
+
+
+def _checked_spec(spec: FunctionalSpec) -> FunctionalSpec:
+    """Raises a ``ValueError`` naming ``spec`` unless its kind is known and it
+    has what that kind needs: an integer coordinate, a real p for a quantile,
+    a name for a scalar."""
+    def wrong(value, kind):  # not a number of that kind, or a bool
+        return isinstance(value, bool) or not isinstance(value, kind)
+
+    if spec.kind not in _KINDS:
+        problem = f"has unknown kind {spec.kind!r}; expected one of {_KINDS}"
+    elif spec.kind == "scalar" and not (isinstance(spec.name, str) and spec.name):
+        problem = "needs a name"
+    elif spec.kind != "scalar" and wrong(spec.coordinate, numbers.Integral):
+        problem = f"needs an integer coordinate, got {spec.coordinate!r}"
+    elif spec.kind == "quantile" and wrong(spec.p, numbers.Real):
+        problem = f"needs a real quantile level p, got {spec.p!r}"
+    else:
+        return spec
+    raise ValueError(f"functional {spec!r} {problem}")
 
 
 def _resolve_scalar_functions(specs, config: RunConfig) -> dict:
@@ -514,10 +541,7 @@ def _quantile_ranks(specs, n_chains: int, alpha: float) -> dict:
 def _checkpoint_iterations(trace_every: int, n_iters: int) -> set:
     if trace_every < 1:
         return set()
-    ts = set(range(0, n_iters + 1, trace_every))
-    ts.add(0)
-    ts.add(n_iters)
-    return ts
+    return set(range(0, n_iters + 1, trace_every)) | {n_iters}
 
 
 def _noise_fillers(kind: str, streams, eps: np.ndarray, uniforms: np.ndarray) -> list:

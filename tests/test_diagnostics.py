@@ -523,18 +523,23 @@ class TestColumnIntervals:
                 entries.append(("quantile", row, 0.0 if row == 1 else float(rng.normal()), p))
         kinds, rows, initial, levels = zip(*entries)
         columns = IntervalColumns.of(kinds, rows, initial, levels, critical)
-        lower, upper = column_intervals(ensemble.T.copy(), columns, critical)
+        lower, upper, degenerate = column_intervals(ensemble.T.copy(), columns, critical)
         bound, detected = lower_bounds(lower, upper)
+        # each function's first call computes its own critical values
+        called = set()
         for j, (kind, row, init, p) in enumerate(entries):
             x = ensemble[:, row]
+            passed = critical if kind in called else None
+            called.add(kind)
             if kind == "mean":
-                ci = mean_difference_ci(x, init, alpha, critical=critical)
+                ci = mean_difference_ci(x, init, alpha, critical=passed)
             elif kind == "log_variance":
-                ci = log_variance_ratio_ci(x, init, alpha, critical=critical)
+                ci = log_variance_ratio_ci(x, init, alpha, critical=passed)
             else:
-                ci = quantile_difference_ci(x, p, init, alpha, critical=critical)
+                ci = quantile_difference_ci(x, p, init, alpha, critical=passed)
             res = error_lower_bound(ci)
             assert (_bits(lower[j]), _bits(upper[j])) == (_bits(ci.lower), _bits(ci.upper))
+            assert bool(degenerate[j]) == ci.degenerate
             assert (_bits(bound[j]), bool(detected[j])) == (_bits(res.bound), res.detected)
 
     def test_bound_takes_lower_when_upper_is_nan(self):

@@ -126,6 +126,50 @@ class TestFunctionalsList:
         assert target.gradient_evaluations == 0
 
 
+    def test_distinct_levels_with_one_tag_are_both_named(self):
+        # both levels print as quantile(0,0.123457), so their trace rows
+        # would collide; the error says the levels differ
+        target, approx = small_setup()
+        cfg = RunConfig(kernel="mala", seed=0, n_chains=400, n_iterations=5,
+                        functionals=["quantile(0,0.1234567)", "quantile(0,0.1234568)"])
+        with pytest.raises(ValueError, match=re.escape(
+                "quantile levels 0.1234567 and 0.1234568 differ but both print as "
+                "quantile(0,0.123457)")):
+            run_diagnostic(cfg, target, approx)
+        assert target.gradient_evaluations == 0
+
+    @pytest.mark.parametrize("spec, problem", [
+        (FunctionalSpec("median", coordinate=0), "has unknown kind 'median'"),
+        (FunctionalSpec("mean"), "needs an integer coordinate, got None"),
+        (FunctionalSpec("mean", coordinate=True), "needs an integer coordinate, got True"),
+        (FunctionalSpec("variance", coordinate=1.5), "needs an integer coordinate, got 1.5"),
+        (FunctionalSpec("quantile", p=0.5), "needs an integer coordinate, got None"),
+        (FunctionalSpec("quantile", coordinate=0), "needs a real quantile level p, got None"),
+        (FunctionalSpec("quantile", coordinate=0, p="0.5"),
+         "needs a real quantile level p, got '0.5'"),
+        (FunctionalSpec("quantile", coordinate=0, p=True),
+         "needs a real quantile level p, got True"),
+        (FunctionalSpec("scalar"), "needs a name"),
+        (FunctionalSpec("scalar", name=""), "needs a name")])
+    def test_malformed_spec_fails_before_any_work(self, spec, problem):
+        # a FunctionalSpec item is checked as a parsed string is
+        target, approx = small_setup()
+        cfg = RunConfig(kernel="mala", seed=0, n_chains=400, n_iterations=5,
+                        functionals=["mean(0)", spec])
+        with pytest.raises(ValueError, match=re.escape(f"functional {spec!r} {problem}")):
+            run_diagnostic(cfg, target, approx)
+        assert target.gradient_evaluations == 0
+
+    def test_bare_string_is_refused(self):
+        # a string would be read one character at a time
+        target, approx = small_setup()
+        cfg = RunConfig(kernel="mala", seed=0, n_chains=40, n_iterations=5,
+                        functionals="mean(0)")
+        with pytest.raises(ValueError, match=re.escape(
+                "functionals must be a list, got 'mean(0)'")):
+            run_diagnostic(cfg, target, approx)
+        assert target.gradient_evaluations == 0
+
 class TestFinalIntervalsMatchColumnPass:
     # the final ensemble is diagnosed one functional at a time, a checkpoint
     # by column_intervals; on the final value rows both must give the same
@@ -174,7 +218,7 @@ class TestFinalIntervalsMatchColumnPass:
                 p: (stats.binomial_quantile(alpha / 2, n, p),
                     stats.binomial_quantile(1 - alpha / 2, n, p) + 1)
                 for p in (0.1, 0.5)})
-            lower, upper = column_intervals(
+            lower, upper, _ = column_intervals(
                 rows[-1], IntervalColumns.of(kinds, at, initial, levels, critical), critical)
             assert len(report.functionals) == 12
             assert [(_bits(f.result.interval.lower), _bits(f.result.interval.upper))

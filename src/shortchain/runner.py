@@ -107,7 +107,7 @@ class RunConfig:
         seed: Ensemble seed; with the config it fully determines the report.
         sizing: Tolerances behind the automatic N and T choices; its
             ``alpha`` is also the miscoverage level of every interval.
-        functionals: Strings or FunctionalSpec items, each tag at most
+        functionals: A list of strings or FunctionalSpec items, each tag at most
             once after the wildcards mean(*) and variance(*) expand; None
             audits every coordinate's mean and variance.
         n_chains / n_iterations: Overrides for the sized N and T, each at

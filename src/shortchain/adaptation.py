@@ -1,6 +1,8 @@
 """Per-kind kernel tuning, cross-chain step-size adaptation and sizing rules.
 
 ``KERNEL_TUNING`` is the one table of kernel kinds; ``check_kind`` the one check.
+``checked_integer`` and ``checked_real`` are the one check of an integer or real
+setting, which the object that owns the setting calls.
 
 The ensemble shares one log step size psi.  After every iteration the mean
 acceptance rate across chains pulls psi toward the kernel's optimal rate
@@ -11,8 +13,9 @@ with a 1/sqrt(t+1) decay, which lets adaptation run through the entire
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .stats import chi_square_quantile, student_t_quantile
 
@@ -36,9 +39,44 @@ _MAX_CHAINS = 1_000_000
 _MAX_ITERATIONS = 1_000_000
 
 
+def checked_integer(name: str, value, minimum: int, maximum: Optional[int] = None) -> int:
+    """Returns ``value`` as a plain int; the one check of an integer setting.
+
+    Raises a ``ValueError`` naming ``name`` for a bool, a value that is not
+    an integer (a string, a float, None, ...) or one outside
+    [minimum, maximum].
+    """
+    # int first: the ABC check costs a microsecond, and most values are ints
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be at most {maximum}, got {value}")
+    return value
+
+
+def checked_real(name: str, value) -> float:
+    """Returns ``value`` as a plain float; the one check of a real setting.
+
+    Raises a ``ValueError`` naming ``name`` for a bool, a value that is not
+    a real number, or a non-finite one.  Ranges stay with each caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def check_kind(kind: str) -> KernelTuning:
     """Returns the kind's row of ``KERNEL_TUNING``; the one check of a kind."""
-    if kind not in KERNEL_TUNING:
+    if kind not in KERNEL_KINDS:  # a tuple, so an unhashable kind is refused too
         raise ValueError(f"unknown kernel kind {kind!r}, expected one of {KERNEL_KINDS}")
     return KERNEL_TUNING[kind]
 
@@ -51,8 +89,7 @@ def target_acceptance(kind: str) -> float:
 def initial_step_size(kind: str, dimension: int) -> float:
     """Dimension-scaled starting step size 2.4^2 / d^k for kernel family k."""
     k = check_kind(kind).step_exponent
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
+    dimension = checked_integer("dimension", dimension, 1)
     return 2.4 ** 2 / dimension ** k
 
 
@@ -77,7 +114,8 @@ class AdaptationState:
 
 @dataclass(frozen=True)
 class SizingPolicy:
-    """Accuracy tolerances that size the ensemble; every float field is finite.
+    """Accuracy tolerances that size the ensemble; each field is checked by
+    name and stored as a plain float, or int for ``leapfrog_steps``.
 
     Attributes:
         delta_mean: Half-width budget for the standardized mean interval.
@@ -93,18 +131,17 @@ class SizingPolicy:
     leapfrog_steps: int = 10
 
     def __post_init__(self):
-        for name in ("delta_mean", "delta_var", "alpha", "iteration_coefficient"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.delta_mean <= 0 or self.delta_var <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.iteration_coefficient <= 0:
-            raise ValueError("iteration_coefficient must be positive")
-        if self.leapfrog_steps < 1:
-            raise ValueError("leapfrog_steps must be >= 1")
+        for name in ("delta_mean", "delta_var", "iteration_coefficient"):
+            value = checked_real(name, getattr(self, name))
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, value)
+        alpha = checked_real("alpha", self.alpha)
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "leapfrog_steps",
+                           checked_integer("leapfrog_steps", self.leapfrog_steps, 1))
 
 
 def _smallest_chain_count(width, budget: float, name: str) -> int:
@@ -159,8 +196,7 @@ def iteration_count(kind: str, dimension: int, policy: SizingPolicy) -> int:
     float overflow does.
     """
     check_kind(kind)
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
+    dimension = checked_integer("dimension", dimension, 1)
     c = policy.iteration_coefficient
     if kind == "hmc":
         raw = c * dimension ** 0.25 / policy.leapfrog_steps

@@ -13,6 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtri
 
+from .adaptation import checked_integer
 from .rng import RandomStream
 from .stats import sample_quantile
 
@@ -38,7 +39,7 @@ class Approximation:
                  covariance: np.ndarray,
                  quantile_fn: Optional[Callable[[int, float], float]] = None,
                  name: str = "approximation"):
-        d = int(dimension)
+        d = checked_integer("dimension", dimension, 1)
         means = np.asarray(means, dtype=float)
         sds = np.asarray(sds, dtype=float)
         covariance = np.asarray(covariance, dtype=float)
@@ -46,10 +47,10 @@ class Approximation:
             raise ValueError(f"means and sds must have shape ({d},)")
         if covariance.shape != (d, d):
             raise ValueError(f"covariance must have shape ({d}, {d})")
-        if not np.all(np.isfinite(means)):
+        if not np.isfinite(means).all():
             raise ValueError(f"means must be finite, got {means}")
-        if np.any(sds <= 0) or not np.all(np.isfinite(sds)):
-            raise ValueError("coordinate standard deviations must be positive and finite")
+        if not ((sds > 0) & (sds < np.inf)).all():
+            raise ValueError(f"sds must be positive and finite, got {sds}")
         self.dimension = d
         self.sampler = sampler
         self.means = means
@@ -86,10 +87,9 @@ def mean_field_gaussian_approximation(means, sds, name: str = "mean_field") -> A
     """Independent Gaussian approximation with the given means and sds."""
     means = np.atleast_1d(np.asarray(means, dtype=float))
     sds = np.atleast_1d(np.asarray(sds, dtype=float))
-    if means.shape != sds.shape or means.ndim != 1:
-        raise ValueError("means and sds must be equal-length vectors")
-    if np.any(sds <= 0):
-        raise ValueError("sds must be strictly positive")
+    if means.shape != sds.shape or means.ndim != 1 or means.size == 0:
+        raise ValueError(f"means and sds must be equal-length non-empty vectors, "
+                         f"got shapes {means.shape} and {sds.shape}")
     d = means.size
 
     def sampler(stream: RandomStream) -> np.ndarray:
@@ -184,8 +184,7 @@ def approximation_from_sampler(sampler: Callable[[RandomStream], np.ndarray],
     points once, freezes the resulting empirical functionals, and keeps the
     original sampler for chain initialization.
     """
-    if n_draws < 2:
-        raise ValueError(f"n_draws must be >= 2, got {n_draws}")
+    n_draws = checked_integer("n_draws", n_draws, 2)
     draws = np.stack([np.asarray(sampler(stream), dtype=float) for _ in range(n_draws)])
     base = empirical_approximation(draws, name=name)
     return Approximation(dimension, sampler, base.means, base.sds, base.covariance,

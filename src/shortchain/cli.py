@@ -1,8 +1,9 @@
 """Command line entry points: run, trace, sizing.
 
-Configs are flat JSON documents validated against a closed schema (unknown
-keys are errors), so a typo fails fast instead of silently running a
-different experiment.  Exit codes: 0 on success, 1 on any error, 2 when the
+Configs are flat JSON documents whose keys are checked against a closed
+schema (unknown keys are errors), so a typo fails fast instead of silently
+running a different experiment.  Each value is checked, by name, by the
+object that owns it.  Exit codes: 0 on success, 1 on any error, 2 when the
 run completed and wrote its outputs but the reliability check failed.
 """
 
@@ -10,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .approximations import (Approximation, empirical_approximation,
                              kl_optimal_mean_field,
                              mean_field_gaussian_approximation)
 from .runner import DiagnosticReport, RunConfig, run_diagnostic
-from .targets import (TargetModel, correlated_gaussian_target,
+from .targets import (TargetModel, _vector, correlated_gaussian_target,
                       neal_funnel_target, synthetic_logistic_regression_target)
 
 EXIT_OK = 0
@@ -48,48 +49,6 @@ def _check_keys(obj: dict, allowed: set, required: set, context: str):
         raise ConfigError(f"missing required key(s) in {context}: {sorted(missing)}")
 
 
-def _number(obj, key, context, default=None, positive=False):
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"missing {context}.{key}")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{context}.{key} must be a number, got {v!r}")
-    if positive and v <= 0:
-        raise ConfigError(f"{context}.{key} must be positive, got {v}")
-    return float(v)
-
-
-def _integer(obj, key, context, default=None, minimum=None):
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"missing {context}.{key}")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{context}.{key} must be an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{context}.{key} must be >= {minimum}, got {v}")
-    return v
-
-
-def _vector(obj, key, context, dimension, default=None):
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"missing {context}.{key}")
-        return np.full(dimension, float(default))
-    v = obj[key]
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return np.full(dimension, float(v))
-    if isinstance(v, list) and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                                   for x in v):
-        if len(v) != dimension:
-            raise ConfigError(f"{context}.{key} must have length {dimension}, got {len(v)}")
-        return np.asarray(v, dtype=float)
-    raise ConfigError(f"{context}.{key} must be a number or a list of numbers")
-
-
 def load_config(path) -> dict:
     """Parses a JSON config, reporting syntax errors with line context."""
     text = Path(path).read_text()
@@ -102,98 +61,91 @@ def load_config(path) -> dict:
     return cfg
 
 
-def build_target(cfg: dict) -> TargetModel:
-    _check_keys(cfg, {"kind", "dimension", "correlation", "variances", "mean",
-                      "observations", "prior_sd", "data_seed"},
-                {"kind"}, "target")
+# section -> kind -> (required keys, optional keys) besides "kind"; a
+# target's keys are its factory's arguments, with "observations" for
+# n_observations
+_KIND_KEYS = {
+    "target": {
+        "gaussian_correlated": ({"dimension"}, {"correlation", "variances", "mean"}),
+        "funnel": ({"dimension"}, set()),
+        "logistic_synthetic": ({"dimension", "observations"}, {"prior_sd", "data_seed"}),
+    },
+    "approximation": {
+        "mean_field_gaussian": (set(), {"means", "sds"}),
+        "kl_optimal_mean_field": (set(), set()),
+        "empirical": ({"samples_path"}, set()),
+    },
+}
+# every key that some kind of the section allows
+_EVERY_KEY = {section: {"kind"}.union(*(r | o for r, o in kinds.values()))
+              for section, kinds in _KIND_KEYS.items()}
+
+
+def _checked_kind(cfg: dict, section: str) -> str:
+    """Checks ``cfg``'s keys against every kind's of ``section``, then
+    against its own kind's, and returns the kind."""
+    _check_keys(cfg, _EVERY_KEY[section], {"kind"}, section)
+    kinds = _KIND_KEYS[section]
     kind = cfg["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        *others, last = kinds
+        raise ConfigError(f"unknown {section}.kind {kind!r}; expected "
+                          f"{', '.join(others)} or {last}")
+    required, optional = kinds[kind]
+    _check_keys(cfg, {"kind"} | required | optional, {"kind"} | required, section)
+    return kind
+
+
+def build_target(cfg: dict) -> TargetModel:
+    kind = _checked_kind(cfg, "target")
+    args = dict(cfg)
+    del args["kind"]
     if kind == "gaussian_correlated":
-        _check_keys(cfg, {"kind", "dimension", "correlation", "variances", "mean"},
-                    {"kind", "dimension"}, "target")
-        d = _integer(cfg, "dimension", "target", minimum=1)
-        return correlated_gaussian_target(
-            d,
-            mean=_vector(cfg, "mean", "target", d, default=0.0),
-            variances=_vector(cfg, "variances", "target", d, default=1.0),
-            correlation=_number(cfg, "correlation", "target", default=0.0))
+        return correlated_gaussian_target(**args)
     if kind == "funnel":
-        _check_keys(cfg, {"kind", "dimension"}, {"kind", "dimension"}, "target")
-        return neal_funnel_target(_integer(cfg, "dimension", "target", minimum=2))
-    if kind == "logistic_synthetic":
-        _check_keys(cfg, {"kind", "dimension", "observations", "prior_sd", "data_seed"},
-                    {"kind", "dimension", "observations"}, "target")
-        return synthetic_logistic_regression_target(
-            n_observations=_integer(cfg, "observations", "target", minimum=1),
-            dimension=_integer(cfg, "dimension", "target", minimum=1),
-            prior_sd=_number(cfg, "prior_sd", "target", default=1.0, positive=True),
-            data_seed=_integer(cfg, "data_seed", "target", default=0, minimum=0))
-    raise ConfigError(f"unknown target.kind {kind!r}; expected gaussian_correlated, "
-                      "funnel or logistic_synthetic")
+        return neal_funnel_target(**args)
+    args["n_observations"] = args.pop("observations")
+    return synthetic_logistic_regression_target(**args)
 
 
 def build_approximation(cfg: dict, target: TargetModel) -> Approximation:
-    _check_keys(cfg, {"kind", "means", "sds", "samples_path"}, {"kind"}, "approximation")
-    kind = cfg["kind"]
+    kind = _checked_kind(cfg, "approximation")
     d = target.dimension
     if kind == "mean_field_gaussian":
-        _check_keys(cfg, {"kind", "means", "sds"}, {"kind"}, "approximation")
-        return mean_field_gaussian_approximation(
-            _vector(cfg, "means", "approximation", d, default=0.0),
-            _vector(cfg, "sds", "approximation", d, default=1.0))
+        return mean_field_gaussian_approximation(_vector("means", cfg.get("means", 0.0), d),
+                                                 _vector("sds", cfg.get("sds", 1.0), d))
     if kind == "kl_optimal_mean_field":
-        _check_keys(cfg, {"kind"}, {"kind"}, "approximation")
-        try:
-            return kl_optimal_mean_field(target)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if kind == "empirical":
-        _check_keys(cfg, {"kind", "samples_path"}, {"kind", "samples_path"}, "approximation")
-        path = Path(cfg["samples_path"])
-        if not path.exists():
-            raise ConfigError(f"approximation.samples_path does not exist: {path}")
-        samples = np.load(path) if path.suffix == ".npy" else np.loadtxt(path, delimiter=",")
-        try:
-            return empirical_approximation(samples)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown approximation.kind {kind!r}; expected "
-                      "mean_field_gaussian, kl_optimal_mean_field or empirical")
+        return kl_optimal_mean_field(target)
+    path = Path(cfg["samples_path"])
+    if not path.exists():
+        raise ConfigError(f"approximation.samples_path does not exist: {path}")
+    samples = np.load(path) if path.suffix == ".npy" else np.loadtxt(path, delimiter=",")
+    return empirical_approximation(samples)
 
 
-_TOP_KEYS = {"target", "approximation", "kernel", "seed", "alpha", "delta_mean",
-             "delta_var", "iteration_coefficient", "leapfrog_steps", "functionals",
-             "trace_every", "reliability_cutoff", "overrides"}
+_SIZING_KEYS = tuple(f.name for f in fields(SizingPolicy))  # top-level keys, by field
+_TOP_KEYS = {"target", "approximation", "kernel", "seed", "functionals", "trace_every",
+             "reliability_cutoff", "overrides", *_SIZING_KEYS}
 _OVERRIDE_KEYS = {"chains", "iterations", "step_size_scale"}
 
 
 def build_run(cfg: dict, seed_override=None, force_trace=False):
-    """Validates the whole config and builds (run_config, target, approximation)."""
+    """Checks the config's keys and layout and builds (run_config, target,
+    approximation).
+
+    The values go unchanged to the objects that own them, which check each
+    one by name: the target and approximation factories and ``SizingPolicy``
+    here, and the run its own settings (kernel, seed, overrides,
+    ``trace_every``, ``reliability_cutoff``) when it starts, before any
+    chain is drawn.  An absent key takes its field default.
+    """
     _check_keys(cfg, _TOP_KEYS, {"target", "approximation", "kernel", "seed"}, "config")
-    if cfg["kernel"] not in KERNEL_KINDS:
-        raise ConfigError(f"config.kernel must be one of {list(KERNEL_KINDS)}, "
-                          f"got {cfg['kernel']!r}")
     target = build_target(cfg["target"])
     approximation = build_approximation(cfg["approximation"], target)
-
-    # an absent key takes its SizingPolicy or RunConfig field default, its one home
-    policy = SizingPolicy(
-        delta_mean=_number(cfg, "delta_mean", "config",
-                           default=SizingPolicy.delta_mean, positive=True),
-        delta_var=_number(cfg, "delta_var", "config",
-                          default=SizingPolicy.delta_var, positive=True),
-        alpha=_number(cfg, "alpha", "config", default=SizingPolicy.alpha),
-        iteration_coefficient=_number(cfg, "iteration_coefficient", "config",
-                                      default=SizingPolicy.iteration_coefficient,
-                                      positive=True),
-        leapfrog_steps=_integer(cfg, "leapfrog_steps", "config",
-                                default=SizingPolicy.leapfrog_steps, minimum=1))
+    policy = SizingPolicy(**{key: cfg[key] for key in _SIZING_KEYS if key in cfg})
 
     overrides = cfg.get("overrides", {})
     _check_keys(overrides, _OVERRIDE_KEYS, set(), "config.overrides")
-    n_chains = _integer(overrides, "chains", "config.overrides", default=0, minimum=2) or None
-    n_iters = _integer(overrides, "iterations", "config.overrides", default=0, minimum=1) or None
-    step_scale = _number(overrides, "step_size_scale", "config.overrides",
-                         default=RunConfig.step_size_scale, positive=True)
 
     # the runner parses the list and expands its wildcards, as for RunConfig
     functionals = cfg.get("functionals")
@@ -201,78 +153,50 @@ def build_run(cfg: dict, seed_override=None, force_trace=False):
                                      and all(isinstance(s, str) for s in functionals)):
         raise ConfigError("functionals must be a list of strings")
 
-    trace_every = _integer(cfg, "trace_every", "config",
-                           default=RunConfig.trace_every, minimum=0)
-    if force_trace and trace_every < 1:
+    # trace records every iteration unless the config sets a period; any
+    # other value goes to the run, which checks it
+    trace_every = cfg.get("trace_every", RunConfig.trace_every)
+    if force_trace and trace_every == 0 and type(trace_every) is int:
         trace_every = 1
-
-    seed = _integer(cfg, "seed", "config", minimum=0)
-    if seed_override is not None:
-        seed = seed_override
 
     run_config = RunConfig(
         kernel=cfg["kernel"],
-        seed=seed,
+        seed=cfg["seed"] if seed_override is None else seed_override,
         sizing=policy,
         functionals=functionals,
-        n_chains=n_chains,
-        n_iterations=n_iters,
-        step_size_scale=step_scale,
+        n_chains=overrides.get("chains"),
+        n_iterations=overrides.get("iterations"),
+        step_size_scale=overrides.get("step_size_scale", RunConfig.step_size_scale),
         trace_every=trace_every,
-        reliability_cutoff=_number(cfg, "reliability_cutoff", "config",
-                                   default=RunConfig.reliability_cutoff))
+        reliability_cutoff=cfg.get("reliability_cutoff", RunConfig.reliability_cutoff))
     return run_config, target, approximation
 
 
-def _fmt(v) -> str:
-    """Locale-independent CSV cell."""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "NaN"
-        if math.isinf(v):
-            return "Infinity" if v > 0 else "-Infinity"
-        return repr(v)
-    return str(v)
-
-
 def write_outputs(report: DiagnosticReport, out_dir, traces: bool) -> dict:
-    """Writes report.json plus the CSV views; returns the paths written."""
+    """Writes report.json and its CSV views, each row printed from the report's
+    JSON values (so "NaN" and "Infinity" as there); returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {}
-
-    report_path = out / "report.json"
-    report_path.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True,
-                                      allow_nan=False) + "\n")
-    paths["report"] = report_path
-
-    bounds_path = out / "bounds.csv"
-    lines = ["functional_tag,bound,lower,upper,detected"]
-    for f in report.functionals:
-        ci = f.result.interval
-        lines.append(",".join([f.result.functional_tag, _fmt(f.result.bound),
-                               _fmt(ci.lower), _fmt(ci.upper), _fmt(f.result.detected)]))
-    bounds_path.write_text("\n".join(lines) + "\n")
-    paths["bounds"] = bounds_path
-
-    rel_path = out / "reliability.csv"
-    lines = ["coordinate,rho2"]
-    for i, v in enumerate(report.reliability.rho2_per_coordinate):
-        lines.append(f"{i},{_fmt(float(v))}")
-    rel_path.write_text("\n".join(lines) + "\n")
-    paths["reliability"] = rel_path
-
-    if traces and report.traces is not None:
-        trace_path = out / "traces.csv"
+    doc = report.to_json_dict()
+    files = {
+        "report": ("report.json",
+                   [json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)]),
+        "bounds": ("bounds.csv", ["functional_tag,bound,lower,upper,detected"] + [
+            f"{f['tag']},{f['bound']},{f['lower']},{f['upper']},{json.dumps(f['detected'])}"
+            for f in doc["functionals"]]),
+        "reliability": ("reliability.csv", ["coordinate,rho2"] + [
+            f"{i},{v}" for i, v in enumerate(doc["reliability"]["rho2"])]),
+    }
+    if traces and doc["traces"] is not None:
         lines = ["t,functional_tag,bound,rho2_max"]
-        for row in report.traces:
-            t, rho2_max = str(row.iteration), _fmt(row.rho2_max)
-            for tag in sorted(row.bounds):
-                lines.append(",".join([t, tag, _fmt(row.bounds[tag]), rho2_max]))
-        trace_path.write_text("\n".join(lines) + "\n")
-        paths["traces"] = trace_path
+        for row in doc["traces"]:
+            t, rho2_max = f"{row['t']},", f",{row['rho2_max']}"
+            lines += [f"{t}{tag},{bound}{rho2_max}" for tag, bound in row["bounds"].items()]
+        files["traces"] = ("traces.csv", lines)
+    paths = {}
+    for key, (name, lines) in files.items():
+        paths[key] = out / name
+        paths[key].write_text("\n".join(lines) + "\n")
     return paths
 
 

@@ -12,6 +12,8 @@ from typing import Optional
 
 import numpy as np
 
+from .adaptation import checked_integer
+
 
 class RandomStream:
     """A reproducible random stream keyed by ``(seed, stream_index)``.
@@ -28,12 +30,8 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, stream_index: int = 0):
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
-        if stream_index < 0:
-            raise ValueError(f"stream_index must be non-negative, got {stream_index}")
-        self.seed = int(seed)
-        self.stream_index = int(stream_index)
+        self.seed = checked_integer("seed", seed, 0)
+        self.stream_index = checked_integer("stream_index", stream_index, 0)
         key = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_index,))
         self.generator = np.random.Generator(np.random.Philox(key))
 

@@ -24,8 +24,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .adaptation import (_MAX_CHAINS, _MAX_ITERATIONS, AdaptationState,
-                         SizingPolicy, chain_count, check_kind,
-                         initial_step_size, iteration_count)
+                         SizingPolicy, chain_count, check_kind, checked_integer,
+                         checked_real, initial_step_size, iteration_count)
 from .approximations import Approximation
 from .diagnostics import (MONOTONE_ERROR_CAVEAT, CentredRows, CriticalValues,
                           IntervalColumns, LowerBoundResult, ReliabilityResult,
@@ -38,7 +38,10 @@ from .rng import RandomStream
 from .stats import binomial_quantile, sample_quantile
 from .targets import TargetModel, checked_output
 
-_KINDS = ("mean", "variance", "quantile", "scalar")
+# the fields each functional kind uses; the others stay None
+_FIELDS = {"mean": ("coordinate",), "variance": ("coordinate",),
+           "quantile": ("coordinate", "p"), "scalar": ("name",)}
+_KINDS = tuple(_FIELDS)
 _FUNCTIONAL_RE = re.compile(
     r"^\s*(mean|variance|quantile|scalar)\s*\(\s*([^)]*?)\s*\)\s*$")
 
@@ -102,9 +105,13 @@ def default_functionals(dimension: int) -> list[FunctionalSpec]:
 class RunConfig:
     """Everything a run needs besides the target and the approximation.
 
+    The run checks each field when it starts, before drawing any chain, and
+    a refused value raises a ``ValueError`` naming the field.
+
     Attributes:
         kernel: One of ``KERNEL_KINDS``: "rwmh", "mala", "barker", "hmc".
-        seed: Ensemble seed; with the config it fully determines the report.
+        seed: Non-negative integer ensemble seed; with the config it fully
+            determines the report.
         sizing: Tolerances behind the automatic N and T choices; its
             ``alpha`` is also the miscoverage level of every interval.
         functionals: A list of strings or FunctionalSpec items, each tag at most
@@ -280,10 +287,10 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     """Runs the full audit and returns its report.
 
     Raises:
-        ValueError: for invalid configuration (bad kernel, out-of-range
-            coordinates, a quantile level outside (0, 1) or infeasible for
-            the sized N, a functional listed twice, a reliability cutoff
-            outside (0, 1), ...) or a target or scalar
+        ValueError: for invalid configuration (bad kernel, a setting of
+            the wrong type or range, out-of-range coordinates, a quantile
+            level outside (0, 1) or infeasible for the sized N, a functional
+            listed twice, ...) or a target or scalar
             functional whose outputs on the initial batch have the wrong
             shape, an approximation that samples a non-finite start, or,
             under MALA and Barker, a non-finite gradient at a start whose
@@ -298,29 +305,25 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     if target.dimension != approximation.dimension:
         raise ValueError(f"target dimension {target.dimension} does not match "
                          f"approximation dimension {approximation.dimension}")
-    if config.trace_every < 0:
-        raise ValueError(f"trace_every must be >= 0, got {config.trace_every}")
-    if config.step_size_scale <= 0 or not math.isfinite(config.step_size_scale):
-        raise ValueError(f"step_size_scale must be positive, got {config.step_size_scale}")
-    if not 0.0 < config.reliability_cutoff < 1.0:
-        raise ValueError(f"reliability_cutoff must lie in (0, 1), "
-                         f"got {config.reliability_cutoff}")
+    seed = checked_integer("seed", config.seed, 0)
+    trace_every = checked_integer("trace_every", config.trace_every, 0)
+    step_size_scale = checked_real("step_size_scale", config.step_size_scale)
+    if step_size_scale <= 0:
+        raise ValueError(f"step_size_scale must be positive, got {step_size_scale}")
+    cutoff = checked_real("reliability_cutoff", config.reliability_cutoff)
+    if not 0.0 < cutoff < 1.0:
+        raise ValueError(f"reliability_cutoff must lie in (0, 1), got {cutoff}")
 
     d = target.dimension
     policy = config.sizing
+    if not isinstance(policy, SizingPolicy):
+        raise ValueError(f"sizing must be a SizingPolicy, got {policy!r}")
     alpha = policy.alpha
-    n_chains = config.n_chains if config.n_chains is not None else chain_count(policy)
-    n_iters = (config.n_iterations if config.n_iterations is not None
-               else iteration_count(kind, d, policy))
-    if n_chains < 2:
-        raise ValueError(f"need at least 2 chains, got {n_chains}")
-    if n_iters < 1:
-        raise ValueError(f"need at least 1 iteration, got {n_iters}")
     # the sized values stay within these limits; overrides are held to them too
-    if n_chains > _MAX_CHAINS:
-        raise ValueError(f"n_chains must be at most {_MAX_CHAINS}, got {n_chains}")
-    if n_iters > _MAX_ITERATIONS:
-        raise ValueError(f"n_iterations must be at most {_MAX_ITERATIONS}, got {n_iters}")
+    n_chains = (chain_count(policy) if config.n_chains is None else
+                checked_integer("n_chains", config.n_chains, 2, _MAX_CHAINS))
+    n_iters = (iteration_count(kind, d, policy) if config.n_iterations is None else
+               checked_integer("n_iterations", config.n_iterations, 1, _MAX_ITERATIONS))
 
     specs = _resolve_specs(config, d)
     scalar_fns = _resolve_scalar_functions(specs, config)
@@ -330,7 +333,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
 
     pre = Preconditioner(approximation.covariance)
     # chain j owns stream index j + 1 (see RandomStream)
-    streams = [RandomStream(config.seed, j + 1) for j in range(n_chains)]
+    streams = [RandomStream(seed, j + 1) for j in range(n_chains)]
 
     # initialization phase: i.i.d. draws, each from its chain's own stream
     x0 = np.stack([approximation.sample(streams[j]) for j in range(n_chains)])
@@ -365,11 +368,11 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     plan = _audit_plan(specs, approximation, x0, scalars)
     initial_rows = CentredRows.of(x0)
 
-    h0 = initial_step_size(kind, d) * config.step_size_scale
+    h0 = initial_step_size(kind, d) * step_size_scale
     adapt = AdaptationState(log_step_size=math.log(h0))
     a_star = tuning.target_acceptance
 
-    checkpoints = _checkpoint_iterations(config.trace_every, n_iters)
+    checkpoints = _checkpoint_iterations(trace_every, n_iters)
     trace_rows: Optional[list] = [] if checkpoints else None
     if checkpoints:
         # checkpoints before the last diagnose every functional column-wise
@@ -377,7 +380,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
         columns = IntervalColumns.of(kinds, rows, initial, levels, critical)
 
     def record(iteration, states, logpi_states):
-        reliability = reliability_check(x0, states, cutoff=config.reliability_cutoff,
+        reliability = reliability_check(x0, states, cutoff=cutoff,
                                         initial=initial_rows)
         lower, upper, _ = column_intervals(_value_rows(states, logpi_states, scalars),
                                            columns, critical)
@@ -407,7 +410,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
 
     iter_grads = target.gradient_evaluations - grad_base - init_grads
 
-    reliability = reliability_check(x0, x, cutoff=config.reliability_cutoff,
+    reliability = reliability_check(x0, x, cutoff=cutoff,
                                     initial=initial_rows)
     functionals = _functional_results(plan, _value_rows(x, logpi, scalars), critical,
                                       scalars)
@@ -432,11 +435,11 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
         n_chains=n_chains,
         n_iterations=n_iters,
         alpha=alpha,
-        seed=config.seed,
+        seed=seed,
         leapfrog_steps=policy.leapfrog_steps,
         initial_step_size=h0,
         final_step_size=adapt.step_size,
-        step_size_scale=config.step_size_scale,
+        step_size_scale=step_size_scale,
         target_acceptance_rate=a_star,
         acceptance_history=list(adapt.acceptance_history),
         functionals=functionals,
@@ -485,14 +488,18 @@ def _resolve_specs(config: RunConfig, dimension: int) -> list[FunctionalSpec]:
 
 
 def _checked_spec(spec: FunctionalSpec) -> FunctionalSpec:
-    """Raises a ``ValueError`` naming ``spec`` unless its kind is known and it
-    has what that kind needs: an integer coordinate, a real p for a quantile,
-    a name for a scalar."""
+    """``spec`` with a plain int coordinate and float p, as a parsed string
+    gives; raises a ``ValueError`` naming ``spec`` unless its kind is known,
+    it sets no field that kind does not use, and it has what that kind
+    needs: an integer coordinate, a real p for a quantile, a name for a scalar."""
     def wrong(value, kind):  # not a number of that kind, or a bool
         return isinstance(value, bool) or not isinstance(value, kind)
 
     if spec.kind not in _KINDS:
         problem = f"has unknown kind {spec.kind!r}; expected one of {_KINDS}"
+    elif unused := [f for f in ("coordinate", "p", "name")
+                    if getattr(spec, f) is not None and f not in _FIELDS[spec.kind]]:
+        problem = f"sets {unused[0]}, which a {spec.kind} functional does not use"
     elif spec.kind == "scalar" and not (isinstance(spec.name, str) and spec.name):
         problem = "needs a name"
     elif spec.kind != "scalar" and wrong(spec.coordinate, numbers.Integral):
@@ -500,16 +507,23 @@ def _checked_spec(spec: FunctionalSpec) -> FunctionalSpec:
     elif spec.kind == "quantile" and wrong(spec.p, numbers.Real):
         problem = f"needs a real quantile level p, got {spec.p!r}"
     else:
-        return spec
+        return FunctionalSpec(spec.kind,
+                              None if spec.coordinate is None else int(spec.coordinate),
+                              None if spec.p is None else float(spec.p), spec.name)
     raise ValueError(f"functional {spec!r} {problem}")
 
 
 def _resolve_scalar_functions(specs, config: RunConfig) -> dict:
+    custom = config.scalar_functions or {}
+    if not isinstance(custom, dict):
+        raise ValueError(f"scalar_functions must be a dict, got {custom!r}")
+    for name, fn in custom.items():
+        if not callable(fn):
+            raise ValueError(f"scalar_functions[{name!r}] must be callable, got {fn!r}")
     fns = {}
     for spec in specs:
         if spec.kind != "scalar":
             continue
-        custom = config.scalar_functions or {}
         if spec.name in custom:
             fns[spec.name] = custom[spec.name]
         elif spec.name == "target_log_density":

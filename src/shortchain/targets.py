@@ -9,11 +9,14 @@ operations.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import expit
 
+from .adaptation import checked_integer, checked_real
 from .rng import RandomStream
 
 
@@ -38,9 +41,7 @@ class TargetModel:
                  log_density: Callable[[np.ndarray], np.ndarray],
                  grad_log_density: Callable[[np.ndarray], np.ndarray],
                  name: str = "target"):
-        if dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {dimension}")
-        self.dimension = int(dimension)
+        self.dimension = checked_integer("dimension", dimension, 1)
         self.name = name
         self._log_density = log_density
         self._grad_log_density = grad_log_density
@@ -89,6 +90,15 @@ def checked_output(label: str, value, shape: tuple) -> np.ndarray:
     return out.astype(float, copy=False)
 
 
+def _vector(name: str, value, d: int) -> np.ndarray:
+    """``value``, a real number or a length-d vector, as a length-d float vector."""
+    v = np.asarray(value)
+    if v.dtype.kind not in "fiu" or v.shape not in ((), (d,)):
+        raise ValueError(f"{name} must be a real number or a vector of length {d}, "
+                         f"got {value!r}")
+    return np.full(d, v, dtype=float)
+
+
 def correlated_gaussian_target(dimension: int,
                                mean=0.0,
                                variances=1.0,
@@ -109,15 +119,16 @@ def correlated_gaussian_target(dimension: int,
     Returns:
         A TargetModel carrying ``mean`` and ``covariance`` attributes.
     """
-    d = int(dimension)
-    mu = np.broadcast_to(np.asarray(mean, dtype=float), (d,)).copy()
-    var = np.broadcast_to(np.asarray(variances, dtype=float), (d,)).copy()
+    d = checked_integer("dimension", dimension, 1)
+    mu = _vector("mean", mean, d)
+    var = _vector("variances", variances, d)
     if not np.all(np.isfinite(mu)):
         raise ValueError(f"mean must be finite, got {mu}")
     if np.any(var <= 0):
         raise ValueError("variances must be strictly positive")
     if not np.all(np.isfinite(var)):
         raise ValueError(f"variances must be finite, got {var}")
+    correlation = checked_real("correlation", correlation)
     lo = -1.0 / (d - 1) if d > 1 else -1.0
     if not lo < correlation < 1.0:
         raise ValueError(
@@ -154,9 +165,7 @@ def neal_funnel_target(dimension: int, name: str = "funnel") -> TargetModel:
     The second argument of the conditional normal is its variance, so the
     marginal variance of each x_i with i >= 2 is E[exp(x1)] = exp(1/2).
     """
-    d = int(dimension)
-    if d < 2:
-        raise ValueError(f"funnel needs dimension >= 2, got {d}")
+    d = checked_integer("dimension", dimension, 2)
 
     def log_density(x):
         x1 = x[:, 0]
@@ -196,12 +205,12 @@ def synthetic_logistic_regression_target(n_observations: int,
         A TargetModel for the posterior over beta, carrying ``features``,
         ``labels`` and ``generating_coefficients`` attributes.
     """
-    if n_observations < 1:
-        raise ValueError(f"n_observations must be >= 1, got {n_observations}")
-    if not (prior_sd > 0 and np.isfinite(prior_sd)):
+    n_observations = checked_integer("n_observations", n_observations, 1)
+    d = checked_integer("dimension", dimension, 1)
+    if isinstance(prior_sd, numbers.Real) and not 0 < prior_sd < math.inf:
         raise ValueError(f"prior_sd must be positive and finite, got {prior_sd}")
-    d = int(dimension)
-    stream = RandomStream(data_seed, 0)
+    prior_sd = checked_real("prior_sd", prior_sd)
+    stream = RandomStream(checked_integer("data_seed", data_seed, 0), 0)
     features = stream.standard_normal((n_observations, d))
     beta_true = prior_sd * stream.standard_normal(d)
     labels = (stream.random(n_observations) < expit(features @ beta_true)).astype(float)

@@ -22,8 +22,8 @@ from shortchain.adaptation import (SizingPolicy, chain_count, iteration_count,
                                    mean_error_chain_count,
                                    variance_error_chain_count)
 from shortchain.cli import (EXIT_ERROR, EXIT_OK, EXIT_UNRELIABLE, build_run,
-                            load_config, main)
-from shortchain.runner import RunConfig
+                            load_config, main, write_outputs)
+from shortchain.runner import RunConfig, run_diagnostic
 
 
 def write_config(tmp_path, name="config.json", **updates):
@@ -189,6 +189,41 @@ class TestRunCommand:
             approximation={"kind": "kl_optimal_mean_field"})
         out_dir = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
+
+
+class TestCsvViews:
+    def test_non_finite_cells_are_printed_as_in_the_report(self, tmp_path):
+        # a scalar that is +inf on some chains has NaN interval endpoints
+        def spiky(x):
+            return np.where(x[:, 0] > 1.0, np.inf, x[:, 1])
+
+        target = shortchain.correlated_gaussian_target(2, correlation=0.3)
+        approx = shortchain.mean_field_gaussian_approximation([0.0, 0.0], [1.0, 1.0])
+        cfg = RunConfig(kernel="mala", seed=3, n_chains=100, n_iterations=4,
+                        trace_every=2, functionals=["mean(0)", "scalar(spiky)"],
+                        scalar_functions={"spiky": spiky})
+        with np.errstate(invalid="ignore"):  # inf - inf in the scalar's spread
+            report = run_diagnostic(cfg, target, approx)
+        paths = write_outputs(report, tmp_path, traces=True)
+        report = json.loads(paths["report"].read_text())
+
+        def printed(value):  # a cell as report.json prints it, unquoted
+            return value if isinstance(value, str) else json.dumps(value)
+
+        bounds = read_csv(paths["bounds"])
+        assert bounds == [{"functional_tag": f["tag"], "bound": printed(f["bound"]),
+                           "lower": printed(f["lower"]), "upper": printed(f["upper"]),
+                           "detected": printed(f["detected"])}
+                          for f in report["functionals"]]
+        assert any("NaN" in row.values() for row in bounds)
+        assert {row["detected"] for row in bounds} <= {"true", "false"}
+        assert read_csv(paths["reliability"]) == [
+            {"coordinate": str(i), "rho2": printed(v)}
+            for i, v in enumerate(report["reliability"]["rho2"])]
+        assert read_csv(paths["traces"]) == [
+            {"t": str(row["t"]), "functional_tag": tag, "bound": printed(bound),
+             "rho2_max": printed(row["rho2_max"])}
+            for row in report["traces"] for tag, bound in row["bounds"].items()]
 
 
 class TestBuildRun:
@@ -428,13 +463,26 @@ class TestConfigFuzz:
         if overrides is not None:
             cfg["overrides"] = overrides
         try:
-            run_config, target, _ = build_run(cfg)
+            run_config, target, approximation = build_run(cfg)
             n = chain_count(run_config.sizing)
             t = iteration_count(run_config.kernel, target.dimension, run_config.sizing)
         except ValueError:  # ConfigError is a ValueError
             return
         assert 2 <= n < 1_000_000
         assert t >= 1
+
+        # the run checks its own settings: it refuses them by name or
+        # reaches its first chain's stream
+        class FirstStream(Exception):
+            pass
+
+        def first_stream(*args):
+            raise FirstStream
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(runner, "RandomStream", first_stream)
+            with pytest.raises((ValueError, FirstStream)):
+                run_diagnostic(run_config, target, approximation)
 
 
 class TestPresets:

@@ -18,6 +18,7 @@ from shortchain import (
     mean_field_gaussian_approximation,
     parse_functional,
     run_diagnostic,
+    synthetic_logistic_regression_target,
 )
 from shortchain import runner, stats
 from shortchain.diagnostics import CriticalValues, IntervalColumns, column_intervals
@@ -159,6 +160,31 @@ class TestFunctionalsList:
         with pytest.raises(ValueError, match=re.escape(f"functional {spec!r} {problem}")):
             run_diagnostic(cfg, target, approx)
         assert target.gradient_evaluations == 0
+
+    @pytest.mark.parametrize("spec, text, problem", [
+        (FunctionalSpec("mean", coordinate=np.int64(1)), "mean(1)", None),
+        (FunctionalSpec("quantile", coordinate=np.int64(0), p=np.float64(0.5)),
+         "quantile(0,0.5)", None),
+        (FunctionalSpec("scalar", coordinate=1, p=0.3, name="target_log_density"), None,
+         "sets coordinate, which a scalar functional does not use"),
+        (FunctionalSpec("mean", coordinate=0, p=0.7), None,
+         "sets p, which a mean functional does not use"),
+        (FunctionalSpec("variance", coordinate=0, name="f"), None,
+         "sets name, which a variance functional does not use")])
+    def test_spec_is_stored_as_its_string_would_be(self, spec, text, problem):
+        # NumPy numbers serialize as the parsed string's; an unused field is refused
+        target, approx = small_setup()
+        settings = dict(kernel="mala", seed=0, n_chains=400, n_iterations=5)
+        cfg = RunConfig(**settings, functionals=[spec])
+        if problem is not None:
+            with pytest.raises(ValueError,
+                               match=re.escape(f"functional {spec!r} {problem}")):
+                run_diagnostic(cfg, target, approx)
+            assert target.gradient_evaluations == 0
+            return
+        parsed = RunConfig(**settings, functionals=[text])
+        assert (report_bytes(run_diagnostic(cfg, target, approx))
+                == report_bytes(run_diagnostic(parsed, target, approx)))
 
     def test_bare_string_is_refused(self):
         # a string would be read one character at a time
@@ -553,6 +579,67 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=r"reliability_cutoff .*\(0, 1\)"):
                 run_diagnostic(cfg, target, approx)
         assert target.gradient_evaluations == 0
+
+
+SMALL_RUN = dict(kernel="rwmh", seed=1, n_chains=40, n_iterations=5)
+
+
+class TestSettingsAreCheckedByName:
+    # each value is refused by the object that owns it, naming the field,
+    # before the run draws its first chain
+    @pytest.mark.parametrize("make, message", [
+        (lambda: RunConfig(**{**SMALL_RUN, "seed": 1.5}),
+         "seed must be an integer, got 1.5"),
+        (lambda: RunConfig(**{**SMALL_RUN, "seed": True}),
+         "seed must be an integer, got True"),
+        (lambda: RunConfig(**{**SMALL_RUN, "n_chains": 40.5}),
+         "n_chains must be an integer, got 40.5"),
+        (lambda: RunConfig(**{**SMALL_RUN, "n_iterations": 2.5}),
+         "n_iterations must be an integer, got 2.5"),
+        (lambda: RunConfig(**SMALL_RUN, trace_every=1.5),
+         "trace_every must be an integer, got 1.5"),
+        (lambda: RunConfig(**SMALL_RUN, step_size_scale="1"),
+         "step_size_scale must be a real number, got '1'"),
+        (lambda: RunConfig(**SMALL_RUN, functionals=["scalar(f)"],
+                           scalar_functions={"f": 3}),
+         "scalar_functions['f'] must be callable, got 3"),
+        (lambda: RunConfig(**SMALL_RUN, scalar_functions=[("f", np.sum)]),
+         "scalar_functions must be a dict, got [('f'"),
+        (lambda: RunConfig(**SMALL_RUN, sizing={"alpha": 0.1}),
+         "sizing must be a SizingPolicy, got {'alpha': 0.1}"),
+        (lambda: correlated_gaussian_target(2.5), "dimension must be an integer, got 2.5"),
+        (lambda: correlated_gaussian_target(-1), "dimension must be >= 1, got -1"),
+        (lambda: synthetic_logistic_regression_target(10, -2),
+         "dimension must be >= 1, got -2"),
+        (lambda: synthetic_logistic_regression_target(10, 2, data_seed=-1),
+         "data_seed must be >= 0, got -1"),
+        (lambda: SizingPolicy(delta_mean=-1), "delta_mean must be positive, got -1.0"),
+        (lambda: RandomStream(1.5, 1), "seed must be an integer, got 1.5"),
+        (lambda: mean_field_gaussian_approximation([], []),
+         "means and sds must be equal-length non-empty vectors")],
+        ids=["seed-float", "seed-bool", "n_chains", "n_iterations", "trace_every",
+             "step_size_scale", "scalar_functions", "scalar_functions-list", "sizing",
+             "gaussian-dimension-float", "gaussian-dimension-negative",
+             "logistic-dimension", "data_seed", "delta_mean", "stream-seed",
+             "empty-mean-field"])
+    def test_refused_naming_the_field(self, monkeypatch, make, message):
+        def unreachable(*args):
+            raise AssertionError("the run drew a chain")
+
+        monkeypatch.setattr(runner, "RandomStream", unreachable)
+        target, approx = small_setup()
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            made = make()
+            if isinstance(made, RunConfig):
+                run_diagnostic(made, target, approx)
+        assert target.gradient_evaluations == 0
+
+    def test_numpy_integers_report_as_plain_ones(self):
+        target, approx = small_setup()
+        plain = run_diagnostic(RunConfig(**SMALL_RUN), target, approx)
+        numpy = run_diagnostic(RunConfig(**{**SMALL_RUN, "seed": np.int64(1),
+                                            "n_chains": np.int64(40)}), target, approx)
+        assert report_bytes(numpy) == report_bytes(plain)
 
 
 class TestScalarFunctionShapes:

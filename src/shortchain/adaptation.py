@@ -1,8 +1,8 @@
 """Per-kind kernel tuning, cross-chain step-size adaptation and sizing rules.
 
 ``KERNEL_TUNING`` is the one table of kernel kinds; ``check_kind`` the one check.
-``checked_integer`` and ``checked_real`` are the one check of an integer or real
-setting, which the object that owns the setting calls.
+``checked_integer``, ``checked_real`` and ``checked_fraction`` are the one check of an
+integer, real or (0, 1) setting, which the object that owns the setting calls.
 
 The ensemble shares one log step size psi.  After every iteration the mean
 acceptance rate across chains pulls psi toward the kernel's optimal rate
@@ -25,13 +25,18 @@ class KernelTuning(NamedTuple):
     target_acceptance: float  # optimal mean acceptance rate psi adapts toward
     step_exponent: float  # k in the initial step size 2.4^2 / d^k
     carries_gradient: bool  # a step needs (and the runner caches) grad at x
+    sign_uniforms: bool  # a step reads d sign uniforms before its acceptance uniform
+
+    def uniform_count(self, dimension: int) -> int:
+        """Uniforms per chain and step: any sign uniforms, then the acceptance one."""
+        return dimension + 1 if self.sign_uniforms else 1
 
 
 KERNEL_TUNING = {
-    "rwmh": KernelTuning(0.234, 1.0, False),
-    "mala": KernelTuning(0.574, 1.0 / 3.0, True),
-    "barker": KernelTuning(0.4, 1.0 / 3.0, True),
-    "hmc": KernelTuning(0.651, 0.25, False),
+    "rwmh": KernelTuning(0.234, 1.0, False, False),
+    "mala": KernelTuning(0.574, 1.0 / 3.0, True, False),
+    "barker": KernelTuning(0.4, 1.0 / 3.0, True, True),
+    "hmc": KernelTuning(0.651, 0.25, False, False),
 }
 KERNEL_KINDS = tuple(KERNEL_TUNING)
 
@@ -71,6 +76,14 @@ def checked_real(name: str, value) -> float:
         value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def checked_fraction(name: str, value) -> float:
+    """``checked_real`` for a level or cutoff that must lie in (0, 1)."""
+    value = checked_real(name, value)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
     return value
 
 
@@ -136,10 +149,7 @@ class SizingPolicy:
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
             object.__setattr__(self, name, value)
-        alpha = checked_real("alpha", self.alpha)
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", checked_fraction("alpha", self.alpha))
         object.__setattr__(self, "leapfrog_steps",
                            checked_integer("leapfrog_steps", self.leapfrog_steps, 1))
 
@@ -166,6 +176,7 @@ def mean_error_chain_count(delta_mean: float, alpha: float) -> int:
     """Smallest n with t_{n-1}(1 - alpha/2) / sqrt(n) <= delta_mean."""
     if not delta_mean > 0:
         raise ValueError("delta_mean must be positive")
+    alpha = checked_fraction("alpha", alpha)
     return _smallest_chain_count(
         lambda n: student_t_quantile(1.0 - alpha / 2.0, n - 1) / math.sqrt(n),
         delta_mean, "delta_mean")
@@ -175,6 +186,7 @@ def variance_error_chain_count(delta_var: float, alpha: float) -> int:
     """Smallest n whose chi-square interval width in log10 is within delta_var."""
     if not delta_var > 0:
         raise ValueError("delta_var must be positive")
+    alpha = checked_fraction("alpha", alpha)
     return _smallest_chain_count(
         lambda n: math.log10(chi_square_quantile(1.0 - alpha / 2.0, n - 1)
                              / chi_square_quantile(alpha / 2.0, n - 1)),

@@ -66,13 +66,7 @@ class Approximation:
     def sample(self, stream: RandomStream) -> np.ndarray:
         """One draw of shape (d,); raises a ``ValueError`` naming the
         approximation for a point of another shape or with a non-finite value."""
-        x = np.asarray(self.sampler(stream), dtype=float)
-        if x.shape != (self.dimension,):
-            raise ValueError(f"sampler returned shape {x.shape}, expected ({self.dimension},)")
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"the sampler of approximation {self.name!r} returned "
-                             f"a non-finite point {x}")
-        return x
+        return _checked_draws(self.sampler(stream), (self.dimension,), self.name)
 
     def quantile(self, coordinate: int, p: float) -> float:
         if self.quantile_fn is None:
@@ -185,7 +179,23 @@ def approximation_from_sampler(sampler: Callable[[RandomStream], np.ndarray],
     original sampler for chain initialization.
     """
     n_draws = checked_integer("n_draws", n_draws, 2)
-    draws = np.stack([np.asarray(sampler(stream), dtype=float) for _ in range(n_draws)])
+    dimension = checked_integer("dimension", dimension, 1)
+    draws = _checked_draws(np.stack([sampler(stream) for _ in range(n_draws)]),
+                           (n_draws, dimension), name)
     base = empirical_approximation(draws, name=name)
     return Approximation(dimension, sampler, base.means, base.sds, base.covariance,
                          quantile_fn=base.quantile_fn, name=name)
+
+
+def _checked_draws(draws, shape: tuple, name: str) -> np.ndarray:
+    """``draws`` as floats; a ``ValueError`` naming approximation ``name`` for
+    points of another shape than ``shape[-1:]`` or with a non-finite value."""
+    x = np.asarray(draws, dtype=float)
+    if x.shape != shape:
+        raise ValueError(f"sampler returned shape {x.shape[len(shape) - 1:]}, "
+                         f"expected {shape[-1:]}")
+    if not np.all(np.isfinite(x)):
+        points = x.reshape(-1, shape[-1])
+        raise ValueError(f"the sampler of approximation {name!r} returned a non-finite "
+                         f"point {points[~np.isfinite(points).all(axis=1)][0]}")
+    return x

@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from .adaptation import checked_fraction
 from .stats import (binomial_quantile, chi_square_quantile, sample_quantile,
                     student_t_quantile)
 
@@ -62,7 +63,7 @@ class CriticalValues:
     @classmethod
     def at(cls, n: int, alpha: float, ranks: Optional[dict] = None) -> "CriticalValues":
         """Computes the t and chi-square values for N = n and ``alpha``."""
-        _check_alpha(alpha)
+        alpha = checked_fraction("alpha", alpha)
         return cls(n, alpha, student_t_quantile(1.0 - alpha / 2.0, n - 1),
                    chi_square_quantile(alpha / 2.0, n - 1),
                    chi_square_quantile(1.0 - alpha / 2.0, n - 1), dict(ranks or {}))
@@ -128,7 +129,7 @@ def mean_difference_ci(final_values: np.ndarray, initial_mean: float,
             another N or alpha.
     """
     x = _as_vector(final_values)
-    _check_alpha(alpha)
+    alpha = checked_fraction("alpha", alpha)
     return _one_row(x, "mean", initial_mean, alpha, functional_tag, critical)
 
 
@@ -152,7 +153,7 @@ def log_variance_ratio_ci(final_values: np.ndarray, initial_sd: float,
             ``initial_sd``, or a ``critical`` for another N or alpha.
     """
     x = _as_vector(final_values)
-    _check_alpha(alpha)
+    alpha = checked_fraction("alpha", alpha)
     if initial_sd <= 0:
         raise ValueError(f"initial_sd must be positive, got {initial_sd}")
     return _one_row(x, "log_variance", initial_sd, alpha, functional_tag, critical)
@@ -176,9 +177,8 @@ def quantile_difference_ci(final_values: np.ndarray, p: float, initial_quantile:
             for another N or alpha.
     """
     x = _as_vector(final_values)
-    _check_alpha(alpha)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
+    alpha = checked_fraction("alpha", alpha)
+    p = checked_fraction("p", p)
     return _one_row(x, "quantile", initial_quantile, alpha, functional_tag, critical, p)
 
 
@@ -236,6 +236,7 @@ class IntervalColumns:
                    quantile_at, ranks[:, 0] - 1, ranks[:, 1] - 1)
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite value: NaN endpoints, no warning
 def column_intervals(values: np.ndarray, columns: IntervalColumns, critical: CriticalValues
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every functional's interval from one pass over an (R, N) value matrix.
@@ -356,8 +357,7 @@ def reliability_check(initial_samples: np.ndarray, final_samples: np.ndarray,
     if x0.shape != xt.shape or x0.ndim != 2 or x0.shape[0] < 2:
         raise ValueError(f"need matching (N, d) matrices with N >= 2, "
                          f"got {x0.shape} and {xt.shape}")
-    if not 0.0 < cutoff < 1.0:
-        raise ValueError(f"cutoff must lie in (0, 1), got {cutoff}")
+    cutoff = checked_fraction("cutoff", cutoff)
     if initial is None:
         initial = CentredRows.of(x0)
     elif initial.rows.shape != x0.T.shape:
@@ -438,7 +438,3 @@ def _as_vector(values) -> np.ndarray:
         raise ValueError(f"need a 1-d sample vector with N >= 2, got shape {x.shape}")
     return x
 
-
-def _check_alpha(alpha: float):
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")

@@ -2,14 +2,15 @@
 
 Four proposal families are provided: random-walk, Langevin (MALA), the
 skew-symmetric Barker proposal, and Hamiltonian dynamics with a leapfrog
-integrator.  Each proposal is paired with its exact forward and reverse
-log densities so the Metropolis-Hastings correction leaves any target
+integrator.  Each asymmetric proposal is paired with its exact forward and
+reverse log densities so the Metropolis-Hastings correction leaves any target
 invariant; non-finite densities or gradients at the proposed point reject
 the move instead of aborting the run.
 
 Every proposal and step operates on batches of shape (B, d).  The
-randomness of a step is drawn by the caller and passed in, so a kernel
-never touches a random stream.  Barker's sigmoid and softplus are written
+randomness of a step is drawn by the caller and passed in, as a normal and
+a uniform block, so a kernel never touches a random stream.  Barker's
+sigmoid and softplus are written
 with NumPy's vectorised tanh, exp and log1p, so they cannot overflow and
 map infinite and NaN inputs to the same values as their textbook forms.
 
@@ -70,20 +71,15 @@ class Preconditioner:
         return cls(np.eye(dimension))
 
 
-def _gauss_const(dimension: int, step_size: float, pre: Preconditioner) -> float:
-    # normalizing constant of N(., step_size * G)
-    return -0.5 * dimension * (_LOG_2PI + math.log(step_size)) - pre.log_det_cholesky
-
-
 def _rwmh_core(x, eps, step_size, pre):
-    y = x + math.sqrt(step_size) * (eps @ pre.cholesky.T)
-    logq = _gauss_const(x.shape[1], step_size, pre) - 0.5 * np.sum(eps * eps, axis=1)
-    return y, logq, logq.copy()
+    # symmetric, so its forward and reverse densities cancel and are not computed
+    return x + math.sqrt(step_size) * (eps @ pre.cholesky.T)
 
 
 def _mala_core(x, grad_x, eps, step_size, pre, grad_fn):
     G = pre.matrix
-    const = _gauss_const(x.shape[1], step_size, pre)
+    # normalizing constant of N(., step_size * G)
+    const = -0.5 * x.shape[1] * (_LOG_2PI + math.log(step_size)) - pre.log_det_cholesky
     forward_mean = x + 0.5 * step_size * (grad_x @ G)
     y = forward_mean + math.sqrt(step_size) * (eps @ pre.cholesky.T)
     logq_fwd = const - 0.5 * np.sum(eps * eps, axis=1)
@@ -198,7 +194,7 @@ def _hmc_core(x, logpi_x, xi, step_size, n_steps, pre, log_density_fn, grad_fn):
     return y, h_start, h_end, logpi_y
 
 
-def step_batch(kind: str, x, logpi_x, grad_x, eps, sign_uniforms, accept_uniforms,
+def step_batch(kind: str, x, logpi_x, grad_x, eps, uniforms,
                step_size: float, pre: Preconditioner, target,
                n_leapfrog: int = SizingPolicy.leapfrog_steps):
     """Advances a batch of chains one MH step with pre-drawn randomness.
@@ -209,8 +205,9 @@ def step_batch(kind: str, x, logpi_x, grad_x, eps, sign_uniforms, accept_uniform
         logpi_x: (B,) current log densities.
         grad_x: (B, d) cached gradients at x (MALA/Barker), else None.
         eps: (B, d) standard normal draws.
-        sign_uniforms: (B, d) uniforms (Barker only).
-        accept_uniforms: (B,) acceptance uniforms.
+        uniforms: (B, k) uniforms, k = ``check_kind(kind).uniform_count(d)``:
+            Barker's d sign uniforms, then every kind's acceptance uniform;
+            a block of another shape raises a ``ValueError``.
         step_size: Current step size h > 0.
         pre: Preconditioner.
         target: TargetModel (its gradient counter tracks the budget).
@@ -220,12 +217,16 @@ def step_batch(kind: str, x, logpi_x, grad_x, eps, sign_uniforms, accept_uniform
         ``(new_x, new_logpi, new_grad, alpha)``; ``new_grad`` is None unless
         the kernel caches gradients.
     """
-    carries_gradient = check_kind(kind).carries_gradient
+    tuning = check_kind(kind)
     if step_size <= 0 or not math.isfinite(step_size):
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
+    shape = (x.shape[0], tuning.uniform_count(x.shape[1]))
+    if np.shape(uniforms) != shape:
+        raise ValueError(f"uniforms must have shape {shape} under kernel {kind!r}, "
+                         f"got {np.shape(uniforms)}")
     with _quiet():
         grad_y = None
-        if carries_gradient and grad_x is None:
+        if tuning.carries_gradient and grad_x is None:
             grad_x = target.grad_log_density(x)
         if kind == "hmc":
             y, h_start, h_end, logpi_y = _hmc_core(
@@ -234,21 +235,24 @@ def step_batch(kind: str, x, logpi_x, grad_x, eps, sign_uniforms, accept_uniform
             log_ratio = h_start - h_end
         else:
             if kind == "rwmh":
-                y, logq_fwd, logq_rev = _rwmh_core(x, eps, step_size, pre)
+                y = _rwmh_core(x, eps, step_size, pre)
             elif kind == "mala":
                 y, logq_fwd, logq_rev, grad_y = _mala_core(
                     x, grad_x, eps, step_size, pre, target.grad_log_density)
             else:
                 y, logq_fwd, logq_rev, grad_y = _barker_core(
-                    x, grad_x, eps, sign_uniforms, step_size, pre, target.grad_log_density)
+                    x, grad_x, eps, uniforms[:, :-1], step_size, pre,
+                    target.grad_log_density)
             logpi_y = target.log_density(y)
-            log_ratio = (logpi_y - logpi_x) + (logq_rev - logq_fwd)
+            log_ratio = logpi_y - logpi_x
+            if kind != "rwmh":
+                log_ratio = log_ratio + (logq_rev - logq_fwd)
 
         alpha = np.exp(np.minimum(log_ratio, 0.0))
         alpha = np.where(np.isnan(alpha), 0.0, alpha)
         # a proposal with any non-finite coordinate is never a valid move
         alpha = np.where(np.all(np.isfinite(y), axis=1), alpha, 0.0)
-        accept = accept_uniforms < alpha
+        accept = uniforms[:, -1] < alpha
 
         new_x = np.where(accept[:, None], y, x)
         new_logpi = np.where(accept, logpi_y, logpi_x)

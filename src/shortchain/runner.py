@@ -23,8 +23,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .adaptation import (_MAX_CHAINS, _MAX_ITERATIONS, AdaptationState,
-                         SizingPolicy, chain_count, check_kind, checked_integer,
+from .adaptation import (_MAX_CHAINS, _MAX_ITERATIONS, AdaptationState, SizingPolicy,
+                         chain_count, check_kind, checked_fraction, checked_integer,
                          checked_real, initial_step_size, iteration_count)
 from .approximations import Approximation
 from .diagnostics import (MONOTONE_ERROR_CAVEAT, CentredRows, CriticalValues,
@@ -109,7 +109,7 @@ class RunConfig:
     a refused value raises a ``ValueError`` naming the field.
 
     Attributes:
-        kernel: One of ``KERNEL_KINDS``: "rwmh", "mala", "barker", "hmc".
+        kernel: One of ``KERNEL_KINDS``.
         seed: Non-negative integer ensemble seed; with the config it fully
             determines the report.
         sizing: Tolerances behind the automatic N and T choices; its
@@ -310,9 +310,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     step_size_scale = checked_real("step_size_scale", config.step_size_scale)
     if step_size_scale <= 0:
         raise ValueError(f"step_size_scale must be positive, got {step_size_scale}")
-    cutoff = checked_real("reliability_cutoff", config.reliability_cutoff)
-    if not 0.0 < cutoff < 1.0:
-        raise ValueError(f"reliability_cutoff must lie in (0, 1), got {cutoff}")
+    cutoff = checked_fraction("reliability_cutoff", config.reliability_cutoff)
 
     d = target.dimension
     policy = config.sizing
@@ -391,17 +389,19 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     if 0 in checkpoints:
         record(0, x0, logpi)
 
-    # per-iteration noise buffers, refilled in place; see _gather_noise
+    # noise refilled in place: chain j draws standard_normal(d) into eps[j], then
+    # the uniforms its kernel reads into uniforms[j], as allocating calls would
     eps = np.empty((n_chains, d))
-    uniforms = np.empty((n_chains, d + 1))
-    sign_u = uniforms[:, :d] if kind == "barker" else None
-    accept_u = uniforms[:, d]
-    fillers = _noise_fillers(kind, streams, eps, uniforms)
+    uniforms = np.empty((n_chains, tuning.uniform_count(d)))
+    noise = [(s.generator.standard_normal, s.generator.random, e, u)
+             for s, e, u in zip(streams, eps, uniforms)]
     x = x0
     for t in range(n_iters):
-        _gather_noise(fillers)
+        for normal, uniform, e, u in noise:
+            normal(out=e)
+            uniform(out=u)
         x, logpi, grad_cached, alphas = step_batch(
-            kind, x, logpi, grad_cached, eps, sign_u, accept_u, adapt.step_size,
+            kind, x, logpi, grad_cached, eps, uniforms, adapt.step_size,
             pre, target, policy.leapfrog_steps)
         adapt.update(math.fsum(alphas.tolist()) / n_chains, a_star)
         # the last checkpoint, n_iters, reuses the final diagnostics below
@@ -556,33 +556,6 @@ def _checkpoint_iterations(trace_every: int, n_iters: int) -> set:
     if trace_every < 1:
         return set()
     return set(range(0, n_iters + 1, trace_every)) | {n_iters}
-
-
-def _noise_fillers(kind: str, streams, eps: np.ndarray, uniforms: np.ndarray) -> list:
-    """Each chain's (standard_normal, random, eps row, uniforms row), built
-    once per run for ``_gather_noise``.
-
-    The rows are views, so refilling them refills ``eps`` and ``uniforms``.
-    For Barker chain j's uniforms row is ``uniforms[j]`` (d sign uniforms,
-    then the acceptance uniform); for every other kernel it is
-    ``uniforms[j, d:]``, the acceptance uniform alone.
-    """
-    d = eps.shape[1]
-    rows = uniforms if kind == "barker" else uniforms[:, d:]
-    return [(s.generator.standard_normal, s.generator.random, e, u)
-            for s, e, u in zip(streams, eps, rows)]
-
-
-def _gather_noise(fillers):
-    """Fills one iteration's noise, each chain drawing from its own generator.
-
-    Chain j draws ``standard_normal(d)`` into its eps row, then ``random``
-    into its uniforms row (see ``_noise_fillers``).  Writing through ``out=``
-    consumes each stream exactly as the allocating calls would.
-    """
-    for normal, uniform, e, u in fillers:
-        normal(out=e)
-        uniform(out=u)
 
 
 def _audit_plan(specs, approximation: Approximation, x0, scalars: dict) -> list[_Audited]:

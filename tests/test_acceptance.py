@@ -212,9 +212,10 @@ class TestCriterion6KernelInvariance:
                 eps = stream.standard_normal((n_chains, 2))
                 sign_u = stream.random((n_chains, 2)) if kind == "barker" else None
                 accept_u = stream.random(n_chains)
-                x, logpi, grad, _ = step_batch(kind, x, logpi, grad, eps, sign_u,
-                                               accept_u, h, pre, target,
-                                               n_leapfrog=3)
+                uniforms = (accept_u[:, None] if sign_u is None
+                            else np.column_stack([sign_u, accept_u]))
+                x, logpi, grad, _ = step_batch(kind, x, logpi, grad, eps, uniforms,
+                                               h, pre, target, n_leapfrog=3)
             z_mean = np.abs(x.mean(axis=0)) / np.sqrt(true_var / n_chains)
             z_var = (np.abs(x.var(axis=0, ddof=1) - true_var)
                      / (true_var * math.sqrt(2.0 / (n_chains - 1))))

@@ -118,7 +118,7 @@ def run_with_kind(kind):
 
 def step_with_kind(kind):
     x = np.zeros((3, 2))
-    step_batch(kind, x, np.zeros(3), None, np.zeros((3, 2)), None, np.zeros(3),
+    step_batch(kind, x, np.zeros(3), None, np.zeros((3, 2)), np.zeros((3, 1)),
                0.5, Preconditioner.identity(2), correlated_gaussian_target(2))
 
 
@@ -139,6 +139,12 @@ class TestKernelTuning:
     def test_gradient_carrying_kinds(self):
         carries = [kind for kind in KERNEL_KINDS if check_kind(kind).carries_gradient]
         assert carries == ["mala", "barker"]
+
+    def test_uniform_counts(self):
+        # d sign uniforms for Barker alone, then one acceptance uniform for every kind
+        assert [check_kind(kind).sign_uniforms for kind in KERNEL_KINDS] == [
+            False, False, True, False]
+        assert [check_kind(kind).uniform_count(5) for kind in KERNEL_KINDS] == [1, 1, 6, 1]
 
     @pytest.mark.parametrize("entry", sorted(KIND_ENTRY_POINTS))
     def test_unknown_kind_raises_one_message(self, entry):
@@ -256,6 +262,20 @@ class TestIterationCount:
         assert iteration_count("rwmh", 1, SizingPolicy(iteration_coefficient=1e6)) == 1_000_000
         with pytest.raises(ValueError, match="iteration_coefficient=1000001"):
             iteration_count("rwmh", 1, SizingPolicy(iteration_coefficient=1_000_001.0))
+
+
+class TestChainCountAlpha:
+    # the public counts take a raw alpha and refuse it by name, as SizingPolicy does
+    @pytest.mark.parametrize("count", [mean_error_chain_count, variance_error_chain_count])
+    @pytest.mark.parametrize("alpha, message", [
+        (1.5, r"alpha must lie in \(0, 1\), got 1.5"),
+        (-0.5, r"alpha must lie in \(0, 1\), got -0.5"),
+        (math.nan, "alpha must be finite, got nan"),
+        (True, "alpha must be a real number, got True"),
+    ])
+    def test_alpha_outside_the_unit_interval_refused(self, count, alpha, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            count(0.1, alpha)
 
 
 class TestSizingPolicy:

@@ -2,6 +2,8 @@
 
 import math
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,26 @@ class TestFromSampler:
         with pytest.raises(ValueError):
             approximation_from_sampler(lambda s: np.zeros(1), 1,
                                        RandomStream(0, 0), n_draws=1)
+
+
+class TestSampledDrawsChecked:
+    # the stacked draws are checked once, with Approximation.sample's messages
+    def test_wrong_point_shape_names_both_shapes(self):
+        with pytest.raises(ValueError, match=r"^sampler returned shape \(3,\), expected \(2,\)$"):
+            approximation_from_sampler(lambda s: s.standard_normal(3), 2,
+                                       RandomStream(0, 0), n_draws=10)
+
+    def test_non_finite_draw_names_the_sampler_without_warnings(self):
+        def sampler(stream):
+            x = stream.standard_normal(2)
+            return x if x[0] < 1.0 else np.array([x[0], np.nan])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^the sampler of approximation 'vi' "
+                                                 r"returned a non-finite point \[.* nan\]$"):
+                approximation_from_sampler(sampler, 2, RandomStream(0, 0), n_draws=50,
+                                           name="vi")
 
 
 class TestApproximationValidation:

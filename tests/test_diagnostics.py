@@ -402,6 +402,21 @@ class TestCriticalValues:
                                critical=CriticalValues.at(39, 0.05))
 
 
+class TestUnitIntervalSettings:
+    @pytest.mark.parametrize("call, name", [
+        (lambda v: CriticalValues.at(40, v), "alpha"),
+        (lambda v: mean_difference_ci(np.arange(40.0), 0.0, v), "alpha"),
+        (lambda v: log_variance_ratio_ci(np.arange(40.0), 1.0, v), "alpha"),
+        (lambda v: quantile_difference_ci(np.arange(40.0), 0.5, 0.0, v), "alpha"),
+        (lambda v: quantile_difference_ci(np.arange(40.0), v, 0.0, 0.05), "p"),
+        (lambda v: reliability_check(np.eye(3), np.eye(3), cutoff=v), "cutoff"),
+    ], ids=["critical", "mean", "log_variance", "quantile_alpha", "quantile_p", "cutoff"])
+    @pytest.mark.parametrize("value", [0.0, 1.0, 1.5, -0.5])
+    def test_one_message_names_the_setting(self, call, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, 1\), got {value}$"):
+            call(value)
+
+
 class TestBoundValidity:
     def test_mean_bound_rarely_exceeds_true_error(self):
         # Direct simulation of the guarantee: the reported bound must sit at

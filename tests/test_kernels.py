@@ -7,6 +7,7 @@ both directions from stationary starts.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,12 @@ def box_target(dimension, half_width=1.0):
         log_density=lambda x: np.where(np.all(np.abs(x) < half_width, axis=1), 0.0, -np.inf),
         grad_log_density=np.zeros_like,
         name="box")
+
+
+def uniform_block(sign_u, accept_u):
+    """The (B, k) ``uniforms`` block of ``step_batch``: Barker's sign
+    uniforms, when given, then each chain's acceptance uniform."""
+    return accept_u[:, None] if sign_u is None else np.column_stack([sign_u, accept_u])
 
 
 def uphill_barker_increments(n, step_size, pre, gradient, stream):
@@ -116,16 +123,10 @@ class TestPreconditioner:
 
 
 class TestRandomWalkProposal:
-    def test_forward_equals_reverse(self):
-        pre = Preconditioner(np.array([[2.0, 0.3], [0.3, 1.0]]))
-        eps = RandomStream(0, 0).standard_normal((1, 2))
-        _, fwd, rev = _rwmh_core(np.array([[1.0, -1.0]]), eps, 0.5, pre)
-        assert fwd[0] == rev[0]
-
     def test_small_step_stays_close(self):
         pre = Preconditioner.identity(4)
         x = np.ones((1, 4))
-        y, _, _ = _rwmh_core(x, RandomStream(1, 0).standard_normal((1, 4)), 1e-12, pre)
+        y = _rwmh_core(x, RandomStream(1, 0).standard_normal((1, 4)), 1e-12, pre)
         assert np.max(np.abs(y - x)) < 1e-5
 
     def test_proposal_covariance(self):
@@ -135,19 +136,25 @@ class TestRandomWalkProposal:
         stream = RandomStream(2, 0)
         x = np.array([0.5, -0.5])
         n = 20_000
-        y, _, _ = _rwmh_core(np.tile(x, (n, 1)), stream.standard_normal((n, 2)), h, pre)
+        y = _rwmh_core(np.tile(x, (n, 1)), stream.standard_normal((n, 2)), h, pre)
         incs = y - x
         assert np.allclose(incs.mean(axis=0), 0.0, atol=0.03)
         assert np.allclose(np.cov(incs, rowvar=False), h * G, atol=0.06)
 
-    def test_density_matches_scipy(self):
-        G = np.array([[1.5, -0.4], [-0.4, 0.9]])
-        pre = Preconditioner(G)
+    def test_alpha_is_the_target_density_ratio(self):
+        # the proposal is symmetric, so alpha is min(1, pi(y) / pi(x)) bit for bit
+        target = correlated_gaussian_target(2, variances=[1.5, 0.4], correlation=0.6)
+        pre = Preconditioner(np.array([[1.5, -0.4], [-0.4, 0.9]]))
         h = 0.3
-        x = np.array([[0.2, 1.0]])
-        y, fwd, _ = _rwmh_core(x, RandomStream(3, 0).standard_normal((1, 2)), h, pre)
-        expected = sps.multivariate_normal(mean=x[0], cov=h * G).logpdf(y[0])
-        assert fwd[0] == pytest.approx(expected, rel=1e-10)
+        stream = RandomStream(3, 0)
+        x = stream.standard_normal((50, 2))
+        logpi_x = target.log_density(x)
+        eps = stream.standard_normal((50, 2))
+        _, _, _, alpha = step_batch("rwmh", x, logpi_x, None, eps, stream.random((50, 1)),
+                                    h, pre, target)
+        y = _rwmh_core(x, eps, h, pre)
+        assert np.array_equal(alpha, np.exp(np.minimum(target.log_density(y) - logpi_x, 0)))
+        assert 0.0 < alpha.min() < 1.0 == alpha.max()
 
 
 class TestLangevinProposal:
@@ -165,10 +172,10 @@ class TestLangevinProposal:
         for _ in range(200):
             eps = stream.standard_normal((1, 3))
             accept_u = stream.random(1)
-            x_r, logpi_r, _, _ = step_batch("rwmh", x_r, logpi_r, None, eps, None,
-                                            accept_u, 0.6, pre, target)
-            x_m, logpi_m, grad_m, _ = step_batch("mala", x_m, logpi_m, grad_m, eps, None,
-                                                 accept_u, 0.6, pre, target)
+            x_r, logpi_r, _, _ = step_batch("rwmh", x_r, logpi_r, None, eps,
+                                            accept_u[:, None], 0.6, pre, target)
+            x_m, logpi_m, grad_m, _ = step_batch("mala", x_m, logpi_m, grad_m, eps,
+                                                 accept_u[:, None], 0.6, pre, target)
             assert np.array_equal(x_r, x_m)
 
     def test_drift_formula(self):
@@ -336,8 +343,8 @@ class TestHamiltonianProposal:
         x = np.zeros((1, 3))
         logpi = target.log_density(x)
         target.reset_gradient_count()
-        step_batch("hmc", x, logpi, None, stream.standard_normal((1, 3)), None,
-                   stream.random(1), 0.1, pre, target, n_leapfrog=7)
+        step_batch("hmc", x, logpi, None, stream.standard_normal((1, 3)),
+                   stream.random((1, 1)), 0.1, pre, target, n_leapfrog=7)
         assert target.gradient_evaluations == 8
 
     def test_momentum_covariance_is_inverse_preconditioner(self):
@@ -361,7 +368,7 @@ class TestAcceptanceProbability:
         stream = RandomStream(seed, 0)
         eps = stream.standard_normal((1, 2))
         _, _, _, alpha = step_batch("rwmh", np.zeros((1, 2)), np.array([logpi_x]), None,
-                                    eps, None, stream.random(1), 0.5,
+                                    eps, stream.random((1, 1)), 0.5,
                                     Preconditioner.identity(2), flat_target(2, level))
         return alpha[0]
 
@@ -392,7 +399,7 @@ class TestAcceptanceProbability:
         eps = np.array([[(y - x * (1 - h / 2)) / math.sqrt(h)]])
         xb = np.array([[x]])
         new_x, _, _, alpha = step_batch("mala", xb, target.log_density(xb), None, eps,
-                                        None, np.zeros(1), h, pre, target)
+                                        np.zeros((1, 1)), h, pre, target)
         assert new_x[0, 0] == pytest.approx(y, rel=1e-14)
         # Both sides carry the same Gaussian normalizer, so compare directly.
         assert alpha[0] == pytest.approx(expected, rel=1e-10)
@@ -405,8 +412,8 @@ class TestAcceptanceProbability:
         logpi_x = target.log_density(x)
         eps = RandomStream(16, 0).standard_normal((1, 1))
         # a zero acceptance uniform makes the new state the proposal y
-        y, logpi_y, _, alpha = step_batch("mala", x, logpi_x, None, eps, None,
-                                          np.zeros(1), h, pre, target)
+        y, logpi_y, _, alpha = step_batch("mala", x, logpi_x, None, eps,
+                                          np.zeros((1, 1)), h, pre, target)
         fwd_mean = (x + 0.5 * h * target.grad_log_density(x)).item()
         rev_mean = (y + 0.5 * h * target.grad_log_density(y)).item()
         fwd = sps.norm(loc=fwd_mean, scale=math.sqrt(h)).logpdf(y.item())
@@ -417,8 +424,8 @@ class TestAcceptanceProbability:
     def test_nan_ratio_rejects(self):
         stream = RandomStream(17, 0)
         _, _, _, alpha = step_batch("rwmh", np.zeros((1, 1)), np.array([-np.inf]), None,
-                                    stream.standard_normal((1, 1)), None, stream.random(1),
-                                    0.5, Preconditioner.identity(1),
+                                    stream.standard_normal((1, 1)),
+                                    stream.random((1, 1)), 0.5, Preconditioner.identity(1),
                                     flat_target(1, -np.inf))
         assert alpha[0] == 0.0
 
@@ -433,7 +440,8 @@ class TestMHStep:
             eps = stream.standard_normal((1, 2))
             sign_u = stream.random((1, 2)) if kind == "barker" else None
             accept_u = stream.random(1)
-            new, _, _, alpha = step_batch(kind, x, np.zeros(1), None, eps, sign_u, accept_u,
+            new, _, _, alpha = step_batch(kind, x, np.zeros(1), None, eps,
+                                          uniform_block(sign_u, accept_u),
                                           0.5, pre, target, n_leapfrog=2)
             assert alpha[0] == 1.0
             assert not np.array_equal(new, x)
@@ -454,7 +462,8 @@ class TestMHStep:
             eps = stream.standard_normal((1, 1))
             sign_u = stream.random((1, 1)) if kind == "barker" else None
             accept_u = stream.random(1)
-            x, logpi, grad, _ = step_batch(kind, x, logpi, grad, eps, sign_u, accept_u,
+            x, logpi, grad, _ = step_batch(kind, x, logpi, grad, eps,
+                                           uniform_block(sign_u, accept_u),
                                            h, pre, target, n_leapfrog=3)
             states[t] = x[0, 0]
         assert abs(states.mean()) < 0.05
@@ -476,8 +485,8 @@ class TestMHStep:
             eps = stream.standard_normal((B, 1))
             su = stream.random((B, 1)) if kind == "barker" else None
             au = stream.random(B)
-            nx, nlogpi, grad, _ = step_batch(kind, x, logpi, grad, eps, su, au,
-                                             h, pre, target)
+            nx, nlogpi, grad, _ = step_batch(kind, x, logpi, grad, eps,
+                                             uniform_block(su, au), h, pre, target)
             n_ab += int(np.sum((x[:, 0] < 0) & (nx[:, 0] >= 0)))
             n_ba += int(np.sum((x[:, 0] >= 0) & (nx[:, 0] < 0)))
             x, logpi = nx, nlogpi
@@ -499,8 +508,9 @@ class TestMHStep:
             eps = stream.standard_normal((1, 2))
             sign_u = stream.random((1, 2)) if kind == "barker" else None
             accept_u = stream.random(1)
-            new, logpi, grad, alpha = step_batch(kind, x, logpi, grad, eps, sign_u,
-                                                 accept_u, h, pre, target, n_leapfrog=2)
+            new, logpi, grad, alpha = step_batch(kind, x, logpi, grad, eps,
+                                                 uniform_block(sign_u, accept_u),
+                                                 h, pre, target, n_leapfrog=2)
             assert 0.0 <= alpha[0] <= 1.0
             assert np.all(np.isfinite(new))
             assert np.all(np.abs(new) < 1.0)
@@ -509,7 +519,7 @@ class TestMHStep:
         assert moved > 0
 
     # one chain at the origin with zero noise: arguments up to the step size
-    STILL = (np.zeros((1, 1)), np.zeros(1), None, np.zeros((1, 1)), None, np.zeros(1))
+    STILL = (np.zeros((1, 1)), np.zeros(1), None, np.zeros((1, 1)), np.zeros((1, 1)))
 
     def test_step_size_validation(self):
         target = flat_target(1)
@@ -518,6 +528,20 @@ class TestMHStep:
             step_batch("rwmh", *self.STILL, 0.0, pre, target)
         with pytest.raises(ValueError):
             step_batch("rwmh", *self.STILL, math.inf, pre, target)
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_uniforms_of_another_width_refused(self, kind):
+        # d = 2: Barker reads two sign uniforms and an acceptance uniform,
+        # every other kind the acceptance uniform alone
+        width = 3 if kind == "barker" else 1
+        target = flat_target(2)
+        for bad in ((1, width - 1), (1, width + 1), (2, width), (width,)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"uniforms must have shape (1, {width}) under kernel {kind!r}, "
+                    f"got {bad}")):
+                step_batch(kind, np.zeros((1, 2)), np.zeros(1), None, np.zeros((1, 2)),
+                           np.zeros(bad), 0.5, Preconditioner.identity(2), target)
+        assert target.gradient_evaluations == 0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -543,7 +567,7 @@ class TestStepBatchMoments:
             eps = stream.standard_normal((B, 2))
             su = stream.random((B, 2)) if kind == "barker" else None
             au = stream.random(B)
-            x, logpi, grad, _ = step_batch(kind, x, logpi, grad, eps, su, au,
+            x, logpi, grad, _ = step_batch(kind, x, logpi, grad, eps, uniform_block(su, au),
                                            h, pre, target, n_leapfrog=3)
         se_mean = np.sqrt(np.diag(target.covariance) / B)
         assert np.all(np.abs(x.mean(axis=0)) < 4.0 * se_mean)

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -281,6 +282,25 @@ class TestDeterminism:
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
 
+class TestNonFiniteScalarValues:
+    def test_infinite_values_give_nan_endpoints_without_warnings(self):
+        # +inf on the chains with x_0 > 1: the mean interval has no finite
+        # endpoint, which the report writes as "NaN", and NumPy stays quiet
+        target, approx = small_setup()
+        cfg = RunConfig(kernel="rwmh", seed=3, n_chains=60, n_iterations=4, trace_every=2,
+                        functionals=["scalar(f)"],
+                        scalar_functions={"f": lambda x: np.where(x[:, 0] > 1.0, np.inf,
+                                                                  x[:, 0])})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_diagnostic(cfg, target, approx).to_json_dict()
+        mean, median = report["functionals"]
+        assert mean["tag"] == "scalar_mean(f)"
+        assert mean["lower"] == mean["upper"] == "NaN"
+        assert math.isfinite(median["lower"]) and math.isfinite(median["upper"])
+        assert [row["bounds"]["scalar_mean(f)"] for row in report["traces"]] == [0.0] * 3
+
+
 class TestDrawOrder:
     @pytest.mark.parametrize("kind", ["rwmh", "mala", "barker", "hmc"])
     def test_step_noise_is_each_chains_canonical_draws(self, kind, monkeypatch):
@@ -291,16 +311,18 @@ class TestDrawOrder:
         target, approx = small_setup(d)
         seen = []
 
-        def spy(kind, x, logpi, grad, eps, sign_u, accept_u, *rest):
-            seen.append((eps.copy(), None if sign_u is None else sign_u.copy(),
-                         accept_u.copy()))
-            return step_batch(kind, x, logpi, grad, eps, sign_u, accept_u, *rest)
+        def spy(kind, x, logpi, grad, eps, uniforms, *rest):
+            seen.append((eps.copy(), uniforms.copy()))
+            return step_batch(kind, x, logpi, grad, eps, uniforms, *rest)
 
         monkeypatch.setattr(runner, "step_batch", spy)
         run_diagnostic(RunConfig(kernel=kind, seed=seed, n_chains=n, n_iterations=1,
                                  sizing=SizingPolicy(leapfrog_steps=2)), target, approx)
-        (eps, sign_u, accept_u), = seen
-        assert (sign_u is not None) == (kind == "barker")
+        (eps, uniforms), = seen
+        # as wide as the kernel reads: d sign uniforms for Barker, then the
+        # acceptance uniform
+        assert uniforms.shape == (n, d + 1 if kind == "barker" else 1)
+        sign_u, accept_u = uniforms[:, :-1], uniforms[:, -1]
         for j in range(n):
             stream = RandomStream(seed, j + 1)
             approx.sample(stream)

@@ -1,0 +1,62 @@
+"""Hashes every file the CLI writes for the shipped presets.
+
+Usage: python tools/output_hashes.py SRC_DIR OUT_DIR
+
+Runs ``python -m shortchain run`` and ``trace`` with ``PYTHONPATH=SRC_DIR`` on
+every preset in this checkout's ``presets/`` under each of the four kernels,
+at seeds 1 and 7, from configs whose ``kernel`` key is replaced.  Everything
+it writes, the configs included, goes under OUT_DIR.  It prints one
+``sha256  path`` line per output file, with paths relative to OUT_DIR, so
+diffing the printout of two source trees shows any report that changed
+byte for byte.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
+KERNELS = ("rwmh", "mala", "barker", "hmc")
+SEEDS = (1, 7)
+COMMANDS = ("run", "trace")
+# 0 is success and 2 a completed run whose reliability check failed; both
+# write every output
+WROTE_OUTPUTS = (0, 2)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 1
+    src, out = Path(args[0]).resolve(), Path(args[1]).resolve()
+    env = dict(os.environ, PYTHONPATH=str(src))
+    configs = out / "configs"
+    configs.mkdir(parents=True, exist_ok=True)
+    for preset in sorted(PRESETS.glob("*.json")):
+        for kernel in KERNELS:
+            config = configs / f"{preset.stem}-{kernel}.json"
+            config.write_text(json.dumps(dict(json.loads(preset.read_text()), kernel=kernel)))
+            for command in COMMANDS:
+                for seed in SEEDS:
+                    run_dir = out / command / preset.stem / kernel / f"seed{seed}"
+                    done = subprocess.run(
+                        [sys.executable, "-m", "shortchain", command, "--config",
+                         str(config), "--out", str(run_dir), "--seed", str(seed)],
+                        env=env, cwd=out, capture_output=True, text=True)
+                    if done.returncode not in WROTE_OUTPUTS:
+                        print(done.stderr, file=sys.stderr)
+                        return 1
+                    for path in sorted(run_dir.iterdir()):
+                        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                        print(f"{digest}  {path.relative_to(out)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

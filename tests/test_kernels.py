@@ -141,8 +141,9 @@ class TestRandomWalkProposal:
         assert np.allclose(incs.mean(axis=0), 0.0, atol=0.03)
         assert np.allclose(np.cov(incs, rowvar=False), h * G, atol=0.06)
 
-    def test_alpha_is_the_target_density_ratio(self):
-        # the proposal is symmetric, so alpha is min(1, pi(y) / pi(x)) bit for bit
+    def test_forward_equals_reverse(self):
+        # the proposal is symmetric, so its forward and reverse densities
+        # cancel and alpha is min(1, pi(y) / pi(x)) bit for bit
         target = correlated_gaussian_target(2, variances=[1.5, 0.4], correlation=0.6)
         pre = Preconditioner(np.array([[1.5, -0.4], [-0.4, 0.9]]))
         h = 0.3
@@ -155,6 +156,23 @@ class TestRandomWalkProposal:
         y = _rwmh_core(x, eps, h, pre)
         assert np.array_equal(alpha, np.exp(np.minimum(target.log_density(y) - logpi_x, 0)))
         assert 0.0 < alpha.min() < 1.0 == alpha.max()
+
+    def test_density_matches_scipy(self):
+        # the random-walk proposal is MALA's with the drift at zero, so
+        # MALA's densities on a zero gradient are N(x, h G)'s at y and back
+        G = np.array([[1.5, -0.4], [-0.4, 0.9]])
+        pre = Preconditioner(G)
+        h = 0.3
+        x = np.array([[0.2, 1.0]])
+        eps = RandomStream(3, 0).standard_normal((1, 2))
+        y = _rwmh_core(x, eps, h, pre)
+        y_mala, logq_fwd, logq_rev, _ = _mala_core(x, np.zeros_like(x), eps, h, pre,
+                                                   np.zeros_like)
+        assert np.array_equal(y_mala, y)
+        fwd = sps.multivariate_normal(mean=x[0], cov=h * G).logpdf(y[0])
+        rev = sps.multivariate_normal(mean=y[0], cov=h * G).logpdf(x[0])
+        assert logq_fwd[0] == pytest.approx(fwd, rel=1e-10)
+        assert logq_rev[0] == pytest.approx(rev, rel=1e-10)
 
 
 class TestLangevinProposal:

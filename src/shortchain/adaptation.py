@@ -1,8 +1,9 @@
 """Per-kind kernel tuning, cross-chain step-size adaptation and sizing rules.
 
 ``KERNEL_TUNING`` is the one table of kernel kinds; ``check_kind`` the one check.
-``checked_integer``, ``checked_real`` and ``checked_fraction`` are the one check of an
-integer, real or (0, 1) setting, which the object that owns the setting calls.
+``checked_integer``, ``checked_real``, ``checked_positive`` and ``checked_fraction`` are
+the one check of an integer, real, positive or (0, 1) setting, which the object that
+owns the setting calls.
 
 The ensemble shares one log step size psi.  After every iteration the mean
 acceptance rate across chains pulls psi toward the kernel's optimal rate
@@ -79,6 +80,14 @@ def checked_real(name: str, value) -> float:
     return value
 
 
+def checked_positive(name: str, value) -> float:
+    """``checked_real`` for a budget, scale or coefficient that must be positive."""
+    value = checked_real(name, value)
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
 def checked_fraction(name: str, value) -> float:
     """``checked_real`` for a level or cutoff that must lie in (0, 1)."""
     value = checked_real(name, value)
@@ -145,10 +154,7 @@ class SizingPolicy:
 
     def __post_init__(self):
         for name in ("delta_mean", "delta_var", "iteration_coefficient"):
-            value = checked_real(name, getattr(self, name))
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, checked_positive(name, getattr(self, name)))
         object.__setattr__(self, "alpha", checked_fraction("alpha", self.alpha))
         object.__setattr__(self, "leapfrog_steps",
                            checked_integer("leapfrog_steps", self.leapfrog_steps, 1))
@@ -174,8 +180,7 @@ def _smallest_chain_count(width, budget: float, name: str) -> int:
 
 def mean_error_chain_count(delta_mean: float, alpha: float) -> int:
     """Smallest n with t_{n-1}(1 - alpha/2) / sqrt(n) <= delta_mean."""
-    if not delta_mean > 0:
-        raise ValueError("delta_mean must be positive")
+    delta_mean = checked_positive("delta_mean", delta_mean)
     alpha = checked_fraction("alpha", alpha)
     return _smallest_chain_count(
         lambda n: student_t_quantile(1.0 - alpha / 2.0, n - 1) / math.sqrt(n),
@@ -184,8 +189,7 @@ def mean_error_chain_count(delta_mean: float, alpha: float) -> int:
 
 def variance_error_chain_count(delta_var: float, alpha: float) -> int:
     """Smallest n whose chi-square interval width in log10 is within delta_var."""
-    if not delta_var > 0:
-        raise ValueError("delta_var must be positive")
+    delta_var = checked_positive("delta_var", delta_var)
     alpha = checked_fraction("alpha", alpha)
     return _smallest_chain_count(
         lambda n: math.log10(chi_square_quantile(1.0 - alpha / 2.0, n - 1)

@@ -180,8 +180,11 @@ def approximation_from_sampler(sampler: Callable[[RandomStream], np.ndarray],
     """
     n_draws = checked_integer("n_draws", n_draws, 2)
     dimension = checked_integer("dimension", dimension, 1)
-    draws = _checked_draws(np.stack([sampler(stream) for _ in range(n_draws)]),
-                           (n_draws, dimension), name)
+    draws = [sampler(stream) for _ in range(n_draws)]
+    for point in draws:  # a point of another shape is named before np.stack meets it
+        if np.shape(point) != (dimension,):
+            _checked_draws(point, (dimension,), name)
+    draws = _checked_draws(np.stack(draws), (n_draws, dimension), name)
     base = empirical_approximation(draws, name=name)
     return Approximation(dimension, sampler, base.means, base.sds, base.covariance,
                          quantile_fn=base.quantile_fn, name=name)

@@ -14,16 +14,18 @@ alpha and the quantile level p.  A run builds them once as a
 standalone call without it builds them with ``CriticalValues.at``.
 
 ``column_intervals`` is the one implementation of the intervals: it
-diagnoses every audited row of a value matrix in one pass, and
-``lower_bounds`` turns its endpoints into bounds.  The per-functional
-functions check their arguments and make a one-row call into it.
+diagnoses every audited row of a value matrix in one pass, from one
+``(kind, row, initial, p)`` entry per functional as a run's audit plan
+holds them, and ``lower_bounds`` turns its endpoints into bounds.  The
+per-functional functions check their arguments and make a one-row call
+into it with a single entry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -195,98 +197,69 @@ def error_lower_bound(interval: ConfidenceInterval) -> LowerBoundResult:
                             bool(detected[0]))
 
 
-@dataclass(frozen=True)
-class IntervalColumns:
-    """The constants of a ``column_intervals`` call, which a run builds once.
-
-    Functional j reads row ``rows[j]`` of an (R, N) value matrix and is
-    compared with ``initial[j]``, its initial-side value.  The functionals
-    at ``mean_at`` get the t interval (``initial`` is a mean), those at
-    ``log_variance_at`` the chi-square interval (a standard deviation), and
-    those at ``quantile_at`` the order-statistic interval (a quantile), with
-    0-based order-statistic indices ``lo`` and ``hi`` in ``quantile_at``
-    order.
-    """
-    rows: np.ndarray
-    initial: np.ndarray
-    mean_at: np.ndarray
-    log_variance_at: np.ndarray
-    quantile_at: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-    @classmethod
-    def of(cls, kinds, rows, initial, levels, critical: CriticalValues) -> "IntervalColumns":
-        """Builds the columns from one entry per functional.
-
-        Args:
-            kinds: "mean", "log_variance" or "quantile" per functional.
-            rows: The value-matrix row each functional reads.
-            initial: Each functional's initial-side mean, sd or quantile.
-            levels: Each functional's quantile level p (ignored elsewhere),
-                whose ranks are read from ``critical.ranks``.
-        """
-        kinds = np.asarray(kinds)
-        rows = np.asarray(rows, dtype=np.intp)
-        quantile_at = np.flatnonzero(kinds == "quantile")
-        ranks = np.array([critical.ranks[levels[j]] for j in quantile_at],
-                         dtype=np.intp).reshape(-1, 2)
-        return cls(rows, np.asarray(initial, dtype=float),
-                   np.flatnonzero(kinds == "mean"), np.flatnonzero(kinds == "log_variance"),
-                   quantile_at, ranks[:, 0] - 1, ranks[:, 1] - 1)
-
-
 @np.errstate(invalid="ignore", over="ignore")  # a non-finite value: NaN endpoints, no warning
-def column_intervals(values: np.ndarray, columns: IntervalColumns, critical: CriticalValues
+def column_intervals(values: np.ndarray, columns: Sequence[tuple], critical: CriticalValues
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every functional's interval from one pass over an (R, N) value matrix.
 
     ``values`` holds one row per audited variable (an ensemble coordinate
-    or a scalar functional's values across chains).  The row means and
-    ``ddof=1`` variances are computed once, and the rows the quantiles read
-    are sorted together.  Each row reduces on its own, so its endpoints do
-    not depend on the other rows.  A t or chi-square interval is degenerate
-    when its row has zero spread: the t interval is then the point at the
-    centre, the chi-square one (-inf, -inf).  An order-statistic interval
-    is never degenerate.
+    or a scalar functional's values across chains).  ``columns`` holds one
+    ``(kind, row, initial, p)`` entry per functional, which reads row
+    ``row`` and compares with ``initial``, its initial-side value: kind
+    "mean" gets the t interval (``initial`` is a mean), "log_variance" the
+    chi-square interval (a standard deviation) and "quantile" the
+    order-statistic interval (a quantile at level ``p``, whose ranks are
+    read from ``critical.ranks``); ``p`` is ignored for the other kinds.
+
+    The row means and ``ddof=1`` variances are computed once, and the rows
+    the quantiles read are sorted together.  Each row reduces on its own,
+    so its endpoints do not depend on the other rows.  A t or chi-square
+    interval is degenerate when its row has zero spread: the t interval is
+    then the point at the centre, the chi-square one (-inf, -inf).  An
+    order-statistic interval is never degenerate.
 
     Returns:
         ``(lower, upper, degenerate)``, one entry per functional.
     """
     n = values.shape[1]
     critical.check(n, critical.alpha)
-    k = columns.rows.size
-    lower, upper = np.empty(k), np.empty(k)
-    degenerate = np.zeros(k, dtype=bool)
-    if columns.mean_at.size or columns.log_variance_at.size:
+    kinds, rows, initial, levels = zip(*columns)
+    rows, initial = np.array(rows, dtype=np.intp), np.array(initial, dtype=float)
+    groups = {"mean": [], "log_variance": [], "quantile": []}
+    for j, kind in enumerate(kinds):
+        groups[kind].append(j)
+    mean_at, log_variance_at, quantile_at = (np.array(g, dtype=np.intp)
+                                             for g in groups.values())
+    lower, upper = np.empty(rows.size), np.empty(rows.size)
+    degenerate = np.zeros(rows.size, dtype=bool)
+    if mean_at.size or log_variance_at.size:
         variances = values.var(axis=1, ddof=1)
-    if columns.mean_at.size:
+    if mean_at.size:
         # centre -/+ s / sqrt(n) * t; zero spread gives the point interval at the centre
-        at = columns.mean_at
-        rows = columns.rows[at]
-        center = values.mean(axis=1)[rows] - columns.initial[at]
-        half = np.sqrt(variances[rows]) / math.sqrt(n) * critical.t
-        degenerate[at] = flat = variances[rows] == 0.0
+        at = mean_at
+        variance = variances[rows[at]]
+        center = values.mean(axis=1)[rows[at]] - initial[at]
+        half = np.sqrt(variance) / math.sqrt(n) * critical.t
+        degenerate[at] = flat = variance == 0.0
         lower[at] = np.where(flat, center, center - half)
         upper[at] = np.where(flat, center, center + half)
-    if columns.log_variance_at.size:
+    if log_variance_at.size:
         # log((n - 1) s^2 / sd0^2 / chi2) at both chi-square quantiles, -inf at
         # zero spread; math.log per value, since np.log need not round as libm does
-        at = columns.log_variance_at
-        variance = variances[columns.rows[at]]
-        scaled = (n - 1) * variance / (columns.initial[at] * columns.initial[at])
+        at = log_variance_at
+        variance = variances[rows[at]]
+        scaled = (n - 1) * variance / (initial[at] * initial[at])
         degenerate[at] = flat = variance == 0.0
         lower[at] = upper[at] = -math.inf
         for j, v in zip(at[~flat].tolist(), scaled[~flat].tolist()):
             lower[j] = math.log(v / critical.chi2_upper)
             upper[j] = math.log(v / critical.chi2_lower)
-    if columns.quantile_at.size:
+    if quantile_at.size:
         # the order statistics X_(l) and X_(u), shifted by the initial quantile
-        at = columns.quantile_at
-        ordered = np.sort(values[columns.rows[at]], axis=1)
-        take = np.arange(at.size)
-        lower[at] = ordered[take, columns.lo] - columns.initial[at]
-        upper[at] = ordered[take, columns.hi] - columns.initial[at]
+        at = quantile_at
+        ranks = np.array([critical.ranks[levels[j]] for j in at.tolist()], dtype=np.intp)
+        ordered = np.sort(values[rows[at]], axis=1)
+        lower[at], upper[at] = ordered[np.arange(at.size), ranks.T - 1] - initial[at]
     return lower, upper, degenerate
 
 
@@ -413,21 +386,18 @@ def _one_row(x: np.ndarray, kind: str, initial: float, alpha: float, functional_
     if critical is None:
         critical = CriticalValues.at(n, alpha)
     critical.check(n, alpha)
-    one, none = np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    lo = hi = none
     if kind == "quantile":
-        l, u = critical.ranks[p] if p in critical.ranks else (
-            binomial_quantile(alpha / 2.0, n, p), binomial_quantile(1.0 - alpha / 2.0, n, p) + 1)
+        if p not in critical.ranks:
+            critical = replace(critical, ranks={p: (
+                binomial_quantile(alpha / 2.0, n, p),
+                binomial_quantile(1.0 - alpha / 2.0, n, p) + 1)})
+        l, u = critical.ranks[p]
         if l < 1 or u > n:
             raise ValueError(
                 f"{n} chains are too few for a level {1 - alpha:.3g} interval on the "
                 f"p={p} quantile (order statistics {l} and {u} requested); "
                 "increase the number of chains or relax alpha")
-        lo, hi = np.array([l - 1], dtype=np.intp), np.array([u - 1], dtype=np.intp)
-    columns = IntervalColumns(one, np.array([initial], dtype=float),
-                              *(one if k == kind else none
-                                for k in ("mean", "log_variance", "quantile")), lo, hi)
-    lower, upper, degenerate = column_intervals(x[None, :], columns, critical)
+    lower, upper, degenerate = column_intervals(x[None, :], [(kind, 0, initial, p)], critical)
     return ConfidenceInterval(float(lower[0]), float(upper[0]), 1.0 - alpha, functional_tag,
                               degenerate=bool(degenerate[0]))
 

@@ -25,13 +25,12 @@ import numpy as np
 
 from .adaptation import (_MAX_CHAINS, _MAX_ITERATIONS, AdaptationState, SizingPolicy,
                          chain_count, check_kind, checked_fraction, checked_integer,
-                         checked_real, initial_step_size, iteration_count)
+                         checked_positive, initial_step_size, iteration_count)
 from .approximations import Approximation
 from .diagnostics import (MONOTONE_ERROR_CAVEAT, CentredRows, CriticalValues,
-                          IntervalColumns, LowerBoundResult, ReliabilityResult,
-                          column_intervals, error_lower_bound,
-                          log_variance_ratio_ci, lower_bounds, mean_difference_ci,
-                          quantile_difference_ci, reliability_check,
+                          LowerBoundResult, ReliabilityResult, column_intervals,
+                          error_lower_bound, log_variance_ratio_ci, lower_bounds,
+                          mean_difference_ci, quantile_difference_ci, reliability_check,
                           scalar_functional_diagnostics, scalar_tags)
 from .kernels import Preconditioner, step_batch
 from .rng import RandomStream
@@ -307,9 +306,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
                          f"approximation dimension {approximation.dimension}")
     seed = checked_integer("seed", config.seed, 0)
     trace_every = checked_integer("trace_every", config.trace_every, 0)
-    step_size_scale = checked_real("step_size_scale", config.step_size_scale)
-    if step_size_scale <= 0:
-        raise ValueError(f"step_size_scale must be positive, got {step_size_scale}")
+    step_size_scale = checked_positive("step_size_scale", config.step_size_scale)
     cutoff = checked_fraction("reliability_cutoff", config.reliability_cutoff)
 
     d = target.dimension
@@ -372,10 +369,9 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
 
     checkpoints = _checkpoint_iterations(trace_every, n_iters)
     trace_rows: Optional[list] = [] if checkpoints else None
-    if checkpoints:
-        # checkpoints before the last diagnose every functional column-wise
-        _, tags, kinds, rows, initial, levels, *_ = zip(*plan)
-        columns = IntervalColumns.of(kinds, rows, initial, levels, critical)
+    # checkpoints before the last diagnose every functional column-wise
+    tags = [a.tag for a in plan]
+    columns = [(a.interval, a.row, a.initial, a.p) for a in plan]
 
     def record(iteration, states, logpi_states):
         reliability = reliability_check(x0, states, cutoff=cutoff,

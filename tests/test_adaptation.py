@@ -177,10 +177,18 @@ class TestChainCount:
         assert mean_error_chain_count(0.1, 0.01) > mean_error_chain_count(0.1, 0.05)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="delta_mean must be positive"):
             mean_error_chain_count(0.0, 0.05)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="delta_var must be positive"):
             variance_error_chain_count(-1.0, 0.05)
+        # a budget is checked as SizingPolicy checks it, with the shared wording
+        for count, name in ((mean_error_chain_count, "delta_mean"),
+                            (variance_error_chain_count, "delta_var")):
+            for budget, problem in ((True, "must be a real number, got True"),
+                                    (math.inf, "must be finite, got inf"),
+                                    ("x", "must be a real number, got 'x'")):
+                with pytest.raises(ValueError, match=f"^{name} {problem}$"):
+                    count(budget, 0.05)
 
     def test_bisection_matches_linear_scan(self):
         # The search must return exactly the n a scan from 2 upward finds,

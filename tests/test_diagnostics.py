@@ -23,8 +23,8 @@ from shortchain import (
     scalar_functional_diagnostics,
 )
 
-from shortchain.diagnostics import (CentredRows, CriticalValues, IntervalColumns,
-                                    column_intervals, lower_bounds)
+from shortchain.diagnostics import (CentredRows, CriticalValues, column_intervals,
+                                    lower_bounds)
 from shortchain.stats import binomial_quantile
 
 from oracles import (
@@ -536,9 +536,7 @@ class TestColumnIntervals:
             entries.append(("log_variance", row, float(10.0 ** rng.uniform(-2, 2)), None))
             for p in ranks:
                 entries.append(("quantile", row, 0.0 if row == 1 else float(rng.normal()), p))
-        kinds, rows, initial, levels = zip(*entries)
-        columns = IntervalColumns.of(kinds, rows, initial, levels, critical)
-        lower, upper, degenerate = column_intervals(ensemble.T.copy(), columns, critical)
+        lower, upper, degenerate = column_intervals(ensemble.T.copy(), entries, critical)
         bound, detected = lower_bounds(lower, upper)
         # each function's first call computes its own critical values
         called = set()

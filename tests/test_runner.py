@@ -22,7 +22,7 @@ from shortchain import (
     synthetic_logistic_regression_target,
 )
 from shortchain import runner, stats
-from shortchain.diagnostics import CriticalValues, IntervalColumns, column_intervals
+from shortchain.diagnostics import CriticalValues, column_intervals
 from shortchain.kernels import step_batch
 from shortchain.runner import FunctionalSpec
 from shortchain.targets import TargetModel
@@ -239,14 +239,12 @@ class TestFinalIntervalsMatchColumnPass:
                     columns.append(("mean", scalar_rows[f.spec.name], f.initial_value, None))
                 else:
                     columns.append(("quantile", scalar_rows[f.spec.name], f.initial_value, 0.5))
-            kinds, at, initial, levels = zip(*columns)
             n, alpha = report.n_chains, report.alpha
             critical = CriticalValues.at(n, alpha, {
                 p: (stats.binomial_quantile(alpha / 2, n, p),
                     stats.binomial_quantile(1 - alpha / 2, n, p) + 1)
                 for p in (0.1, 0.5)})
-            lower, upper, _ = column_intervals(
-                rows[-1], IntervalColumns.of(kinds, at, initial, levels, critical), critical)
+            lower, upper, _ = column_intervals(rows[-1], columns, critical)
             assert len(report.functionals) == 12
             assert [(_bits(f.result.interval.lower), _bits(f.result.interval.upper))
                     for f in report.functionals] == \
@@ -580,10 +578,13 @@ class TestConfigValidation:
     def test_infeasible_quantile_fails_before_any_work(self):
         target, approx = small_setup()
         target.reset_gradient_count()
-        cfg = RunConfig(kernel="mala", seed=0, n_chains=50, n_iterations=5,
-                        functionals=["quantile(0,0.001)"])
-        with pytest.raises(ValueError, match="too few"):
-            run_diagnostic(cfg, target, approx)
+        # a scalar's median ranks are infeasible at alpha = 0.05 with 5 chains
+        for functional, n_chains in (("quantile(0,0.001)", 50),
+                                     ("scalar(target_log_density)", 5)):
+            cfg = RunConfig(kernel="mala", seed=0, n_chains=n_chains, n_iterations=5,
+                            functionals=[functional])
+            with pytest.raises(ValueError, match="too few"):
+                run_diagnostic(cfg, target, approx)
         assert target.gradient_evaluations == 0
 
     def test_unknown_scalar_name_lists_known(self):

@@ -4,7 +4,10 @@ Usage: python tools/output_hashes.py SRC_DIR OUT_DIR
 
 Runs ``python -m shortchain run`` and ``trace`` with ``PYTHONPATH=SRC_DIR`` on
 every preset in this checkout's ``presets/`` under each of the four kernels,
-at seeds 1 and 7, from configs whose ``kernel`` key is replaced.  Everything
+at seeds 1 and 7, from configs whose ``kernel`` key is replaced.  It runs
+both commands once more at seed 1 from configs that also set
+``functionals`` to ``FUNCTIONALS``, since the presets' default functionals
+reach only the mean and log-variance intervals.  Everything
 it writes, the configs included, goes under OUT_DIR.  It prints one
 ``sha256  path`` line per output file, with paths relative to OUT_DIR, so
 diffing the printout of two source trees shows any report that changed
@@ -14,6 +17,7 @@ byte for byte.  Standard library only.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -22,8 +26,11 @@ from pathlib import Path
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 KERNELS = ("rwmh", "mala", "barker", "hmc")
-SEEDS = (1, 7)
 COMMANDS = ("run", "trace")
+FUNCTIONALS = ["mean(*)", "variance(*)", "quantile(0,0.1)", "quantile(1,0.5)",
+               "quantile(2,0.9)", "scalar(target_log_density)"]
+# (config name suffix, keys set on the preset, seeds)
+VARIANTS = (("", {}, (1, 7)), ("-quantiles", {"functionals": FUNCTIONALS}, (1,)))
 # 0 is success and 2 a completed run whose reliability check failed; both
 # write every output
 WROTE_OUTPUTS = (0, 2)
@@ -39,12 +46,14 @@ def main(argv=None) -> int:
     configs = out / "configs"
     configs.mkdir(parents=True, exist_ok=True)
     for preset in sorted(PRESETS.glob("*.json")):
-        for kernel in KERNELS:
-            config = configs / f"{preset.stem}-{kernel}.json"
-            config.write_text(json.dumps(dict(json.loads(preset.read_text()), kernel=kernel)))
+        for kernel, (suffix, keys, seeds) in itertools.product(KERNELS, VARIANTS):
+            name = preset.stem + suffix
+            config = configs / f"{name}-{kernel}.json"
+            config.write_text(json.dumps(dict(json.loads(preset.read_text()),
+                                              kernel=kernel, **keys)))
             for command in COMMANDS:
-                for seed in SEEDS:
-                    run_dir = out / command / preset.stem / kernel / f"seed{seed}"
+                for seed in seeds:
+                    run_dir = out / command / name / kernel / f"seed{seed}"
                     done = subprocess.run(
                         [sys.executable, "-m", "shortchain", command, "--config",
                          str(config), "--out", str(run_dir), "--seed", str(seed)],

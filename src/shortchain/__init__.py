@@ -26,7 +26,7 @@ from .diagnostics import (ConfidenceInterval, LowerBoundResult,
                           scalar_functional_diagnostics)
 from .rng import RandomStream
 from .runner import (DiagnosticReport, FunctionalSpec, RunConfig,
-                     default_functionals, parse_functional, run_diagnostic)
+                     parse_functional, run_diagnostic)
 from .targets import (TargetModel, correlated_gaussian_target,
                       neal_funnel_target, synthetic_logistic_regression_target)
 
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     # running an audit
     "RunConfig", "run_diagnostic", "DiagnosticReport", "FunctionalSpec",
-    "parse_functional", "default_functionals", "KERNEL_KINDS", "RandomStream",
+    "parse_functional", "KERNEL_KINDS", "RandomStream",
     # sizing
     "SizingPolicy", "chain_count", "iteration_count", "initial_step_size",
     "target_acceptance", "mean_error_chain_count", "variance_error_chain_count",

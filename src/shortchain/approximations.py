@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .adaptation import checked_integer
+from .adaptation import checked_integer, checked_real
 from .rng import RandomStream
 from .stats import sample_quantile
 
@@ -69,9 +69,12 @@ class Approximation:
         return _checked_draws(self.sampler(stream), (self.dimension,), self.name)
 
     def quantile(self, coordinate: int, p: float) -> float:
+        """``quantile_fn``'s value as a float; a non-real or non-finite value
+        is refused, naming the coordinate, the level and the approximation."""
         if self.quantile_fn is None:
             raise ValueError(f"{self.name} has no quantile function")
-        return float(self.quantile_fn(coordinate, p))
+        return checked_real(f"quantile({coordinate},{p:g}) of approximation {self.name!r}",
+                            self.quantile_fn(coordinate, p))
 
     def __repr__(self):
         return f"Approximation(name={self.name!r}, dimension={self.dimension})"

@@ -119,7 +119,8 @@ def build_approximation(cfg: dict, target: TargetModel) -> Approximation:
     path = Path(cfg["samples_path"])
     if not path.exists():
         raise ConfigError(f"approximation.samples_path does not exist: {path}")
-    samples = np.load(path) if path.suffix == ".npy" else np.loadtxt(path, delimiter=",")
+    samples = (np.load(path) if path.suffix == ".npy"
+               else np.loadtxt(path, delimiter=",", ndmin=2))
     return empirical_approximation(samples)
 
 
@@ -135,7 +136,7 @@ def build_run(cfg: dict, seed_override=None, force_trace=False):
 
     The values go unchanged to the objects that own them, which check each
     one by name: the target and approximation factories and ``SizingPolicy``
-    here, and the run its own settings (kernel, seed, overrides,
+    here, and the run its own settings (kernel, seed, functionals, overrides,
     ``trace_every``, ``reliability_cutoff``) when it starts, before any
     chain is drawn.  An absent key takes its field default.
     """
@@ -147,12 +148,6 @@ def build_run(cfg: dict, seed_override=None, force_trace=False):
     overrides = cfg.get("overrides", {})
     _check_keys(overrides, _OVERRIDE_KEYS, set(), "config.overrides")
 
-    # the runner parses the list and expands its wildcards, as for RunConfig
-    functionals = cfg.get("functionals")
-    if "functionals" in cfg and not (isinstance(functionals, list)
-                                     and all(isinstance(s, str) for s in functionals)):
-        raise ConfigError("functionals must be a list of strings")
-
     # trace records every iteration unless the config sets a period; any
     # other value goes to the run, which checks it
     trace_every = cfg.get("trace_every", RunConfig.trace_every)
@@ -163,7 +158,7 @@ def build_run(cfg: dict, seed_override=None, force_trace=False):
         kernel=cfg["kernel"],
         seed=cfg["seed"] if seed_override is None else seed_override,
         sizing=policy,
-        functionals=functionals,
+        functionals=cfg.get("functionals"),
         n_chains=overrides.get("chains"),
         n_iterations=overrides.get("iterations"),
         step_size_scale=overrides.get("step_size_scale", RunConfig.step_size_scale),

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adaptation import checked_fraction
+from .adaptation import checked_fraction, checked_positive
 from .stats import (binomial_quantile, chi_square_quantile, sample_quantile,
                     student_t_quantile)
 
@@ -151,13 +151,13 @@ def log_variance_ratio_ci(final_values: np.ndarray, initial_sd: float,
     A zero-spread sample yields the degenerate interval (-inf, -inf).
 
     Raises:
-        ValueError: for N < 2, alpha outside (0, 1), a non-positive
-            ``initial_sd``, or a ``critical`` for another N or alpha.
+        ValueError: for N < 2, alpha outside (0, 1), an ``initial_sd``
+            that is not a positive finite number, or a ``critical`` for
+            another N or alpha.
     """
     x = _as_vector(final_values)
     alpha = checked_fraction("alpha", alpha)
-    if initial_sd <= 0:
-        raise ValueError(f"initial_sd must be positive, got {initial_sd}")
+    initial_sd = checked_positive("initial_sd", initial_sd)
     return _one_row(x, "log_variance", initial_sd, alpha, functional_tag, critical)
 
 

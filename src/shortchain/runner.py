@@ -15,7 +15,6 @@ are diagnosed from that plan and the same value rows, with the same bits.
 from __future__ import annotations
 
 import math
-import numbers
 import re
 import time
 from dataclasses import dataclass, field
@@ -37,10 +36,6 @@ from .rng import RandomStream
 from .stats import binomial_quantile, sample_quantile
 from .targets import TargetModel, checked_output
 
-# the fields each functional kind uses; the others stay None
-_FIELDS = {"mean": ("coordinate",), "variance": ("coordinate",),
-           "quantile": ("coordinate", "p"), "scalar": ("name",)}
-_KINDS = tuple(_FIELDS)
 _FUNCTIONAL_RE = re.compile(
     r"^\s*(mean|variance|quantile|scalar)\s*\(\s*([^)]*?)\s*\)\s*$")
 
@@ -93,13 +88,6 @@ def parse_functional(text: str) -> FunctionalSpec:
         raise ValueError(f"functional {text!r} needs {wanted}, got {args!r}") from None
 
 
-def default_functionals(dimension: int) -> list[FunctionalSpec]:
-    """Means and variances of every coordinate."""
-    specs = [FunctionalSpec("mean", coordinate=i) for i in range(dimension)]
-    specs += [FunctionalSpec("variance", coordinate=i) for i in range(dimension)]
-    return specs
-
-
 @dataclass
 class RunConfig:
     """Everything a run needs besides the target and the approximation.
@@ -113,9 +101,9 @@ class RunConfig:
             determines the report.
         sizing: Tolerances behind the automatic N and T choices; its
             ``alpha`` is also the miscoverage level of every interval.
-        functionals: A list of strings or FunctionalSpec items, each tag at most
-            once after the wildcards mean(*) and variance(*) expand; None
-            audits every coordinate's mean and variance.
+        functionals: A list or tuple of strings in ``parse_functional``'s
+            grammar, each tag at most once after the wildcards mean(*) and
+            variance(*) expand; None is ``["mean(*)", "variance(*)"]``.
         n_chains / n_iterations: Overrides for the sized N and T, each at
             most 1,000,000 like the sized values.
         step_size_scale: Multiplier on the initial step size (diagnostic
@@ -126,12 +114,13 @@ class RunConfig:
             in (0, 1).
         scalar_functions: Extra name -> callable scalar functionals; the
             callable maps an (N, d) batch to (N,) real values, which the
-            run checks on the initial ensemble.
+            run checks on the initial ensemble.  ``scalar(name)`` cannot
+            name a key that contains ")" or starts or ends with whitespace.
     """
     kernel: str
     seed: int
     sizing: SizingPolicy = field(default_factory=SizingPolicy)
-    functionals: Optional[Sequence] = None
+    functionals: Optional[Sequence[str]] = None
     n_chains: Optional[int] = None
     n_iterations: Optional[int] = None
     step_size_scale: float = 1.0
@@ -448,23 +437,23 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
 
 
 def _resolve_specs(config: RunConfig, dimension: int) -> list[FunctionalSpec]:
-    """The run's functionals with mean(*) and variance(*) expanded; raises
-    for a bare string or an empty list, or for a malformed FunctionalSpec, a
+    """The run's functionals parsed, with mean(*) and variance(*) expanded;
+    raises for anything but a list or tuple of strings, an empty list, a
     coordinate out of range, a quantile level p outside (0, 1) or a tag
     listed twice, naming the functional."""
-    if config.functionals is None:
-        return default_functionals(dimension)
-    if isinstance(config.functionals, str):
-        raise ValueError(f"functionals must be a list, got {config.functionals!r}")
+    functionals = config.functionals
+    if functionals is None:
+        functionals = ["mean(*)", "variance(*)"]
+    if not (isinstance(functionals, (list, tuple))
+            and all(isinstance(text, str) for text in functionals)):
+        raise ValueError(f"functionals must be a list of strings, got {functionals!r}")
     specs = []
-    for item in config.functionals:
-        if isinstance(item, FunctionalSpec):
-            specs.append(_checked_spec(item))
-        elif (text := str(item).replace(" ", "")) in ("mean(*)", "variance(*)"):
-            kind = text.removesuffix("(*)")
-            specs += [FunctionalSpec(kind, coordinate=i) for i in range(dimension)]
+    for text in functionals:
+        m = _FUNCTIONAL_RE.match(text)
+        if m and m.group(2) == "*" and m.group(1) in ("mean", "variance"):
+            specs += [FunctionalSpec(m.group(1), coordinate=i) for i in range(dimension)]
         else:
-            specs.append(parse_functional(str(item)))
+            specs.append(parse_functional(text))
     if not specs:
         raise ValueError("functionals list is empty")
     seen = {}
@@ -481,32 +470,6 @@ def _resolve_specs(config: RunConfig, dimension: int) -> list[FunctionalSpec]:
             raise ValueError(f"functional {spec.tag} is listed more than once")
         seen[spec.tag] = spec
     return specs
-
-
-def _checked_spec(spec: FunctionalSpec) -> FunctionalSpec:
-    """``spec`` with a plain int coordinate and float p, as a parsed string
-    gives; raises a ``ValueError`` naming ``spec`` unless its kind is known,
-    it sets no field that kind does not use, and it has what that kind
-    needs: an integer coordinate, a real p for a quantile, a name for a scalar."""
-    def wrong(value, kind):  # not a number of that kind, or a bool
-        return isinstance(value, bool) or not isinstance(value, kind)
-
-    if spec.kind not in _KINDS:
-        problem = f"has unknown kind {spec.kind!r}; expected one of {_KINDS}"
-    elif unused := [f for f in ("coordinate", "p", "name")
-                    if getattr(spec, f) is not None and f not in _FIELDS[spec.kind]]:
-        problem = f"sets {unused[0]}, which a {spec.kind} functional does not use"
-    elif spec.kind == "scalar" and not (isinstance(spec.name, str) and spec.name):
-        problem = "needs a name"
-    elif spec.kind != "scalar" and wrong(spec.coordinate, numbers.Integral):
-        problem = f"needs an integer coordinate, got {spec.coordinate!r}"
-    elif spec.kind == "quantile" and wrong(spec.p, numbers.Real):
-        problem = f"needs a real quantile level p, got {spec.p!r}"
-    else:
-        return FunctionalSpec(spec.kind,
-                              None if spec.coordinate is None else int(spec.coordinate),
-                              None if spec.p is None else float(spec.p), spec.name)
-    raise ValueError(f"functional {spec!r} {problem}")
 
 
 def _resolve_scalar_functions(specs, config: RunConfig) -> dict:

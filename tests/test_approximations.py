@@ -1,13 +1,15 @@
 """Approximation constructors: sampling, functionals, and edge cases."""
 
 import math
-
+import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from shortchain import (
+    Approximation,
     RandomStream,
     approximation_from_sampler,
     correlated_gaussian_target,
@@ -70,6 +72,9 @@ class TestKLOptimalMeanField:
         expected = (1.0 - rho) * (1.0 + (d - 1) * rho) / (1.0 + (d - 2) * rho)
         assert expected == pytest.approx(0.31019417475728155, rel=1e-12)
         assert np.allclose(approx.sds**2, expected, rtol=1e-10)
+        # a target without a precision matrix is fitted from its inverted covariance
+        bare = SimpleNamespace(mean=target.mean, covariance=target.covariance)
+        assert np.allclose(kl_optimal_mean_field(bare).sds**2, expected, rtol=1e-10)
 
     def test_underestimates_marginal_variance(self):
         d, rho = 30, 0.7
@@ -224,6 +229,25 @@ class TestApproximationValidation:
     def test_non_finite_means_are_named(self, value):
         with pytest.raises(ValueError, match=r"^means must be finite"):
             mean_field_gaussian_approximation([0.0, value], [1.0, 1.0])
+
+    @pytest.mark.parametrize("means, sds, covariance, message", [
+        ([0.0], [1.0, 1.0], np.eye(2), r"means and sds must have shape \(2,\)"),
+        ([0.0, 0.0], [[1.0, 1.0]], np.eye(2), r"means and sds must have shape \(2,\)"),
+        ([0.0, 0.0], [1.0, 1.0], np.eye(3), r"covariance must have shape \(2, 2\)"),
+        ([0.0, 0.0], [1.0, 1.0], np.ones(2), r"covariance must have shape \(2, 2\)")])
+    def test_functional_shapes_are_checked(self, means, sds, covariance, message):
+        with pytest.raises(ValueError, match=message):
+            Approximation(2, lambda stream: np.zeros(2), means, sds, covariance)
+
+    @pytest.mark.parametrize("value, problem", [
+        (math.nan, "must be finite, got nan"), (-math.inf, "must be finite, got -inf"),
+        ("3", "must be a real number, got '3'")])
+    def test_quantile_value_is_checked(self, value, problem):
+        approx = mean_field_gaussian_approximation([0.0], [1.0], name="vi_fit")
+        approx.quantile_fn = lambda coordinate, p: value
+        with pytest.raises(ValueError, match=re.escape(
+                f"quantile(0,0.25) of approximation 'vi_fit' {problem}")):
+            approx.quantile(0, 0.25)
 
     def test_quantile_without_fn_raises(self):
         approx = mean_field_gaussian_approximation([0.0], [1.0])

@@ -181,6 +181,33 @@ class TestRunCommand:
         out_dir = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
 
+    def test_empirical_approximation_from_csv(self, tmp_path):
+        samples = np.random.default_rng(1).normal(size=(300, 2))
+        csv = tmp_path / "draws.csv"
+        np.savetxt(csv, samples, delimiter=",")
+        cfg = write_config(
+            tmp_path, functionals=["mean(*)", "variance(*)", "quantile(1,0.5)"],
+            approximation={"kind": "empirical", "samples_path": str(csv)})
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
+        report = json.loads((out_dir / "report.json").read_text())
+        means = [f["initial_value"] for f in report["functionals"][:2]]
+        assert means == samples.mean(axis=0).tolist()
+        assert report["functionals"][4]["initial_side"] == "approximation"
+
+    def test_one_row_csv_is_one_sample(self, tmp_path, capsys):
+        # a row of d values is one draw of d coordinates, too few to audit from
+        csv = tmp_path / "draws.csv"
+        csv.write_text("0.5,1.5,-2.0\n")
+        cfg = write_config(
+            tmp_path, target={"kind": "funnel", "dimension": 3},
+            approximation={"kind": "empirical", "samples_path": str(csv)})
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_ERROR
+        assert ("need an (N, d) sample matrix with N >= 2, got shape (1, 3)"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
+
     def test_vector_parameters_broadcast(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -294,7 +321,9 @@ class TestErrorHandling:
         (["quantile(0,1)"], "functional quantile(0,1) needs a quantile level p in (0, 1)"),
         (["mean(*)", "mean(0)"], "functional mean(0) is listed more than once"),
         (["mean(x)"], "functional 'mean(x)' needs an integer coordinate"),
-        ("mean(0)", "functionals must be a list of strings")])
+        ("mean(0)", "functionals must be a list of strings"),
+        (["mean(0)", 1], "functionals must be a list of strings, got ['mean(0)', 1]"),
+        ({"mean(0)": 1}, "functionals must be a list of strings, got {'mean(0)': 1}")])
     def test_bad_functional_is_named(self, tmp_path, capsys, functionals, message):
         cfg = write_config(tmp_path, functionals=functionals)
         out_dir = tmp_path / "out"
@@ -336,6 +365,14 @@ class TestErrorHandling:
         assert main(["run", "--config", str(cfg_path), "--out",
                      str(tmp_path / "out")]) == EXIT_ERROR
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"run"', "null"])
+    def test_top_level_must_be_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == EXIT_ERROR
+        assert "top level must be an object" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json"),

@@ -6,6 +6,7 @@ the interval code is tested against the ground truth it claims to cover.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,13 @@ class TestLogVarianceRatioCI:
             log_variance_ratio_ci(np.array([1.0, 2.0]), 0.0, 0.05)
         with pytest.raises(ValueError):
             log_variance_ratio_ci(np.array([1.0, 2.0]), -1.0, 0.05)
+
+    @pytest.mark.parametrize("initial_sd, problem", [
+        (math.nan, "must be finite, got nan"), (math.inf, "must be finite, got inf"),
+        ("1", "must be a real number, got '1'"), (True, "must be a real number, got True")])
+    def test_initial_sd_is_named(self, initial_sd, problem):
+        with pytest.raises(ValueError, match=re.escape(f"initial_sd {problem}")):
+            log_variance_ratio_ci(np.array([1.0, 2.0, 4.0]), initial_sd, 0.05)
 
     def test_coverage_near_nominal(self):
         stream = RandomStream(101, 0)

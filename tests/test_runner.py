@@ -15,7 +15,6 @@ from shortchain import (
     RunConfig,
     SizingPolicy,
     correlated_gaussian_target,
-    default_functionals,
     mean_field_gaussian_approximation,
     parse_functional,
     run_diagnostic,
@@ -64,12 +63,6 @@ class TestParseFunctional:
             with pytest.raises(ValueError):
                 parse_functional(bad)
 
-    def test_default_functionals(self):
-        specs = default_functionals(3)
-        assert [s.tag for s in specs] == [
-            "mean(0)", "mean(1)", "mean(2)",
-            "log_variance(0)", "log_variance(1)", "log_variance(2)"]
-
     @pytest.mark.parametrize("text, got", [("mean(x)", "'x'"), ("variance(1.5)", "'1.5'"),
                                            ("quantile(a,0.5)", "'a,0.5'"),
                                            ("quantile(0,half)", "'0,half'")])
@@ -92,15 +85,23 @@ class TestFunctionalsList:
         reports = [report_bytes(run_diagnostic(RunConfig(
             kernel="barker", seed=8, n_chains=50, n_iterations=6, trace_every=2,
             functionals=functionals), target, approx))
-            for functionals in (None, ["mean(*)", "variance(*)"], [" mean (*)", "variance(*)"])]
-        assert reports[1] == reports[0]
-        assert reports[2] == reports[0]
+            for functionals in (None, ["mean(*)", "variance(*)"], [" mean (*)", "variance(*)"],
+                                ("mean(*)", "variance(\t*)"), ["\tmean ( * )\n", "variance(*)"])]
+        # the wildcards take the grammar's whitespace, tabs included
+        assert reports[1:] == reports[:1] * 4
+
+    def test_none_audits_every_mean_then_every_variance(self):
+        target, approx = small_setup(3)
+        report = run_diagnostic(RunConfig(kernel="rwmh", seed=0, n_chains=40,
+                                          n_iterations=1), target, approx)
+        assert [f.tag for f in report.functionals] == [
+            "mean(0)", "mean(1)", "mean(2)",
+            "log_variance(0)", "log_variance(1)", "log_variance(2)"]
 
     @pytest.mark.parametrize("functional, tag", [
         ("quantile(0,2)", "quantile(0,2)"), ("quantile(0,nan)", "quantile(0,nan)"),
         ("quantile(0,0)", "quantile(0,0)"), ("quantile(0,1)", "quantile(0,1)"),
-        ("quantile(1,-0.25)", "quantile(1,-0.25)"), ("quantile(1,inf)", "quantile(1,inf)"),
-        (FunctionalSpec("quantile", coordinate=0, p=1.5), "quantile(0,1.5)")])
+        ("quantile(1,-0.25)", "quantile(1,-0.25)"), ("quantile(1,inf)", "quantile(1,inf)")])
     def test_bad_quantile_level_fails_before_any_work(self, functional, tag):
         target, approx = small_setup()
         cfg = RunConfig(kernel="mala", seed=0, n_chains=400, n_iterations=5,
@@ -115,7 +116,7 @@ class TestFunctionalsList:
         (["variance(1)", "variance(*)"], "log_variance(1)"),
         (["quantile(0,0.5)", "quantile( 0 , 0.50 )"], "quantile(0,0.5)"),
         (["scalar(target_log_density)"] * 2, "scalar(target_log_density)"),
-        ([FunctionalSpec("mean", coordinate=1), "mean(1)"], "mean(1)")])
+        (["mean(1)", "mean(\t1 )"], "mean(1)")])
     def test_duplicate_tag_fails_before_any_work(self, functionals, tag):
         # the trace rows are keyed by tag, so a duplicate would report one
         # more bound than its trace rows hold
@@ -154,12 +155,17 @@ class TestFunctionalsList:
         (FunctionalSpec("scalar"), "needs a name"),
         (FunctionalSpec("scalar", name=""), "needs a name")])
     def test_malformed_spec_fails_before_any_work(self, spec, problem):
-        # a FunctionalSpec item is checked as a parsed string is
+        # a FunctionalSpec item is refused for not being a string, before
+        # any of its fields, malformed as ``problem`` says, is read
         target, approx = small_setup()
+        functionals = ["mean(0)", spec]
         cfg = RunConfig(kernel="mala", seed=0, n_chains=400, n_iterations=5,
-                        functionals=["mean(0)", spec])
-        with pytest.raises(ValueError, match=re.escape(f"functional {spec!r} {problem}")):
+                        functionals=functionals)
+        with pytest.raises(ValueError) as refused:
             run_diagnostic(cfg, target, approx)
+        message = str(refused.value)
+        assert message == f"functionals must be a list of strings, got {functionals!r}"
+        assert problem not in message
         assert target.gradient_evaluations == 0
 
     @pytest.mark.parametrize("spec, text, problem", [
@@ -173,19 +179,22 @@ class TestFunctionalsList:
         (FunctionalSpec("variance", coordinate=0, name="f"), None,
          "sets name, which a variance functional does not use")])
     def test_spec_is_stored_as_its_string_would_be(self, spec, text, problem):
-        # NumPy numbers serialize as the parsed string's; an unused field is refused
+        # a spec reaches a run only as its string, and the report stores the
+        # parsed spec with plain numbers; the item itself is refused before
+        # any work, and a spec with ``problem`` has no string at all
         target, approx = small_setup()
         settings = dict(kernel="mala", seed=0, n_chains=400, n_iterations=5)
-        cfg = RunConfig(**settings, functionals=[spec])
-        if problem is not None:
-            with pytest.raises(ValueError,
-                               match=re.escape(f"functional {spec!r} {problem}")):
-                run_diagnostic(cfg, target, approx)
-            assert target.gradient_evaluations == 0
+        with pytest.raises(ValueError, match=re.escape(
+                f"functionals must be a list of strings, got {[spec]!r}")):
+            run_diagnostic(RunConfig(**settings, functionals=[spec]), target, approx)
+        assert target.gradient_evaluations == 0
+        if text is None:  # no string sets a field that ``problem`` names
             return
-        parsed = RunConfig(**settings, functionals=[text])
-        assert (report_bytes(run_diagnostic(cfg, target, approx))
-                == report_bytes(run_diagnostic(parsed, target, approx)))
+        stored = run_diagnostic(RunConfig(**settings, functionals=[text]),
+                                target, approx).functionals[0].spec
+        assert stored == spec == parse_functional(text)
+        assert type(stored.coordinate) is int
+        assert stored.p is None or type(stored.p) is float
 
     def test_bare_string_is_refused(self):
         # a string would be read one character at a time
@@ -193,7 +202,19 @@ class TestFunctionalsList:
         cfg = RunConfig(kernel="mala", seed=0, n_chains=40, n_iterations=5,
                         functionals="mean(0)")
         with pytest.raises(ValueError, match=re.escape(
-                "functionals must be a list, got 'mean(0)'")):
+                "functionals must be a list of strings, got 'mean(0)'")):
+            run_diagnostic(cfg, target, approx)
+        assert target.gradient_evaluations == 0
+
+    @pytest.mark.parametrize("functionals", [
+        [FunctionalSpec("mean", coordinate=0)], 5, {"mean(0)": 1}, ["mean(0)", 1],
+        ["mean(0)", None], ("mean(0)", b"mean(1)")])
+    def test_non_string_list_is_refused(self, functionals):
+        target, approx = small_setup()
+        cfg = RunConfig(kernel="mala", seed=0, n_chains=40, n_iterations=5,
+                        functionals=functionals)
+        with pytest.raises(ValueError, match=re.escape(
+                f"functionals must be a list of strings, got {functionals!r}")):
             run_diagnostic(cfg, target, approx)
         assert target.gradient_evaluations == 0
 
@@ -769,6 +790,17 @@ class TestNonFiniteStart:
                                              r"returned a non-finite point"):
             run_diagnostic(RunConfig(kernel="rwmh", seed=0, n_chains=40, n_iterations=2),
                            target, approx)
+
+    def test_non_finite_approximation_quantile_is_refused(self):
+        # a NaN initial side would report NaN endpoints and detected=False
+        target, approx = small_setup(2)
+        approx.quantile_fn = lambda coordinate, p: math.nan
+        with pytest.raises(ValueError, match=re.escape(
+                "quantile(0,0.5) of approximation 'mean_field' must be finite, got nan")):
+            run_diagnostic(RunConfig(kernel="mala", seed=0, n_chains=40, n_iterations=2,
+                                     functionals=["mean(0)", "quantile(0,0.5)"]),
+                           target, approx)
+        assert target.gradient_evaluations == 40  # the starts' gradients only
 
     @pytest.mark.parametrize("kind", ["mala", "barker"])
     def test_non_finite_gradient_at_finite_density_is_refused(self, kind):

@@ -147,6 +147,8 @@ class TestBinomialQuantile:
             binomial_quantile(0.0, 10, 0.5)
         with pytest.raises(ValueError):
             binomial_quantile(0.5, 10, 1.5)
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            binomial_quantile(0.5, 0, 0.5)
 
 
 def scipy_stats_binomial_quantile(q, n, p):
@@ -220,6 +222,11 @@ class TestSampleQuantile:
 
     def test_single_sample(self):
         assert sample_quantile(np.array([5.0]), 0.37) == 5.0
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, math.nan])
+    def test_level_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match=r"p must lie in \(0, 1\)"):
+            sample_quantile(np.array([1.0, 2.0]), p)
 
     def test_matrix_input_rejected(self):
         # callers pass one column; a matrix is not silently reduced

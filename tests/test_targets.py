@@ -96,6 +96,11 @@ class TestCorrelatedGaussian:
         with pytest.raises(ValueError, match=rf"^{name} must be finite"):
             correlated_gaussian_target(3, **{name: [1.0, value, 1.0]})
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, -math.inf])
+    def test_non_positive_variance_is_refused(self, value):
+        with pytest.raises(ValueError, match="^variances must be strictly positive"):
+            correlated_gaussian_target(3, variances=[1.0, value, 1.0])
+
     def test_gradient_counter(self):
         target = correlated_gaussian_target(3)
         assert target.gradient_evaluations == 0

@@ -7,11 +7,15 @@ every preset in this checkout's ``presets/`` under each of the four kernels,
 at seeds 1 and 7, from configs whose ``kernel`` key is replaced.  It runs
 both commands once more at seed 1 from configs that also set
 ``functionals`` to ``FUNCTIONALS``, since the presets' default functionals
-reach only the mean and log-variance intervals.  Everything
-it writes, the configs included, goes under OUT_DIR.  It prints one
-``sha256  path`` line per output file, with paths relative to OUT_DIR, so
-diffing the printout of two source trees shows any report that changed
-byte for byte.  Standard library only.
+reach only the mean and log-variance intervals, and once more at seed 1
+from configs that audit ``EMPIRICAL_FUNCTIONALS`` of an empirical
+approximation read from a seeded CSV of ``SAMPLE_ROWS`` standard normal
+rows, which reaches the CSV loader and a spaced wildcard.  Everything it
+writes, the configs and CSVs included, goes under OUT_DIR, and the
+commands run there, so each config names its CSV by a relative path.  It
+prints one ``sha256  path`` line per output file, with paths relative to
+OUT_DIR, so diffing the printout of two source trees shows any report that
+changed byte for byte.  Standard library only.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -29,8 +34,13 @@ KERNELS = ("rwmh", "mala", "barker", "hmc")
 COMMANDS = ("run", "trace")
 FUNCTIONALS = ["mean(*)", "variance(*)", "quantile(0,0.1)", "quantile(1,0.5)",
                "quantile(2,0.9)", "scalar(target_log_density)"]
-# (config name suffix, keys set on the preset, seeds)
-VARIANTS = (("", {}, (1, 7)), ("-quantiles", {"functionals": FUNCTIONALS}, (1,)))
+EMPIRICAL_FUNCTIONALS = [" mean ( * )", "variance(*)", "quantile(0,0.5)",
+                         "scalar(target_log_density)"]
+SAMPLE_ROWS = 400
+# (config name suffix, keys set on the preset, seeds); the "-empirical"
+# variant's approximation is set per preset dimension
+VARIANTS = (("", {}, (1, 7)), ("-quantiles", {"functionals": FUNCTIONALS}, (1,)),
+            ("-empirical", {"functionals": EMPIRICAL_FUNCTIONALS}, (1,)))
 # 0 is success and 2 a completed run whose reliability check failed; both
 # write every output
 WROTE_OUTPUTS = (0, 2)
@@ -46,11 +56,15 @@ def main(argv=None) -> int:
     configs = out / "configs"
     configs.mkdir(parents=True, exist_ok=True)
     for preset in sorted(PRESETS.glob("*.json")):
+        base = json.loads(preset.read_text())
+        empirical = {"kind": "empirical",
+                     "samples_path": samples_csv(out, base["target"]["dimension"])}
         for kernel, (suffix, keys, seeds) in itertools.product(KERNELS, VARIANTS):
+            if suffix == "-empirical":
+                keys = dict(keys, approximation=empirical)
             name = preset.stem + suffix
             config = configs / f"{name}-{kernel}.json"
-            config.write_text(json.dumps(dict(json.loads(preset.read_text()),
-                                              kernel=kernel, **keys)))
+            config.write_text(json.dumps(dict(base, kernel=kernel, **keys)))
             for command in COMMANDS:
                 for seed in seeds:
                     run_dir = out / command / name / kernel / f"seed{seed}"
@@ -65,6 +79,17 @@ def main(argv=None) -> int:
                         digest = hashlib.sha256(path.read_bytes()).hexdigest()
                         print(f"{digest}  {path.relative_to(out)}", flush=True)
     return 0
+
+
+def samples_csv(out: Path, dimension: int) -> str:
+    """Writes SAMPLE_ROWS standard normal rows of ``dimension`` values,
+    seeded by the dimension, to a CSV in ``out``; returns its name."""
+    name = f"samples-d{dimension}.csv"
+    rng = random.Random(dimension)
+    rows = (",".join(repr(rng.gauss(0.0, 1.0)) for _ in range(dimension))
+            for _ in range(SAMPLE_ROWS))
+    (out / name).write_text("\n".join(rows) + "\n")
+    return name
 
 
 if __name__ == "__main__":

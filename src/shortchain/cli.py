@@ -126,7 +126,7 @@ def build_approximation(cfg: dict, target: TargetModel) -> Approximation:
 
 _SIZING_KEYS = tuple(f.name for f in fields(SizingPolicy))  # top-level keys, by field
 _TOP_KEYS = {"target", "approximation", "kernel", "seed", "functionals", "trace_every",
-             "reliability_cutoff", "overrides", *_SIZING_KEYS}
+             "overrides", *_SIZING_KEYS}
 _OVERRIDE_KEYS = {"chains", "iterations", "step_size_scale"}
 
 
@@ -137,8 +137,8 @@ def build_run(cfg: dict, seed_override=None, force_trace=False):
     The values go unchanged to the objects that own them, which check each
     one by name: the target and approximation factories and ``SizingPolicy``
     here, and the run its own settings (kernel, seed, functionals, overrides,
-    ``trace_every``, ``reliability_cutoff``) when it starts, before any
-    chain is drawn.  An absent key takes its field default.
+    ``trace_every``) when it starts, before any chain is drawn.  An absent
+    key takes its field default.
     """
     _check_keys(cfg, _TOP_KEYS, {"target", "approximation", "kernel", "seed"}, "config")
     target = build_target(cfg["target"])
@@ -162,8 +162,7 @@ def build_run(cfg: dict, seed_override=None, force_trace=False):
         n_chains=overrides.get("chains"),
         n_iterations=overrides.get("iterations"),
         step_size_scale=overrides.get("step_size_scale", RunConfig.step_size_scale),
-        trace_every=trace_every,
-        reliability_cutoff=cfg.get("reliability_cutoff", RunConfig.reliability_cutoff))
+        trace_every=trace_every)
     return run_config, target, approximation
 
 

@@ -66,10 +66,6 @@ class Preconditioner:
         self.inverse_cholesky = np.linalg.inv(C)
         self.log_det_cholesky = float(np.sum(np.log(np.diag(C))))
 
-    @classmethod
-    def identity(cls, dimension: int) -> "Preconditioner":
-        return cls(np.eye(dimension))
-
 
 def _rwmh_core(x, eps, step_size, pre):
     # symmetric, so its forward and reverse densities cancel and are not computed

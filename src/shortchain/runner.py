@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .adaptation import (_MAX_CHAINS, _MAX_ITERATIONS, AdaptationState, SizingPolicy,
-                         chain_count, check_kind, checked_fraction, checked_integer,
+                         chain_count, check_kind, checked_integer,
                          checked_positive, initial_step_size, iteration_count)
 from .approximations import Approximation
 from .diagnostics import (MONOTONE_ERROR_CAVEAT, CentredRows, CriticalValues,
@@ -74,11 +74,11 @@ def parse_functional(text: str) -> FunctionalSpec:
         if not args:
             raise ValueError(f"scalar functional needs a name: {text!r}")
         return FunctionalSpec("scalar", name=args)
-    if args == "*":
-        raise ValueError(f"{text!r}: mean(*) and variance(*) expand only in a functionals list")
     parts = [a.strip() for a in args.split(",")]
     if kind == "quantile" and len(parts) != 2:
         raise ValueError(f"quantile functional needs (coordinate, p): {text!r}")
+    if args == "*":
+        raise ValueError(f"{text!r}: mean(*) and variance(*) expand only in a functionals list")
     try:
         if kind == "quantile":
             return FunctionalSpec("quantile", coordinate=int(parts[0]), p=float(parts[1]))
@@ -93,7 +93,8 @@ class RunConfig:
     """Everything a run needs besides the target and the approximation.
 
     The run checks each field when it starts, before drawing any chain, and
-    a refused value raises a ``ValueError`` naming the field.
+    a refused value raises a ``ValueError`` naming the field.  Its
+    reliability check fails at ``reliability_check``'s default cutoff, 0.1.
 
     Attributes:
         kernel: One of ``KERNEL_KINDS``.
@@ -110,8 +111,6 @@ class RunConfig:
             tool; near-zero values freeze the chains on purpose).
         trace_every: Record bounds and reliability every trace_every
             iterations (0 disables tracing).
-        reliability_cutoff: Failure threshold for the reliability check,
-            in (0, 1).
         scalar_functions: Extra name -> callable scalar functionals; the
             callable maps an (N, d) batch to (N,) real values, which the
             run checks on the initial ensemble.  ``scalar(name)`` cannot
@@ -125,7 +124,6 @@ class RunConfig:
     n_iterations: Optional[int] = None
     step_size_scale: float = 1.0
     trace_every: int = 0
-    reliability_cutoff: float = 0.1
     scalar_functions: Optional[dict] = None
 
 
@@ -296,7 +294,6 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     seed = checked_integer("seed", config.seed, 0)
     trace_every = checked_integer("trace_every", config.trace_every, 0)
     step_size_scale = checked_positive("step_size_scale", config.step_size_scale)
-    cutoff = checked_fraction("reliability_cutoff", config.reliability_cutoff)
 
     d = target.dimension
     policy = config.sizing
@@ -363,8 +360,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     columns = [(a.interval, a.row, a.initial, a.p) for a in plan]
 
     def record(iteration, states, logpi_states):
-        reliability = reliability_check(x0, states, cutoff=cutoff,
-                                        initial=initial_rows)
+        reliability = reliability_check(x0, states, initial=initial_rows)
         lower, upper, _ = column_intervals(_value_rows(states, logpi_states, scalars),
                                            columns, critical)
         bounds, _ = lower_bounds(lower, upper)
@@ -395,8 +391,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
 
     iter_grads = target.gradient_evaluations - grad_base - init_grads
 
-    reliability = reliability_check(x0, x, cutoff=cutoff,
-                                    initial=initial_rows)
+    reliability = reliability_check(x0, x, initial=initial_rows)
     functionals = _functional_results(plan, _value_rows(x, logpi, scalars), critical,
                                       scalars)
     if n_iters in checkpoints:

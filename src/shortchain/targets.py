@@ -67,9 +67,6 @@ class TargetModel:
     def gradient_evaluations(self) -> int:
         return self._n_grad
 
-    def reset_gradient_count(self):
-        self._n_grad = 0
-
     def __repr__(self):
         return f"TargetModel(name={self.name!r}, dimension={self.dimension})"
 

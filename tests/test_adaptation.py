@@ -119,7 +119,7 @@ def run_with_kind(kind):
 def step_with_kind(kind):
     x = np.zeros((3, 2))
     step_batch(kind, x, np.zeros(3), None, np.zeros((3, 2)), np.zeros((3, 1)),
-               0.5, Preconditioner.identity(2), correlated_gaussian_target(2))
+               0.5, Preconditioner(np.eye(2)), correlated_gaussian_target(2))
 
 
 KIND_ENTRY_POINTS = {

@@ -261,7 +261,7 @@ class TestBuildRun:
     def test_absent_run_keys_take_the_run_config_defaults(self, tmp_path):
         run_config, _, _ = build_run(load_config(write_config(tmp_path)))
         defaults = RunConfig(kernel="rwmh", seed=0)
-        for key in ("step_size_scale", "trace_every", "reliability_cutoff"):
+        for key in ("step_size_scale", "trace_every"):
             assert getattr(run_config, key) == getattr(defaults, key)
 
     def test_present_sizing_keys_override_the_defaults(self, tmp_path):
@@ -340,6 +340,16 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "chains" in err
         assert "allowed keys" in err
+
+    def test_reliability_cutoff_is_not_a_setting(self, tmp_path, capsys):
+        # every run checks reliability at reliability_check's one cutoff, 0.1
+        cfg = write_config(tmp_path, reliability_cutoff=0.1)
+        assert main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "unknown key(s) in config: ['reliability_cutoff']" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_target_kind(self, tmp_path, capsys):
         cfg = write_config(tmp_path, target={"kind": "cauchy", "dimension": 2})
@@ -456,7 +466,7 @@ EDGE_VALUES = [math.nan, math.inf, -math.inf, 0, 0.0, -1, -0.5, 1e308, -1e308,
 ORDINARY_VALUES = [0.05, 0.2, 0.5, 1, 2, 3, 10, 50.0]
 NUMBERS = st.sampled_from(EDGE_VALUES + ORDINARY_VALUES)
 NUMERIC_KEYS = ["seed", "alpha", "delta_mean", "delta_var", "iteration_coefficient",
-                "leapfrog_steps", "trace_every", "reliability_cutoff"]
+                "leapfrog_steps", "trace_every"]
 OVERRIDES = st.one_of(
     st.dictionaries(st.sampled_from(["chains", "iterations", "step_size_scale"]),
                     NUMBERS, max_size=3),

@@ -76,6 +76,17 @@ class TestParseFunctional:
         with pytest.raises(ValueError, match="expand only in a functionals list"):
             parse_functional(text)
 
+    @pytest.mark.parametrize("text", ["quantile(*)", "quantile( * )", "quantile(1)"])
+    def test_quantile_without_a_level_needs_one(self, text):
+        # quantile has no wildcard, so quantile(*) lacks its level like quantile(1)
+        message = rf"quantile functional needs \(coordinate, p\): '{re.escape(text)}'"
+        with pytest.raises(ValueError, match=message):
+            parse_functional(text)
+        target, approx = small_setup(2)
+        with pytest.raises(ValueError, match=message):
+            run_diagnostic(RunConfig(kernel="rwmh", seed=0, n_chains=40, n_iterations=1,
+                                     functionals=["mean(*)", text]), target, approx)
+
 
 class TestFunctionalsList:
     # RunConfig.functionals and a config file share one grammar: wildcards
@@ -529,23 +540,23 @@ class TestGradientBudget:
     def test_first_order_kernels_one_gradient_per_step(self, kind):
         target, approx = small_setup()
         n, t = 30, 12
-        target.reset_gradient_count()
+        before = target.gradient_evaluations
         report = run_diagnostic(RunConfig(kernel=kind, seed=8, n_chains=n,
                                           n_iterations=t), target, approx)
         assert report.gradient_budget.initialization == n
         assert report.gradient_budget.iterations == n * t
-        assert target.gradient_evaluations == n + n * t
+        assert target.gradient_evaluations - before == n + n * t
 
     def test_hamiltonian_budget_counts_leapfrog(self):
         target, approx = small_setup()
         n, t, leap = 30, 6, 3
-        target.reset_gradient_count()
+        before = target.gradient_evaluations
         report = run_diagnostic(
             RunConfig(kernel="hmc", seed=8, n_chains=n, n_iterations=t,
                       sizing=SizingPolicy(leapfrog_steps=leap)), target, approx)
         assert report.gradient_budget.initialization == 0
         assert report.gradient_budget.iterations == n * t * (leap + 1)
-        assert target.gradient_evaluations == n * t * (leap + 1)
+        assert target.gradient_evaluations - before == n * t * (leap + 1)
 
     def test_budget_unaffected_by_prior_counter_state(self):
         target, approx = small_setup()
@@ -598,7 +609,7 @@ class TestConfigValidation:
 
     def test_infeasible_quantile_fails_before_any_work(self):
         target, approx = small_setup()
-        target.reset_gradient_count()
+        before = target.gradient_evaluations
         # a scalar's median ranks are infeasible at alpha = 0.05 with 5 chains
         for functional, n_chains in (("quantile(0,0.001)", 50),
                                      ("scalar(target_log_density)", 5)):
@@ -606,7 +617,7 @@ class TestConfigValidation:
                             functionals=[functional])
             with pytest.raises(ValueError, match="too few"):
                 run_diagnostic(cfg, target, approx)
-        assert target.gradient_evaluations == 0
+        assert target.gradient_evaluations == before
 
     def test_unknown_scalar_name_lists_known(self):
         target, approx = small_setup()
@@ -614,15 +625,6 @@ class TestConfigValidation:
                         functionals=["scalar(nope)"])
         with pytest.raises(ValueError, match="target_log_density"):
             run_diagnostic(cfg, target, approx)
-
-    def test_bad_reliability_cutoff_fails_before_any_work(self):
-        target, approx = small_setup()
-        for cutoff in (1.5, 0.0):
-            cfg = RunConfig(kernel="mala", seed=0, n_chains=40, n_iterations=2000,
-                            reliability_cutoff=cutoff)
-            with pytest.raises(ValueError, match=r"reliability_cutoff .*\(0, 1\)"):
-                run_diagnostic(cfg, target, approx)
-        assert target.gradient_evaluations == 0
 
 
 SMALL_RUN = dict(kernel="rwmh", seed=1, n_chains=40, n_iterations=5)
@@ -843,6 +845,8 @@ class TestFrozenChains:
                         step_size_scale=1e-8)
         report = run_diagnostic(cfg, target, approx)
         assert not report.reliability.passed
+        # every run fails the check at reliability_check's one cutoff
+        assert report.reliability.cutoff == 0.1
         assert report.reliability.rho2_max > 0.1
         assert "FAILED" in report.caveats
 

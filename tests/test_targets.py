@@ -108,8 +108,6 @@ class TestCorrelatedGaussian:
         assert target.gradient_evaluations == 1
         target.grad_log_density(np.zeros((10, 3)))
         assert target.gradient_evaluations == 11
-        target.reset_gradient_count()
-        assert target.gradient_evaluations == 0
 
 
 class TestNealFunnel:

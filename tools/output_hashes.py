@@ -7,10 +7,14 @@ every preset in this checkout's ``presets/`` under each of the four kernels,
 at seeds 1 and 7, from configs whose ``kernel`` key is replaced.  It runs
 both commands once more at seed 1 from configs that also set
 ``functionals`` to ``FUNCTIONALS``, since the presets' default functionals
-reach only the mean and log-variance intervals, and once more at seed 1
-from configs that audit ``EMPIRICAL_FUNCTIONALS`` of an empirical
-approximation read from a seeded CSV of ``SAMPLE_ROWS`` standard normal
-rows, which reaches the CSV loader and a spaced wildcard.  Everything it
+reach only the mean and log-variance intervals; once more at seed 1 from
+configs that audit ``EMPIRICAL_FUNCTIONALS`` of an empirical approximation
+read from a seeded CSV of ``SAMPLE_ROWS`` standard normal rows, which
+reaches the CSV loader and a spaced wildcard; and once more at seed 1 from
+configs whose target is a ``logistic_synthetic`` of the preset's dimension,
+with ``LOGISTIC_OBSERVATIONS`` observations and that dimension as
+``data_seed``, audited from a unit mean-field Gaussian, which reaches the
+logistic target and the config's ``observations`` key.  Everything it
 writes, the configs and CSVs included, goes under OUT_DIR, and the
 commands run there, so each config names its CSV by a relative path.  It
 prints one ``sha256  path`` line per output file, with paths relative to
@@ -37,10 +41,13 @@ FUNCTIONALS = ["mean(*)", "variance(*)", "quantile(0,0.1)", "quantile(1,0.5)",
 EMPIRICAL_FUNCTIONALS = [" mean ( * )", "variance(*)", "quantile(0,0.5)",
                          "scalar(target_log_density)"]
 SAMPLE_ROWS = 400
+LOGISTIC_OBSERVATIONS = 500
 # (config name suffix, keys set on the preset, seeds); the "-empirical"
-# variant's approximation is set per preset dimension
+# variant's approximation and the "-logistic" variant's target and
+# approximation are set per preset dimension
 VARIANTS = (("", {}, (1, 7)), ("-quantiles", {"functionals": FUNCTIONALS}, (1,)),
-            ("-empirical", {"functionals": EMPIRICAL_FUNCTIONALS}, (1,)))
+            ("-empirical", {"functionals": EMPIRICAL_FUNCTIONALS}, (1,)),
+            ("-logistic", {}, (1,)))
 # 0 is success and 2 a completed run whose reliability check failed; both
 # write every output
 WROTE_OUTPUTS = (0, 2)
@@ -57,11 +64,16 @@ def main(argv=None) -> int:
     configs.mkdir(parents=True, exist_ok=True)
     for preset in sorted(PRESETS.glob("*.json")):
         base = json.loads(preset.read_text())
-        empirical = {"kind": "empirical",
-                     "samples_path": samples_csv(out, base["target"]["dimension"])}
+        dimension = base["target"]["dimension"]
+        per_dimension = {
+            "-empirical": {"approximation": {"kind": "empirical",
+                                             "samples_path": samples_csv(out, dimension)}},
+            "-logistic": {"target": {"kind": "logistic_synthetic", "dimension": dimension,
+                                     "observations": LOGISTIC_OBSERVATIONS,
+                                     "data_seed": dimension},
+                          "approximation": {"kind": "mean_field_gaussian"}}}
         for kernel, (suffix, keys, seeds) in itertools.product(KERNELS, VARIANTS):
-            if suffix == "-empirical":
-                keys = dict(keys, approximation=empirical)
+            keys = dict(keys, **per_dimension.get(suffix, {}))
             name = preset.stem + suffix
             config = configs / f"{name}-{kernel}.json"
             config.write_text(json.dumps(dict(base, kernel=kernel, **keys)))

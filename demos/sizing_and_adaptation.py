@@ -29,7 +29,7 @@ def main():
     print("iteration budget T by kernel and dimension")
     print("kernel   d=5   d=10   d=30   target accept")
     for kind in ("rwmh", "mala", "barker", "hmc"):
-        row = [iteration_count(kind, d, policy) for d in (5, 10, 30)]
+        row = [iteration_count(kind, d) for d in (5, 10, 30)]
         print(f"{kind:6s}  {row[0]:4d}   {row[1]:4d}   {row[2]:4d}"
               f"   {target_acceptance(kind):.3f}")
     print()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -43,6 +44,9 @@ KERNEL_KINDS = tuple(KERNEL_TUNING)
 
 _MAX_CHAINS = 1_000_000
 _MAX_ITERATIONS = 1_000_000
+_ITERATION_COEFFICIENT = 50.0  # c in the iteration budget
+_LEAPFROG_STEPS = 10  # L, the leapfrog steps of one Hamiltonian proposal
+_MAX_DIMENSION = sys.float_info.max  # the largest dimension that becomes a float
 
 
 def checked_integer(name: str, value, minimum: int, maximum: Optional[int] = None) -> int:
@@ -111,7 +115,7 @@ def target_acceptance(kind: str) -> float:
 def initial_step_size(kind: str, dimension: int) -> float:
     """Dimension-scaled starting step size 2.4^2 / d^k for kernel family k."""
     k = check_kind(kind).step_exponent
-    dimension = checked_integer("dimension", dimension, 1)
+    dimension = checked_integer("dimension", dimension, 1, _MAX_DIMENSION)
     return 2.4 ** 2 / dimension ** k
 
 
@@ -136,28 +140,22 @@ class AdaptationState:
 
 @dataclass(frozen=True)
 class SizingPolicy:
-    """Accuracy tolerances that size the ensemble; each field is checked by
-    name and stored as a plain float, or int for ``leapfrog_steps``.
+    """Accuracy tolerances that size the chain count N; each field is
+    checked by name and stored as a plain float.
 
     Attributes:
         delta_mean: Half-width budget for the standardized mean interval.
         delta_var: log10 budget for the variance-ratio interval width.
         alpha: Miscoverage level of every interval; also sizes the chain count.
-        iteration_coefficient: The constant c in the iteration budget.
-        leapfrog_steps: L, used only by the Hamiltonian iteration budget.
     """
     delta_mean: float = 0.1
     delta_var: float = 0.15
     alpha: float = 0.05
-    iteration_coefficient: float = 50.0
-    leapfrog_steps: int = 10
 
     def __post_init__(self):
-        for name in ("delta_mean", "delta_var", "iteration_coefficient"):
+        for name in ("delta_mean", "delta_var"):
             object.__setattr__(self, name, checked_positive(name, getattr(self, name)))
         object.__setattr__(self, "alpha", checked_fraction("alpha", self.alpha))
-        object.__setattr__(self, "leapfrog_steps",
-                           checked_integer("leapfrog_steps", self.leapfrog_steps, 1))
 
 
 def _smallest_chain_count(width, budget: float, name: str) -> int:
@@ -203,22 +201,21 @@ def chain_count(policy: SizingPolicy) -> int:
                variance_error_chain_count(policy.delta_var, policy.alpha))
 
 
-def iteration_count(kind: str, dimension: int, policy: SizingPolicy) -> int:
+def iteration_count(kind: str, dimension: int) -> int:
     """Iteration budget T, scaled by the kernel family's mixing exponent.
 
     floor(c d^(1/3)) for the first-order kernels and floor(c d^(1/4) / L)
-    for Hamiltonian proposals, never below 1; a ``ValueError`` naming
-    ``iteration_coefficient`` when that exceeds ``_MAX_ITERATIONS``, as a
-    float overflow does.
+    for Hamiltonian proposals, with c = 50 and L = 10, so T >= 50 (>= 5
+    under HMC); a ``ValueError`` naming the dimension when T exceeds
+    ``_MAX_ITERATIONS``.
     """
     check_kind(kind)
-    dimension = checked_integer("dimension", dimension, 1)
-    c = policy.iteration_coefficient
+    dimension = checked_integer("dimension", dimension, 1, _MAX_DIMENSION)
     if kind == "hmc":
-        raw = c * dimension ** 0.25 / policy.leapfrog_steps
+        raw = _ITERATION_COEFFICIENT * dimension ** 0.25 / _LEAPFROG_STEPS
     else:
-        raw = c * dimension ** (1.0 / 3.0)
+        raw = _ITERATION_COEFFICIENT * dimension ** (1.0 / 3.0)
     if not raw < _MAX_ITERATIONS + 1:
-        raise ValueError(f"iteration budget overflows {_MAX_ITERATIONS} iterations for "
-                         f"iteration_coefficient={c} and dimension {dimension}")
-    return max(1, math.floor(raw))
+        raise ValueError(f"iteration budget overflows {_MAX_ITERATIONS} iterations "
+                         f"at dimension {dimension}")
+    return math.floor(raw)

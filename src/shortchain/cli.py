@@ -10,6 +10,7 @@ run completed and wrote its outputs but the reliability check failed.
 from __future__ import annotations
 
 import argparse
+import re
 import json
 import sys
 from dataclasses import fields
@@ -49,11 +50,21 @@ def _check_keys(obj: dict, allowed: set, required: set, context: str):
         raise ConfigError(f"missing required key(s) in {context}: {sorted(missing)}")
 
 
+def _unique_keys(pairs) -> dict:
+    """``json``'s object hook: refuses a key repeated within one object."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"key {key!r} appears more than once in one object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> dict:
-    """Parses a JSON config, reporting syntax errors with line context."""
+    """Parses a JSON config; a syntax error names its line, a repeated key the key."""
     text = Path(path).read_text()
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
@@ -166,9 +177,20 @@ def build_run(cfg: dict, seed_override=None, force_trace=False):
     return run_config, target, approximation
 
 
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted only when it holds a comma, quote or
+    newline: the bytes of ``csv.writer``'s minimal quoting, which costs about
+    three times as much per row as the f-strings below."""
+    return '"' + text.replace('"', '""') + '"' if _CSV_SPECIAL.search(text) else text
+
+
 def write_outputs(report: DiagnosticReport, out_dir, traces: bool) -> dict:
     """Writes report.json and its CSV views, each row printed from the report's
-    JSON values (so "NaN" and "Infinity" as there); returns the paths written."""
+    JSON values (so "NaN" and "Infinity" as there) with each tag a quoted field
+    when it holds a comma; returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc = report.to_json_dict()
@@ -176,8 +198,8 @@ def write_outputs(report: DiagnosticReport, out_dir, traces: bool) -> dict:
         "report": ("report.json",
                    [json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)]),
         "bounds": ("bounds.csv", ["functional_tag,bound,lower,upper,detected"] + [
-            f"{f['tag']},{f['bound']},{f['lower']},{f['upper']},{json.dumps(f['detected'])}"
-            for f in doc["functionals"]]),
+            f"{_csv_field(f['tag'])},{f['bound']},{f['lower']},{f['upper']},"
+            f"{json.dumps(f['detected'])}" for f in doc["functionals"]]),
         "reliability": ("reliability.csv", ["coordinate,rho2"] + [
             f"{i},{v}" for i, v in enumerate(doc["reliability"]["rho2"])]),
     }
@@ -185,7 +207,8 @@ def write_outputs(report: DiagnosticReport, out_dir, traces: bool) -> dict:
         lines = ["t,functional_tag,bound,rho2_max"]
         for row in doc["traces"]:
             t, rho2_max = f"{row['t']},", f",{row['rho2_max']}"
-            lines += [f"{t}{tag},{bound}{rho2_max}" for tag, bound in row["bounds"].items()]
+            lines += [f"{t}{_csv_field(tag)},{bound}{rho2_max}"
+                      for tag, bound in row["bounds"].items()]
         files["traces"] = ("traces.csv", lines)
     paths = {}
     for key, (name, lines) in files.items():
@@ -221,12 +244,11 @@ def cmd_trace(args) -> int:
 
 def cmd_sizing(args) -> int:
     policy = SizingPolicy(delta_mean=args.delta_mean, delta_var=args.delta_var,
-                          alpha=args.alpha, iteration_coefficient=args.c,
-                          leapfrog_steps=args.leapfrog_steps)
+                          alpha=args.alpha)
     n_mean = mean_error_chain_count(policy.delta_mean, policy.alpha)
     n_var = variance_error_chain_count(policy.delta_var, policy.alpha)
     n = chain_count(policy)
-    t = iteration_count(args.kernel, args.dimension, policy)
+    t = iteration_count(args.kernel, args.dimension)
     h0 = initial_step_size(args.kernel, args.dimension)
     print(f"kernel              {args.kernel}")
     print(f"dimension           {args.dimension}")
@@ -267,10 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                           default=SizingPolicy.delta_mean)
     p_sizing.add_argument("--delta-var", dest="delta_var", type=float,
                           default=SizingPolicy.delta_var)
-    p_sizing.add_argument("--c", dest="c", type=float,
-                          default=SizingPolicy.iteration_coefficient)
-    p_sizing.add_argument("--leapfrog-steps", dest="leapfrog_steps", type=int,
-                          default=SizingPolicy.leapfrog_steps)
     p_sizing.set_defaults(func=cmd_sizing)
     return parser
 

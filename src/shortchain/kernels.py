@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .adaptation import SizingPolicy, check_kind
+from .adaptation import _LEAPFROG_STEPS, check_kind
 from .targets import checked_output
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -192,7 +192,7 @@ def _hmc_core(x, logpi_x, xi, step_size, n_steps, pre, log_density_fn, grad_fn):
 
 def step_batch(kind: str, x, logpi_x, grad_x, eps, uniforms,
                step_size: float, pre: Preconditioner, target,
-               n_leapfrog: int = SizingPolicy.leapfrog_steps):
+               n_leapfrog: int = _LEAPFROG_STEPS):
     """Advances a batch of chains one MH step with pre-drawn randomness.
 
     Args:
@@ -207,7 +207,7 @@ def step_batch(kind: str, x, logpi_x, grad_x, eps, uniforms,
         step_size: Current step size h > 0.
         pre: Preconditioner.
         target: TargetModel (its gradient counter tracks the budget).
-        n_leapfrog: Leapfrog steps for HMC (``SizingPolicy``'s default L).
+        n_leapfrog: Leapfrog steps for HMC; a run takes the default, L = 10.
 
     Returns:
         ``(new_x, new_logpi, new_grad, alpha)``; ``new_grad`` is None unless

@@ -22,8 +22,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .adaptation import (_MAX_CHAINS, _MAX_ITERATIONS, AdaptationState, SizingPolicy,
-                         chain_count, check_kind, checked_integer,
+from .adaptation import (_LEAPFROG_STEPS, _MAX_CHAINS, _MAX_ITERATIONS, AdaptationState,
+                         SizingPolicy, chain_count, check_kind, checked_integer,
                          checked_positive, initial_step_size, iteration_count)
 from .approximations import Approximation
 from .diagnostics import (MONOTONE_ERROR_CAVEAT, CentredRows, CriticalValues,
@@ -100,7 +100,7 @@ class RunConfig:
         kernel: One of ``KERNEL_KINDS``.
         seed: Non-negative integer ensemble seed; with the config it fully
             determines the report.
-        sizing: Tolerances behind the automatic N and T choices; its
+        sizing: Tolerances behind the automatic chain count N; its
             ``alpha`` is also the miscoverage level of every interval.
         functionals: A list or tuple of strings in ``parse_functional``'s
             grammar, each tag at most once after the wildcards mean(*) and
@@ -180,7 +180,6 @@ class DiagnosticReport:
     n_iterations: int
     alpha: float
     seed: int
-    leapfrog_steps: int
     initial_step_size: float
     final_step_size: float
     step_size_scale: float
@@ -203,7 +202,7 @@ class DiagnosticReport:
             "iterations": self.n_iterations,
             "alpha": self.alpha,
             "seed": self.seed,
-            "leapfrog_steps": self.leapfrog_steps,
+            "leapfrog_steps": _LEAPFROG_STEPS,
             "step_size": {
                 "initial": _jnum(self.initial_step_size),
                 "final": _jnum(self.final_step_size),
@@ -303,7 +302,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     # the sized values stay within these limits; overrides are held to them too
     n_chains = (chain_count(policy) if config.n_chains is None else
                 checked_integer("n_chains", config.n_chains, 2, _MAX_CHAINS))
-    n_iters = (iteration_count(kind, d, policy) if config.n_iterations is None else
+    n_iters = (iteration_count(kind, d) if config.n_iterations is None else
                checked_integer("n_iterations", config.n_iterations, 1, _MAX_ITERATIONS))
 
     specs = _resolve_specs(config, d)
@@ -383,7 +382,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
             uniform(out=u)
         x, logpi, grad_cached, alphas = step_batch(
             kind, x, logpi, grad_cached, eps, uniforms, adapt.step_size,
-            pre, target, policy.leapfrog_steps)
+            pre, target)
         adapt.update(math.fsum(alphas.tolist()) / n_chains, a_star)
         # the last checkpoint, n_iters, reuses the final diagnostics below
         if (t + 1) in checkpoints and t + 1 < n_iters:
@@ -416,7 +415,6 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
         n_iterations=n_iters,
         alpha=alpha,
         seed=seed,
-        leapfrog_steps=policy.leapfrog_steps,
         initial_step_size=h0,
         final_step_size=adapt.step_size,
         step_size_scale=step_size_scale,

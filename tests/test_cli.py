@@ -4,6 +4,7 @@ Most tests drive ``shortchain.cli.main`` in process for speed; one test
 runs the module through a real subprocess.
 """
 
+import csv
 import json
 import math
 import os
@@ -42,9 +43,8 @@ def write_config(tmp_path, name="config.json", **updates):
 
 
 def read_csv(path):
-    lines = path.read_text().strip().split("\n")
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+    with path.open(newline="") as f:
+        return list(csv.DictReader(f))
 
 
 class TestSizingCommand:
@@ -84,7 +84,23 @@ class TestSizingCommand:
         assert f"chains (mean rule)  {n_mean}\n" in out
         assert f"chains (var rule)   {n_var}\n" in out
         assert f"chains N            {chain_count(policy)}\n" in out
-        assert f"iterations T        {iteration_count('barker', 30, policy)}\n" in out
+        assert f"iterations T        {iteration_count('barker', 30)}\n" in out
+
+    def test_dimension_beyond_the_float_range_is_refused(self, capsys):
+        huge = "1" + "0" * 400
+        assert main(["sizing", "--kernel", "rwmh", "--dimension", huge]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: dimension must be at most 1.79")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--c", "--leapfrog-steps"])
+    def test_iteration_constants_are_not_flags(self, capsys, flag):
+        # c = 50 and L = 10 are fixed; overrides.iterations sets T directly
+        with pytest.raises(SystemExit) as exc:
+            main(["sizing", "--kernel", "rwmh", "--dimension", "5", flag, "20"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 20" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         # the subprocess imports the same package as this test, installed or not
@@ -219,6 +235,43 @@ class TestRunCommand:
 
 
 class TestCsvViews:
+    def test_a_tag_holding_a_comma_is_one_quoted_field(self, tmp_path):
+        cfg = write_config(tmp_path, functionals=["quantile(1,0.5)",
+                                                  "scalar(target_log_density)"])
+        out_dir = tmp_path / "out"
+        assert main(["trace", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
+        report = json.loads((out_dir / "report.json").read_text())
+        tags = [f["tag"] for f in report["functionals"]]
+        assert "quantile(1,0.5)" in tags
+        for name in ("bounds.csv", "traces.csv"):
+            with (out_dir / name).open(newline="") as f:
+                header, *rows = csv.reader(f)
+            assert all(len(row) == len(header) for row in rows)
+            column = header.index("functional_tag")
+            assert sorted({row[column] for row in rows}) == sorted(tags)
+        assert '\n"quantile(1,0.5)",' in (out_dir / "bounds.csv").read_text()
+
+    def test_csv_views_are_what_the_csv_module_writes(self, tmp_path):
+        # a scalar name holding a comma, quotes and a newline: each CSV is
+        # byte for byte the csv module's minimal quoting of its rows
+        target = shortchain.correlated_gaussian_target(2, correlation=0.3)
+        approx = shortchain.mean_field_gaussian_approximation([0.0, 0.0], [1.0, 1.0])
+        name = 'x0, "quoted"\nline'
+        cfg = RunConfig(kernel="rwmh", seed=5, n_chains=50, n_iterations=3,
+                        trace_every=1, functionals=["quantile(0,0.5)", f"scalar({name})"],
+                        scalar_functions={name: lambda x: x[:, 0]})
+        paths = write_outputs(run_diagnostic(cfg, target, approx), tmp_path, traces=True)
+        for key in ("bounds", "reliability", "traces"):
+            with paths[key].open(newline="") as f:
+                rows = list(csv.reader(f))
+            assert {len(row) for row in rows} == {len(rows[0])}
+            rewritten = tmp_path / f"{key}-rewritten.csv"
+            with rewritten.open("w", newline="") as f:
+                csv.writer(f, lineterminator="\n").writerows(rows)
+            assert paths[key].read_bytes() == rewritten.read_bytes()
+        assert f"scalar_mean({name})" in {row["functional_tag"]
+                                          for row in read_csv(paths["bounds"])}
+
     def test_non_finite_cells_are_printed_as_in_the_report(self, tmp_path):
         # a scalar that is +inf on some chains has NaN interval endpoints
         def spiky(x):
@@ -266,12 +319,9 @@ class TestBuildRun:
 
     def test_present_sizing_keys_override_the_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, alpha=0.1, delta_mean=0.2,
-                                       delta_var=0.3, iteration_coefficient=20,
-                                       leapfrog_steps=4))
+                                       delta_var=0.3))
         run_config, _, _ = build_run(cfg)
-        assert run_config.sizing == SizingPolicy(
-            delta_mean=0.2, delta_var=0.3, alpha=0.1, iteration_coefficient=20.0,
-            leapfrog_steps=4)
+        assert run_config.sizing == SizingPolicy(delta_mean=0.2, delta_var=0.3, alpha=0.1)
 
 
 class TestTraceCommand:
@@ -351,6 +401,36 @@ class TestErrorHandling:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [("iteration_coefficient", 50.0),
+                                            ("leapfrog_steps", 10)])
+    def test_iteration_constants_are_not_settings(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"unknown key(s) in config: ['{key}']" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kernel, overrides, key", [
+        ('"kernel": "rwmh", "kernel": "hmc"', '{"chains": 50}', "kernel"),
+        ('"kernel": "rwmh"', '{"chains": 50, "chains": 60}', "chains"),
+        # an inner object is parsed, and refused, before the object around it
+        ('"kernel": "rwmh", "kernel": "hmc"', '{"chains": 50, "chains": 60}', "chains"),
+    ], ids=["top-level", "nested", "both"])
+    def test_repeated_key_is_refused(self, tmp_path, capsys, kernel, overrides, key):
+        # json keeps the last copy of a repeated key; a config refuses it
+        path = tmp_path / "config.json"
+        path.write_text('{"target": {"kind": "gaussian_correlated", "dimension": 2}, '
+                        '"approximation": {"kind": "mean_field_gaussian"}, '
+                        f'{kernel}, "seed": 1, "overrides": {overrides}}}')
+        assert main(["run", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"key '{key}' appears more than once" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_target_kind(self, tmp_path, capsys):
         cfg = write_config(tmp_path, target={"kind": "cauchy", "dimension": 2})
         assert main(["run", "--config", str(cfg), "--out",
@@ -413,7 +493,6 @@ class TestErrorHandling:
 class TestNonFiniteSizing:
     @pytest.mark.parametrize("key, value", [("delta_mean", math.nan),
                                             ("delta_var", math.nan),
-                                            ("iteration_coefficient", math.inf),
                                             ("alpha", -math.inf)])
     def test_run_config_is_refused(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, **{key: value})  # json writes NaN/Infinity
@@ -424,8 +503,7 @@ class TestNonFiniteSizing:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flag, field", [("--c", "iteration_coefficient"),
-                                             ("--delta-mean", "delta_mean")])
+    @pytest.mark.parametrize("flag, field", [("--delta-mean", "delta_mean")])
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_sizing_flag_is_refused(self, capsys, flag, field, value):
         assert main(["sizing", "--kernel", "rwmh", "--dimension", "5",
@@ -465,8 +543,7 @@ EDGE_VALUES = [math.nan, math.inf, -math.inf, 0, 0.0, -1, -0.5, 1e308, -1e308,
                True, False, "0.1", [], [1.0]]
 ORDINARY_VALUES = [0.05, 0.2, 0.5, 1, 2, 3, 10, 50.0]
 NUMBERS = st.sampled_from(EDGE_VALUES + ORDINARY_VALUES)
-NUMERIC_KEYS = ["seed", "alpha", "delta_mean", "delta_var", "iteration_coefficient",
-                "leapfrog_steps", "trace_every"]
+NUMERIC_KEYS = ["seed", "alpha", "delta_mean", "delta_var", "trace_every"]
 OVERRIDES = st.one_of(
     st.dictionaries(st.sampled_from(["chains", "iterations", "step_size_scale"]),
                     NUMBERS, max_size=3),
@@ -500,8 +577,6 @@ class TestConfigFuzz:
            numbers=st.dictionaries(st.sampled_from(NUMERIC_KEYS), NUMBERS, max_size=4),
            overrides=st.none() | OVERRIDES)
     @example(kernel="rwmh", dimension=2, numbers={"delta_mean": math.nan}, overrides=None)
-    @example(kernel="hmc", dimension=5, numbers={"iteration_coefficient": math.inf},
-             overrides=None)
     def test_config_builds_and_sizes_or_is_refused(self, kernel, dimension, numbers,
                                                    overrides):
         cfg = {"target": {"kind": "gaussian_correlated", "dimension": dimension},
@@ -512,7 +587,7 @@ class TestConfigFuzz:
         try:
             run_config, target, approximation = build_run(cfg)
             n = chain_count(run_config.sizing)
-            t = iteration_count(run_config.kernel, target.dimension, run_config.sizing)
+            t = iteration_count(run_config.kernel, target.dimension)
         except ValueError:  # ConfigError is a ValueError
             return
         assert 2 <= n < 1_000_000

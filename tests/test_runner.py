@@ -346,8 +346,8 @@ class TestDrawOrder:
             return step_batch(kind, x, logpi, grad, eps, uniforms, *rest)
 
         monkeypatch.setattr(runner, "step_batch", spy)
-        run_diagnostic(RunConfig(kernel=kind, seed=seed, n_chains=n, n_iterations=1,
-                                 sizing=SizingPolicy(leapfrog_steps=2)), target, approx)
+        run_diagnostic(RunConfig(kernel=kind, seed=seed, n_chains=n, n_iterations=1),
+                       target, approx)
         (eps, uniforms), = seen
         # as wide as the kernel reads: d sign uniforms for Barker, then the
         # acceptance uniform
@@ -549,11 +549,11 @@ class TestGradientBudget:
 
     def test_hamiltonian_budget_counts_leapfrog(self):
         target, approx = small_setup()
-        n, t, leap = 30, 6, 3
+        n, t, leap = 30, 6, 10  # every run takes L = 10 leapfrog steps
         before = target.gradient_evaluations
         report = run_diagnostic(
-            RunConfig(kernel="hmc", seed=8, n_chains=n, n_iterations=t,
-                      sizing=SizingPolicy(leapfrog_steps=leap)), target, approx)
+            RunConfig(kernel="hmc", seed=8, n_chains=n, n_iterations=t), target, approx)
+        assert report.to_json_dict()["leapfrog_steps"] == leap
         assert report.gradient_budget.initialization == 0
         assert report.gradient_budget.iterations == n * t * (leap + 1)
         assert target.gradient_evaluations - before == n * t * (leap + 1)
@@ -897,13 +897,12 @@ class TestOverridesAndSizing:
     def test_sized_defaults_used_without_overrides(self):
         target, approx = small_setup(2)
         cfg = RunConfig(kernel="rwmh", seed=1,
-                        sizing=SizingPolicy(delta_mean=1.0, delta_var=2.0,
-                                            iteration_coefficient=2.0))
+                        sizing=SizingPolicy(delta_mean=1.0, delta_var=2.0))
         report = run_diagnostic(cfg, target, approx)
         # loose tolerances size a tiny ensemble: N from the interval scans,
-        # T = floor(2 * 2^(1/3)).
+        # T = floor(50 * 2^(1/3)).
         assert report.n_chains == 7
-        assert report.n_iterations == 2
+        assert report.n_iterations == 62
 
     def test_acceptance_history_tracks_adaptation(self):
         target, approx = small_setup(1)

@@ -14,12 +14,16 @@ reaches the CSV loader and a spaced wildcard; and once more at seed 1 from
 configs whose target is a ``logistic_synthetic`` of the preset's dimension,
 with ``LOGISTIC_OBSERVATIONS`` observations and that dimension as
 ``data_seed``, audited from a unit mean-field Gaussian, which reaches the
-logistic target and the config's ``observations`` key.  Everything it
-writes, the configs and CSVs included, goes under OUT_DIR, and the
-commands run there, so each config names its CSV by a relative path.  It
-prints one ``sha256  path`` line per output file, with paths relative to
-OUT_DIR, so diffing the printout of two source trees shows any report that
-changed byte for byte.  Standard library only.
+logistic target and the config's ``observations`` key.  Last it runs
+``python -m shortchain sizing`` for each kernel at every dimension in
+``SIZING_DIMENSIONS`` and writes the printout to ``sizing/KERNEL-dD.txt``,
+which reaches ``chain_count``, ``iteration_count`` and
+``initial_step_size`` through the CLI.  Everything it writes, the configs
+and CSVs included, goes under OUT_DIR, and the commands run there, so each
+config names its CSV by a relative path.  It prints one ``sha256  path``
+line per output file, with paths relative to OUT_DIR, so diffing the
+printout of two source trees shows any output that changed byte for byte.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ EMPIRICAL_FUNCTIONALS = [" mean ( * )", "variance(*)", "quantile(0,0.5)",
                          "scalar(target_log_density)"]
 SAMPLE_ROWS = 400
 LOGISTIC_OBSERVATIONS = 500
+SIZING_DIMENSIONS = (1, 5, 20, 30, 1000)
 # (config name suffix, keys set on the preset, seeds); the "-empirical"
 # variant's approximation and the "-logistic" variant's target and
 # approximation are set per preset dimension
@@ -88,9 +93,25 @@ def main(argv=None) -> int:
                         print(done.stderr, file=sys.stderr)
                         return 1
                     for path in sorted(run_dir.iterdir()):
-                        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                        print(f"{digest}  {path.relative_to(out)}", flush=True)
+                        print_hash(path, out)
+    (out / "sizing").mkdir(exist_ok=True)
+    for kernel, dimension in itertools.product(KERNELS, SIZING_DIMENSIONS):
+        done = subprocess.run(
+            [sys.executable, "-m", "shortchain", "sizing", "--kernel", kernel,
+             "--dimension", str(dimension)], env=env, cwd=out, capture_output=True, text=True)
+        if done.returncode != 0:
+            print(done.stderr, file=sys.stderr)
+            return 1
+        path = out / "sizing" / f"{kernel}-d{dimension}.txt"
+        path.write_text(done.stdout)
+        print_hash(path, out)
     return 0
+
+
+def print_hash(path: Path, out: Path):
+    """Prints ``sha256  path`` for one output file, the path relative to ``out``."""
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    print(f"{digest}  {path.relative_to(out)}", flush=True)
 
 
 def samples_csv(out: Path, dimension: int) -> str:

@@ -38,7 +38,7 @@ KERNEL_TUNING = {
     "rwmh": KernelTuning(0.234, 1.0, False, False),
     "mala": KernelTuning(0.574, 1.0 / 3.0, True, False),
     "barker": KernelTuning(0.4, 1.0 / 3.0, True, True),
-    "hmc": KernelTuning(0.651, 0.25, False, False),
+    "hmc": KernelTuning(0.651, 0.25, True, False),
 }
 KERNEL_KINDS = tuple(KERNEL_TUNING)
 

@@ -26,7 +26,7 @@ class Approximation:
         sampler: Maps a RandomStream to one point of shape (d,).
         means: Length-d vector of finite coordinate means.
         sds: Length-d vector of positive, finite coordinate standard deviations.
-        covariance: (d, d) covariance matrix used to build the preconditioner.
+        covariance: (d, d) finite covariance matrix used to build the preconditioner.
         quantile_fn: Optional ``(coordinate, p) -> float``.  When absent the
             runner falls back to initial-sample order statistics and records
             which path was taken.
@@ -51,6 +51,10 @@ class Approximation:
             raise ValueError(f"means must be finite, got {means}")
         if not ((sds > 0) & (sds < np.inf)).all():
             raise ValueError(f"sds must be positive and finite, got {sds}")
+        bad = np.argwhere(~np.isfinite(covariance))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"covariance must be finite, got {covariance[i, j]} at ({i}, {j})")
         self.dimension = d
         self.sampler = sampler
         self.means = means
@@ -95,8 +99,9 @@ def mean_field_gaussian_approximation(means, sds, name: str = "mean_field") -> A
     def quantile_fn(coordinate: int, p: float) -> float:
         return float(means[coordinate] + sds[coordinate] * ndtri(p))
 
-    return Approximation(d, sampler, means, sds, np.diag(sds * sds),
-                         quantile_fn=quantile_fn, name=name)
+    with np.errstate(over="ignore"):  # an sd past 1e154 squares to inf, refused by name
+        covariance = np.diag(sds * sds)
+    return Approximation(d, sampler, means, sds, covariance, quantile_fn=quantile_fn, name=name)
 
 
 def kl_optimal_mean_field(target) -> Approximation:
@@ -139,6 +144,10 @@ def empirical_approximation(samples: np.ndarray, name: str = "empirical") -> App
         x = x[:, None]
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError(f"need an (N, d) sample matrix with N >= 2, got shape {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:  # refused before any statistic, which would warn or carry the NaN
+        raise ValueError(f"samples must be finite, got {x[bad[0]].tolist()} in row {bad[0]} "
+                         "(counting from 0)")
     n, d = x.shape
     means = x.mean(axis=0)
     sds = x.std(axis=0, ddof=1)

@@ -9,10 +9,12 @@ the move instead of aborting the run.
 
 Every proposal and step operates on batches of shape (B, d).  The
 randomness of a step is drawn by the caller and passed in, as a normal and
-a uniform block, so a kernel never touches a random stream.  Barker's
-sigmoid and softplus are written
-with NumPy's vectorised tanh, exp and log1p, so they cannot overflow and
-map infinite and NaN inputs to the same values as their textbook forms.
+a uniform block, so a kernel never touches a random stream.  MALA, Barker
+and HMC carry the gradient at the current state between steps, so a step
+evaluates it only along its proposal: once, or L times for L leapfrog steps.
+Barker's sigmoid and softplus are written with NumPy's vectorised tanh, exp
+and log1p, so they cannot overflow and map infinite and NaN inputs to the
+same values as their textbook forms.
 
 The module needs only NumPy: the preconditioner's inverse Cholesky factor
 comes from ``np.linalg.inv``, so no audit loads ``scipy.linalg``.  For a
@@ -140,54 +142,50 @@ def _barker_core(x, grad_x, eps, sign_uniforms, step_size, pre, grad_fn):
     return y, logq_fwd, logq_rev, grad_y
 
 
-def leapfrog(position, momentum, step_size: float, n_steps: int,
+def leapfrog(position, momentum, grad, step_size: float, n_steps: int,
              pre: Preconditioner, grad_fn: Callable):
     """Leapfrog integration of Hamiltonian dynamics with mass matrix G^-1.
 
     Each step is a half kick, a full drift through G, and a half kick; the
-    integrator is time reversible and uses exactly ``n_steps + 1`` gradient
-    evaluations (consecutive steps share the endpoint gradient).
+    integrator is time reversible, starts from the caller's gradient and
+    makes exactly ``n_steps`` gradient evaluations.
 
     Args:
         position: (B, d) positions.
         momentum: (B, d) momenta.
+        grad: (B, d) gradient of the log target at ``position``.
         step_size: Leapfrog step size h > 0.
         n_steps: Number of leapfrog steps L >= 1.
         pre: Preconditioner supplying G.
         grad_fn: Gradient of the log target.
 
     Returns:
-        ``(position, momentum)`` after ``n_steps`` steps.
-
-    Raises:
-        ValueError: when the first gradient does not have the shape of
-            ``position``, which names ``grad_log_density``.
+        ``(position, momentum, grad)`` after ``n_steps`` steps.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    x, eta = position, momentum
+    x, eta, g = position, momentum, grad
     G = pre.matrix
     with _quiet():
-        g = checked_output("target grad_log_density", grad_fn(x), x.shape)
         for _ in range(n_steps):
             eta = eta + 0.5 * step_size * g
             x = x + step_size * (eta @ G)
             g = grad_fn(x)
             eta = eta + 0.5 * step_size * g
-    return x, eta
+    return x, eta, g
 
 
 def _kinetic_energy(eta, pre):
     return 0.5 * np.sum((eta @ pre.matrix) * eta, axis=1)
 
 
-def _hmc_core(x, logpi_x, xi, step_size, n_steps, pre, log_density_fn, grad_fn):
+def _hmc_core(x, logpi_x, grad_x, xi, step_size, n_steps, pre, log_density_fn, grad_fn):
     eta0 = xi @ pre.inverse_cholesky  # momentum ~ N(0, G^-1)
     h_start = -logpi_x + _kinetic_energy(eta0, pre)
-    y, eta = leapfrog(x, eta0, step_size, n_steps, pre, grad_fn)
+    y, eta, grad_y = leapfrog(x, eta0, grad_x, step_size, n_steps, pre, grad_fn)
     logpi_y = log_density_fn(y)
     h_end = -logpi_y + _kinetic_energy(eta, pre)
-    return y, h_start, h_end, logpi_y
+    return y, h_start, h_end, logpi_y, grad_y
 
 
 def step_batch(kind: str, x, logpi_x, grad_x, eps, uniforms,
@@ -199,7 +197,8 @@ def step_batch(kind: str, x, logpi_x, grad_x, eps, uniforms,
         kind: Kernel kind, one of ``adaptation.KERNEL_KINDS``.
         x: (B, d) current states.
         logpi_x: (B,) current log densities.
-        grad_x: (B, d) cached gradients at x (MALA/Barker), else None.
+        grad_x: (B, d) gradients at x carried by MALA, Barker and HMC, else
+            None; a step given None evaluates and shape-checks them.
         eps: (B, d) standard normal draws.
         uniforms: (B, k) uniforms, k = ``check_kind(kind).uniform_count(d)``:
             Barker's d sign uniforms, then every kind's acceptance uniform;
@@ -210,8 +209,8 @@ def step_batch(kind: str, x, logpi_x, grad_x, eps, uniforms,
         n_leapfrog: Leapfrog steps for HMC; a run takes the default, L = 10.
 
     Returns:
-        ``(new_x, new_logpi, new_grad, alpha)``; ``new_grad`` is None unless
-        the kernel caches gradients.
+        ``(new_x, new_logpi, new_grad, alpha)``; ``new_grad`` is the
+        gradient at ``new_x`` under a gradient kernel, else None.
     """
     tuning = check_kind(kind)
     if step_size <= 0 or not math.isfinite(step_size):
@@ -223,10 +222,11 @@ def step_batch(kind: str, x, logpi_x, grad_x, eps, uniforms,
     with _quiet():
         grad_y = None
         if tuning.carries_gradient and grad_x is None:
-            grad_x = target.grad_log_density(x)
+            grad_x = checked_output("target grad_log_density",
+                                    target.grad_log_density(x), x.shape)
         if kind == "hmc":
-            y, h_start, h_end, logpi_y = _hmc_core(
-                x, logpi_x, eps, step_size, n_leapfrog, pre,
+            y, h_start, h_end, logpi_y, grad_y = _hmc_core(
+                x, logpi_x, grad_x, eps, step_size, n_leapfrog, pre,
                 target.log_density, target.grad_log_density)
             log_ratio = h_start - h_end
         else:

@@ -278,8 +278,8 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
             listed twice, ...) or a target or scalar
             functional whose outputs on the initial batch have the wrong
             shape, an approximation that samples a non-finite start, or,
-            under MALA and Barker, a non-finite gradient at a start whose
-            log density is finite.
+            under MALA, Barker and HMC, a non-finite gradient at a start
+            whose log density is finite.
         RuntimeError: when more than half the chains start at non-finite
             log density, which means the approximation and target are too
             incompatible for the audit to say anything useful.

@@ -149,7 +149,7 @@ class TestKernelTuning:
 
     def test_gradient_carrying_kinds(self):
         carries = [kind for kind in KERNEL_KINDS if check_kind(kind).carries_gradient]
-        assert carries == ["mala", "barker"]
+        assert carries == ["mala", "barker", "hmc"]
 
     def test_uniform_counts(self):
         # d sign uniforms for Barker alone, then one acceptance uniform for every kind

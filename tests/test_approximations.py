@@ -239,6 +239,15 @@ class TestApproximationValidation:
         with pytest.raises(ValueError, match=message):
             Approximation(2, lambda stream: np.zeros(2), means, sds, covariance)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_covariance_is_named(self, value):
+        # refused before the preconditioner, which would call a NaN
+        # asymmetric and would precondition every step with an infinity
+        with pytest.raises(ValueError, match=re.escape(
+                f"covariance must be finite, got {value} at (0, 1)")):
+            Approximation(2, lambda stream: np.zeros(2), np.zeros(2), np.ones(2),
+                          [[1.0, value], [value, 1.0]])
+
     @pytest.mark.parametrize("value, problem", [
         (math.nan, "must be finite, got nan"), (-math.inf, "must be finite, got -inf"),
         ("3", "must be a real number, got '3'")])

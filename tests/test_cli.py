@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,22 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_ERROR
         assert ("need an (N, d) sample matrix with N >= 2, got shape (1, 3)"
                 in capsys.readouterr().err)
+        assert not out_dir.exists()
+
+    def test_non_finite_csv_row_is_named(self, tmp_path, capsys):
+        samples = np.random.default_rng(2).normal(size=(40, 2))
+        samples[3, 0] = np.nan
+        csv = tmp_path / "draws.csv"
+        np.savetxt(csv, samples, delimiter=",")
+        cfg = write_config(
+            tmp_path, approximation={"kind": "empirical", "samples_path": str(csv)})
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: samples must be finite, got [nan, ")
+        assert err.endswith("in row 3 (counting from 0)\n")
         assert not out_dir.exists()
 
     def test_vector_parameters_broadcast(self, tmp_path):
@@ -525,12 +542,17 @@ class TestNonFiniteModelParameters:
         ("target", {"kind": "gaussian_correlated", "dimension": 2,
                     "mean": [0.0, -math.inf]}, "mean"),
         ("approximation", {"kind": "mean_field_gaussian", "means": math.inf}, "means"),
-    ], ids=["prior_sd", "variances", "mean", "means"])
+        # an sd whose square overflows gives an infinite covariance
+        ("approximation", {"kind": "mean_field_gaussian", "sds": [1e200, 1.0]},
+         "covariance"),
+    ], ids=["prior_sd", "variances", "mean", "means", "sds"])
     def test_run_is_refused_naming_the_parameter(self, tmp_path, capsys, section,
                                                  updates, name):
         cfg = write_config(tmp_path, **{section: updates})
-        assert main(["run", "--config", str(cfg), "--out",
-                     str(tmp_path / "out")]) == EXIT_ERROR
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--out",
+                         str(tmp_path / "out")]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name} must be ")
         assert "finite" in err and "Traceback" not in err

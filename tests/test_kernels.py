@@ -19,6 +19,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import expit
 
 from shortchain import KERNEL_KINDS, RandomStream, correlated_gaussian_target
+from shortchain.adaptation import check_kind
 from shortchain.kernels import (
     Preconditioner,
     _barker_core,
@@ -317,10 +318,14 @@ class TestHamiltonianProposal:
         pre = Preconditioner(np.array([[1.3, 0.4], [0.4, 0.9]]))
         x = np.array([[0.7, -0.4]])
         eta = np.array([[0.5, 1.1]])
-        y, eta_end = leapfrog(x, eta, 0.2, 8, pre, target.grad_log_density)
-        x_back, eta_back = leapfrog(y, -eta_end, 0.2, 8, pre, target.grad_log_density)
+        grad = target.grad_log_density
+        y, eta_end, g_end = leapfrog(x, eta, grad(x), 0.2, 8, pre, grad)
+        x_back, eta_back, g_back = leapfrog(y, -eta_end, g_end, 0.2, 8, pre, grad)
         assert np.allclose(x_back, x, atol=1e-10)
         assert np.allclose(-eta_back, eta, atol=1e-10)
+        # the returned gradient is the one at the returned position
+        assert np.array_equal(g_end, grad(y))
+        assert np.array_equal(g_back, grad(x_back))
 
     def test_energy_error_is_second_order(self):
         # Halving the step size at fixed integration time should shrink the
@@ -336,7 +341,8 @@ class TestHamiltonianProposal:
         h0 = energy(x, eta)
         errors = []
         for h, L in ((0.2, 8), (0.1, 16), (0.05, 32)):
-            y, eta_end = leapfrog(x, eta, h, L, pre, target.grad_log_density)
+            y, eta_end, _ = leapfrog(x, eta, target.grad_log_density(x), h, L, pre,
+                                     target.grad_log_density)
             errors.append(abs(energy(y, eta_end) - h0))
         assert errors[0] / errors[1] == pytest.approx(4.0, abs=1.0)
         assert errors[1] / errors[2] == pytest.approx(4.0, abs=1.0)
@@ -349,13 +355,15 @@ class TestHamiltonianProposal:
         h = 0.3
         x = np.array([[1.0, -2.0]])
         xi = RandomStream(11, 0).standard_normal((1, 2))
-        y, h_start, h_end, _ = _hmc_core(x, target.log_density(x), xi, h, 1, pre,
-                                         target.log_density, target.grad_log_density)
+        y, h_start, h_end, _, _ = _hmc_core(
+            x, target.log_density(x), target.grad_log_density(x), xi, h, 1, pre,
+            target.log_density, target.grad_log_density)
         expected = x + h * (xi @ pre.cholesky.T)
         assert np.allclose(y, expected, atol=1e-12)
         assert h_start[0] == pytest.approx(h_end[0], abs=1e-12)
 
     def test_gradient_evaluation_budget(self):
+        # a step given no gradient evaluates it at x, then once per leapfrog step
         target = correlated_gaussian_target(3)
         pre = Preconditioner(np.eye(3))
         stream = RandomStream(12, 0)
@@ -377,7 +385,8 @@ class TestHamiltonianProposal:
     def test_leapfrog_rejects_zero_steps(self):
         pre = Preconditioner(np.eye(1))
         with pytest.raises(ValueError):
-            leapfrog(np.zeros((1, 1)), np.zeros((1, 1)), 0.1, 0, pre, lambda x: x)
+            leapfrog(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 0.1, 0, pre,
+                     lambda x: x)
 
 
 class TestAcceptanceProbability:
@@ -561,6 +570,48 @@ class TestMHStep:
                 step_batch(kind, np.zeros((1, 2)), np.zeros(1), None, np.zeros((1, 2)),
                            np.zeros(bad), 0.5, Preconditioner(np.eye(2)), target)
         assert target.gradient_evaluations == 0
+
+    @pytest.mark.parametrize("kind", ["mala", "barker", "hmc"])
+    def test_gradient_of_the_wrong_shape_is_named(self, kind):
+        # a step given no gradient evaluates it and checks its shape first
+        base = correlated_gaussian_target(2)
+        target = TargetModel(2, base.log_density,
+                             lambda x: base.grad_log_density(x).sum(axis=1))
+        uniforms = np.full((4, check_kind(kind).uniform_count(2)), 0.5)
+        with pytest.raises(ValueError, match=re.escape(
+                "target grad_log_density must return a real array of shape (4, 2) for "
+                "4 points, got shape (4,)")):
+            step_batch(kind, np.zeros((4, 2)), np.zeros(4), None, np.zeros((4, 2)),
+                       uniforms, 0.5, Preconditioner(np.eye(2)), target)
+
+    @pytest.mark.parametrize("kind", ["mala", "barker", "hmc"])
+    def test_carried_gradient_is_the_gradient_at_the_new_state(self, kind):
+        # chains that accept carry the proposal's gradient and chains that
+        # reject keep theirs; either way it is the gradient at the returned
+        # state, bit for bit, and a step evaluates gradients only along its
+        # proposal: once, or once per leapfrog step
+        target = correlated_gaussian_target(3, variances=[2.0, 1.0, 0.5], correlation=0.4)
+        pre = Preconditioner(np.eye(3))
+        stream = RandomStream(31, 0)
+        B, L = 50, 3
+        per_step = B * (L if kind == "hmc" else 1)
+        x = stream.standard_normal((B, 3))
+        logpi = target.log_density(x)
+        grad = target.grad_log_density(x)
+        accepted = rejected = 0
+        for _ in range(6):
+            eps = stream.standard_normal((B, 3))
+            uniforms = stream.random((B, check_kind(kind).uniform_count(3)))
+            before = target.gradient_evaluations
+            new_x, logpi, grad, _ = step_batch(kind, x, logpi, grad, eps, uniforms, 1.0,
+                                               pre, target, n_leapfrog=L)
+            assert target.gradient_evaluations - before == per_step
+            assert np.array_equal(grad, target.grad_log_density(new_x))
+            moved = np.any(new_x != x, axis=1)
+            accepted += int(moved.sum())
+            rejected += int((~moved).sum())
+            x = new_x
+        assert accepted > 0 and rejected > 0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):

@@ -554,9 +554,11 @@ class TestGradientBudget:
         report = run_diagnostic(
             RunConfig(kernel="hmc", seed=8, n_chains=n, n_iterations=t), target, approx)
         assert report.to_json_dict()["leapfrog_steps"] == leap
-        assert report.gradient_budget.initialization == 0
-        assert report.gradient_budget.iterations == n * t * (leap + 1)
-        assert target.gradient_evaluations - before == n * t * (leap + 1)
+        # one gradient per chain at x0, then L per trajectory: each starts
+        # from the gradient the previous step carried
+        assert report.gradient_budget.initialization == n
+        assert report.gradient_budget.iterations == n * t * leap
+        assert target.gradient_evaluations - before == n + n * t * leap
 
     def test_budget_unaffected_by_prior_counter_state(self):
         target, approx = small_setup()
@@ -736,10 +738,14 @@ class TestTargetOutputShapes:
         with pytest.raises(ValueError, match=r"log_density .*dtype complex128"):
             self.run("rwmh", log_density=lambda x: gauss(x).astype(complex))
 
-    # MALA and Barker check the initial gradient; HMC, which computes none
-    # at initialization, checks the first one of each leapfrog trajectory
+    # every gradient kernel checks the gradient on the initial batch, so a
+    # bad shape is refused before the first step
     @pytest.mark.parametrize("kind", ["mala", "barker", "hmc"])
-    def test_wrong_gradient_shape_is_rejected(self, kind):
+    def test_wrong_gradient_shape_is_rejected(self, kind, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped before checking the gradient")
+
+        monkeypatch.setattr(runner, "step_batch", no_step)
         grad = correlated_gaussian_target(3).grad_log_density
         with pytest.raises(ValueError, match=r"grad_log_density .*shape \(40, 3\).*got shape \(40,\)"):
             self.run(kind, grad_log_density=lambda x: grad(x).sum(axis=1))
@@ -804,7 +810,7 @@ class TestNonFiniteStart:
                            target, approx)
         assert target.gradient_evaluations == 40  # the starts' gradients only
 
-    @pytest.mark.parametrize("kind", ["mala", "barker"])
+    @pytest.mark.parametrize("kind", ["mala", "barker", "hmc"])
     def test_non_finite_gradient_at_finite_density_is_refused(self, kind):
         base = correlated_gaussian_target(2)
 
@@ -820,7 +826,7 @@ class TestNonFiniteStart:
             run_diagnostic(RunConfig(kernel=kind, seed=0, n_chains=40, n_iterations=2),
                            target, approx)
 
-    @pytest.mark.parametrize("kind", ["mala", "barker"])
+    @pytest.mark.parametrize("kind", ["mala", "barker", "hmc"])
     def test_non_finite_gradient_at_non_finite_density_is_tolerated(self, kind):
         # outside the box both the density and its gradient are undefined;
         # those few chains keep the caveat rather than stopping the run

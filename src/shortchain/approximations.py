@@ -149,8 +149,13 @@ def empirical_approximation(samples: np.ndarray, name: str = "empirical") -> App
         raise ValueError(f"samples must be finite, got {x[bad[0]].tolist()} in row {bad[0]} "
                          "(counting from 0)")
     n, d = x.shape
-    means = x.mean(axis=0)
-    sds = x.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by name
+        means, sds = x.mean(axis=0), x.std(axis=0, ddof=1)
+    wide = np.flatnonzero(~np.isfinite(sds))
+    if wide.size:
+        j, row = int(wide[0]), int(np.argmax(np.abs(x[:, wide[0]])))
+        raise ValueError(f"samples spread too widely in coordinate {j} for a finite variance: "
+                         f"{x[row, j]:g} in row {row} (counting from 0)")
     if np.any(sds == 0):
         bad = int(np.flatnonzero(sds == 0)[0])
         raise ValueError(f"samples are constant in coordinate {bad}; "

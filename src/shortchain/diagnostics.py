@@ -7,24 +7,19 @@ The bound direction rests on the assumption that the kernel moves each
 functional monotonically toward its value under the target, which the
 companion reliability check probes but cannot guarantee.
 
-An interval's critical values (the t quantile, the two chi-square
-quantiles, the order-statistic ranks) depend only on the sample size N,
-alpha and the quantile level p.  A run builds them once as a
-``CriticalValues`` and passes it to every interval as ``critical=``; a
-standalone call without it builds them with ``CriticalValues.at``.
-
 ``column_intervals`` is the one implementation of the intervals: it
 diagnoses every audited row of a value matrix in one pass, from one
 ``(kind, row, initial, p)`` entry per functional as a run's audit plan
-holds them, and ``lower_bounds`` turns its endpoints into bounds.  The
-per-functional functions check their arguments and make a one-row call
-into it with a single entry.
+holds them, and reads its critical values (which depend only on N, alpha
+and p) from the cached ``stats`` quantiles; ``lower_bounds`` turns its
+endpoints into bounds.  The per-functional functions check their
+arguments and make a one-row call into it with a single entry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,42 +34,6 @@ MONOTONE_ERROR_CAVEAT = (
     "target; if a functional overshoots or oscillates, the reported bound "
     "can be invalid even when the reliability check passes."
 )
-
-
-@dataclass(frozen=True)
-class CriticalValues:
-    """The critical values of every interval at one (n, alpha).
-
-    Attributes:
-        n: Sample size N the values are for.
-        alpha: Miscoverage level the values are for.
-        t: Student t quantile at 1 - alpha/2 with n - 1 degrees of freedom.
-        chi2_lower / chi2_upper: Chi-square quantiles at alpha/2 and
-            1 - alpha/2 with n - 1 degrees of freedom.
-        ranks: p -> the 1-based order-statistic ranks (l, u) of the
-            quantile interval at level p; a p missing here is computed by
-            ``quantile_difference_ci`` itself.
-    """
-    n: int
-    alpha: float
-    t: float
-    chi2_lower: float
-    chi2_upper: float
-    ranks: dict = field(default_factory=dict)
-
-    @classmethod
-    def at(cls, n: int, alpha: float, ranks: Optional[dict] = None) -> "CriticalValues":
-        """Computes the t and chi-square values for N = n and ``alpha``."""
-        alpha = checked_fraction("alpha", alpha)
-        return cls(n, alpha, student_t_quantile(1.0 - alpha / 2.0, n - 1),
-                   chi_square_quantile(alpha / 2.0, n - 1),
-                   chi_square_quantile(1.0 - alpha / 2.0, n - 1), dict(ranks or {}))
-
-    def check(self, n: int, alpha: float):
-        """Raises a ``ValueError`` unless these values are for (n, alpha)."""
-        if self.n != n or self.alpha != alpha:
-            raise ValueError(f"critical values for n={self.n}, alpha={self.alpha} "
-                             f"passed to an interval with n={n}, alpha={alpha}")
 
 
 @dataclass(frozen=True)
@@ -111,77 +70,64 @@ class ReliabilityResult:
 
 
 def mean_difference_ci(final_values: np.ndarray, initial_mean: float,
-                       alpha: float, functional_tag: str = "mean", *,
-                       critical: Optional[CriticalValues] = None) -> ConfidenceInterval:
+                       alpha: float, functional_tag: str = "mean") -> ConfidenceInterval:
     """Student-t interval for mean(final) - initial_mean.
 
     Args:
         final_values: (N,) final-iteration values of the coordinate, N >= 2.
         initial_mean: The approximation-side mean.
         alpha: Miscoverage level in (0, 1).
-        critical: Precomputed values for (N, alpha), whose ``t`` is used;
-            without it all three t and chi-square quantiles are computed
-            here.
 
     A zero-spread sample yields a degenerate point interval, flagged rather
     than raised so callers can surface it.
 
     Raises:
-        ValueError: for N < 2, alpha outside (0, 1), or a ``critical`` for
-            another N or alpha.
+        ValueError: for N < 2 or alpha outside (0, 1).
     """
     x = _as_vector(final_values)
     alpha = checked_fraction("alpha", alpha)
-    return _one_row(x, "mean", initial_mean, alpha, functional_tag, critical)
+    return _one_row(x, "mean", initial_mean, alpha, functional_tag)
 
 
 def log_variance_ratio_ci(final_values: np.ndarray, initial_sd: float,
-                          alpha: float, functional_tag: str = "log_variance", *,
-                          critical: Optional[CriticalValues] = None) -> ConfidenceInterval:
+                          alpha: float, functional_tag: str = "log_variance"
+                          ) -> ConfidenceInterval:
     """Chi-square interval for log(var(final) / initial_sd^2), natural log.
 
     Args:
         final_values: (N,) final-iteration values, N >= 2.
         initial_sd: The approximation-side standard deviation, positive.
         alpha: Miscoverage level in (0, 1).
-        critical: Precomputed values for (N, alpha), whose chi-square
-            quantiles are used; without it all three t and chi-square
-            quantiles are computed here.
 
     A zero-spread sample yields the degenerate interval (-inf, -inf).
 
     Raises:
-        ValueError: for N < 2, alpha outside (0, 1), an ``initial_sd``
-            that is not a positive finite number, or a ``critical`` for
-            another N or alpha.
+        ValueError: for N < 2, alpha outside (0, 1), or an ``initial_sd``
+            that is not a positive finite number.
     """
     x = _as_vector(final_values)
     alpha = checked_fraction("alpha", alpha)
     initial_sd = checked_positive("initial_sd", initial_sd)
-    return _one_row(x, "log_variance", initial_sd, alpha, functional_tag, critical)
+    return _one_row(x, "log_variance", initial_sd, alpha, functional_tag)
 
 
 def quantile_difference_ci(final_values: np.ndarray, p: float, initial_quantile: float,
-                           alpha: float, functional_tag: str = "quantile", *,
-                           critical: Optional[CriticalValues] = None) -> ConfidenceInterval:
+                           alpha: float, functional_tag: str = "quantile"
+                           ) -> ConfidenceInterval:
     """Order-statistic interval for Q_p(final) - initial_quantile.
 
     Uses the 1-based order statistics X_(l) and X_(u) with
-    l = BinomialQuantile(alpha/2; N, p) and u = BinomialQuantile(1 - alpha/2; N, p) + 1,
-    taken from ``critical.ranks[p]`` when present and computed here otherwise.
-    A call without ``critical`` also computes the t and chi-square
-    quantiles, which this interval does not use.
+    l = BinomialQuantile(alpha/2; N, p) and u = BinomialQuantile(1 - alpha/2; N, p) + 1.
 
     Raises:
         ValueError: when N is too small for the requested (p, alpha), i.e.
             l < 1 or u > N; widening by clamping would silently change the
-            level, so this is an error instead.  Also for a ``critical``
-            for another N or alpha.
+            level, so this is an error instead.
     """
     x = _as_vector(final_values)
     alpha = checked_fraction("alpha", alpha)
     p = checked_fraction("p", p)
-    return _one_row(x, "quantile", initial_quantile, alpha, functional_tag, critical, p)
+    return _one_row(x, "quantile", initial_quantile, alpha, functional_tag, p)
 
 
 def error_lower_bound(interval: ConfidenceInterval) -> LowerBoundResult:
@@ -198,7 +144,7 @@ def error_lower_bound(interval: ConfidenceInterval) -> LowerBoundResult:
 
 
 @np.errstate(invalid="ignore", over="ignore")  # a non-finite value: NaN endpoints, no warning
-def column_intervals(values: np.ndarray, columns: Sequence[tuple], critical: CriticalValues
+def column_intervals(values: np.ndarray, columns: Sequence[tuple], alpha: float
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every functional's interval from one pass over an (R, N) value matrix.
 
@@ -208,8 +154,8 @@ def column_intervals(values: np.ndarray, columns: Sequence[tuple], critical: Cri
     ``row`` and compares with ``initial``, its initial-side value: kind
     "mean" gets the t interval (``initial`` is a mean), "log_variance" the
     chi-square interval (a standard deviation) and "quantile" the
-    order-statistic interval (a quantile at level ``p``, whose ranks are
-    read from ``critical.ranks``); ``p`` is ignored for the other kinds.
+    order-statistic interval (a quantile at level ``p``); ``p`` is ignored
+    for the other kinds.  Every interval has level 1 - ``alpha``.
 
     The row means and ``ddof=1`` variances are computed once, and the rows
     the quantiles read are sorted together.  Each row reduces on its own,
@@ -220,9 +166,13 @@ def column_intervals(values: np.ndarray, columns: Sequence[tuple], critical: Cri
 
     Returns:
         ``(lower, upper, degenerate)``, one entry per functional.
+
+    Raises:
+        ValueError: for ``alpha`` outside (0, 1), or a quantile level whose
+            order statistics N is too few for.
     """
     n = values.shape[1]
-    critical.check(n, critical.alpha)
+    alpha = checked_fraction("alpha", alpha)
     kinds, rows, initial, levels = zip(*columns)
     rows, initial = np.array(rows, dtype=np.intp), np.array(initial, dtype=float)
     groups = {"mean": [], "log_variance": [], "quantile": []}
@@ -239,7 +189,8 @@ def column_intervals(values: np.ndarray, columns: Sequence[tuple], critical: Cri
         at = mean_at
         variance = variances[rows[at]]
         center = values.mean(axis=1)[rows[at]] - initial[at]
-        half = np.sqrt(variance) / math.sqrt(n) * critical.t
+        t = student_t_quantile(1.0 - alpha / 2.0, n - 1)
+        half = np.sqrt(variance) / math.sqrt(n) * t
         degenerate[at] = flat = variance == 0.0
         lower[at] = np.where(flat, center, center - half)
         upper[at] = np.where(flat, center, center + half)
@@ -250,14 +201,16 @@ def column_intervals(values: np.ndarray, columns: Sequence[tuple], critical: Cri
         variance = variances[rows[at]]
         scaled = (n - 1) * variance / (initial[at] * initial[at])
         degenerate[at] = flat = variance == 0.0
+        chi2_lower = chi_square_quantile(alpha / 2.0, n - 1)
+        chi2_upper = chi_square_quantile(1.0 - alpha / 2.0, n - 1)
         lower[at] = upper[at] = -math.inf
         for j, v in zip(at[~flat].tolist(), scaled[~flat].tolist()):
-            lower[j] = math.log(v / critical.chi2_upper)
-            upper[j] = math.log(v / critical.chi2_lower)
+            lower[j] = math.log(v / chi2_upper)
+            upper[j] = math.log(v / chi2_lower)
     if quantile_at.size:
         # the order statistics X_(l) and X_(u), shifted by the initial quantile
         at = quantile_at
-        ranks = np.array([critical.ranks[levels[j]] for j in at.tolist()], dtype=np.intp)
+        ranks = np.array([_ranks(n, alpha, levels[j]) for j in at.tolist()], dtype=np.intp)
         ordered = np.sort(values[rows[at]], axis=1)
         lower[at], upper[at] = ordered[np.arange(at.size), ranks.T - 1] - initial[at]
     return lower, upper, degenerate
@@ -350,15 +303,14 @@ def reliability_check(initial_samples: np.ndarray, final_samples: np.ndarray,
 
 
 def scalar_functional_diagnostics(initial_values: np.ndarray, final_values: np.ndarray,
-                                  alpha: float, name: str = "scalar", *,
-                                  critical: Optional[CriticalValues] = None
+                                  alpha: float, name: str = "scalar"
                                   ) -> tuple[LowerBoundResult, LowerBoundResult]:
     """Mean and median error bounds for a scalar functional of the state.
 
     The initial-side mean and median are estimated from ``initial_values``
     (draws from the approximation; the median is ``stats.sample_quantile``
     at 0.5), so both intervals inherit a little extra noise from that
-    estimate.  ``critical`` is passed on to both intervals.
+    estimate.
 
     Returns:
         ``(mean_result, median_result)``.
@@ -366,10 +318,9 @@ def scalar_functional_diagnostics(initial_values: np.ndarray, final_values: np.n
     v0 = _as_vector(initial_values)
     vt = _as_vector(final_values)
     mean_tag, median_tag = scalar_tags(name)
-    mean_ci = mean_difference_ci(vt, float(v0.mean()), alpha,
-                                 functional_tag=mean_tag, critical=critical)
+    mean_ci = mean_difference_ci(vt, float(v0.mean()), alpha, functional_tag=mean_tag)
     median_ci = quantile_difference_ci(vt, 0.5, sample_quantile(v0, 0.5), alpha,
-                                       functional_tag=median_tag, critical=critical)
+                                       functional_tag=median_tag)
     return error_lower_bound(mean_ci), error_lower_bound(median_ci)
 
 
@@ -379,27 +330,24 @@ def scalar_tags(name: str) -> tuple[str, str]:
 
 
 def _one_row(x: np.ndarray, kind: str, initial: float, alpha: float, functional_tag: str,
-             critical: Optional[CriticalValues], p: Optional[float] = None
-             ) -> ConfidenceInterval:
+             p: Optional[float] = None) -> ConfidenceInterval:
     # the one-row column_intervals call behind each per-functional function
-    n = x.size
-    if critical is None:
-        critical = CriticalValues.at(n, alpha)
-    critical.check(n, alpha)
-    if kind == "quantile":
-        if p not in critical.ranks:
-            critical = replace(critical, ranks={p: (
-                binomial_quantile(alpha / 2.0, n, p),
-                binomial_quantile(1.0 - alpha / 2.0, n, p) + 1)})
-        l, u = critical.ranks[p]
-        if l < 1 or u > n:
-            raise ValueError(
-                f"{n} chains are too few for a level {1 - alpha:.3g} interval on the "
-                f"p={p} quantile (order statistics {l} and {u} requested); "
-                "increase the number of chains or relax alpha")
-    lower, upper, degenerate = column_intervals(x[None, :], [(kind, 0, initial, p)], critical)
+    lower, upper, degenerate = column_intervals(x[None, :], [(kind, 0, initial, p)], alpha)
     return ConfidenceInterval(float(lower[0]), float(upper[0]), 1.0 - alpha, functional_tag,
                               degenerate=bool(degenerate[0]))
+
+
+def _ranks(n: int, alpha: float, p: float) -> tuple[int, int]:
+    # the 1-based order statistics (l, u) of the level 1 - alpha interval on
+    # the p quantile of n values, refused when one falls outside 1..n
+    l = binomial_quantile(alpha / 2.0, n, p)
+    u = binomial_quantile(1.0 - alpha / 2.0, n, p) + 1
+    if l < 1 or u > n:
+        raise ValueError(
+            f"{n} chains are too few for a level {1 - alpha:.3g} interval on the "
+            f"p={p} quantile (order statistics {l} and {u} requested); "
+            "increase the number of chains or relax alpha")
+    return l, u
 
 
 def _as_vector(values) -> np.ndarray:

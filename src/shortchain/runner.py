@@ -26,10 +26,10 @@ from .adaptation import (_LEAPFROG_STEPS, _MAX_CHAINS, _MAX_ITERATIONS, Adaptati
                          SizingPolicy, chain_count, check_kind, checked_integer,
                          checked_positive, initial_step_size, iteration_count)
 from .approximations import Approximation
-from .diagnostics import (MONOTONE_ERROR_CAVEAT, CentredRows, CriticalValues,
-                          LowerBoundResult, ReliabilityResult, column_intervals,
-                          error_lower_bound, log_variance_ratio_ci, lower_bounds,
-                          mean_difference_ci, quantile_difference_ci, reliability_check,
+from .diagnostics import (MONOTONE_ERROR_CAVEAT, CentredRows, LowerBoundResult,
+                          ReliabilityResult, column_intervals, error_lower_bound,
+                          log_variance_ratio_ci, lower_bounds, mean_difference_ci,
+                          quantile_difference_ci, reliability_check,
                           scalar_functional_diagnostics, scalar_tags)
 from .kernels import Preconditioner, step_batch
 from .rng import RandomStream
@@ -307,9 +307,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
 
     specs = _resolve_specs(config, d)
     scalar_fns = _resolve_scalar_functions(specs, config)
-    # every interval of the run shares N and alpha, so its critical values
-    # are computed here once rather than at each checkpoint
-    critical = CriticalValues.at(n_chains, alpha, _quantile_ranks(specs, n_chains, alpha))
+    _check_quantile_ranks(specs, n_chains, alpha)
 
     pre = Preconditioner(approximation.covariance)
     # chain j owns stream index j + 1 (see RandomStream)
@@ -361,7 +359,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     def record(iteration, states, logpi_states):
         reliability = reliability_check(x0, states, initial=initial_rows)
         lower, upper, _ = column_intervals(_value_rows(states, logpi_states, scalars),
-                                           columns, critical)
+                                           columns, alpha)
         bounds, _ = lower_bounds(lower, upper)
         trace_rows.append(TraceRow(iteration, reliability.rho2_max,
                                    dict(zip(tags, bounds.tolist()))))
@@ -391,8 +389,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     iter_grads = target.gradient_evaluations - grad_base - init_grads
 
     reliability = reliability_check(x0, x, initial=initial_rows)
-    functionals = _functional_results(plan, _value_rows(x, logpi, scalars), critical,
-                                      scalars)
+    functionals = _functional_results(plan, _value_rows(x, logpi, scalars), alpha, scalars)
     if n_iters in checkpoints:
         trace_rows.append(TraceRow(n_iters, reliability.rho2_max,
                                    {r.tag: r.result.bound for r in functionals}))
@@ -486,13 +483,12 @@ def _resolve_scalar_functions(specs, config: RunConfig) -> dict:
     return fns
 
 
-def _quantile_ranks(specs, n_chains: int, alpha: float) -> dict:
-    """p -> order-statistic ranks (l, u) for every quantile level the run
-    audits; raises when N is too few for one of them."""
+def _check_quantile_ranks(specs, n_chains: int, alpha: float):
+    """Raises, naming the functional, when N is too few for the ranks of a
+    quantile level the run audits; the intervals then read them cached."""
     levels = [(spec.p, spec.tag) for spec in specs if spec.kind == "quantile"]
     if any(spec.kind == "scalar" for spec in specs):
         levels.append((0.5, "scalar median"))
-    ranks = {}
     for p, tag in levels:
         lo = binomial_quantile(alpha / 2.0, n_chains, p)
         hi = binomial_quantile(1.0 - alpha / 2.0, n_chains, p) + 1
@@ -500,8 +496,6 @@ def _quantile_ranks(specs, n_chains: int, alpha: float) -> dict:
             raise ValueError(
                 f"{n_chains} chains are too few for a level {1 - alpha:.3g} interval "
                 f"on {tag}; increase chains or relax alpha")
-        ranks[p] = (lo, hi)
-    return ranks
 
 
 def _checkpoint_iterations(trace_every: int, n_iters: int) -> set:
@@ -560,27 +554,25 @@ def _value_rows(states, logpi_states, scalars: dict) -> np.ndarray:
     return values
 
 
-def _functional_results(plan, values: np.ndarray, critical: CriticalValues,
+def _functional_results(plan, values: np.ndarray, alpha: float,
                         scalars: dict) -> list[FunctionalResult]:
     """Each planned result from the final ``_value_rows``, with the bits
     ``column_intervals`` gives.  The interval functions are looked up in this
     module at each call, so a wrapper set on it sees every call."""
-    alpha = critical.alpha
     results = []
     for a in plan:
         row = values[a.row]
         if a.spec.kind == "scalar":
             if a.interval == "mean":  # the median's entry follows
                 pair = scalar_functional_diagnostics(scalars[a.spec.name][1], row, alpha,
-                                                     name=a.spec.name, critical=critical)
+                                                     name=a.spec.name)
             res = pair[0] if a.interval == "mean" else pair[1]
         elif a.interval == "quantile":
             res = error_lower_bound(quantile_difference_ci(
-                row, a.p, a.initial, alpha, functional_tag=a.tag, critical=critical))
+                row, a.p, a.initial, alpha, functional_tag=a.tag))
         else:
             interval = mean_difference_ci if a.interval == "mean" else log_variance_ratio_ci
-            res = error_lower_bound(interval(row, a.initial, alpha, functional_tag=a.tag,
-                                             critical=critical))
+            res = error_lower_bound(interval(row, a.initial, alpha, functional_tag=a.tag))
         normalized = {key: res.bound / divisor for key, divisor in a.normalizers}
         results.append(FunctionalResult(a.spec, res, a.initial_side, a.initial_value,
                                         normalized))

@@ -7,17 +7,20 @@ Student's t inverts with ``stdtrit`` and the chi-square with
 The discrete binomial quantile is pinned to the exact "smallest k with
 CDF(k) >= q" convention that the order-statistic intervals require; it
 bisects over k on the CDF ``betaincc(k + 1, n - k, p)``, the regularized
-incomplete beta form of the binomial CDF.
+incomplete beta form of the binomial CDF.  All three quantiles are cached:
+an interval's critical values depend only on N, alpha and p.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 from scipy import special
 
 
+@functools.lru_cache(maxsize=256)
 def student_t_quantile(p: float, df: int) -> float:
     """Quantile of Student's t distribution with ``df`` degrees of freedom.
 
@@ -35,6 +38,7 @@ def student_t_quantile(p: float, df: int) -> float:
     return float(special.stdtrit(df, p))
 
 
+@functools.lru_cache(maxsize=256)
 def chi_square_quantile(p: float, df: int) -> float:
     """Quantile of the chi-square distribution with ``df`` degrees of freedom."""
     if not 0.0 < p < 1.0:
@@ -44,6 +48,7 @@ def chi_square_quantile(p: float, df: int) -> float:
     return float(2 * special.gammaincinv(df / 2, p))
 
 
+@functools.lru_cache(maxsize=256)
 def binomial_quantile(q: float, n: int, p: float) -> int:
     """Smallest integer k in [0, n] with Binomial(n, p) CDF(k) >= q.
 

@@ -143,7 +143,13 @@ def correlated_gaussian_target(dimension: int,
 
     def log_density(x):
         z = x - mu
-        q = np.sum((z @ precision) * z, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = np.sum((z @ precision) * z, axis=1)
+            far = np.flatnonzero(~np.isfinite(q))
+            if far.size:  # past about 1e154; positive at unit scale, so q = inf, never NaN
+                scale = np.abs(z[far]).max(axis=1)
+                unit = z[far] / scale[:, None]
+                q[far] = scale * scale * np.sum((unit @ precision) * unit, axis=1)
         return log_norm - 0.5 * q
 
     def grad_log_density(x):

@@ -123,6 +123,18 @@ class TestEmpirical:
         with pytest.raises(ValueError):
             empirical_approximation(np.ones((1, 3)))
 
+    @pytest.mark.parametrize("value", [1e200, 1e160, -1e160])
+    def test_overflowing_spread_names_the_coordinate_and_row(self, value):
+        # finite, but its square overflows: refused before any statistic warns
+        x = RandomStream(4, 0).standard_normal((30, 2))
+        x[5, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"samples spread too widely in coordinate 1 for a finite variance: "
+                    f"{value:g} in row 5 (counting from 0)")):
+                empirical_approximation(x)
+
     def test_large_sample_covariance(self):
         stream = RandomStream(2, 0)
         x = stream.standard_normal((50_000, 3))

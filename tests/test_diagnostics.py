@@ -24,8 +24,8 @@ from shortchain import (
     scalar_functional_diagnostics,
 )
 
-from shortchain.diagnostics import (CentredRows, CriticalValues, column_intervals,
-                                    lower_bounds)
+from shortchain import stats
+from shortchain.diagnostics import CentredRows, column_intervals, lower_bounds
 from shortchain.stats import binomial_quantile
 
 from oracles import (
@@ -364,55 +364,52 @@ class TestReliabilityCheck:
 
 
 class TestCriticalValues:
+    QUANTILES = (stats.student_t_quantile, stats.chi_square_quantile, stats.binomial_quantile)
+
     def sample(self):
         return 1.0 + 2.0 * RandomStream(21, 0).standard_normal(40)
 
+    def intervals(self, x):
+        return (mean_difference_ci(x, 0.3, 0.05), log_variance_ratio_ci(x, 1.5, 0.05),
+                quantile_difference_ci(x, 0.5, 0.2, 0.05),
+                scalar_functional_diagnostics(x[::-1], x, 0.05))
+
     def test_precomputed_values_give_the_same_intervals(self):
+        # a cold cache and a warm one give the same intervals, bit for bit
         x = self.sample()
-        critical = CriticalValues.at(40, 0.05)
-        assert mean_difference_ci(x, 0.3, 0.05, critical=critical) == \
-            mean_difference_ci(x, 0.3, 0.05)
-        assert log_variance_ratio_ci(x, 1.5, 0.05, critical=critical) == \
-            log_variance_ratio_ci(x, 1.5, 0.05)
-        assert quantile_difference_ci(x, 0.5, 0.2, 0.05, critical=critical) == \
-            quantile_difference_ci(x, 0.5, 0.2, 0.05)
-        assert scalar_functional_diagnostics(x[::-1], x, 0.05, critical=critical) == \
-            scalar_functional_diagnostics(x[::-1], x, 0.05)
+        for quantile in self.QUANTILES:
+            quantile.cache_clear()
+        cold = self.intervals(x)
+        misses = [quantile.cache_info().misses for quantile in self.QUANTILES]
+        assert cold == self.intervals(x)
+        assert [quantile.cache_info().misses for quantile in self.QUANTILES] == misses
 
     def test_values_match_oracles(self):
-        critical = CriticalValues.at(40, 0.05)
-        assert critical.t == pytest.approx(t_quantile(0.975, 39), rel=1e-9)
-        assert critical.chi2_lower == pytest.approx(chi2_quantile(0.025, 39), rel=1e-9)
-        assert critical.chi2_upper == pytest.approx(chi2_quantile(0.975, 39), rel=1e-9)
+        x = self.sample()
+        s, n = x.std(ddof=1), x.size
+        ci = mean_difference_ci(x, 0.3, 0.05)
+        assert ci.upper - ci.lower == pytest.approx(
+            2 * s / math.sqrt(n) * t_quantile(0.975, n - 1), rel=1e-9)
+        ci = log_variance_ratio_ci(x, 1.5, 0.05)
+        scaled = (n - 1) * s * s / 1.5 ** 2
+        assert ci.lower == pytest.approx(math.log(scaled / chi2_quantile(0.975, n - 1)),
+                                         rel=1e-9)
+        assert ci.upper == pytest.approx(math.log(scaled / chi2_quantile(0.025, n - 1)),
+                                         rel=1e-9)
 
     def test_quantile_ranks_are_read_from_critical(self):
+        # the order statistics at binomial_quantile's ranks, shifted by the initial side
         x = self.sample()
-        critical = CriticalValues.at(40, 0.05, ranks={0.5: (1, 40)})
-        ci = quantile_difference_ci(x, 0.5, 0.0, 0.05, critical=critical)
-        assert (ci.lower, ci.upper) == (x.min(), x.max())
-
-    @pytest.mark.parametrize("n, alpha", [(39, 0.05), (41, 0.05), (40, 0.1)])
-    @pytest.mark.parametrize("interval", [
-        lambda x, c: mean_difference_ci(x, 0.0, 0.05, critical=c),
-        lambda x, c: log_variance_ratio_ci(x, 1.0, 0.05, critical=c),
-        lambda x, c: quantile_difference_ci(x, 0.5, 0.0, 0.05, critical=c),
-        lambda x, c: scalar_functional_diagnostics(x, x, 0.05, critical=c),
-    ], ids=["mean", "log_variance", "quantile", "scalar"])
-    def test_mismatched_critical_is_refused(self, interval, n, alpha):
-        critical = CriticalValues.at(n, alpha)
-        with pytest.raises(ValueError, match=rf"critical values for n={n}, alpha={alpha} "
-                                             r"passed to an interval with n=40, alpha=0.05"):
-            interval(self.sample(), critical)
-
-    def test_mismatch_is_refused_for_a_constant_sample_too(self):
-        with pytest.raises(ValueError, match="critical values for n=39"):
-            mean_difference_ci(np.full(40, 2.0), 0.0, 0.05,
-                               critical=CriticalValues.at(39, 0.05))
+        lo, hi = binomial_quantile(0.025, 40, 0.5), binomial_quantile(0.975, 40, 0.5) + 1
+        ci = quantile_difference_ci(x, 0.5, 0.2, 0.05)
+        assert (ci.lower, ci.upper) == (np.sort(x)[lo - 1] - 0.2, np.sort(x)[hi - 1] - 0.2)
 
 
 class TestUnitIntervalSettings:
     @pytest.mark.parametrize("call, name", [
-        (lambda v: CriticalValues.at(40, v), "alpha"),
+        # column_intervals computes the critical values, so it checks alpha
+        (lambda v: column_intervals(np.arange(40.0)[None, :], [("mean", 0, 0.0, None)], v),
+         "alpha"),
         (lambda v: mean_difference_ci(np.arange(40.0), 0.0, v), "alpha"),
         (lambda v: log_variance_ratio_ci(np.arange(40.0), 1.0, v), "alpha"),
         (lambda v: quantile_difference_ci(np.arange(40.0), 0.5, 0.0, v), "alpha"),
@@ -527,13 +524,9 @@ class TestColumnIntervals:
             ensemble[:, 1] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
         elif special != "none":
             ensemble[rng.integers(n, size=max(1, n // 4)), 1] = float(special)
-        ranks = {}
-        for p in self.LEVELS:
-            lo = binomial_quantile(alpha / 2.0, n, p)
-            hi = binomial_quantile(1.0 - alpha / 2.0, n, p) + 1
-            if lo >= 1 and hi <= n:
-                ranks[p] = (lo, hi)
-        critical = CriticalValues.at(n, alpha, ranks)
+        levels = [p for p in self.LEVELS
+                  if binomial_quantile(alpha / 2.0, n, p) >= 1
+                  and binomial_quantile(1.0 - alpha / 2.0, n, p) + 1 <= n]
         # every row gets a mean, a log-variance and each feasible quantile
         # interval; row 1's initial values include 0.0, so a zero-spread
         # row meets -0.0 - 0.0
@@ -542,22 +535,18 @@ class TestColumnIntervals:
             mu0 = 0.0 if row == 1 else float(rng.uniform(-5, 5))
             entries.append(("mean", row, mu0, None))
             entries.append(("log_variance", row, float(10.0 ** rng.uniform(-2, 2)), None))
-            for p in ranks:
+            for p in levels:
                 entries.append(("quantile", row, 0.0 if row == 1 else float(rng.normal()), p))
-        lower, upper, degenerate = column_intervals(ensemble.T.copy(), entries, critical)
+        lower, upper, degenerate = column_intervals(ensemble.T.copy(), entries, alpha)
         bound, detected = lower_bounds(lower, upper)
-        # each function's first call computes its own critical values
-        called = set()
         for j, (kind, row, init, p) in enumerate(entries):
             x = ensemble[:, row]
-            passed = critical if kind in called else None
-            called.add(kind)
             if kind == "mean":
-                ci = mean_difference_ci(x, init, alpha, critical=passed)
+                ci = mean_difference_ci(x, init, alpha)
             elif kind == "log_variance":
-                ci = log_variance_ratio_ci(x, init, alpha, critical=passed)
+                ci = log_variance_ratio_ci(x, init, alpha)
             else:
-                ci = quantile_difference_ci(x, p, init, alpha, critical=passed)
+                ci = quantile_difference_ci(x, p, init, alpha)
             res = error_lower_bound(ci)
             assert (_bits(lower[j]), _bits(upper[j])) == (_bits(ci.lower), _bits(ci.upper))
             assert bool(degenerate[j]) == ci.degenerate

@@ -4,7 +4,6 @@ import json
 import math
 import re
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from shortchain import (
     synthetic_logistic_regression_target,
 )
 from shortchain import runner, stats
-from shortchain.diagnostics import CriticalValues, column_intervals
+from shortchain.diagnostics import column_intervals
 from shortchain.kernels import step_batch
 from shortchain.runner import FunctionalSpec
 from shortchain.targets import TargetModel
@@ -271,12 +270,7 @@ class TestFinalIntervalsMatchColumnPass:
                     columns.append(("mean", scalar_rows[f.spec.name], f.initial_value, None))
                 else:
                     columns.append(("quantile", scalar_rows[f.spec.name], f.initial_value, 0.5))
-            n, alpha = report.n_chains, report.alpha
-            critical = CriticalValues.at(n, alpha, {
-                p: (stats.binomial_quantile(alpha / 2, n, p),
-                    stats.binomial_quantile(1 - alpha / 2, n, p) + 1)
-                for p in (0.1, 0.5)})
-            lower, upper, _ = column_intervals(rows[-1], columns, critical)
+            lower, upper, _ = column_intervals(rows[-1], columns, report.alpha)
             assert len(report.functionals) == 12
             assert [(_bits(f.result.interval.lower), _bits(f.result.interval.upper))
                     for f in report.functionals] == \
@@ -495,35 +489,30 @@ class TestTraces:
 
 
 class TestCriticalValuesOncePerRun:
-    def test_traced_run_inverts_no_more_distributions_than_untraced(self, monkeypatch):
-        # fixed N and T, so sizing inverts nothing; every t/chi2 inversion
-        # comes from the intervals, which all share one (N, alpha)
-        calls = []
-        real = stats.special
-
-        def counted(name):
-            def inversion(*args):
-                calls.append(name)
-                return getattr(real, name)(*args)
-            return inversion
-
-        monkeypatch.setattr(stats, "special", SimpleNamespace(
-            stdtrit=counted("stdtrit"), gammaincinv=counted("gammaincinv"),
-            betaincc=real.betaincc))
+    def test_traced_run_inverts_no_more_distributions_than_untraced(self):
+        # fixed N and T, so sizing inverts nothing; every interval of a run
+        # shares one (N, alpha), so once the untraced run has filled the
+        # quantile caches its traced twin misses none
+        quantiles = (stats.student_t_quantile, stats.chi_square_quantile,
+                     stats.binomial_quantile)
+        for q in quantiles:
+            q.cache_clear()
         target, approx = small_setup(2)
-        counts, reports = [], []
+        misses, reports = [], []
         for trace_every in (0, 1):
             cfg = RunConfig(kernel="rwmh", seed=9, n_chains=40, n_iterations=10,
                             trace_every=trace_every,
                             functionals=["mean(0)", "variance(1)", "quantile(0,0.5)",
                                          "scalar(target_log_density)"])
+            before = [q.cache_info() for q in quantiles]
             report = run_diagnostic(cfg, target, approx)
-            counts.append(len(calls))
-            calls.clear()
+            misses.append([q.cache_info().misses - b.misses for q, b in zip(quantiles, before)])
+            hits = [q.cache_info().hits - b.hits for q, b in zip(quantiles, before)]
             report.traces = None
             reports.append(report_bytes(report))
-        assert counts[0] == 3  # one t and two chi-square quantiles
-        assert counts[1] <= counts[0]
+        # one t and two chi-square quantiles, and the two ranks at p = 0.5
+        assert misses == [[1, 2, 2], [0, 0, 0]]
+        assert all(hits)  # every quantile was read, from the cache
         assert reports[1] == reports[0]
 
 

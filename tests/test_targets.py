@@ -7,6 +7,7 @@ model's generative form.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,19 @@ class TestCorrelatedGaussian:
     def test_non_positive_variance_is_refused(self, value):
         with pytest.raises(ValueError, match="^variances must be strictly positive"):
             correlated_gaussian_target(3, variances=[1.0, value, 1.0])
+
+    def test_far_point_has_zero_density_without_a_warning(self):
+        # past about 1e154 the quadratic form overflows; q is +inf whatever
+        # the signs of its terms, and every other row keeps its bits
+        target = correlated_gaussian_target(2, correlation=0.3)
+        x = np.array([[1e200, 0.0], [0.0, 0.0], [1e200, 1e199], [1e308, -1e308],
+                      [0.3, -1.2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = target.log_density(x)
+        assert got[[0, 2, 3]].tolist() == [-math.inf] * 3
+        near = target.log_density(x[[1, 4]])
+        assert got[[1, 4]].tobytes() == near.tobytes()
 
     def test_gradient_counter(self):
         target = correlated_gaussian_target(3)

@@ -13,6 +13,7 @@ with a 1/sqrt(t+1) decay, which lets adaptation run through the entire
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 import sys
@@ -166,14 +167,9 @@ def _smallest_chain_count(width, budget: float, name: str) -> int:
     """
     if width(_MAX_CHAINS) > budget:
         raise ValueError(f"no chain count up to {_MAX_CHAINS} meets {name}={budget}")
-    lo, hi = 1, _MAX_CHAINS  # width(hi) <= budget; lo is below every candidate
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if width(mid) <= budget:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # n = _MAX_CHAINS meets the budget, so only the counts below it are searched
+    return bisect.bisect_left(range(_MAX_CHAINS), True, lo=2,
+                              key=lambda n: width(n) <= budget)
 
 
 def mean_error_chain_count(delta_mean: float, alpha: float) -> int:

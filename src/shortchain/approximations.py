@@ -101,6 +101,11 @@ def mean_field_gaussian_approximation(means, sds, name: str = "mean_field") -> A
 
     with np.errstate(over="ignore"):  # an sd past 1e154 squares to inf, refused by name
         covariance = np.diag(sds * sds)
+    lost = np.flatnonzero((sds > 0) & (np.diag(covariance) == 0))
+    if lost.size:  # below about 1e-162 the square underflows to 0
+        j = int(lost[0])
+        raise ValueError(f"sds must square to a positive variance, got {sds[j]:g} "
+                         f"in coordinate {j}")
     return Approximation(d, sampler, means, sds, covariance, quantile_fn=quantile_fn, name=name)
 
 
@@ -156,9 +161,14 @@ def empirical_approximation(samples: np.ndarray, name: str = "empirical") -> App
         j, row = int(wide[0]), int(np.argmax(np.abs(x[:, wide[0]])))
         raise ValueError(f"samples spread too widely in coordinate {j} for a finite variance: "
                          f"{x[row, j]:g} in row {row} (counting from 0)")
-    if np.any(sds == 0):
-        bad = int(np.flatnonzero(sds == 0)[0])
-        raise ValueError(f"samples are constant in coordinate {bad}; "
+    flat = np.flatnonzero(sds * sds == 0)
+    if flat.size:
+        j = int(flat[0])
+        spread = float(np.ptp(x[:, j]))
+        if spread > 0:  # the squared deviations underflow to 0
+            raise ValueError(f"samples spread too narrowly in coordinate {j} for a positive "
+                             f"variance: their range is {spread:g}")
+        raise ValueError(f"samples are constant in coordinate {j}; "
                          "an empirical approximation needs spread in every coordinate")
     if n <= d:
         cov = np.diag(sds * sds)

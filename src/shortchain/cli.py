@@ -130,6 +130,9 @@ def build_approximation(cfg: dict, target: TargetModel) -> Approximation:
     path = Path(cfg["samples_path"])
     if not path.exists():
         raise ConfigError(f"approximation.samples_path does not exist: {path}")
+    # a file with no line outside "#" comments would make NumPy warn, or fail on a .npy
+    if not any(line.split(b"#", 1)[0].strip() for line in path.read_bytes().splitlines()):
+        raise ConfigError(f"approximation.samples_path holds no samples: {path}")
     samples = (np.load(path) if path.suffix == ".npy"
                else np.loadtxt(path, delimiter=",", ndmin=2))
     return empirical_approximation(samples)

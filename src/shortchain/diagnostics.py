@@ -228,34 +228,8 @@ def lower_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.n
     return np.where(detected, np.where(b < a, b, a), 0.0), detected
 
 
-@dataclass(frozen=True)
-class CentredRows:
-    """One (N, d) sample matrix as ``reliability_check`` reads it.
-
-    A run's initial ensemble is fixed, so the run builds its rows once and
-    passes them to every check as ``initial=``.
-
-    Attributes:
-        rows: (d, N) C-contiguous copy with one row per coordinate, each
-            row centred on its mean, so each row's mean and dot products
-            reduce in the same order as on a single column.
-        sum_squares: (d,) each row's dot product with itself.
-    """
-    rows: np.ndarray
-    sum_squares: np.ndarray
-
-    @classmethod
-    def of(cls, samples: np.ndarray) -> "CentredRows":
-        # a copy, never a view: the rows are centred in place
-        rows = samples.T.copy()
-        rows -= rows.mean(axis=1)[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            return cls(rows, np.vecdot(rows, rows))
-
-
 def reliability_check(initial_samples: np.ndarray, final_samples: np.ndarray,
-                      cutoff: float = 0.1, *,
-                      initial: Optional[CentredRows] = None) -> ReliabilityResult:
+                      cutoff: float = 0.1) -> ReliabilityResult:
     """Checks that chains forgot their initialization coordinate by coordinate.
 
     Computes the squared Pearson correlation between initial and final values
@@ -268,15 +242,11 @@ def reliability_check(initial_samples: np.ndarray, final_samples: np.ndarray,
         initial_samples: (N, d) initialization matrix.
         final_samples: (N, d) final-iteration matrix, same shape.
         cutoff: Failure threshold on the squared correlation, in (0, 1).
-        initial: ``CentredRows.of(initial_samples)``, built once by a caller
-            that checks the same initial samples many times; without it
-            the rows are built here.
 
     Raises:
         ValueError: unless both inputs are (N, d) matrices of one shape
-            with N >= 2 (a 1-d vector is refused, not promoted), when the
-            cutoff is outside (0, 1), or when ``initial`` holds rows of
-            another shape.
+            with N >= 2 (a 1-d vector is refused, not promoted), or when the
+            cutoff is outside (0, 1).
     """
     x0 = np.asarray(initial_samples, dtype=float)
     xt = np.asarray(final_samples, dtype=float)
@@ -284,15 +254,10 @@ def reliability_check(initial_samples: np.ndarray, final_samples: np.ndarray,
         raise ValueError(f"need matching (N, d) matrices with N >= 2, "
                          f"got {x0.shape} and {xt.shape}")
     cutoff = checked_fraction("cutoff", cutoff)
-    if initial is None:
-        initial = CentredRows.of(x0)
-    elif initial.rows.shape != x0.T.shape:
-        raise ValueError(f"initial rows of shape {initial.rows.shape} passed with "
-                         f"(N, d) samples of shape {x0.shape}")
-    final = CentredRows.of(xt)
+    (rows0, squares0), (rows_t, squares_t) = _centred(x0), _centred(xt)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        denom = np.sqrt(initial.sum_squares * final.sum_squares)
-        r = np.vecdot(initial.rows, final.rows) / denom
+        denom = np.sqrt(squares0 * squares_t)
+        r = np.vecdot(rows0, rows_t) / denom
     rho2 = np.minimum(r * r, 1.0)
     rho2[(denom == 0.0) | ~np.isfinite(denom)] = np.nan
     degenerate = np.flatnonzero(np.isnan(rho2)).tolist()
@@ -348,6 +313,16 @@ def _ranks(n: int, alpha: float, p: float) -> tuple[int, int]:
             f"p={p} quantile (order statistics {l} and {u} requested); "
             "increase the number of chains or relax alpha")
     return l, u
+
+
+def _centred(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the (d, N) rows of an (N, d) matrix, each centred on its mean, and each
+    # row's dot product with itself; a C-contiguous copy, so each row reduces
+    # in the same order as a single column would
+    rows = samples.T.copy()
+    rows -= rows.mean(axis=1)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rows, np.vecdot(rows, rows)
 
 
 def _as_vector(values) -> np.ndarray:

@@ -26,12 +26,12 @@ from .adaptation import (_LEAPFROG_STEPS, _MAX_CHAINS, _MAX_ITERATIONS, Adaptati
                          SizingPolicy, chain_count, check_kind, checked_integer,
                          checked_positive, initial_step_size, iteration_count)
 from .approximations import Approximation
-from .diagnostics import (MONOTONE_ERROR_CAVEAT, CentredRows, LowerBoundResult,
+from .diagnostics import (MONOTONE_ERROR_CAVEAT, LowerBoundResult,
                           ReliabilityResult, column_intervals, error_lower_bound,
                           log_variance_ratio_ci, lower_bounds, mean_difference_ci,
                           quantile_difference_ci, reliability_check,
                           scalar_functional_diagnostics, scalar_tags)
-from .kernels import Preconditioner, step_batch
+from .kernels import Preconditioner, _quiet, step_batch
 from .rng import RandomStream
 from .stats import binomial_quantile, sample_quantile
 from .targets import TargetModel, checked_output
@@ -316,7 +316,8 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     # initialization phase: i.i.d. draws, each from its chain's own stream
     x0 = np.stack([approximation.sample(streams[j]) for j in range(n_chains)])
     grad_base = target.gradient_evaluations
-    logpi = checked_output("target log_density", target.log_density(x0), (n_chains,))
+    with _quiet():  # a far start may overflow, as a proposal may; the checks below name it
+        logpi = checked_output("target log_density", target.log_density(x0), (n_chains,))
     n_bad = int(np.sum(~np.isfinite(logpi)))
     if n_bad * 2 > n_chains:
         raise RuntimeError(
@@ -326,8 +327,9 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
             "against the target before retrying.")
     grad_cached = None
     if tuning.carries_gradient:
-        grad_cached = checked_output("target grad_log_density",
-                                     target.grad_log_density(x0), (n_chains, d))
+        with _quiet():
+            grad_cached = checked_output("target grad_log_density",
+                                         target.grad_log_density(x0), (n_chains, d))
         bad_grad = np.flatnonzero(np.isfinite(logpi)
                                   & ~np.isfinite(grad_cached).all(axis=1))
         if bad_grad.size:
@@ -344,7 +346,6 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
                for name, fn in scalar_fns.items()}
     # every reported result with its initial side, also computed once
     plan = _audit_plan(specs, approximation, x0, scalars)
-    initial_rows = CentredRows.of(x0)
 
     h0 = initial_step_size(kind, d) * step_size_scale
     adapt = AdaptationState(log_step_size=math.log(h0))
@@ -357,7 +358,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     columns = [(a.interval, a.row, a.initial, a.p) for a in plan]
 
     def record(iteration, states, logpi_states):
-        reliability = reliability_check(x0, states, initial=initial_rows)
+        reliability = reliability_check(x0, states)
         lower, upper, _ = column_intervals(_value_rows(states, logpi_states, scalars),
                                            columns, alpha)
         bounds, _ = lower_bounds(lower, upper)
@@ -388,7 +389,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
 
     iter_grads = target.gradient_evaluations - grad_base - init_grads
 
-    reliability = reliability_check(x0, x, initial=initial_rows)
+    reliability = reliability_check(x0, x)
     functionals = _functional_results(plan, _value_rows(x, logpi, scalars), alpha, scalars)
     if n_iters in checkpoints:
         trace_rows.append(TraceRow(n_iters, reliability.rho2_max,

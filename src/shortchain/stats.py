@@ -13,6 +13,7 @@ an interval's critical values depend only on N, alpha and p.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
@@ -67,16 +68,10 @@ def binomial_quantile(q: float, n: int, p: float) -> int:
         return 0
     if p == 1.0:
         return n
-    # CDF(n) = 1 >= q, so hi always holds an admissible k; CDF(k) for k < n
-    # is the regularized incomplete beta I_{1-p}(n - k, k + 1)
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if special.betaincc(mid + 1, n - mid, p) >= q:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    # CDF(n) = 1 >= q, so only k < n is searched, where CDF(k) is the
+    # regularized incomplete beta I_{1-p}(n - k, k + 1)
+    return bisect.bisect_left(range(n), True,
+                              key=lambda k: special.betaincc(k + 1, n - k, p) >= q)
 
 
 def sample_quantile(samples: np.ndarray, p: float) -> float:

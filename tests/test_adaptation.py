@@ -23,7 +23,7 @@ from shortchain import (
     target_acceptance,
     variance_error_chain_count,
 )
-from shortchain.adaptation import AdaptationState, KERNEL_TUNING, check_kind
+from shortchain.adaptation import _MAX_CHAINS, AdaptationState, KERNEL_TUNING, check_kind
 from shortchain.kernels import Preconditioner, step_batch
 
 from shortchain.stats import chi_square_quantile, student_t_quantile
@@ -224,6 +224,19 @@ class TestChainCount:
                 if a == alpha:
                     policy = SizingPolicy(delta_mean=dm, delta_var=dv, alpha=alpha)
                     assert chain_count(policy) == max(n_mean, n_var)
+
+    def test_budget_met_at_either_end_of_the_search(self):
+        # the first n whose width is within budget, at n = 2 and at the
+        # limit itself; one ulp tighter moves past each end
+        def width(n):
+            return student_t_quantile(0.975, n - 1) / math.sqrt(n)
+
+        at_two, at_limit = width(2), width(_MAX_CHAINS)
+        assert mean_error_chain_count(at_two, 0.05) == 2
+        assert mean_error_chain_count(math.nextafter(at_two, 0.0), 0.05) == 3
+        assert mean_error_chain_count(at_limit, 0.05) == _MAX_CHAINS
+        with pytest.raises(ValueError, match=rf"^no chain count up to {_MAX_CHAINS} meets "):
+            mean_error_chain_count(math.nextafter(at_limit, 0.0), 0.05)
 
     def test_unreachable_budget_raises(self):
         with pytest.raises(ValueError,

@@ -46,14 +46,25 @@ class TestMeanFieldGaussian:
         assert np.allclose(draws.std(axis=0), [0.5, 2.0], atol=0.05)
 
     def test_rejects_non_positive_sd(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sds must be positive and finite"):
             mean_field_gaussian_approximation([0.0], [0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sds must be positive and finite"):
             mean_field_gaussian_approximation([0.0, 1.0], [1.0, -2.0])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             mean_field_gaussian_approximation([0.0, 1.0], [1.0])
+
+    @pytest.mark.parametrize("sd", [1e-163, 1e-170])
+    def test_sd_whose_square_underflows_is_refused_by_name(self, sd):
+        # positive, but its variance rounds to 0, which no preconditioner takes
+        with pytest.raises(ValueError, match=re.escape(
+                f"sds must square to a positive variance, got {sd:g} in coordinate 1")):
+            mean_field_gaussian_approximation([0.0, 0.0], [1.0, sd])
+
+    def test_subnormal_variance_is_kept(self):
+        approx = mean_field_gaussian_approximation([0.0, 0.0], [1.0, 1e-160])
+        assert approx.covariance[1, 1] > 0.0
 
 
 class TestKLOptimalMeanField:
@@ -134,6 +145,17 @@ class TestEmpirical:
                     f"samples spread too widely in coordinate 1 for a finite variance: "
                     f"{value:g} in row 5 (counting from 0)")):
                 empirical_approximation(x)
+
+    def test_underflowing_spread_is_named_not_called_constant(self):
+        # no two entries of column 0 are equal, yet their squared deviations
+        # underflow to 0
+        x = RandomStream(4, 0).standard_normal((50, 2))
+        x[:, 0] *= 1e-170
+        assert np.unique(x[:, 0]).size == 50
+        with pytest.raises(ValueError, match=re.escape(
+                "samples spread too narrowly in coordinate 0 for a positive variance: "
+                f"their range is {np.ptp(x[:, 0]):g}")):
+            empirical_approximation(x)
 
     def test_large_sample_covariance(self):
         stream = RandomStream(2, 0)

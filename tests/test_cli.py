@@ -225,6 +225,23 @@ class TestRunCommand:
                 in capsys.readouterr().err)
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("name, content", [
+        ("draws.csv", ""), ("draws.csv", "\n  \n"), ("draws.csv", "# x0,x1\n  # none\n"),
+        ("draws.npy", "")], ids=["empty-csv", "blank-csv", "comments-csv", "empty-npy"])
+    def test_empty_samples_file_is_named(self, tmp_path, capsys, name, content):
+        # refused by its path before NumPy warns on it or fails to read it
+        path = tmp_path / name
+        path.write_text(content)
+        cfg = write_config(
+            tmp_path, approximation={"kind": "empirical", "samples_path": str(path)})
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_ERROR
+        assert (capsys.readouterr().err
+                == f"error: approximation.samples_path holds no samples: {path}\n")
+        assert not out_dir.exists()
+
     def test_non_finite_csv_row_is_named(self, tmp_path, capsys):
         samples = np.random.default_rng(2).normal(size=(40, 2))
         samples[3, 0] = np.nan

@@ -25,7 +25,7 @@ from shortchain import (
 )
 
 from shortchain import stats
-from shortchain.diagnostics import CentredRows, column_intervals, lower_bounds
+from shortchain.diagnostics import column_intervals, lower_bounds
 from shortchain.stats import binomial_quantile
 
 from oracles import (
@@ -324,26 +324,6 @@ class TestReliabilityCheck:
             res = reliability_check(x0, xt)
         assert np.array_equal(res.rho2_per_coordinate, expected, equal_nan=True)
         assert res.degenerate_coordinates == [i for i in range(4) if math.isnan(expected[i])]
-
-    def test_precomputed_initial_rows_give_the_same_bits(self):
-        stream = RandomStream(12, 0)
-        x0 = stream.standard_normal((50, 5))
-        xt = 0.4 * x0 + stream.standard_normal((50, 5))
-        xt[:, 3] = 2.0
-        initial = CentredRows.of(x0)
-        for cutoff in (0.05, 0.5):
-            plain = reliability_check(x0, xt, cutoff=cutoff)
-            shared = reliability_check(x0, xt, cutoff=cutoff, initial=initial)
-            assert np.array_equal(shared.rho2_per_coordinate, plain.rho2_per_coordinate,
-                                  equal_nan=True)
-            assert (shared.rho2_max, shared.passed, shared.degenerate_coordinates) == \
-                (plain.rho2_max, plain.passed, plain.degenerate_coordinates)
-
-    def test_initial_rows_of_another_shape_rejected(self):
-        stream = RandomStream(13, 0)
-        x0 = stream.standard_normal((20, 3))
-        with pytest.raises(ValueError, match=r"initial rows of shape \(2, 20\)"):
-            reliability_check(x0, x0 + 1.0, initial=CentredRows.of(x0[:, :2]))
 
     def test_inputs_are_not_modified(self):
         stream = RandomStream(11, 0)

@@ -1,9 +1,7 @@
 """Per-kind kernel tuning, cross-chain step-size adaptation and sizing rules.
 
 ``KERNEL_TUNING`` is the one table of kernel kinds; ``check_kind`` the one check.
-``checked_integer``, ``checked_real``, ``checked_positive`` and ``checked_fraction`` are
-the one check of an integer, real, positive or (0, 1) setting, which the object that
-owns the setting calls.
+Every number is checked with the ``stats`` helpers.
 
 The ensemble shares one log step size psi.  After every iteration the mean
 acceptance rate across chains pulls psi toward the kernel's optimal rate
@@ -15,12 +13,12 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .stats import chi_square_quantile, student_t_quantile
+from .stats import (checked_fraction, checked_integer, checked_positive,
+                    chi_square_quantile, student_t_quantile)
 
 
 class KernelTuning(NamedTuple):
@@ -48,57 +46,6 @@ _MAX_ITERATIONS = 1_000_000
 _ITERATION_COEFFICIENT = 50.0  # c in the iteration budget
 _LEAPFROG_STEPS = 10  # L, the leapfrog steps of one Hamiltonian proposal
 _MAX_DIMENSION = sys.float_info.max  # the largest dimension that becomes a float
-
-
-def checked_integer(name: str, value, minimum: int, maximum: Optional[int] = None) -> int:
-    """Returns ``value`` as a plain int; the one check of an integer setting.
-
-    Raises a ``ValueError`` naming ``name`` for a bool, a value that is not
-    an integer (a string, a float, None, ...) or one outside
-    [minimum, maximum].
-    """
-    # int first: the ABC check costs a microsecond, and most values are ints
-    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ValueError(f"{name} must be at most {maximum}, got {value}")
-    return value
-
-
-def checked_real(name: str, value) -> float:
-    """Returns ``value`` as a plain float; the one check of a real setting.
-
-    Raises a ``ValueError`` naming ``name`` for a bool, a value that is not
-    a real number, or a non-finite one.  Ranges stay with each caller.
-    """
-    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
-
-
-def checked_positive(name: str, value) -> float:
-    """``checked_real`` for a budget, scale or coefficient that must be positive."""
-    value = checked_real(name, value)
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
-
-
-def checked_fraction(name: str, value) -> float:
-    """``checked_real`` for a level or cutoff that must lie in (0, 1)."""
-    value = checked_real(name, value)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {value}")
-    return value
 
 
 def check_kind(kind: str) -> KernelTuning:

@@ -13,9 +13,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .adaptation import checked_integer, checked_real
 from .rng import RandomStream
-from .stats import sample_quantile
+from .stats import checked_integer, checked_real, checked_reals, sample_quantile
 
 
 class Approximation:
@@ -40,9 +39,8 @@ class Approximation:
                  quantile_fn: Optional[Callable[[int, float], float]] = None,
                  name: str = "approximation"):
         d = checked_integer("dimension", dimension, 1)
-        means = np.asarray(means, dtype=float)
-        sds = np.asarray(sds, dtype=float)
-        covariance = np.asarray(covariance, dtype=float)
+        means, sds = checked_reals("means", means), checked_reals("sds", sds)
+        covariance = checked_reals("covariance", covariance)
         if means.shape != (d,) or sds.shape != (d,):
             raise ValueError(f"means and sds must have shape ({d},)")
         if covariance.shape != (d, d):
@@ -86,8 +84,8 @@ class Approximation:
 
 def mean_field_gaussian_approximation(means, sds, name: str = "mean_field") -> Approximation:
     """Independent Gaussian approximation with the given means and sds."""
-    means = np.atleast_1d(np.asarray(means, dtype=float))
-    sds = np.atleast_1d(np.asarray(sds, dtype=float))
+    means = np.atleast_1d(checked_reals("means", means))
+    sds = np.atleast_1d(checked_reals("sds", sds))
     if means.shape != sds.shape or means.ndim != 1 or means.size == 0:
         raise ValueError(f"means and sds must be equal-length non-empty vectors, "
                          f"got shapes {means.shape} and {sds.shape}")
@@ -144,7 +142,7 @@ def empirical_approximation(samples: np.ndarray, name: str = "empirical") -> App
     Args:
         samples: (N, d) matrix with N >= 2 and no constant column.
     """
-    x = np.asarray(samples, dtype=float)
+    x = checked_reals("samples", samples)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 or x.shape[0] < 2:
@@ -219,8 +217,8 @@ def approximation_from_sampler(sampler: Callable[[RandomStream], np.ndarray],
 
 def _checked_draws(draws, shape: tuple, name: str) -> np.ndarray:
     """``draws`` as floats; a ``ValueError`` naming approximation ``name`` for
-    points of another shape than ``shape[-1:]`` or with a non-finite value."""
-    x = np.asarray(draws, dtype=float)
+    points that are not real, of another shape than ``shape[-1:]`` or not finite."""
+    x = checked_reals(f"the draws of approximation {name!r}", draws)
     if x.shape != shape:
         raise ValueError(f"sampler returned shape {x.shape[len(shape) - 1:]}, "
                          f"expected {shape[-1:]}")

@@ -127,7 +127,10 @@ def build_approximation(cfg: dict, target: TargetModel) -> Approximation:
                                                  _vector("sds", cfg.get("sds", 1.0), d))
     if kind == "kl_optimal_mean_field":
         return kl_optimal_mean_field(target)
-    path = Path(cfg["samples_path"])
+    path = cfg["samples_path"]
+    if not isinstance(path, str):
+        raise ConfigError(f"approximation.samples_path must be a string, got {path!r}")
+    path = Path(path)
     if not path.exists():
         raise ConfigError(f"approximation.samples_path does not exist: {path}")
     # a file with no line outside "#" comments would make NumPy warn, or fail on a .npy
@@ -221,6 +224,9 @@ def write_outputs(report: DiagnosticReport, out_dir, traces: bool) -> dict:
 
 
 def cmd_run(args, force_trace=False) -> int:
+    existing = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
+    if not existing.is_dir():  # refused before the run, whose outputs could not be written
+        raise ConfigError(f"--out must name a directory, but {existing} is a file")
     cfg = load_config(args.config)
     run_config, target, approximation = build_run(
         cfg, seed_override=args.seed, force_trace=force_trace)

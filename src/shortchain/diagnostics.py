@@ -24,9 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adaptation import checked_fraction, checked_positive
-from .stats import (binomial_quantile, chi_square_quantile, sample_quantile,
-                    student_t_quantile)
+from .stats import (binomial_quantile, checked_fraction, checked_positive,
+                    chi_square_quantile, sample_quantile, student_t_quantile)
 
 MONOTONE_ERROR_CAVEAT = (
     "Bounds assume the chains move every audited functional monotonically "
@@ -85,7 +84,6 @@ def mean_difference_ci(final_values: np.ndarray, initial_mean: float,
         ValueError: for N < 2 or alpha outside (0, 1).
     """
     x = _as_vector(final_values)
-    alpha = checked_fraction("alpha", alpha)
     return _one_row(x, "mean", initial_mean, alpha, functional_tag)
 
 
@@ -106,7 +104,6 @@ def log_variance_ratio_ci(final_values: np.ndarray, initial_sd: float,
             that is not a positive finite number.
     """
     x = _as_vector(final_values)
-    alpha = checked_fraction("alpha", alpha)
     initial_sd = checked_positive("initial_sd", initial_sd)
     return _one_row(x, "log_variance", initial_sd, alpha, functional_tag)
 
@@ -125,7 +122,6 @@ def quantile_difference_ci(final_values: np.ndarray, p: float, initial_quantile:
             level, so this is an error instead.
     """
     x = _as_vector(final_values)
-    alpha = checked_fraction("alpha", alpha)
     p = checked_fraction("p", p)
     return _one_row(x, "quantile", initial_quantile, alpha, functional_tag, p)
 

@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .adaptation import _LEAPFROG_STEPS, check_kind
+from .stats import checked_integer, checked_positive
 from .targets import checked_output
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -162,8 +163,7 @@ def leapfrog(position, momentum, grad, step_size: float, n_steps: int,
     Returns:
         ``(position, momentum, grad)`` after ``n_steps`` steps.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    n_steps = checked_integer("n_steps", n_steps, 1)
     x, eta, g = position, momentum, grad
     G = pre.matrix
     with _quiet():
@@ -213,8 +213,7 @@ def step_batch(kind: str, x, logpi_x, grad_x, eps, uniforms,
         gradient at ``new_x`` under a gradient kernel, else None.
     """
     tuning = check_kind(kind)
-    if step_size <= 0 or not math.isfinite(step_size):
-        raise ValueError(f"step_size must be positive and finite, got {step_size}")
+    step_size = checked_positive("step_size", step_size)
     shape = (x.shape[0], tuning.uniform_count(x.shape[1]))
     if np.shape(uniforms) != shape:
         raise ValueError(f"uniforms must have shape {shape} under kernel {kind!r}, "

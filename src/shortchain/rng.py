@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adaptation import checked_integer
+from .stats import checked_integer
 
 
 class RandomStream:

@@ -23,8 +23,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .adaptation import (_LEAPFROG_STEPS, _MAX_CHAINS, _MAX_ITERATIONS, AdaptationState,
-                         SizingPolicy, chain_count, check_kind, checked_integer,
-                         checked_positive, initial_step_size, iteration_count)
+                         SizingPolicy, chain_count, check_kind, initial_step_size,
+                         iteration_count)
 from .approximations import Approximation
 from .diagnostics import (MONOTONE_ERROR_CAVEAT, LowerBoundResult,
                           ReliabilityResult, column_intervals, error_lower_bound,
@@ -33,7 +33,7 @@ from .diagnostics import (MONOTONE_ERROR_CAVEAT, LowerBoundResult,
                           scalar_functional_diagnostics, scalar_tags)
 from .kernels import Preconditioner, _quiet, step_batch
 from .rng import RandomStream
-from .stats import binomial_quantile, sample_quantile
+from .stats import binomial_quantile, checked_integer, checked_positive, sample_quantile
 from .targets import TargetModel, checked_output
 
 _FUNCTIONAL_RE = re.compile(
@@ -304,6 +304,10 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
                 checked_integer("n_chains", config.n_chains, 2, _MAX_CHAINS))
     n_iters = (iteration_count(kind, d) if config.n_iterations is None else
                checked_integer("n_iterations", config.n_iterations, 1, _MAX_ITERATIONS))
+    h0 = initial_step_size(kind, d) * step_size_scale
+    if not 0.0 < h0 < math.inf:
+        raise ValueError(f"step_size_scale {step_size_scale} takes the initial step size "
+                         f"to {h0}; it must stay positive and finite")
 
     specs = _resolve_specs(config, d)
     scalar_fns = _resolve_scalar_functions(specs, config)
@@ -347,7 +351,6 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     # every reported result with its initial side, also computed once
     plan = _audit_plan(specs, approximation, x0, scalars)
 
-    h0 = initial_step_size(kind, d) * step_size_scale
     adapt = AdaptationState(log_step_size=math.log(h0))
     a_star = tuning.target_acceptance
 

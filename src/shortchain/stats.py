@@ -1,4 +1,8 @@
-"""Distribution quantiles and sample quantiles for the diagnostics.
+"""The one check of a number or an array, and the diagnostics' quantiles.
+
+``checked_integer``, ``checked_real``, ``checked_positive``, ``checked_fraction``
+and ``checked_reals`` check a value by name; the module imports nothing from
+the package, so every module can call them.
 
 The quantiles call the ``scipy.special`` functions that ``scipy.stats``
 wraps, so the package never loads ``scipy.stats`` and its import cost:
@@ -7,8 +11,9 @@ Student's t inverts with ``stdtrit`` and the chi-square with
 The discrete binomial quantile is pinned to the exact "smallest k with
 CDF(k) >= q" convention that the order-statistic intervals require; it
 bisects over k on the CDF ``betaincc(k + 1, n - k, p)``, the regularized
-incomplete beta form of the binomial CDF.  All three quantiles are cached:
-an interval's critical values depend only on N, alpha and p.
+incomplete beta form of the binomial CDF.  All three quantiles are cached,
+keyed by type too, so 3.0 or True never reads the entry of 3 or 1: an
+interval's critical values depend only on N, alpha and p.
 """
 
 from __future__ import annotations
@@ -16,12 +21,79 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
+from typing import Optional
 
 import numpy as np
 from scipy import special
 
 
-@functools.lru_cache(maxsize=256)
+def checked_integer(name: str, value, minimum: int, maximum: Optional[int] = None) -> int:
+    """Returns ``value`` as a plain int; the one check of an integer setting.
+
+    Raises a ``ValueError`` naming ``name`` for a bool, a value that is not
+    an integer (a string, a float, None, ...) or one outside
+    [minimum, maximum].
+    """
+    # int first: the ABC check costs a microsecond, and most values are ints
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be at most {maximum}, got {value}")
+    return value
+
+
+def checked_real(name: str, value) -> float:
+    """Returns ``value`` as a plain float; the one check of a real setting.
+
+    Raises a ``ValueError`` naming ``name`` for a bool, a value that is not
+    a real number, or a non-finite one.  Ranges stay with each caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def checked_positive(name: str, value) -> float:
+    """``checked_real`` for a budget, scale or coefficient that must be positive."""
+    value = checked_real(name, value)
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
+def checked_fraction(name: str, value) -> float:
+    """``checked_real`` for a level or cutoff that must lie in (0, 1)."""
+    value = checked_real(name, value)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+    return value
+
+
+def is_real(array: np.ndarray) -> bool:
+    """Whether ``array`` holds integers or floats, not bools, complex numbers,
+    strings or objects; the one rule for an array's dtype."""
+    return array.dtype.kind in "fiu"
+
+
+def checked_reals(name: str, value) -> np.ndarray:
+    """``value`` as a float array, refused by ``name`` and dtype unless ``is_real``."""
+    array = np.asarray(value)
+    if not is_real(array):
+        raise ValueError(f"{name} must hold integers or floats, got dtype {array.dtype}")
+    return array.astype(float, copy=False)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
 def student_t_quantile(p: float, df: int) -> float:
     """Quantile of Student's t distribution with ``df`` degrees of freedom.
 
@@ -32,24 +104,18 @@ def student_t_quantile(p: float, df: int) -> float:
     Returns:
         The value q with P(T <= q) = p.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
+    p, df = checked_fraction("p", p), checked_integer("df", df, 1)
     return float(special.stdtrit(df, p))
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def chi_square_quantile(p: float, df: int) -> float:
     """Quantile of the chi-square distribution with ``df`` degrees of freedom."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
+    p, df = checked_fraction("p", p), checked_integer("df", df, 1)
     return float(2 * special.gammaincinv(df / 2, p))
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def binomial_quantile(q: float, n: int, p: float) -> int:
     """Smallest integer k in [0, n] with Binomial(n, p) CDF(k) >= q.
 
@@ -58,10 +124,7 @@ def binomial_quantile(q: float, n: int, p: float) -> int:
         n: Number of trials, at least 1.
         p: Success probability in [0, 1].
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    q, n, p = checked_fraction("q", q), checked_integer("n", n, 1), checked_real("p", p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if p == 0.0:
@@ -81,9 +144,7 @@ def sample_quantile(samples: np.ndarray, p: float) -> float:
         samples: (N,) vector; pass one column of an (N, d) ensemble.
         p: Probability level in (0, 1).
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    x = np.asarray(samples, dtype=float)
+    p, x = checked_fraction("p", p), checked_reals("samples", samples)
     if x.ndim != 1 or x.size < 1:
         raise ValueError(f"need a non-empty sample vector, got shape {x.shape}")
     n = x.size

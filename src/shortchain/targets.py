@@ -9,15 +9,13 @@ operations.
 
 from __future__ import annotations
 
-import math
-import numbers
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import expit
 
-from .adaptation import checked_integer, checked_real
 from .rng import RandomStream
+from .stats import checked_integer, checked_positive, checked_real, is_real
 
 
 class TargetModel:
@@ -80,7 +78,7 @@ def checked_output(label: str, value, shape: tuple) -> np.ndarray:
     the message, for example "target log_density".
     """
     out = np.asarray(value)
-    if out.shape != shape or out.dtype.kind not in "fiu":
+    if out.shape != shape or not is_real(out):
         raise ValueError(
             f"{label} must return a real array of shape {shape} for "
             f"{shape[0]} points, got shape {out.shape} and dtype {out.dtype}")
@@ -90,7 +88,7 @@ def checked_output(label: str, value, shape: tuple) -> np.ndarray:
 def _vector(name: str, value, d: int) -> np.ndarray:
     """``value``, a real number or a length-d vector, as a length-d float vector."""
     v = np.asarray(value)
-    if v.dtype.kind not in "fiu" or v.shape not in ((), (d,)):
+    if not is_real(v) or v.shape not in ((), (d,)):
         raise ValueError(f"{name} must be a real number or a vector of length {d}, "
                          f"got {value!r}")
     return np.full(d, v, dtype=float)
@@ -210,9 +208,7 @@ def synthetic_logistic_regression_target(n_observations: int,
     """
     n_observations = checked_integer("n_observations", n_observations, 1)
     d = checked_integer("dimension", dimension, 1)
-    if isinstance(prior_sd, numbers.Real) and not 0 < prior_sd < math.inf:
-        raise ValueError(f"prior_sd must be positive and finite, got {prior_sd}")
-    prior_sd = checked_real("prior_sd", prior_sd)
+    prior_sd = checked_positive("prior_sd", prior_sd)
     stream = RandomStream(checked_integer("data_seed", data_seed, 0), 0)
     features = stream.standard_normal((n_observations, d))
     beta_true = prior_sd * stream.standard_normal(d)

@@ -297,3 +297,45 @@ class TestApproximationValidation:
         approx.quantile_fn = None
         with pytest.raises(ValueError):
             approx.quantile(0, 0.5)
+
+
+class TestNonRealArrays:
+    # an array of anything but integers and floats is refused by name and
+    # dtype; a float conversion would warn on complex values, keeping the
+    # real parts, and read bools as 0 and 1
+    @pytest.mark.parametrize("dtype", [complex, bool])
+    @pytest.mark.parametrize("name", ["means", "sds", "covariance"])
+    def test_approximation_functionals(self, name, dtype):
+        arrays = {"means": np.zeros(2), "sds": np.ones(2), "covariance": np.eye(2)}
+        arrays[name] = arrays[name].astype(dtype)
+        with pytest.raises(ValueError, match=rf"^{name} must hold integers or floats, "
+                                             rf"got dtype {np.dtype(dtype)}$"):
+            Approximation(2, lambda stream: np.zeros(2), **arrays)
+
+    @pytest.mark.parametrize("name", ["means", "sds"])
+    def test_mean_field_gaussian(self, name):
+        arrays = {"means": [0.0, 1.0], "sds": [1.0, 2.0]}
+        arrays[name] = np.array(arrays[name]) + 1j
+        with pytest.raises(ValueError, match=rf"^{name} must hold integers or floats, "
+                                             r"got dtype complex128$"):
+            mean_field_gaussian_approximation(**arrays)
+
+    @pytest.mark.parametrize("dtype", [complex, bool])
+    def test_empirical_samples(self, dtype):
+        samples = np.random.default_rng(0).normal(size=(30, 2)).astype(dtype)
+        with pytest.raises(ValueError, match=rf"^samples must hold integers or floats, "
+                                             rf"got dtype {np.dtype(dtype)}$"):
+            empirical_approximation(samples)
+
+    def test_sampled_point(self):
+        approx = mean_field_gaussian_approximation([0.0, 0.0], [1.0, 1.0], name="vi_fit")
+        approx.sampler = lambda stream: stream.standard_normal(2) + 1j
+        with pytest.raises(ValueError, match=r"^the draws of approximation 'vi_fit' must "
+                                             r"hold integers or floats, got dtype complex128$"):
+            approx.sample(RandomStream(0, 0))
+
+    def test_sampler_draws(self):
+        with pytest.raises(ValueError, match=r"^the draws of approximation 'vi' must "
+                                             r"hold integers or floats, got dtype complex128$"):
+            approximation_from_sampler(lambda stream: stream.standard_normal(2) + 1j, 2,
+                                       RandomStream(0, 0), n_draws=50, name="vi")

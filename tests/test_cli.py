@@ -19,7 +19,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import shortchain
-from shortchain import runner
+from shortchain import cli, runner
 from shortchain.adaptation import (SizingPolicy, chain_count, iteration_count,
                                    mean_error_chain_count,
                                    variance_error_chain_count)
@@ -242,6 +242,33 @@ class TestRunCommand:
                 == f"error: approximation.samples_path holds no samples: {path}\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("value", [5, None])
+    def test_non_string_samples_path_is_named(self, tmp_path, capsys, value):
+        cfg = write_config(
+            tmp_path, approximation={"kind": "empirical", "samples_path": value})
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: approximation.samples_path must be a string, got {value!r}\n"
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("dtype", [complex, bool])
+    def test_non_real_npy_is_named(self, tmp_path, capsys, dtype):
+        # NumPy would warn on the complex values and audit their real parts,
+        # and read the bools as 0 and 1
+        npy = tmp_path / "draws.npy"
+        np.save(npy, np.random.default_rng(0).normal(size=(50, 2)).astype(dtype))
+        cfg = write_config(
+            tmp_path, approximation={"kind": "empirical", "samples_path": str(npy)})
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_ERROR
+        assert (capsys.readouterr().err == "error: samples must hold integers or floats, "
+                f"got dtype {np.dtype(dtype)}\n")
+        assert not out_dir.exists()
+
     def test_non_finite_csv_row_is_named(self, tmp_path, capsys):
         samples = np.random.default_rng(2).normal(size=(40, 2))
         samples[3, 0] = np.nan
@@ -416,6 +443,21 @@ class TestErrorHandling:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_under_a_file_is_refused_before_the_run(self, tmp_path, capsys,
+                                                        monkeypatch, out):
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran the audit before checking --out")
+
+        monkeypatch.setattr(cli, "run_diagnostic", no_run)
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: --out must name a directory, but {taken} is a file\n"
+        assert taken.read_text() == "keep\n"
 
     def test_unknown_top_level_key_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path, chains=50)  # belongs under overrides

@@ -615,6 +615,34 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="target_log_density"):
             run_diagnostic(cfg, target, approx)
 
+    @pytest.mark.parametrize("kernel, dimension, scale, h0", [
+        ("rwmh", 30, 5e-324, 0.0), ("barker", 20, 1e308, math.inf)],
+        ids=["underflow", "overflow"])
+    def test_initial_step_size_out_of_range_is_refused_before_any_draw(
+            self, monkeypatch, kernel, dimension, scale, h0):
+        # a finite positive scale can still take 2.4^2 / d^k * scale to 0 or
+        # inf; the run names the scale before it builds a stream
+        def no_stream(*args, **kwargs):
+            raise AssertionError("built a stream before checking the step size")
+
+        monkeypatch.setattr(runner, "RandomStream", no_stream)
+        target = neal_funnel_target(dimension)
+        approx = mean_field_gaussian_approximation(np.zeros(dimension), np.ones(dimension))
+        with pytest.raises(ValueError, match=re.escape(
+                f"step_size_scale {scale} takes the initial step size to {h0}; "
+                "it must stay positive and finite")):
+            run_diagnostic(RunConfig(kernel=kernel, seed=1, step_size_scale=scale),
+                           target, approx)
+
+    def test_non_real_start_is_refused(self):
+        target = neal_funnel_target(20)
+        approx = mean_field_gaussian_approximation(np.zeros(20), np.ones(20), name="vi_fit")
+        approx.sampler = lambda stream: stream.standard_normal(20) + 1j
+        with pytest.raises(ValueError, match=r"^the draws of approximation 'vi_fit' must "
+                                             r"hold integers or floats, got dtype complex128$"):
+            run_diagnostic(RunConfig(kernel="barker", seed=1, n_chains=50, n_iterations=3),
+                           target, approx)
+
 
 SMALL_RUN = dict(kernel="rwmh", seed=1, n_chains=40, n_iterations=5)
 

@@ -1,4 +1,4 @@
-"""Quantile functions, the correlation oracle, and random streams.
+"""Quantile functions, the shared argument checks, the correlation oracle, and random streams.
 
 Every derived expectation below is checked against the independent
 reference implementations in oracles.py (series/continued-fraction CDFs
@@ -10,6 +10,7 @@ module.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,13 +20,54 @@ from scipy import stats as sps
 
 import oracles
 from oracles import pearson_correlation_squared
-from shortchain import RandomStream
+from shortchain import RandomStream, correlated_gaussian_target
+from shortchain.kernels import Preconditioner, leapfrog, step_batch
 from shortchain.stats import (
     binomial_quantile,
     chi_square_quantile,
     sample_quantile,
     student_t_quantile,
 )
+
+
+def _valid_call(function):
+    """``function`` and keyword arguments that it accepts."""
+    pre, x = Preconditioner(np.eye(2)), np.zeros((2, 2))
+    return {
+        "student_t_quantile": (student_t_quantile, dict(p=0.975, df=3)),
+        "chi_square_quantile": (chi_square_quantile, dict(p=0.975, df=3)),
+        "binomial_quantile": (binomial_quantile, dict(q=0.975, n=10, p=0.3)),
+        "sample_quantile": (sample_quantile, dict(samples=np.arange(5.0), p=0.5)),
+        "leapfrog": (leapfrog, dict(position=x, momentum=x, grad=x, step_size=0.1,
+                                    n_steps=3, pre=pre, grad_fn=lambda y: -y)),
+        "step_batch": (step_batch, dict(kind="rwmh", x=x, logpi_x=np.zeros(2), grad_x=None,
+                                        eps=x, uniforms=np.full((2, 1), 0.5),
+                                        step_size=0.5, pre=pre,
+                                        target=correlated_gaussian_target(2))),
+    }[function]
+
+
+# (function, argument, the argument's valid count as a float, or None for a real)
+_CHECKED_ARGUMENTS = [("student_t_quantile", "p", None), ("student_t_quantile", "df", 3.0),
+                      ("chi_square_quantile", "p", None), ("chi_square_quantile", "df", 3.0),
+                      ("binomial_quantile", "q", None), ("binomial_quantile", "n", 10.0),
+                      ("binomial_quantile", "p", None), ("sample_quantile", "p", None),
+                      ("leapfrog", "n_steps", 3.0), ("step_batch", "step_size", None)]
+
+
+@pytest.mark.parametrize("function, argument, bad", [
+    (function, argument, bad) for function, argument, float_count in _CHECKED_ARGUMENTS
+    for bad in (True, "a", float_count) if bad is not None])
+def test_shared_checks_refuse_a_bool_a_string_and_a_float_count(function, argument, bad):
+    # each argument is checked by the stats helper of its kind, naming it; the
+    # valid call goes first, so a cached quantile at the equal int cannot
+    # answer for the float count
+    fn, kwargs = _valid_call(function)
+    fn(**kwargs)
+    kind = "an integer" if isinstance(kwargs[argument], int) else "a real number"
+    message = f"^{argument} must be {kind}, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        fn(**{**kwargs, argument: bad})
 
 
 class TestStudentTQuantile:
@@ -225,7 +267,8 @@ class TestSampleQuantile:
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, math.nan])
     def test_level_outside_unit_interval_rejected(self, p):
-        with pytest.raises(ValueError, match=r"p must lie in \(0, 1\)"):
+        message = "p must be finite, got nan" if math.isnan(p) else r"p must lie in \(0, 1\)"
+        with pytest.raises(ValueError, match=message):
             sample_quantile(np.array([1.0, 2.0]), p)
 
     def test_matrix_input_rejected(self):

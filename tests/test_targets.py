@@ -191,7 +191,7 @@ class TestSyntheticLogisticRegression:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_prior_sd_is_named(self, value):
-        with pytest.raises(ValueError, match=r"^prior_sd must be positive and finite"):
+        with pytest.raises(ValueError, match=rf"^prior_sd must be finite, got {value}$"):
             synthetic_logistic_regression_target(50, 3, prior_sd=value)
 
     def test_labels_are_binary(self):

@@ -39,12 +39,8 @@ class Approximation:
                  quantile_fn: Optional[Callable[[int, float], float]] = None,
                  name: str = "approximation"):
         d = checked_integer("dimension", dimension, 1)
-        means, sds = checked_reals("means", means), checked_reals("sds", sds)
-        covariance = checked_reals("covariance", covariance)
-        if means.shape != (d,) or sds.shape != (d,):
-            raise ValueError(f"means and sds must have shape ({d},)")
-        if covariance.shape != (d, d):
-            raise ValueError(f"covariance must have shape ({d}, {d})")
+        means, sds = checked_reals("means", means, (d,)), checked_reals("sds", sds, (d,))
+        covariance = checked_reals("covariance", covariance, (d, d))
         if not np.isfinite(means).all():
             raise ValueError(f"means must be finite, got {means}")
         if not ((sds > 0) & (sds < np.inf)).all():
@@ -217,11 +213,8 @@ def approximation_from_sampler(sampler: Callable[[RandomStream], np.ndarray],
 
 def _checked_draws(draws, shape: tuple, name: str) -> np.ndarray:
     """``draws`` as floats; a ``ValueError`` naming approximation ``name`` for
-    points that are not real, of another shape than ``shape[-1:]`` or not finite."""
-    x = checked_reals(f"the draws of approximation {name!r}", draws)
-    if x.shape != shape:
-        raise ValueError(f"sampler returned shape {x.shape[len(shape) - 1:]}, "
-                         f"expected {shape[-1:]}")
+    points that are not real, of another shape than ``shape`` or not finite."""
+    x = checked_reals(f"the draws of approximation {name!r}", draws, shape)
     if not np.all(np.isfinite(x)):
         points = x.reshape(-1, shape[-1])
         raise ValueError(f"the sampler of approximation {name!r} returned a non-finite "

@@ -62,7 +62,10 @@ def _unique_keys(pairs) -> dict:
 
 def load_config(path) -> dict:
     """Parses a JSON config; a syntax error names its line, a repeated key the key."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         cfg = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -136,8 +139,14 @@ def build_approximation(cfg: dict, target: TargetModel) -> Approximation:
     # a file with no line outside "#" comments would make NumPy warn, or fail on a .npy
     if not any(line.split(b"#", 1)[0].strip() for line in path.read_bytes().splitlines()):
         raise ConfigError(f"approximation.samples_path holds no samples: {path}")
-    samples = (np.load(path) if path.suffix == ".npy"
-               else np.loadtxt(path, delimiter=",", ndmin=2))
+    try:
+        samples = (np.load(path) if path.suffix == ".npy"
+                   else np.loadtxt(path, delimiter=",", ndmin=2))
+    except ValueError as exc:  # a pickle, a header row, ragged rows or bytes that are not UTF-8
+        # NumPy's advice (allow_pickle, usecols) does not apply to a config
+        reason = ("it holds pickled objects, which are never loaded" if "pickle" in str(exc)
+                  else str(exc).split("; ")[0])
+        raise ConfigError(f"approximation.samples_path cannot be read: {path}: {reason}") from exc
     return empirical_approximation(samples)
 
 

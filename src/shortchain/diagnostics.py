@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .stats import (binomial_quantile, checked_fraction, checked_positive,
+from .stats import (binomial_quantile, checked_fraction, checked_positive, checked_reals,
                     chi_square_quantile, sample_quantile, student_t_quantile)
 
 MONOTONE_ERROR_CAVEAT = (
@@ -83,7 +83,7 @@ def mean_difference_ci(final_values: np.ndarray, initial_mean: float,
     Raises:
         ValueError: for N < 2 or alpha outside (0, 1).
     """
-    x = _as_vector(final_values)
+    x = _as_vector("final_values", final_values)
     return _one_row(x, "mean", initial_mean, alpha, functional_tag)
 
 
@@ -103,7 +103,7 @@ def log_variance_ratio_ci(final_values: np.ndarray, initial_sd: float,
         ValueError: for N < 2, alpha outside (0, 1), or an ``initial_sd``
             that is not a positive finite number.
     """
-    x = _as_vector(final_values)
+    x = _as_vector("final_values", final_values)
     initial_sd = checked_positive("initial_sd", initial_sd)
     return _one_row(x, "log_variance", initial_sd, alpha, functional_tag)
 
@@ -121,7 +121,7 @@ def quantile_difference_ci(final_values: np.ndarray, p: float, initial_quantile:
             l < 1 or u > N; widening by clamping would silently change the
             level, so this is an error instead.
     """
-    x = _as_vector(final_values)
+    x = _as_vector("final_values", final_values)
     p = checked_fraction("p", p)
     return _one_row(x, "quantile", initial_quantile, alpha, functional_tag, p)
 
@@ -240,13 +240,13 @@ def reliability_check(initial_samples: np.ndarray, final_samples: np.ndarray,
         cutoff: Failure threshold on the squared correlation, in (0, 1).
 
     Raises:
-        ValueError: unless both inputs are (N, d) matrices of one shape
-            with N >= 2 (a 1-d vector is refused, not promoted), or when the
-            cutoff is outside (0, 1).
+        ValueError: unless both inputs are (N, d) matrices of integers or
+            floats, of one shape with N >= 2 (a 1-d vector is refused, not
+            promoted), or when the cutoff is outside (0, 1).
     """
-    x0 = np.asarray(initial_samples, dtype=float)
-    xt = np.asarray(final_samples, dtype=float)
-    if x0.shape != xt.shape or x0.ndim != 2 or x0.shape[0] < 2:
+    x0 = checked_reals("initial_samples", initial_samples, (None, None))
+    xt = checked_reals("final_samples", final_samples, (None, None))
+    if x0.shape != xt.shape or x0.shape[0] < 2:
         raise ValueError(f"need matching (N, d) matrices with N >= 2, "
                          f"got {x0.shape} and {xt.shape}")
     cutoff = checked_fraction("cutoff", cutoff)
@@ -276,8 +276,8 @@ def scalar_functional_diagnostics(initial_values: np.ndarray, final_values: np.n
     Returns:
         ``(mean_result, median_result)``.
     """
-    v0 = _as_vector(initial_values)
-    vt = _as_vector(final_values)
+    v0 = _as_vector("initial_values", initial_values)
+    vt = _as_vector("final_values", final_values)
     mean_tag, median_tag = scalar_tags(name)
     mean_ci = mean_difference_ci(vt, float(v0.mean()), alpha, functional_tag=mean_tag)
     median_ci = quantile_difference_ci(vt, 0.5, sample_quantile(v0, 0.5), alpha,
@@ -321,9 +321,9 @@ def _centred(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return rows, np.vecdot(rows, rows)
 
 
-def _as_vector(values) -> np.ndarray:
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.size < 2:
+def _as_vector(name: str, values) -> np.ndarray:
+    x = checked_reals(name, values, (None,))
+    if x.size < 2:
         raise ValueError(f"need a 1-d sample vector with N >= 2, got shape {x.shape}")
     return x
 

@@ -30,8 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .adaptation import _LEAPFROG_STEPS, check_kind
-from .stats import checked_integer, checked_positive
-from .targets import checked_output
+from .stats import checked_integer, checked_positive, checked_reals
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -53,8 +52,8 @@ class Preconditioner:
     """
 
     def __init__(self, matrix: np.ndarray):
-        G = np.asarray(matrix, dtype=float)
-        if G.ndim != 2 or G.shape[0] != G.shape[1]:
+        G = checked_reals("preconditioner matrix", matrix, (None, None))
+        if G.shape[0] != G.shape[1]:
             raise ValueError(f"preconditioner must be square, got shape {G.shape}")
         if not np.allclose(G, G.T, rtol=1e-10, atol=1e-12):
             raise ValueError("preconditioner must be symmetric")
@@ -221,8 +220,8 @@ def step_batch(kind: str, x, logpi_x, grad_x, eps, uniforms,
     with _quiet():
         grad_y = None
         if tuning.carries_gradient and grad_x is None:
-            grad_x = checked_output("target grad_log_density",
-                                    target.grad_log_density(x), x.shape)
+            grad_x = checked_reals("target grad_log_density",
+                                   target.grad_log_density(x), x.shape)
         if kind == "hmc":
             y, h_start, h_end, logpi_y, grad_y = _hmc_core(
                 x, logpi_x, grad_x, eps, step_size, n_leapfrog, pre,

@@ -33,8 +33,9 @@ from .diagnostics import (MONOTONE_ERROR_CAVEAT, LowerBoundResult,
                           scalar_functional_diagnostics, scalar_tags)
 from .kernels import Preconditioner, _quiet, step_batch
 from .rng import RandomStream
-from .stats import binomial_quantile, checked_integer, checked_positive, sample_quantile
-from .targets import TargetModel, checked_output
+from .stats import (binomial_quantile, checked_integer, checked_positive, checked_reals,
+                    sample_quantile)
+from .targets import TargetModel
 
 _FUNCTIONAL_RE = re.compile(
     r"^\s*(mean|variance|quantile|scalar)\s*\(\s*([^)]*?)\s*\)\s*$")
@@ -321,7 +322,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     x0 = np.stack([approximation.sample(streams[j]) for j in range(n_chains)])
     grad_base = target.gradient_evaluations
     with _quiet():  # a far start may overflow, as a proposal may; the checks below name it
-        logpi = checked_output("target log_density", target.log_density(x0), (n_chains,))
+        logpi = checked_reals("target log_density", target.log_density(x0), (n_chains,))
     n_bad = int(np.sum(~np.isfinite(logpi)))
     if n_bad * 2 > n_chains:
         raise RuntimeError(
@@ -332,8 +333,8 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     grad_cached = None
     if tuning.carries_gradient:
         with _quiet():
-            grad_cached = checked_output("target grad_log_density",
-                                         target.grad_log_density(x0), (n_chains, d))
+            grad_cached = checked_reals("target grad_log_density",
+                                        target.grad_log_density(x0), (n_chains, d))
         bad_grad = np.flatnonzero(np.isfinite(logpi)
                                   & ~np.isfinite(grad_cached).all(axis=1))
         if bad_grad.size:
@@ -345,7 +346,7 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
     # each scalar functional's initial values, computed once and reused at
     # every checkpoint: name -> (callable, (N,) values at x0); the built-in
     # target_log_density has no callable and reads the run's own logpi
-    scalars = {name: (fn, logpi if fn is None else checked_output(
+    scalars = {name: (fn, logpi if fn is None else checked_reals(
                    f"scalar function {name!r}", fn(x0), (n_chains,)))
                for name, fn in scalar_fns.items()}
     # every reported result with its initial side, also computed once
@@ -471,6 +472,8 @@ def _resolve_scalar_functions(specs, config: RunConfig) -> dict:
     if not isinstance(custom, dict):
         raise ValueError(f"scalar_functions must be a dict, got {custom!r}")
     for name, fn in custom.items():
+        if not isinstance(name, str):
+            raise ValueError(f"scalar_functions keys must be strings, got {name!r}")
         if not callable(fn):
             raise ValueError(f"scalar_functions[{name!r}] must be callable, got {fn!r}")
     fns = {}
@@ -553,7 +556,7 @@ def _value_rows(states, logpi_states, scalars: dict) -> np.ndarray:
     values = np.empty((d + len(scalars), n))
     values[:d] = states.T
     for row, (name, (fn, _)) in enumerate(scalars.items(), start=d):
-        values[row] = logpi_states if fn is None else checked_output(
+        values[row] = logpi_states if fn is None else checked_reals(
             f"scalar function {name!r}", fn(states), (n,))
     return values
 

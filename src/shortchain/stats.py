@@ -1,8 +1,9 @@
 """The one check of a number or an array, and the diagnostics' quantiles.
 
-``checked_integer``, ``checked_real``, ``checked_positive``, ``checked_fraction``
-and ``checked_reals`` check a value by name; the module imports nothing from
-the package, so every module can call them.
+``checked_integer``, ``checked_real``, ``checked_positive`` and
+``checked_fraction`` check a number by name, and ``checked_reals`` turns every
+array from outside into floats, checked by name, dtype and shape; the module
+imports nothing from the package, so every module can call them.
 
 The quantiles call the ``scipy.special`` functions that ``scipy.stats``
 wraps, so the package never loads ``scipy.stats`` and its import cost:
@@ -79,17 +80,20 @@ def checked_fraction(name: str, value) -> float:
     return value
 
 
-def is_real(array: np.ndarray) -> bool:
-    """Whether ``array`` holds integers or floats, not bools, complex numbers,
-    strings or objects; the one rule for an array's dtype."""
-    return array.dtype.kind in "fiu"
+def checked_reals(name: str, value, shape: Optional[tuple] = None) -> np.ndarray:
+    """Returns ``value`` as a float array; the one check of an array from outside.
 
-
-def checked_reals(name: str, value) -> np.ndarray:
-    """``value`` as a float array, refused by ``name`` and dtype unless ``is_real``."""
+    Raises a ``ValueError`` naming ``name`` unless it holds integers or floats
+    (not bools, complex numbers, strings or objects) and, given ``shape``, has
+    that shape, where a None axis takes any length.
+    """
     array = np.asarray(value)
-    if not is_real(array):
+    if array.dtype.kind not in "fiu":
         raise ValueError(f"{name} must hold integers or floats, got dtype {array.dtype}")
+    if shape is not None and (array.ndim != len(shape) or any(
+            n not in (None, m) for n, m in zip(shape, array.shape))):
+        wanted = str(tuple("any" if n is None else n for n in shape)).replace("'", "")
+        raise ValueError(f"{name} must have shape {wanted}, got shape {array.shape}")
     return array.astype(float, copy=False)
 
 
@@ -144,8 +148,8 @@ def sample_quantile(samples: np.ndarray, p: float) -> float:
         samples: (N,) vector; pass one column of an (N, d) ensemble.
         p: Probability level in (0, 1).
     """
-    p, x = checked_fraction("p", p), checked_reals("samples", samples)
-    if x.ndim != 1 or x.size < 1:
+    p, x = checked_fraction("p", p), checked_reals("samples", samples, (None,))
+    if x.size < 1:
         raise ValueError(f"need a non-empty sample vector, got shape {x.shape}")
     n = x.size
     rank = max(1, math.ceil(n * p))

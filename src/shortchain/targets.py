@@ -2,9 +2,9 @@
 
 A ``TargetModel`` bundles an unnormalized log density with its gradient and
 counts gradient evaluations, one per evaluated point, so that runs can verify
-their gradient budget in closed form.  Every target takes a batch of shape
-(B, d) only, and the built-in ones evaluate it with vectorised NumPy
-operations.
+their gradient budget in closed form.  Every target takes a (B, d) batch
+only, checked by ``stats.checked_reals``, and the built-in ones evaluate it
+with vectorised NumPy operations.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import expit
 
 from .rng import RandomStream
-from .stats import checked_integer, checked_positive, checked_real, is_real
+from .stats import checked_integer, checked_positive, checked_real, checked_reals
 
 
 class TargetModel:
@@ -27,9 +27,9 @@ class TargetModel:
         grad_log_density: Maps a (B, d) batch to (B, d) gradients.
         name: Short label used in reports.
 
-    Both methods accept only a (B, d) array and raise a ``ValueError``
-    naming the target for any other shape, so the wrapped callables never
-    see anything else.  The runner rejects a target whose log density or
+    Both methods accept only a (B, d) array of integers or floats and raise
+    a ``ValueError`` naming the target for any other shape or dtype, so the
+    wrapped callables never see anything else.  The runner rejects a target whose log density or
     gradient has the wrong shape at its first use.  The gradient evaluation
     counter increments by the number of points in each
     ``grad_log_density`` call.
@@ -54,12 +54,7 @@ class TargetModel:
         return self._grad_log_density(x)
 
     def _batch(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.dimension:
-            raise ValueError(
-                f"target {self.name!r} takes a (B, {self.dimension}) batch, "
-                f"got shape {x.shape}")
-        return x
+        return checked_reals(f"the batch of target {self.name!r}", x, (None, self.dimension))
 
     @property
     def gradient_evaluations(self) -> int:
@@ -69,29 +64,13 @@ class TargetModel:
         return f"TargetModel(name={self.name!r}, dimension={self.dimension})"
 
 
-def checked_output(label: str, value, shape: tuple) -> np.ndarray:
-    """Returns a callable's output on a (B, d) batch as a float array.
-
-    Raises when the shape or dtype is not what every later step relies on,
-    so a malformed target or scalar functional fails at its first use
-    instead of inside a kernel's NumPy.  ``label`` names the callable in
-    the message, for example "target log_density".
-    """
-    out = np.asarray(value)
-    if out.shape != shape or not is_real(out):
-        raise ValueError(
-            f"{label} must return a real array of shape {shape} for "
-            f"{shape[0]} points, got shape {out.shape} and dtype {out.dtype}")
-    return out.astype(float, copy=False)
-
-
 def _vector(name: str, value, d: int) -> np.ndarray:
     """``value``, a real number or a length-d vector, as a length-d float vector."""
-    v = np.asarray(value)
-    if not is_real(v) or v.shape not in ((), (d,)):
+    v = checked_reals(name, value)
+    if v.shape not in ((), (d,)):
         raise ValueError(f"{name} must be a real number or a vector of length {d}, "
                          f"got {value!r}")
-    return np.full(d, v, dtype=float)
+    return np.full(d, v)
 
 
 def correlated_gaussian_target(dimension: int,

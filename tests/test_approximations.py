@@ -229,7 +229,8 @@ class TestSampledDrawsChecked:
         for sampler in (lambda s: s.standard_normal(3),
                         lambda s: s.standard_normal(2 if s.random() < 0.5 else 3)):
             with pytest.raises(ValueError,
-                               match=r"^sampler returned shape \(3,\), expected \(2,\)$"):
+                               match=r"^the draws of approximation 'sampled' must have "
+                                     r"shape \(2,\), got shape \(3,\)$"):
                 approximation_from_sampler(sampler, 2, RandomStream(0, 0), n_draws=50)
 
     def test_non_finite_draw_names_the_sampler_without_warnings(self):
@@ -265,8 +266,8 @@ class TestApproximationValidation:
             mean_field_gaussian_approximation([0.0, value], [1.0, 1.0])
 
     @pytest.mark.parametrize("means, sds, covariance, message", [
-        ([0.0], [1.0, 1.0], np.eye(2), r"means and sds must have shape \(2,\)"),
-        ([0.0, 0.0], [[1.0, 1.0]], np.eye(2), r"means and sds must have shape \(2,\)"),
+        ([0.0], [1.0, 1.0], np.eye(2), r"means must have shape \(2,\), got shape \(1,\)"),
+        ([0.0, 0.0], [[1.0, 1.0]], np.eye(2), r"sds must have shape \(2,\), got shape \(1, 2\)"),
         ([0.0, 0.0], [1.0, 1.0], np.eye(3), r"covariance must have shape \(2, 2\)"),
         ([0.0, 0.0], [1.0, 1.0], np.ones(2), r"covariance must have shape \(2, 2\)")])
     def test_functional_shapes_are_checked(self, means, sds, covariance, message):

@@ -269,6 +269,26 @@ class TestRunCommand:
                 f"got dtype {np.dtype(dtype)}\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("name, content, reason", [
+        ("draws.csv", b"a,b\n1,2\n3,4\n",
+         "could not convert string 'a' to float64 at row 0, column 1."),
+        ("draws.csv", b"1,2\n3\n", "the number of columns changed from 2 to 1 at row 2"),
+        ("draws.npy", b"1,2\n3,4\n", "it holds pickled objects, which are never loaded")],
+        ids=["header-csv", "ragged-csv", "not-an-array-npy"])
+    def test_unreadable_samples_file_is_named(self, tmp_path, capsys, name, content, reason):
+        # NumPy's own text would not name the file, and for the .npy would
+        # advise loading it with allow_pickle
+        path = tmp_path / name
+        path.write_bytes(content)
+        cfg = write_config(
+            tmp_path, approximation={"kind": "empirical", "samples_path": str(path)})
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: approximation.samples_path cannot be read: {path}: {reason}\n"
+        assert "Traceback" not in err and "allow_pickle" not in err
+        assert not out_dir.exists()
+
     def test_non_finite_csv_row_is_named(self, tmp_path, capsys):
         samples = np.random.default_rng(2).normal(size=(40, 2))
         samples[3, 0] = np.nan
@@ -539,6 +559,16 @@ class TestErrorHandling:
         assert main(["run", "--config", str(path), "--out",
                      str(tmp_path / "out")]) == EXIT_ERROR
         assert "top level must be an object" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b'{"kernel": "\xff"}')
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg} is not UTF-8 text: invalid start byte at byte 12\n"
+        assert "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json"),

@@ -337,9 +337,11 @@ class TestReliabilityCheck:
         stream = RandomStream(10, 0)
         a = stream.standard_normal(50)
         b = stream.standard_normal(50)
-        with pytest.raises(ValueError, match=r"matching \(N, d\) matrices.*got \(50,\)"):
+        with pytest.raises(ValueError, match=r"^initial_samples must have shape \(any, any\), "
+                                             r"got shape \(50,\)$"):
             reliability_check(a, b)
-        with pytest.raises(ValueError, match=r"matching \(N, d\) matrices"):
+        with pytest.raises(ValueError, match=r"^final_samples must have shape \(any, any\), "
+                                             r"got shape \(50,\)$"):
             reliability_check(a[:, None], b)
 
 

@@ -117,3 +117,15 @@ def test_no_import_is_deferred_into_a_function():
                 nested = [n.lineno for n in ast.walk(node)
                           if isinstance(n, (ast.Import, ast.ImportFrom))]
                 assert nested == [], f"{module.name}:{nested} imports inside {node.name}"
+
+
+def test_only_stats_converts_outside_arrays():
+    # stats.checked_reals is the one conversion of an array from outside; a
+    # bare np.asarray elsewhere would let a complex, bool or string array by
+    for module in sorted(PACKAGE.glob("*.py")):
+        if module.name == "stats.py":
+            continue
+        calls = [n.lineno for n in ast.walk(ast.parse(module.read_text(), filename=str(module)))
+                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                 and n.func.attr == "asarray"]
+        assert calls == [], f"{module.name}:{calls} calls asarray, not stats.checked_reals"

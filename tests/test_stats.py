@@ -20,7 +20,10 @@ from scipy import stats as sps
 
 import oracles
 from oracles import pearson_correlation_squared
-from shortchain import RandomStream, correlated_gaussian_target
+from shortchain import (RandomStream, RunConfig, TargetModel, correlated_gaussian_target,
+                        log_variance_ratio_ci, mean_difference_ci,
+                        mean_field_gaussian_approximation, quantile_difference_ci,
+                        reliability_check, run_diagnostic, scalar_functional_diagnostics)
 from shortchain.kernels import Preconditioner, leapfrog, step_batch
 from shortchain.stats import (
     binomial_quantile,
@@ -68,6 +71,63 @@ def test_shared_checks_refuse_a_bool_a_string_and_a_float_count(function, argume
     message = f"^{argument} must be {kind}, got {re.escape(repr(bad))}$"
     with pytest.raises(ValueError, match=message):
         fn(**{**kwargs, argument: bad})
+
+
+def _run_with(log_density=None, scalar=None):
+    # a d=2 rwmh run whose target log density or scalar functional's output
+    # goes through the given function
+    base = correlated_gaussian_target(2)
+    target = TargetModel(2, lambda x: (log_density or np.asarray)(base.log_density(x)),
+                         base.grad_log_density)
+    cfg = RunConfig(kernel="rwmh", seed=0, n_chains=40, n_iterations=2,
+                    functionals=["scalar(f)"],
+                    scalar_functions={"f": lambda x: (scalar or np.asarray)(x[:, 0])})
+    run_diagnostic(cfg, target, mean_field_gaussian_approximation(np.zeros(2), np.ones(2)))
+
+
+_VALUES, _SAMPLES = np.linspace(-1.0, 1.0, 40), np.arange(12.0).reshape(6, 2) % 5
+
+# entry point -> (the name it refuses an array by, a call that passes it one
+# array spoiled by the given function)
+_ARRAY_ENTRY_POINTS = {
+    "TargetModel.log_density": ("the batch of target 'gaussian'", lambda bad:
+                                correlated_gaussian_target(2).log_density(bad(_SAMPLES))),
+    "TargetModel.grad_log_density": ("the batch of target 'gaussian'", lambda bad:
+                                     correlated_gaussian_target(2).grad_log_density(
+                                         bad(_SAMPLES))),
+    "mean_difference_ci": ("final_values", lambda bad:
+                           mean_difference_ci(bad(_VALUES), 0.0, 0.05)),
+    "log_variance_ratio_ci": ("final_values", lambda bad:
+                              log_variance_ratio_ci(bad(_VALUES), 1.0, 0.05)),
+    "quantile_difference_ci": ("final_values", lambda bad:
+                               quantile_difference_ci(bad(_VALUES), 0.5, 0.0, 0.05)),
+    "scalar_functional_diagnostics-initial": ("initial_values", lambda bad:
+                                              scalar_functional_diagnostics(
+                                                  bad(_VALUES), _VALUES, 0.05)),
+    "scalar_functional_diagnostics-final": ("final_values", lambda bad:
+                                            scalar_functional_diagnostics(
+                                                _VALUES, bad(_VALUES), 0.05)),
+    "reliability_check-initial": ("initial_samples", lambda bad:
+                                  reliability_check(bad(_SAMPLES), _SAMPLES)),
+    "reliability_check-final": ("final_samples", lambda bad:
+                                reliability_check(_SAMPLES, bad(_SAMPLES))),
+    "Preconditioner": ("preconditioner matrix", lambda bad: Preconditioner(bad(np.eye(2)))),
+    "run-log_density": ("target log_density", lambda bad: _run_with(log_density=bad)),
+    "run-scalar": ("scalar function 'f'", lambda bad: _run_with(scalar=bad)),
+}
+
+
+@pytest.mark.parametrize("dtype", [complex, bool, str])
+@pytest.mark.parametrize("entry", sorted(_ARRAY_ENTRY_POINTS))
+def test_array_entry_points_refuse_complex_bool_and_string_arrays(entry, dtype):
+    # a float conversion would warn on complex values and keep their real
+    # parts, read bools as 0 and 1, and parse strings as numbers
+    name, call = _ARRAY_ENTRY_POINTS[entry]
+    call(lambda array: array)  # the unspoiled array passes
+    spoiled = np.zeros(1).astype(dtype).dtype
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must hold integers or floats, "
+                                         rf"got dtype {re.escape(str(spoiled))}"):
+        call(lambda array: np.asarray(array).astype(dtype))
 
 
 class TestStudentTQuantile:
@@ -274,7 +334,8 @@ class TestSampleQuantile:
     def test_matrix_input_rejected(self):
         # callers pass one column; a matrix is not silently reduced
         mat = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
-        with pytest.raises(ValueError, match=r"sample vector, got shape \(3, 2\)"):
+        with pytest.raises(ValueError, match=r"^samples must have shape \(any,\), "
+                                             r"got shape \(3, 2\)$"):
             sample_quantile(mat, 0.5)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),

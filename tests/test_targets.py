@@ -267,7 +267,8 @@ class TestBatchShapeContract:
     @pytest.mark.parametrize("shape", [(3,), (2, 4)], ids=["point", "wrong_width"])
     def test_other_shapes_are_rejected(self, name, method, shape):
         target = self.TARGETS[name]()
-        expected = re.escape(f"target '{name}' takes a (B, 3) batch, got shape {shape}")
+        expected = re.escape(f"the batch of target '{name}' must have shape (any, 3), "
+                             f"got shape {shape}")
         with pytest.raises(ValueError, match=expected):
             getattr(target, method)(np.zeros(shape))
         assert target.gradient_evaluations == 0
@@ -280,7 +281,8 @@ class TestBatchShapeContract:
             return np.zeros(x.shape[0])
 
         target = TargetModel(2, log_density, lambda x: np.zeros_like(x), name="flat")
-        with pytest.raises(ValueError, match=r"'flat' takes a \(B, 2\) batch"):
+        with pytest.raises(ValueError, match=r"^the batch of target 'flat' must have shape "
+                                             r"\(any, 2\), got shape \(2,\)$"):
             target.log_density(np.zeros(2))
         target.log_density([[0.0, 1.0]])
         assert seen == [(1, 2)]

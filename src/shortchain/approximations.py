@@ -41,10 +41,14 @@ class Approximation:
         d = checked_integer("dimension", dimension, 1)
         means, sds = checked_reals("means", means, (d,)), checked_reals("sds", sds, (d,))
         covariance = checked_reals("covariance", covariance, (d, d))
-        if not np.isfinite(means).all():
-            raise ValueError(f"means must be finite, got {means}")
-        if not ((sds > 0) & (sds < np.inf)).all():
-            raise ValueError(f"sds must be positive and finite, got {sds}")
+        # each names its first bad entry: a whole vector's repr spans lines
+        bad = np.flatnonzero(~np.isfinite(means))
+        if bad.size:
+            raise ValueError(f"means must be finite, got {means[bad[0]]} at coordinate {bad[0]}")
+        bad = np.flatnonzero(~((sds > 0) & (sds < np.inf)))
+        if bad.size:
+            raise ValueError(f"sds must be positive and finite, got {sds[bad[0]]} "
+                             f"at coordinate {bad[0]}")
         bad = np.argwhere(~np.isfinite(covariance))
         if bad.size:
             i, j = bad[0]

@@ -147,6 +147,10 @@ def build_approximation(cfg: dict, target: TargetModel) -> Approximation:
         reason = ("it holds pickled objects, which are never loaded" if "pickle" in str(exc)
                   else str(exc).split("; ")[0])
         raise ConfigError(f"approximation.samples_path cannot be read: {path}: {reason}") from exc
+    if not isinstance(samples, np.ndarray):  # np.load opens an .npz archive whatever its name
+        samples.close()
+        raise ConfigError(f"approximation.samples_path holds an .npz archive, not one array: "
+                          f"{path}")
     return empirical_approximation(samples)
 
 

@@ -316,8 +316,8 @@ def _centred(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # row's dot product with itself; a C-contiguous copy, so each row reduces
     # in the same order as a single column would
     rows = samples.T.copy()
-    rows -= rows.mean(axis=1)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a mean past the float range
+        rows -= rows.mean(axis=1)[:, None]
         return rows, np.vecdot(rows, rows)
 
 

@@ -7,9 +7,11 @@ reproducible bit for bit from (config, target, approximation): every chain
 owns its RNG stream, the whole ensemble moves in one batched step per
 iteration, and cross-chain reductions use exact summation.
 
-A run resolves its functionals once, right after drawing its initial
-ensemble, into an audit plan; its trace checkpoints and its final ensemble
-are diagnosed from that plan and the same value rows, with the same bits.
+``run_diagnostic`` runs three phases that share one ``_Run``: the start
+checks every setting, sizes the run, draws x0 and builds the audit plan;
+the loop refills every chain's noise through ``_fill_noise``, steps and
+adapts; the finish diagnoses the final ensemble.  Checkpoints and the final
+ensemble are diagnosed from the same plan and value rows, with the same bits.
 """
 
 from __future__ import annotations
@@ -278,157 +280,168 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
             level outside (0, 1) or infeasible for the sized N, a functional
             listed twice, ...) or a target or scalar
             functional whose outputs on the initial batch have the wrong
-            shape, an approximation that samples a non-finite start, or,
-            under MALA, Barker and HMC, a non-finite gradient at a start
-            whose log density is finite.
+            shape, an approximation that samples a non-finite start or an
+            ensemble whose mean overflows, or, under MALA, Barker and HMC,
+            a non-finite gradient at a start whose log density is finite.
         RuntimeError: when more than half the chains start at non-finite
             log density, which means the approximation and target are too
             incompatible for the audit to say anything useful.
     """
     start_time = time.perf_counter()
-    kind = config.kernel
-    tuning = check_kind(kind)
-    if target.dimension != approximation.dimension:
-        raise ValueError(f"target dimension {target.dimension} does not match "
-                         f"approximation dimension {approximation.dimension}")
-    seed = checked_integer("seed", config.seed, 0)
-    trace_every = checked_integer("trace_every", config.trace_every, 0)
-    step_size_scale = checked_positive("step_size_scale", config.step_size_scale)
+    run = _Run(config, target, approximation)
+    run.iterate()
+    return run.finish(start_time)
 
-    d = target.dimension
-    policy = config.sizing
-    if not isinstance(policy, SizingPolicy):
-        raise ValueError(f"sizing must be a SizingPolicy, got {policy!r}")
-    alpha = policy.alpha
-    # the sized values stay within these limits; overrides are held to them too
-    n_chains = (chain_count(policy) if config.n_chains is None else
-                checked_integer("n_chains", config.n_chains, 2, _MAX_CHAINS))
-    n_iters = (iteration_count(kind, d) if config.n_iterations is None else
-               checked_integer("n_iterations", config.n_iterations, 1, _MAX_ITERATIONS))
-    h0 = initial_step_size(kind, d) * step_size_scale
-    if not 0.0 < h0 < math.inf:
-        raise ValueError(f"step_size_scale {step_size_scale} takes the initial step size "
-                         f"to {h0}; it must stay positive and finite")
 
-    specs = _resolve_specs(config, d)
-    scalar_fns = _resolve_scalar_functions(specs, config)
-    _check_quantile_ranks(specs, n_chains, alpha)
+def _fill_noise(noise: list):
+    """Refills each chain's noise in place, as allocating calls would: its
+    standard_normal(d) into its eps row, then its kernel's uniforms.  The loop
+    looks this up at each iteration, so a wrapper set on the module sees all."""
+    for normal, uniform, e, u in noise:
+        normal(out=e)
+        uniform(out=u)
 
-    pre = Preconditioner(approximation.covariance)
-    # chain j owns stream index j + 1 (see RandomStream)
-    streams = [RandomStream(seed, j + 1) for j in range(n_chains)]
 
-    # initialization phase: i.i.d. draws, each from its chain's own stream
-    x0 = np.stack([approximation.sample(streams[j]) for j in range(n_chains)])
-    grad_base = target.gradient_evaluations
-    with _quiet():  # a far start may overflow, as a proposal may; the checks below name it
-        logpi = checked_reals("target log_density", target.log_density(x0), (n_chains,))
-    n_bad = int(np.sum(~np.isfinite(logpi)))
-    if n_bad * 2 > n_chains:
-        raise RuntimeError(
-            f"{n_bad} of {n_chains} chains started at non-finite log density; "
-            "the approximation puts most of its mass where the target has none, "
-            "so the audit cannot run. Check the approximation (or its support) "
-            "against the target before retrying.")
-    grad_cached = None
-    if tuning.carries_gradient:
-        with _quiet():
-            grad_cached = checked_reals("target grad_log_density",
-                                        target.grad_log_density(x0), (n_chains, d))
-        bad_grad = np.flatnonzero(np.isfinite(logpi)
-                                  & ~np.isfinite(grad_cached).all(axis=1))
-        if bad_grad.size:
+class _Run:
+    """One run's three phases and the state they share: ``__init__`` starts
+    it, ``iterate`` moves its chains and ``finish`` reports from them."""
+
+    def __init__(self, config: RunConfig, target: TargetModel, approximation: Approximation):
+        """The start phase: every check, the sizing, x0 from the chains' own
+        streams, the target and scalar functionals there, and the audit plan."""
+        self.kind = kind = config.kernel
+        tuning = check_kind(kind)
+        if target.dimension != approximation.dimension:
+            raise ValueError(f"target dimension {target.dimension} does not match "
+                             f"approximation dimension {approximation.dimension}")
+        self.seed = checked_integer("seed", config.seed, 0)
+        trace_every = checked_integer("trace_every", config.trace_every, 0)
+        self.step_size_scale = checked_positive("step_size_scale", config.step_size_scale)
+
+        d = target.dimension
+        policy = config.sizing
+        if not isinstance(policy, SizingPolicy):
+            raise ValueError(f"sizing must be a SizingPolicy, got {policy!r}")
+        self.alpha = alpha = policy.alpha
+        # the sized values stay within these limits; overrides are held to them too
+        n_chains = (chain_count(policy) if config.n_chains is None else
+                    checked_integer("n_chains", config.n_chains, 2, _MAX_CHAINS))
+        self.n_iters = n_iters = (
+            iteration_count(kind, d) if config.n_iterations is None else
+            checked_integer("n_iterations", config.n_iterations, 1, _MAX_ITERATIONS))
+        self.h0 = h0 = initial_step_size(kind, d) * self.step_size_scale
+        if not 0.0 < h0 < math.inf:
+            raise ValueError(f"step_size_scale {self.step_size_scale} takes the initial "
+                             f"step size to {h0}; it must stay positive and finite")
+
+        specs = _resolve_specs(config, d)
+        scalar_fns = _resolve_scalar_functions(specs, config)
+        _check_quantile_ranks(specs, n_chains, alpha)
+
+        self.target, self.pre = target, Preconditioner(approximation.covariance)
+        # chain j owns stream index j + 1 (see RandomStream)
+        streams = [RandomStream(self.seed, j + 1) for j in range(n_chains)]
+
+        # i.i.d. draws, each from its chain's own stream
+        self.x0 = self.x = x0 = np.stack([approximation.sample(s) for s in streams])
+        with np.errstate(over="ignore", invalid="ignore"):  # the diagnosis's row means
+            far = np.flatnonzero(~np.isfinite(x0.T.copy().mean(axis=1)))
+        if far.size:
             raise ValueError(
-                f"target grad_log_density is not finite at {bad_grad.size} of "
-                f"{n_chains} starting points where the log density is finite "
-                f"(first at chain {bad_grad[0]}); a gradient kernel cannot move them")
-    init_grads = target.gradient_evaluations - grad_base
-    # each scalar functional's initial values, computed once and reused at
-    # every checkpoint: name -> (callable, (N,) values at x0); the built-in
-    # target_log_density has no callable and reads the run's own logpi
-    scalars = {name: (fn, logpi if fn is None else checked_reals(
-                   f"scalar function {name!r}", fn(x0), (n_chains,)))
-               for name, fn in scalar_fns.items()}
-    # every reported result with its initial side, also computed once
-    plan = _audit_plan(specs, approximation, x0, scalars)
+                f"the initial ensemble's mean overflows at coordinate {far[0]}: its "
+                f"{n_chains} draws reach {np.abs(x0[:, far[0]]).max():.3g}, too far out "
+                "for any interval; shift the target and approximation nearer 0")
+        self.grad_base = target.gradient_evaluations
+        with _quiet():  # a far start may overflow, as a proposal may; the checks below name it
+            logpi = checked_reals("target log_density", target.log_density(x0), (n_chains,))
+        self.logpi, self.n_bad = logpi, int(np.sum(~np.isfinite(logpi)))
+        if self.n_bad * 2 > n_chains:
+            raise RuntimeError(
+                f"{self.n_bad} of {n_chains} chains started at non-finite log density; "
+                "the approximation puts most of its mass where the target has none, "
+                "so the audit cannot run. Check the approximation (or its support) "
+                "against the target before retrying.")
+        self.grad = None
+        if tuning.carries_gradient:
+            with _quiet():
+                self.grad = checked_reals("target grad_log_density",
+                                          target.grad_log_density(x0), (n_chains, d))
+            bad_grad = np.flatnonzero(np.isfinite(logpi) & ~np.isfinite(self.grad).all(axis=1))
+            if bad_grad.size:
+                raise ValueError(
+                    f"target grad_log_density is not finite at {bad_grad.size} of "
+                    f"{n_chains} starting points where the log density is finite "
+                    f"(first at chain {bad_grad[0]}); a gradient kernel cannot move them")
+        self.init_grads = target.gradient_evaluations - self.grad_base
+        # each scalar functional's initial values, computed once and reused at
+        # every checkpoint: name -> (callable, (N,) values at x0); the built-in
+        # target_log_density has no callable and reads the run's own logpi
+        self.scalars = {name: (fn, logpi if fn is None else checked_reals(
+                            f"scalar function {name!r}", fn(x0), (n_chains,)))
+                        for name, fn in scalar_fns.items()}
+        # every reported result with its initial side, also computed once
+        self.plan = _audit_plan(specs, approximation, x0, self.scalars)
 
-    adapt = AdaptationState(log_step_size=math.log(h0))
-    a_star = tuning.target_acceptance
+        self.adapt = AdaptationState(log_step_size=math.log(h0))
+        self.a_star = tuning.target_acceptance
+        self.checkpoints = (set(range(0, n_iters + 1, trace_every)) | {n_iters}
+                            if trace_every else set())
+        self.traces = [] if self.checkpoints else None
+        self.eps = np.empty((n_chains, d))
+        self.uniforms = np.empty((n_chains, tuning.uniform_count(d)))
+        self.noise = [(s.generator.standard_normal, s.generator.random, e, u)
+                      for s, e, u in zip(streams, self.eps, self.uniforms)]
 
-    checkpoints = _checkpoint_iterations(trace_every, n_iters)
-    trace_rows: Optional[list] = [] if checkpoints else None
-    # checkpoints before the last diagnose every functional column-wise
-    tags = [a.tag for a in plan]
-    columns = [(a.interval, a.row, a.initial, a.p) for a in plan]
+    def iterate(self):
+        """The loop phase: T iterations of ``_fill_noise``, one batched step
+        and a step-size update.  A checkpoint before the last diagnoses every
+        planned result column-wise before its step; ``finish`` takes the last."""
+        tags = [a.tag for a in self.plan]
+        columns = [(a.interval, a.row, a.initial, a.p) for a in self.plan]
+        for t in range(self.n_iters):
+            if t in self.checkpoints:
+                rho2_max = reliability_check(self.x0, self.x).rho2_max
+                lower, upper, _ = column_intervals(
+                    _value_rows(self.x, self.logpi, self.scalars), columns, self.alpha)
+                bounds, _ = lower_bounds(lower, upper)
+                self.traces.append(TraceRow(t, rho2_max, dict(zip(tags, bounds.tolist()))))
+            _fill_noise(self.noise)
+            self.x, self.logpi, self.grad, alphas = step_batch(
+                self.kind, self.x, self.logpi, self.grad, self.eps, self.uniforms,
+                self.adapt.step_size, self.pre, self.target)
+            self.adapt.update(math.fsum(alphas.tolist()) / len(self.x), self.a_star)
 
-    def record(iteration, states, logpi_states):
-        reliability = reliability_check(x0, states)
-        lower, upper, _ = column_intervals(_value_rows(states, logpi_states, scalars),
-                                           columns, alpha)
-        bounds, _ = lower_bounds(lower, upper)
-        trace_rows.append(TraceRow(iteration, reliability.rho2_max,
-                                   dict(zip(tags, bounds.tolist()))))
+    def finish(self, start_time: float) -> DiagnosticReport:
+        """The finish phase: the final reliability check and results, the last
+        checkpoint read from them, the caveats and the report."""
+        iter_grads = self.target.gradient_evaluations - self.grad_base - self.init_grads
+        reliability = reliability_check(self.x0, self.x)
+        functionals = _functional_results(
+            self.plan, _value_rows(self.x, self.logpi, self.scalars), self.alpha, self.scalars)
+        if self.n_iters in self.checkpoints:
+            self.traces.append(TraceRow(self.n_iters, reliability.rho2_max,
+                                        {r.tag: r.result.bound for r in functionals}))
 
-    if 0 in checkpoints:
-        record(0, x0, logpi)
+        caveats = MONOTONE_ERROR_CAVEAT
+        if self.n_bad:
+            caveats += (f" {self.n_bad} of {len(self.x)} chains started at non-finite log "
+                        "density and may have contributed nothing but their "
+                        "initialization values.")
+        if not reliability.passed:
+            caveats += (" The reliability check FAILED: the final ensemble still "
+                        "remembers its initialization, so undetected errors may "
+                        "simply not have surfaced yet. Increase the iteration "
+                        "budget or switch kernels before trusting a clean verdict.")
 
-    # noise refilled in place: chain j draws standard_normal(d) into eps[j], then
-    # the uniforms its kernel reads into uniforms[j], as allocating calls would
-    eps = np.empty((n_chains, d))
-    uniforms = np.empty((n_chains, tuning.uniform_count(d)))
-    noise = [(s.generator.standard_normal, s.generator.random, e, u)
-             for s, e, u in zip(streams, eps, uniforms)]
-    x = x0
-    for t in range(n_iters):
-        for normal, uniform, e, u in noise:
-            normal(out=e)
-            uniform(out=u)
-        x, logpi, grad_cached, alphas = step_batch(
-            kind, x, logpi, grad_cached, eps, uniforms, adapt.step_size,
-            pre, target)
-        adapt.update(math.fsum(alphas.tolist()) / n_chains, a_star)
-        # the last checkpoint, n_iters, reuses the final diagnostics below
-        if (t + 1) in checkpoints and t + 1 < n_iters:
-            record(t + 1, x, logpi)
-
-    iter_grads = target.gradient_evaluations - grad_base - init_grads
-
-    reliability = reliability_check(x0, x)
-    functionals = _functional_results(plan, _value_rows(x, logpi, scalars), alpha, scalars)
-    if n_iters in checkpoints:
-        trace_rows.append(TraceRow(n_iters, reliability.rho2_max,
-                                   {r.tag: r.result.bound for r in functionals}))
-
-    caveats = MONOTONE_ERROR_CAVEAT
-    if n_bad:
-        caveats += (f" {n_bad} of {n_chains} chains started at non-finite log "
-                    "density and may have contributed nothing but their "
-                    "initialization values.")
-    if not reliability.passed:
-        caveats += (" The reliability check FAILED: the final ensemble still "
-                    "remembers its initialization, so undetected errors may "
-                    "simply not have surfaced yet. Increase the iteration "
-                    "budget or switch kernels before trusting a clean verdict.")
-
-    return DiagnosticReport(
-        kernel=kind,
-        dimension=d,
-        n_chains=n_chains,
-        n_iterations=n_iters,
-        alpha=alpha,
-        seed=seed,
-        initial_step_size=h0,
-        final_step_size=adapt.step_size,
-        step_size_scale=step_size_scale,
-        target_acceptance_rate=a_star,
-        acceptance_history=list(adapt.acceptance_history),
-        functionals=functionals,
-        reliability=reliability,
-        gradient_budget=GradientBudget(init_grads, iter_grads),
-        caveats=caveats,
-        wall_time=time.perf_counter() - start_time,
-        traces=trace_rows,
-    )
+        return DiagnosticReport(
+            kernel=self.kind, dimension=self.target.dimension, n_chains=len(self.x),
+            n_iterations=self.n_iters, alpha=self.alpha, seed=self.seed,
+            initial_step_size=self.h0, final_step_size=self.adapt.step_size,
+            step_size_scale=self.step_size_scale, target_acceptance_rate=self.a_star,
+            acceptance_history=list(self.adapt.acceptance_history),
+            functionals=functionals, reliability=reliability,
+            gradient_budget=GradientBudget(self.init_grads, iter_grads), caveats=caveats,
+            wall_time=time.perf_counter() - start_time, traces=self.traces)
 
 
 def _resolve_specs(config: RunConfig, dimension: int) -> list[FunctionalSpec]:
@@ -503,12 +516,6 @@ def _check_quantile_ranks(specs, n_chains: int, alpha: float):
             raise ValueError(
                 f"{n_chains} chains are too few for a level {1 - alpha:.3g} interval "
                 f"on {tag}; increase chains or relax alpha")
-
-
-def _checkpoint_iterations(trace_every: int, n_iters: int) -> set:
-    if trace_every < 1:
-        return set()
-    return set(range(0, n_iters + 1, trace_every)) | {n_iters}
 
 
 def _audit_plan(specs, approximation: Approximation, x0, scalars: dict) -> list[_Audited]:

@@ -96,12 +96,15 @@ def correlated_gaussian_target(dimension: int,
     d = checked_integer("dimension", dimension, 1)
     mu = _vector("mean", mean, d)
     var = _vector("variances", variances, d)
-    if not np.all(np.isfinite(mu)):
-        raise ValueError(f"mean must be finite, got {mu}")
+    # each names its first bad entry: a whole vector's repr spans lines
+    bad = np.flatnonzero(~np.isfinite(mu))
+    if bad.size:
+        raise ValueError(f"mean must be finite, got {mu[bad[0]]} at coordinate {bad[0]}")
     if np.any(var <= 0):
         raise ValueError("variances must be strictly positive")
-    if not np.all(np.isfinite(var)):
-        raise ValueError(f"variances must be finite, got {var}")
+    bad = np.flatnonzero(~np.isfinite(var))
+    if bad.size:
+        raise ValueError(f"variances must be finite, got {var[bad[0]]} at coordinate {bad[0]}")
     correlation = checked_real("correlation", correlation)
     lo = -1.0 / (d - 1) if d > 1 else -1.0
     if not lo < correlation < 1.0:

@@ -289,6 +289,20 @@ class TestRunCommand:
         assert "Traceback" not in err and "allow_pickle" not in err
         assert not out_dir.exists()
 
+    def test_npz_archive_is_named(self, tmp_path, capsys):
+        # np.load opens an archive whatever the file is called; its key
+        # names are not samples
+        npy = tmp_path / "z.npy"
+        with npy.open("wb") as f:
+            np.savez(f, a=np.random.default_rng(0).normal(size=(30, 2)))
+        cfg = write_config(
+            tmp_path, approximation={"kind": "empirical", "samples_path": str(npy)})
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_ERROR
+        assert (capsys.readouterr().err == "error: approximation.samples_path holds an .npz "
+                f"archive, not one array: {npy}\n")
+        assert not out_dir.exists()
+
     def test_non_finite_csv_row_is_named(self, tmp_path, capsys):
         samples = np.random.default_rng(2).normal(size=(40, 2))
         samples[3, 0] = np.nan
@@ -570,6 +584,23 @@ class TestErrorHandling:
         assert "Traceback" not in err
         assert not out_dir.exists()
 
+    def test_ensemble_whose_mean_overflows_is_named(self, tmp_path, capsys):
+        # the kl-optimal approximation of a target centred at 1e308 samples
+        # finite points whose mean is not
+        cfg = write_config(
+            tmp_path, target={"kind": "gaussian_correlated", "dimension": 3, "mean": 1e308},
+            approximation={"kind": "kl_optimal_mean_field"}, kernel="rwmh",
+            overrides={"chains": 30, "iterations": 3})
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the initial ensemble's mean overflows at "
+                                       "coordinate 0: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out_dir.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "out")]) == EXIT_ERROR
@@ -645,6 +676,28 @@ class TestNonFiniteModelParameters:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name} must be ")
         assert "finite" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("target, approximation, message", [
+        ({"mean": math.nan}, {}, "mean must be finite, got nan at coordinate 0"),
+        ({"variances": [1.0] * 29 + [math.inf]}, {},
+         "variances must be finite, got inf at coordinate 29"),
+        ({}, {"means": [0.0] * 7 + [-math.inf] * 23},
+         "means must be finite, got -inf at coordinate 7"),
+        ({}, {"sds": [1.0] * 29 + [0.0]},
+         "sds must be positive and finite, got 0.0 at coordinate 29"),
+    ], ids=["mean", "variances", "means", "sds"])
+    def test_a_long_vector_is_named_on_one_line(self, tmp_path, capsys, target,
+                                                approximation, message):
+        # NumPy wraps a 30-entry vector over two lines; the refusal names the
+        # first bad entry instead, so the CLI prints one error line
+        cfg = write_config(
+            tmp_path, target={"kind": "gaussian_correlated", "dimension": 30, **target},
+            approximation={"kind": "mean_field_gaussian", **approximation})
+        assert main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -7,6 +7,7 @@ the interval code is tested against the ground truth it claims to cover.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,19 @@ class TestReliabilityCheck:
         res = reliability_check(x0, xt)
         assert not res.passed
         assert res.degenerate_coordinates == [1]
+
+    def test_mean_past_the_float_range_is_degenerate_without_warnings(self):
+        # 30 values near 1e308 sum to infinity, so the centred column is
+        # not finite: a degenerate coordinate, and NumPy stays quiet
+        stream = RandomStream(10, 0)
+        x0 = stream.standard_normal((30, 2))
+        x0[:, 0] += 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = reliability_check(x0, stream.standard_normal((30, 2)))
+        assert not res.passed
+        assert res.degenerate_coordinates == [0]
+        assert res.rho2_max == res.rho2_per_coordinate[1] < 1.0
 
     def test_cutoff_honored(self):
         stream = RandomStream(9, 0)

@@ -14,6 +14,7 @@ from shortchain import (
     RunConfig,
     SizingPolicy,
     correlated_gaussian_target,
+    kl_optimal_mean_field,
     mean_field_gaussian_approximation,
     neal_funnel_target,
     parse_functional,
@@ -305,6 +306,27 @@ class TestDeterminism:
         da.pop("traces")
         db.pop("traces")
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+
+
+class TestNoiseFill:
+    # every iteration refills the noise through the module's _fill_noise, so
+    # a wrapper set there sees each call and changes nothing
+    @pytest.mark.parametrize("kind", ["rwmh", "mala", "barker", "hmc"])
+    def test_a_wrapper_sees_every_iteration(self, kind, monkeypatch):
+        target, approx = small_setup(3)
+        cfg = RunConfig(kernel=kind, seed=5, n_chains=40, n_iterations=7, trace_every=3,
+                        functionals=["mean(*)", "quantile(1,0.5)", "scalar(target_log_density)"])
+        plain = run_diagnostic(cfg, target, approx).to_json_dict()
+        calls = []
+        fill = runner._fill_noise
+
+        def wrapped(noise):
+            calls.append(len(noise))
+            return fill(noise)
+
+        monkeypatch.setattr(runner, "_fill_noise", wrapped)
+        assert run_diagnostic(cfg, target, approx).to_json_dict() == plain
+        assert calls == [40] * 7
 
 
 class TestNonFiniteScalarValues:
@@ -870,6 +892,23 @@ class TestNonFiniteStart:
                                              r"of 40 starting points .*chain 5"):
             run_diagnostic(RunConfig(kernel=kind, seed=0, n_chains=40, n_iterations=2),
                            target, approx)
+
+    def test_ensemble_whose_mean_overflows_is_refused(self, monkeypatch):
+        # 30 finite draws near 1e308 sum past the float range: no interval
+        # or reliability check could be taken, so the start names the coordinate
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped from an ensemble whose mean overflows")
+
+        monkeypatch.setattr(runner, "step_batch", no_step)
+        target = correlated_gaussian_target(3, mean=[0.0, 1e308, 1e308])
+        approx = kl_optimal_mean_field(target)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^the initial ensemble's mean overflows "
+                                                 r"at coordinate 1: its 30 draws reach 1e\+308"):
+                run_diagnostic(RunConfig(kernel="rwmh", seed=0, n_chains=30, n_iterations=3),
+                               target, approx)
+        assert target.gradient_evaluations == 0
 
     @pytest.mark.parametrize("kind", ["mala", "barker", "hmc"])
     def test_non_finite_gradient_at_non_finite_density_is_tolerated(self, kind):

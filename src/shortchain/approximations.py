@@ -14,7 +14,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .rng import RandomStream
-from .stats import checked_integer, checked_real, checked_reals, sample_quantile
+from .stats import (check_entries, checked_dimension, checked_integer, checked_real,
+                    checked_reals, sample_quantile)
 
 
 class Approximation:
@@ -24,11 +25,16 @@ class Approximation:
         dimension: Dimension d.
         sampler: Maps a RandomStream to one point of shape (d,).
         means: Length-d vector of finite coordinate means.
-        sds: Length-d vector of positive, finite coordinate standard deviations.
+        sds: Length-d vector of positive, finite coordinate standard deviations,
+            each between about 1e-162 and 1e154, so that its square, the
+            variance every variance bound divides by, is positive and finite.
         covariance: (d, d) finite covariance matrix used to build the preconditioner.
         quantile_fn: Optional ``(coordinate, p) -> float``.  When absent the
             runner falls back to initial-sample order statistics and records
             which path was taken.
+
+    A vector or matrix that breaks its rule is refused, before any draw, with
+    a ``ValueError`` naming its first bad entry.
     """
 
     def __init__(self, dimension: int,
@@ -41,18 +47,13 @@ class Approximation:
         d = checked_integer("dimension", dimension, 1)
         means, sds = checked_reals("means", means, (d,)), checked_reals("sds", sds, (d,))
         covariance = checked_reals("covariance", covariance, (d, d))
-        # each names its first bad entry: a whole vector's repr spans lines
-        bad = np.flatnonzero(~np.isfinite(means))
-        if bad.size:
-            raise ValueError(f"means must be finite, got {means[bad[0]]} at coordinate {bad[0]}")
-        bad = np.flatnonzero(~((sds > 0) & (sds < np.inf)))
-        if bad.size:
-            raise ValueError(f"sds must be positive and finite, got {sds[bad[0]]} "
-                             f"at coordinate {bad[0]}")
-        bad = np.argwhere(~np.isfinite(covariance))
-        if bad.size:
-            i, j = bad[0]
-            raise ValueError(f"covariance must be finite, got {covariance[i, j]} at ({i}, {j})")
+        check_entries("means", means, np.isfinite(means))
+        check_entries("sds", sds, (sds > 0) & (sds < np.inf), "positive and finite")
+        with np.errstate(over="ignore"):  # every variance bound divides by it
+            variances = sds * sds
+        check_entries("sds", sds, (variances > 0) & (variances < np.inf),
+                      "positive with a positive, finite square")
+        check_entries("covariance", covariance, np.isfinite(covariance))
         self.dimension = d
         self.sampler = sampler
         self.means = means
@@ -83,13 +84,18 @@ class Approximation:
 
 
 def mean_field_gaussian_approximation(means, sds, name: str = "mean_field") -> Approximation:
-    """Independent Gaussian approximation with the given means and sds."""
+    """Independent Gaussian approximation with the given means and sds.
+
+    ``means`` and ``sds`` are equal-length vectors held to ``Approximation``'s
+    rules; a length d whose (d, d) covariance would not fit in this
+    machine's memory is refused, naming the bytes, before it is built.
+    """
     means = np.atleast_1d(checked_reals("means", means))
     sds = np.atleast_1d(checked_reals("sds", sds))
     if means.shape != sds.shape or means.ndim != 1 or means.size == 0:
         raise ValueError(f"means and sds must be equal-length non-empty vectors, "
                          f"got shapes {means.shape} and {sds.shape}")
-    d = means.size
+    d = checked_dimension("dimension", means.size)
 
     def sampler(stream: RandomStream) -> np.ndarray:
         return means + sds * stream.standard_normal(d)
@@ -97,13 +103,8 @@ def mean_field_gaussian_approximation(means, sds, name: str = "mean_field") -> A
     def quantile_fn(coordinate: int, p: float) -> float:
         return float(means[coordinate] + sds[coordinate] * ndtri(p))
 
-    with np.errstate(over="ignore"):  # an sd past 1e154 squares to inf, refused by name
+    with np.errstate(over="ignore"):  # Approximation names an sd whose square overflows
         covariance = np.diag(sds * sds)
-    lost = np.flatnonzero((sds > 0) & (np.diag(covariance) == 0))
-    if lost.size:  # below about 1e-162 the square underflows to 0
-        j = int(lost[0])
-        raise ValueError(f"sds must square to a positive variance, got {sds[j]:g} "
-                         f"in coordinate {j}")
     return Approximation(d, sampler, means, sds, covariance, quantile_fn=quantile_fn, name=name)
 
 
@@ -140,18 +141,17 @@ def empirical_approximation(samples: np.ndarray, name: str = "empirical") -> App
     full-rank estimate.
 
     Args:
-        samples: (N, d) matrix with N >= 2 and no constant column.
+        samples: (N, d) matrix of finite values with N >= 2, no constant
+            column and a (d, d) covariance that fits in this machine's memory.
     """
     x = checked_reals("samples", samples)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError(f"need an (N, d) sample matrix with N >= 2, got shape {x.shape}")
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if bad.size:  # refused before any statistic, which would warn or carry the NaN
-        raise ValueError(f"samples must be finite, got {x[bad[0]].tolist()} in row {bad[0]} "
-                         "(counting from 0)")
-    n, d = x.shape
+    # refused before any statistic, which would warn or carry the NaN
+    check_entries("samples", x, np.isfinite(x).all(axis=1))
+    n, d = x.shape[0], checked_dimension("dimension", x.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by name
         means, sds = x.mean(axis=0), x.std(axis=0, ddof=1)
     wide = np.flatnonzero(~np.isfinite(sds))

@@ -26,6 +26,7 @@ from .approximations import (Approximation, empirical_approximation,
                              kl_optimal_mean_field,
                              mean_field_gaussian_approximation)
 from .runner import DiagnosticReport, RunConfig, run_diagnostic
+from .stats import checked_dimension
 from .targets import (TargetModel, _vector, correlated_gaussian_target,
                       neal_funnel_target, synthetic_logistic_regression_target)
 
@@ -124,7 +125,8 @@ def build_target(cfg: dict) -> TargetModel:
 
 def build_approximation(cfg: dict, target: TargetModel) -> Approximation:
     kind = _checked_kind(cfg, "approximation")
-    d = target.dimension
+    # every approximation holds a (d, d) covariance, built from the target's d
+    d = checked_dimension("target.dimension", target.dimension)
     if kind == "mean_field_gaussian":
         return mean_field_gaussian_approximation(_vector("means", cfg.get("means", 0.0), d),
                                                  _vector("sds", cfg.get("sds", 1.0), d))

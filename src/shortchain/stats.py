@@ -1,9 +1,11 @@
 """The one check of a number or an array, and the diagnostics' quantiles.
 
 ``checked_integer``, ``checked_real``, ``checked_positive`` and
-``checked_fraction`` check a number by name, and ``checked_reals`` turns every
-array from outside into floats, checked by name, dtype and shape; the module
-imports nothing from the package, so every module can call them.
+``checked_fraction`` check a number by name, ``checked_dimension`` the order
+of a (d, d) matrix, and ``checked_reals`` turns every array from outside into
+floats, checked by name, dtype and shape, whose first bad entry
+``check_entries`` names; the module imports nothing from the package, so
+every module can call them.
 
 The quantiles call the ``scipy.special`` functions that ``scipy.stats``
 wraps, so the package never loads ``scipy.stats`` and its import cost:
@@ -23,6 +25,7 @@ import bisect
 import functools
 import math
 import numbers
+import os
 from typing import Optional
 
 import numpy as np
@@ -95,6 +98,30 @@ def checked_reals(name: str, value, shape: Optional[tuple] = None) -> np.ndarray
         wanted = str(tuple("any" if n is None else n for n in shape)).replace("'", "")
         raise ValueError(f"{name} must have shape {wanted}, got shape {array.shape}")
     return array.astype(float, copy=False)
+
+
+def check_entries(name: str, values: np.ndarray, good: np.ndarray, wanted: str = "finite"):
+    """The one refusal of an array's first entry where ``good`` is False, on one
+    line: ``NAME must be WANTED, got V at coordinate I`` (``at (I, J)`` in a
+    matrix), or, given one mark per row, ``got [row] in row I (counting from 0)``."""
+    bad = np.argwhere(~good)
+    if bad.size:
+        at = tuple(int(i) for i in bad[0])
+        got = (f"{values[at].tolist()} in row {at[0]} (counting from 0)" if good.ndim < values.ndim
+               else f"{values[at]} at " + (f"coordinate {at[0]}" if len(at) == 1 else str(at)))
+        raise ValueError(f"{name} must be {wanted}, got {got}")
+
+
+def checked_dimension(name: str, value) -> int:
+    """``checked_integer`` for the dimension d >= 1 of a (d, d) float matrix;
+    refuses, before anything is allocated, a d whose d * d entries exceed
+    this machine's physical memory, naming the bytes they need."""
+    d = checked_integer(name, value, 1)
+    needed, memory = 8 * d * d, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > memory:
+        raise ValueError(f"{name} {d} needs {needed:,} bytes for one ({d}, {d}) matrix, "
+                         f"more than the {memory:,} bytes of this machine's memory")
+    return d
 
 
 @functools.lru_cache(maxsize=256, typed=True)

@@ -15,7 +15,8 @@ import numpy as np
 from scipy.special import expit
 
 from .rng import RandomStream
-from .stats import checked_integer, checked_positive, checked_real, checked_reals
+from .stats import (check_entries, checked_dimension, checked_integer, checked_positive,
+                    checked_real, checked_reals)
 
 
 class TargetModel:
@@ -85,26 +86,23 @@ def correlated_gaussian_target(dimension: int,
     definite only for correlation in (-1/(d-1), 1).
 
     Args:
-        dimension: Dimension d >= 1.
-        mean: Scalar or length-d mean vector.
-        variances: Scalar or length-d vector of positive marginal variances.
+        dimension: Dimension d >= 1 whose (d, d) covariance fits in this
+            machine's memory; a larger d is refused, naming the bytes,
+            before anything is allocated.
+        mean: Scalar or length-d vector of finite means.
+        variances: Scalar or length-d vector of positive, finite marginal variances.
         correlation: Common correlation in (-1/(d-1), 1).
+
+    A bad entry of ``mean`` or ``variances`` is refused by its coordinate.
 
     Returns:
         A TargetModel carrying ``mean`` and ``covariance`` attributes.
     """
-    d = checked_integer("dimension", dimension, 1)
+    d = checked_dimension("dimension", dimension)
     mu = _vector("mean", mean, d)
     var = _vector("variances", variances, d)
-    # each names its first bad entry: a whole vector's repr spans lines
-    bad = np.flatnonzero(~np.isfinite(mu))
-    if bad.size:
-        raise ValueError(f"mean must be finite, got {mu[bad[0]]} at coordinate {bad[0]}")
-    if np.any(var <= 0):
-        raise ValueError("variances must be strictly positive")
-    bad = np.flatnonzero(~np.isfinite(var))
-    if bad.size:
-        raise ValueError(f"variances must be finite, got {var[bad[0]]} at coordinate {bad[0]}")
+    check_entries("mean", mu, np.isfinite(mu))
+    check_entries("variances", var, (var > 0) & (var < np.inf), "positive and finite")
     correlation = checked_real("correlation", correlation)
     lo = -1.0 / (d - 1) if d > 1 else -1.0
     if not lo < correlation < 1.0:
@@ -180,16 +178,17 @@ def synthetic_logistic_regression_target(n_observations: int,
     Features z_n are i.i.d. standard normal, the generating coefficient
     vector is drawn from the N(0, prior_sd^2 I) prior, and labels follow
     y_n ~ Bernoulli(sigmoid(z_n . beta)).  The same ``data_seed`` always
-    regenerates the identical dataset.  For a batch of B points, each
-    log-density or gradient call builds one (B, n_observations) array and
-    works on it in place.
+    regenerates the identical dataset.  The dimension is held to
+    ``stats.checked_dimension``, as an audit builds a (d, d) preconditioner.
+    For a batch of B points, each log-density or gradient call builds one
+    (B, n_observations) array and works on it in place.
 
     Returns:
         A TargetModel for the posterior over beta, carrying ``features``,
         ``labels`` and ``generating_coefficients`` attributes.
     """
     n_observations = checked_integer("n_observations", n_observations, 1)
-    d = checked_integer("dimension", dimension, 1)
+    d = checked_dimension("dimension", dimension)
     prior_sd = checked_positive("prior_sd", prior_sd)
     stream = RandomStream(checked_integer("data_seed", data_seed, 0), 0)
     features = stream.standard_normal((n_observations, d))

@@ -59,12 +59,19 @@ class TestMeanFieldGaussian:
     def test_sd_whose_square_underflows_is_refused_by_name(self, sd):
         # positive, but its variance rounds to 0, which no preconditioner takes
         with pytest.raises(ValueError, match=re.escape(
-                f"sds must square to a positive variance, got {sd:g} in coordinate 1")):
+                f"sds must be positive with a positive, finite square, got {sd:g} "
+                "at coordinate 1")):
             mean_field_gaussian_approximation([0.0, 0.0], [1.0, sd])
 
     def test_subnormal_variance_is_kept(self):
         approx = mean_field_gaussian_approximation([0.0, 0.0], [1.0, 1e-160])
         assert approx.covariance[1, 1] > 0.0
+
+    def test_dimension_whose_covariance_exceeds_memory_is_refused(self):
+        # refused before np.diag asks for 8 TB
+        with pytest.raises(ValueError, match=r"^dimension 1000000 needs 8,000,000,000,000 "
+                                             r"bytes for one \(1000000, 1000000\) matrix"):
+            mean_field_gaussian_approximation(np.zeros(10**6), np.ones(10**6))
 
 
 class TestKLOptimalMeanField:
@@ -156,6 +163,11 @@ class TestEmpirical:
                 "samples spread too narrowly in coordinate 0 for a positive variance: "
                 f"their range is {np.ptp(x[:, 0]):g}")):
             empirical_approximation(x)
+
+    def test_dimension_whose_covariance_exceeds_memory_is_refused(self):
+        samples = np.random.default_rng(0).normal(size=(2, 10**6))
+        with pytest.raises(ValueError, match=r"^dimension 1000000 needs 8,000,000,000,000 "):
+            empirical_approximation(samples)
 
     def test_large_sample_covariance(self):
         stream = RandomStream(2, 0)
@@ -273,6 +285,15 @@ class TestApproximationValidation:
     def test_functional_shapes_are_checked(self, means, sds, covariance, message):
         with pytest.raises(ValueError, match=message):
             Approximation(2, lambda stream: np.zeros(2), means, sds, covariance)
+
+    @pytest.mark.parametrize("sd", [1e200, 1e-170])
+    def test_sd_whose_square_is_not_a_positive_finite_variance_is_refused(self, sd):
+        # every variance bound divides by sd0 squared: its overflow ended in a
+        # bare "math domain error", its underflow in an infinite bound
+        with pytest.raises(ValueError, match=re.escape(
+                f"sds must be positive with a positive, finite square, got {sd:g} "
+                "at coordinate 0")):
+            Approximation(2, lambda stream: np.zeros(2), np.zeros(2), [sd, 1.0], np.eye(2))
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_covariance_is_named(self, value):

@@ -662,9 +662,8 @@ class TestNonFiniteModelParameters:
         ("target", {"kind": "gaussian_correlated", "dimension": 2,
                     "mean": [0.0, -math.inf]}, "mean"),
         ("approximation", {"kind": "mean_field_gaussian", "means": math.inf}, "means"),
-        # an sd whose square overflows gives an infinite covariance
-        ("approximation", {"kind": "mean_field_gaussian", "sds": [1e200, 1.0]},
-         "covariance"),
+        # an sd whose square overflows would give an infinite covariance
+        ("approximation", {"kind": "mean_field_gaussian", "sds": [1e200, 1.0]}, "sds"),
     ], ids=["prior_sd", "variances", "mean", "means", "sds"])
     def test_run_is_refused_naming_the_parameter(self, tmp_path, capsys, section,
                                                  updates, name):
@@ -682,7 +681,7 @@ class TestNonFiniteModelParameters:
     @pytest.mark.parametrize("target, approximation, message", [
         ({"mean": math.nan}, {}, "mean must be finite, got nan at coordinate 0"),
         ({"variances": [1.0] * 29 + [math.inf]}, {},
-         "variances must be finite, got inf at coordinate 29"),
+         "variances must be positive and finite, got inf at coordinate 29"),
         ({}, {"means": [0.0] * 7 + [-math.inf] * 23},
          "means must be finite, got -inf at coordinate 7"),
         ({}, {"sds": [1.0] * 29 + [0.0]},
@@ -733,6 +732,24 @@ class TestOverrideLimits:
         assert captured.err.startswith(f"error: {field} must be at most 1000000, got ")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+class TestDimensionLimit:
+    # every audit builds (d, d) matrices; a d whose matrix cannot fit in memory
+    # ended in a MemoryError traceback at 10**6 and in NumPy's "Maximum
+    # allowed dimension exceeded" at 2**70
+    @pytest.mark.parametrize("kind, name", [("funnel", "target.dimension"),
+                                            ("gaussian_correlated", "dimension")])
+    @pytest.mark.parametrize("d", [10**6, 2**70])
+    def test_run_is_refused_naming_the_dimension_and_bytes(self, tmp_path, capsys, kind,
+                                                          name, d):
+        cfg = write_config(tmp_path, target={"kind": kind, "dimension": d})
+        assert main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {name} {d} needs {8 * d * d:,} bytes ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigFuzz:

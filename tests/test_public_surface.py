@@ -129,3 +129,12 @@ def test_only_stats_converts_outside_arrays():
                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
                  and n.func.attr == "asarray"]
         assert calls == [], f"{module.name}:{calls} calls asarray, not stats.checked_reals"
+
+
+def test_only_stats_refuses_a_non_finite_value():
+    # stats.check_entries is the one refusal of an array's bad entry, and
+    # checked_real of a number's; a hand-written copy elsewhere would word and
+    # name it its own way
+    holders = [module.name for module in sorted(PACKAGE.glob("*.py"))
+               if "must be finite" in module.read_text()]
+    assert holders == ["stats.py"]

@@ -89,18 +89,32 @@ class TestCorrelatedGaussian:
         with pytest.raises(ValueError):
             correlated_gaussian_target(3, correlation=-0.6)
 
-    # a negative variance is refused as not positive, before finiteness
-    @pytest.mark.parametrize("name, value", [("mean", math.nan), ("mean", math.inf),
-                                             ("mean", -math.inf), ("variances", math.nan),
-                                             ("variances", math.inf)])
-    def test_non_finite_parameter_is_named(self, name, value):
-        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+    @pytest.mark.parametrize("name, value, rule", [
+        ("mean", math.nan, "finite"), ("mean", math.inf, "finite"),
+        ("mean", -math.inf, "finite"), ("variances", math.nan, "positive and finite"),
+        ("variances", math.inf, "positive and finite")])
+    def test_non_finite_parameter_is_named(self, name, value, rule):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be {rule}, got {value} at coordinate 1")):
             correlated_gaussian_target(3, **{name: [1.0, value, 1.0]})
 
     @pytest.mark.parametrize("value", [0.0, -1.0, -math.inf])
     def test_non_positive_variance_is_refused(self, value):
-        with pytest.raises(ValueError, match="^variances must be strictly positive"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"variances must be positive and finite, got {value} at coordinate 1")):
             correlated_gaussian_target(3, variances=[1.0, value, 1.0])
+
+    @pytest.mark.parametrize("factory", [
+        correlated_gaussian_target,
+        lambda d: synthetic_logistic_regression_target(3, d)], ids=["gaussian", "logistic"])
+    @pytest.mark.parametrize("d", [10**6, 2**70])
+    def test_dimension_whose_matrix_exceeds_memory_is_refused(self, factory, d):
+        # before anything is allocated; the Gaussian target asked NumPy for
+        # 7.28 TiB at 10**6, and both met "Maximum allowed dimension exceeded"
+        # at 2**70
+        with pytest.raises(ValueError, match=rf"^dimension {d} needs {8 * d * d:,} bytes "
+                                             rf"for one \({d}, {d}\) matrix, more than"):
+            factory(d)
 
     def test_far_point_has_zero_density_without_a_warning(self):
         # past about 1e154 the quadratic form overflows; q is +inf whatever

@@ -27,14 +27,14 @@ import numpy as np
 from .adaptation import (_LEAPFROG_STEPS, _MAX_CHAINS, _MAX_ITERATIONS, AdaptationState,
                          SizingPolicy, chain_count, check_kind, initial_step_size,
                          iteration_count)
-from .approximations import Approximation
+from .approximations import Approximation, _checked_draws
 from .diagnostics import (MONOTONE_ERROR_CAVEAT, LowerBoundResult,
                           ReliabilityResult, column_intervals, error_lower_bound,
                           log_variance_ratio_ci, lower_bounds, mean_difference_ci,
                           quantile_difference_ci, reliability_check,
                           scalar_functional_diagnostics, scalar_tags)
 from .kernels import Preconditioner, _quiet, step_batch
-from .rng import RandomStream
+from .rng import chain_streams
 from .stats import (binomial_quantile, checked_integer, checked_positive, checked_reals,
                     sample_quantile)
 from .targets import TargetModel
@@ -340,10 +340,15 @@ class _Run:
 
         self.target, self.pre = target, Preconditioner(approximation.covariance)
         # chain j owns stream index j + 1 (see RandomStream)
-        streams = [RandomStream(self.seed, j + 1) for j in range(n_chains)]
+        streams = chain_streams(self.seed, n_chains)
 
-        # i.i.d. draws, each from its chain's own stream
-        self.x0 = self.x = x0 = np.stack([approximation.sample(s) for s in streams])
+        # i.i.d. draws, each from its chain's own stream, checked as one block;
+        # a point of another kind gets Approximation.sample's own check and message
+        draws = [approximation.sampler(s) for s in streams]
+        if any(type(p) is not np.ndarray or p.shape != (d,) or p.dtype != float for p in draws):
+            draws = [_checked_draws(p, (d,), approximation.name) for p in draws]
+        self.x0 = self.x = x0 = _checked_draws(np.stack(draws), (n_chains, d),
+                                               approximation.name)
         with np.errstate(over="ignore", invalid="ignore"):  # the diagnosis's row means
             far = np.flatnonzero(~np.isfinite(x0.T.copy().mean(axis=1)))
         if far.size:

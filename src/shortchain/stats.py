@@ -2,10 +2,10 @@
 
 ``checked_integer``, ``checked_real``, ``checked_positive`` and
 ``checked_fraction`` check a number by name, ``checked_dimension`` the order
-of a (d, d) matrix, and ``checked_reals`` turns every array from outside into
-floats, checked by name, dtype and shape, whose first bad entry
-``check_entries`` names; the module imports nothing from the package, so
-every module can call them.
+of a (d, d) matrix and ``check_memory`` any matrix's size, and
+``checked_reals`` turns every array from outside into floats, checked by
+name, dtype and shape, whose first bad entry ``check_entries`` names; the
+module imports nothing from the package, so every module can call them.
 
 The quantiles call the ``scipy.special`` functions that ``scipy.stats``
 wraps, so the package never loads ``scipy.stats`` and its import cost:
@@ -113,15 +113,21 @@ def check_entries(name: str, values: np.ndarray, good: np.ndarray, wanted: str =
 
 
 def checked_dimension(name: str, value) -> int:
-    """``checked_integer`` for the dimension d >= 1 of a (d, d) float matrix;
-    refuses, before anything is allocated, a d whose d * d entries exceed
-    this machine's physical memory, naming the bytes they need."""
+    """``checked_integer`` for the dimension d >= 1 of a (d, d) float matrix,
+    held to ``check_memory``."""
     d = checked_integer(name, value, 1)
-    needed, memory = 8 * d * d, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if needed > memory:
-        raise ValueError(f"{name} {d} needs {needed:,} bytes for one ({d}, {d}) matrix, "
-                         f"more than the {memory:,} bytes of this machine's memory")
+    check_memory(f"{name} {d}", (d, d))
     return d
+
+
+def check_memory(what: str, shape: tuple):
+    """Refuses, before it is allocated, a float matrix of ``shape`` whose 8 bytes
+    an entry exceed this machine's physical memory, naming ``what`` and the bytes."""
+    needed = 8 * math.prod(shape)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > memory:
+        raise ValueError(f"{what} needs {needed:,} bytes for one {shape} matrix, "
+                         f"more than the {memory:,} bytes of this machine's memory")
 
 
 @functools.lru_cache(maxsize=256, typed=True)

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.special import expit
 
 from .rng import RandomStream
-from .stats import (check_entries, checked_dimension, checked_integer, checked_positive,
-                    checked_real, checked_reals)
+from .stats import (check_entries, check_memory, checked_dimension, checked_integer,
+                    checked_positive, checked_real, checked_reals)
 
 
 class TargetModel:
@@ -179,7 +179,8 @@ def synthetic_logistic_regression_target(n_observations: int,
     vector is drawn from the N(0, prior_sd^2 I) prior, and labels follow
     y_n ~ Bernoulli(sigmoid(z_n . beta)).  The same ``data_seed`` always
     regenerates the identical dataset.  The dimension is held to
-    ``stats.checked_dimension``, as an audit builds a (d, d) preconditioner.
+    ``stats.checked_dimension``, as an audit builds a (d, d) preconditioner,
+    and the (n_observations, d) features to ``stats.check_memory``.
     For a batch of B points, each log-density or gradient call builds one
     (B, n_observations) array and works on it in place.
 
@@ -189,6 +190,7 @@ def synthetic_logistic_regression_target(n_observations: int,
     """
     n_observations = checked_integer("n_observations", n_observations, 1)
     d = checked_dimension("dimension", dimension)
+    check_memory(f"n_observations {n_observations} with dimension {d}", (n_observations, d))
     prior_sd = checked_positive("prior_sd", prior_sd)
     stream = RandomStream(checked_integer("data_seed", data_seed, 0), 0)
     features = stream.standard_normal((n_observations, d))

@@ -19,7 +19,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import shortchain
-from shortchain import cli, runner
+from shortchain import cli, runner, targets
 from shortchain.adaptation import (SizingPolicy, chain_count, iteration_count,
                                    mean_error_chain_count,
                                    variance_error_chain_count)
@@ -724,7 +724,7 @@ class TestOverrideLimits:
         def unreachable(*args):
             raise AssertionError("the run allocated per-chain state")
 
-        monkeypatch.setattr(runner, "RandomStream", unreachable)
+        monkeypatch.setattr(runner, "chain_streams", unreachable)
         cfg = write_config(tmp_path, overrides=overrides)
         assert main(["run", "--config", str(cfg), "--out",
                      str(tmp_path / "out")]) == EXIT_ERROR
@@ -748,6 +748,22 @@ class TestDimensionLimit:
                      str(tmp_path / "out")]) == EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {name} {d} needs {8 * d * d:,} bytes ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_logistic_features_beyond_memory_are_refused(self, tmp_path, capsys, monkeypatch):
+        # the (observations, d) features ended in an _ArrayMemoryError traceback
+        def unreachable(*args):
+            raise AssertionError("drew the dataset")
+
+        monkeypatch.setattr(targets, "RandomStream", unreachable)
+        cfg = write_config(tmp_path, target={"kind": "logistic_synthetic", "dimension": 10000,
+                                             "observations": 1000000})
+        assert main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: n_observations 1000000 with dimension 10000 "
+                                       "needs 80,000,000,000 bytes ")
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert not (tmp_path / "out").exists()
 
@@ -783,7 +799,7 @@ class TestConfigFuzz:
             raise FirstStream
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(runner, "RandomStream", first_stream)
+            mp.setattr(runner, "chain_streams", first_stream)
             with pytest.raises((ValueError, FirstStream)):
                 run_diagnostic(run_config, target, approximation)
 

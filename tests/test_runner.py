@@ -647,7 +647,7 @@ class TestConfigValidation:
         def no_stream(*args, **kwargs):
             raise AssertionError("built a stream before checking the step size")
 
-        monkeypatch.setattr(runner, "RandomStream", no_stream)
+        monkeypatch.setattr(runner, "chain_streams", no_stream)
         target = neal_funnel_target(dimension)
         approx = mean_field_gaussian_approximation(np.zeros(dimension), np.ones(dimension))
         with pytest.raises(ValueError, match=re.escape(
@@ -715,7 +715,7 @@ class TestSettingsAreCheckedByName:
         def unreachable(*args):
             raise AssertionError("the run drew a chain")
 
-        monkeypatch.setattr(runner, "RandomStream", unreachable)
+        monkeypatch.setattr(runner, "chain_streams", unreachable)
         target, approx = small_setup()
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             made = make()
@@ -966,7 +966,7 @@ class TestOverridesAndSizing:
         def unreachable(*args):
             raise AssertionError("the run allocated per-chain state")
 
-        monkeypatch.setattr(runner, "RandomStream", unreachable)
+        monkeypatch.setattr(runner, "chain_streams", unreachable)
         target, approx = small_setup()
         cfg = RunConfig(kernel="rwmh", seed=1, **{"n_chains": 40, "n_iterations": 5,
                                                   field: value})

@@ -25,6 +25,7 @@ from shortchain import (RandomStream, RunConfig, TargetModel, correlated_gaussia
                         mean_field_gaussian_approximation, quantile_difference_ci,
                         reliability_check, run_diagnostic, scalar_functional_diagnostics)
 from shortchain.kernels import Preconditioner, leapfrog, step_batch
+from shortchain.rng import _philox_keys, chain_streams
 from shortchain.stats import (
     binomial_quantile,
     chi_square_quantile,
@@ -414,3 +415,31 @@ class TestRandomStream:
             RandomStream(-1, 0)
         with pytest.raises(ValueError):
             RandomStream(1, -2)
+
+
+class TestChainStreams:
+    # one-word seeds, seeds of 2-4 words, and seeds longer than the 4-word
+    # pool, whose extra words are mixed in after it
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 - 1, 2**128, 2**200 + 17]
+    # 1,000,000 is the largest chain index that n_chains allows
+    INDICES = [1, 2, 97, 999_999, 1_000_000]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_keys_are_numpys_seed_sequence_state(self, seed):
+        keys = _philox_keys(seed, np.array(self.INDICES))
+        assert keys.dtype == np.uint64 and keys.shape == (len(self.INDICES), 2)
+        for key, i in zip(keys, self.INDICES):
+            want = np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
+            assert key.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("seed", [0, 31, 2**64 + 3])
+    def test_streams_draw_what_their_seed_sequence_draws(self, seed):
+        streams = chain_streams(seed, 97)
+        assert len(streams) == 97
+        for j, stream in enumerate(streams):
+            assert (stream.seed, stream.stream_index) == (seed, j + 1)
+            generator = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(seed, spawn_key=(j + 1,))))
+            assert np.array_equal(stream.standard_normal(3), generator.standard_normal(3))
+            assert np.array_equal(stream.random(4), generator.random(4))
+            assert stream.integers(0, 10**6) == generator.integers(0, 10**6)

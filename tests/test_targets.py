@@ -19,6 +19,7 @@ from shortchain import (
     neal_funnel_target,
     synthetic_logistic_regression_target,
 )
+from shortchain import targets
 from shortchain.targets import TargetModel
 
 from oracles import logistic_grad_oracle, logistic_log_density_oracle
@@ -211,6 +212,20 @@ class TestSyntheticLogisticRegression:
     def test_labels_are_binary(self):
         target = synthetic_logistic_regression_target(50, 2)
         assert set(np.unique(target.labels)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("n, d", [(1_000_000, 10_000), (2**70, 1)])
+    def test_feature_matrix_that_exceeds_memory_is_refused(self, monkeypatch, n, d):
+        # the (n, d) features ended in NumPy's _ArrayMemoryError; the refusal
+        # comes before the data stream, so nothing is allocated
+        def unreachable(*args):
+            raise AssertionError("drew the dataset")
+
+        monkeypatch.setattr(targets, "RandomStream", unreachable)
+        with pytest.raises(ValueError, match=rf"^n_observations {n} with dimension {d} needs "
+                                             rf"{8 * n * d:,} bytes for one \({n}, {d}\) "
+                                             r"matrix, more than the [\d,]+ bytes of this "
+                                             r"machine's memory$"):
+            synthetic_logistic_regression_target(n, d)
 
 
 class TestLogisticMatchesTextbookForms:

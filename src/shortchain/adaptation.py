@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .stats import (checked_fraction, checked_integer, checked_positive,
+from .stats import (checked_alpha, checked_integer, checked_positive,
                     chi_square_quantile, student_t_quantile)
 
 
@@ -94,7 +94,8 @@ class SizingPolicy:
     Attributes:
         delta_mean: Half-width budget for the standardized mean interval.
         delta_var: log10 budget for the variance-ratio interval width.
-        alpha: Miscoverage level of every interval; also sizes the chain count.
+        alpha: Miscoverage level of every interval, in (2**-53, 1); also sizes
+            the chain count.
     """
     delta_mean: float = 0.1
     delta_var: float = 0.15
@@ -103,7 +104,7 @@ class SizingPolicy:
     def __post_init__(self):
         for name in ("delta_mean", "delta_var"):
             object.__setattr__(self, name, checked_positive(name, getattr(self, name)))
-        object.__setattr__(self, "alpha", checked_fraction("alpha", self.alpha))
+        object.__setattr__(self, "alpha", checked_alpha(self.alpha))
 
 
 def _smallest_chain_count(width, budget: float, name: str) -> int:
@@ -122,7 +123,7 @@ def _smallest_chain_count(width, budget: float, name: str) -> int:
 def mean_error_chain_count(delta_mean: float, alpha: float) -> int:
     """Smallest n with t_{n-1}(1 - alpha/2) / sqrt(n) <= delta_mean."""
     delta_mean = checked_positive("delta_mean", delta_mean)
-    alpha = checked_fraction("alpha", alpha)
+    alpha = checked_alpha(alpha)
     return _smallest_chain_count(
         lambda n: student_t_quantile(1.0 - alpha / 2.0, n - 1) / math.sqrt(n),
         delta_mean, "delta_mean")
@@ -131,7 +132,7 @@ def mean_error_chain_count(delta_mean: float, alpha: float) -> int:
 def variance_error_chain_count(delta_var: float, alpha: float) -> int:
     """Smallest n whose chi-square interval width in log10 is within delta_var."""
     delta_var = checked_positive("delta_var", delta_var)
-    alpha = checked_fraction("alpha", alpha)
+    alpha = checked_alpha(alpha)
     return _smallest_chain_count(
         lambda n: math.log10(chi_square_quantile(1.0 - alpha / 2.0, n - 1)
                              / chi_square_quantile(alpha / 2.0, n - 1)),

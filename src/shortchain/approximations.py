@@ -8,14 +8,14 @@ closed forms where available and recorded fallbacks otherwise.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtri
 
 from .rng import RandomStream
-from .stats import (check_entries, checked_dimension, checked_integer, checked_real,
-                    checked_reals, sample_quantile)
+from .stats import (check_entries, check_memory, checked_dimension, checked_integer,
+                    checked_real, checked_reals, sample_quantile)
 
 
 class Approximation:
@@ -34,7 +34,8 @@ class Approximation:
             which path was taken.
 
     A vector or matrix that breaks its rule is refused, before any draw, with
-    a ``ValueError`` naming its first bad entry.
+    a ``ValueError`` naming its first bad entry.  ``sample`` is the one draw
+    path: it calls ``sampler`` once a stream and checks every point.
     """
 
     def __init__(self, dimension: int,
@@ -66,10 +67,11 @@ class Approximation:
     def has_quantiles(self) -> bool:
         return self.quantile_fn is not None
 
-    def sample(self, stream: RandomStream) -> np.ndarray:
-        """One draw of shape (d,); raises a ``ValueError`` naming the
-        approximation for a point of another shape or with a non-finite value."""
-        return _checked_draws(self.sampler(stream), (self.dimension,), self.name)
+    def sample(self, streams: Sequence[RandomStream]) -> np.ndarray:
+        """One draw from each stream, in order, as a (len(streams), d) float
+        block; raises a ``ValueError`` naming the approximation for a point
+        that is not real, of another shape than (d,) or not finite."""
+        return _draws(self.sampler, streams, self.dimension, self.name)
 
     def quantile(self, coordinate: int, p: float) -> float:
         """``quantile_fn``'s value as a float; a non-real or non-finite value
@@ -201,26 +203,31 @@ def approximation_from_sampler(sampler: Callable[[RandomStream], np.ndarray],
 
     For black-box samplers without closed-form functionals: draws ``n_draws``
     points once, freezes the resulting empirical functionals, and keeps the
-    original sampler for chain initialization.
+    original sampler for chain initialization.  The dimension is held to
+    ``stats.checked_dimension`` and the (n_draws, dimension) draws to
+    ``stats.check_memory`` before the first draw.
     """
     n_draws = checked_integer("n_draws", n_draws, 2)
-    dimension = checked_integer("dimension", dimension, 1)
-    draws = [sampler(stream) for _ in range(n_draws)]
-    for point in draws:  # a point of another shape is named before np.stack meets it
-        if np.shape(point) != (dimension,):
-            _checked_draws(point, (dimension,), name)
-    draws = _checked_draws(np.stack(draws), (n_draws, dimension), name)
-    base = empirical_approximation(draws, name=name)
+    dimension = checked_dimension("dimension", dimension)
+    check_memory(f"n_draws {n_draws} with dimension {dimension}", (n_draws, dimension))
+    base = empirical_approximation(_draws(sampler, [stream] * n_draws, dimension, name),
+                                   name=name)
     return Approximation(dimension, sampler, base.means, base.sds, base.covariance,
                          quantile_fn=base.quantile_fn, name=name)
 
 
-def _checked_draws(draws, shape: tuple, name: str) -> np.ndarray:
-    """``draws`` as floats; a ``ValueError`` naming approximation ``name`` for
-    points that are not real, of another shape than ``shape`` or not finite."""
-    x = checked_reals(f"the draws of approximation {name!r}", draws, shape)
-    if not np.all(np.isfinite(x)):
-        points = x.reshape(-1, shape[-1])
+def _draws(sampler, streams, d: int, name: str) -> np.ndarray:
+    """``Approximation.sample``'s (n, d) block, checked at once when every point
+    is a (d,) float array, else point by point, in order, before ``np.stack``;
+    a ``ValueError`` names approximation ``name`` for a point that is not real,
+    of another shape than (d,) or not finite."""
+    points = [sampler(stream) for stream in streams]
+    if any(type(p) is not np.ndarray or p.shape != (d,) or p.dtype != float for p in points):
+        points = [checked_reals(f"the draws of approximation {name!r}", p, (d,))
+                  for p in points]
+    x = np.stack(points)
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
         raise ValueError(f"the sampler of approximation {name!r} returned a non-finite "
-                         f"point {points[~np.isfinite(points).all(axis=1)][0]}")
+                         f"point {x[~finite][0]}")
     return x

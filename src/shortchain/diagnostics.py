@@ -24,8 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .stats import (binomial_quantile, checked_fraction, checked_positive, checked_reals,
-                    chi_square_quantile, sample_quantile, student_t_quantile)
+from .stats import (binomial_quantile, checked_alpha, checked_fraction, checked_positive,
+                    checked_reals, chi_square_quantile, sample_quantile,
+                    student_t_quantile)
 
 MONOTONE_ERROR_CAVEAT = (
     "Bounds assume the chains move every audited functional monotonically "
@@ -75,13 +76,13 @@ def mean_difference_ci(final_values: np.ndarray, initial_mean: float,
     Args:
         final_values: (N,) final-iteration values of the coordinate, N >= 2.
         initial_mean: The approximation-side mean.
-        alpha: Miscoverage level in (0, 1).
+        alpha: Miscoverage level in (2**-53, 1).
 
     A zero-spread sample yields a degenerate point interval, flagged rather
     than raised so callers can surface it.
 
     Raises:
-        ValueError: for N < 2 or alpha outside (0, 1).
+        ValueError: for N < 2 or alpha outside (2**-53, 1).
     """
     x = _as_vector("final_values", final_values)
     return _one_row(x, "mean", initial_mean, alpha, functional_tag)
@@ -95,12 +96,12 @@ def log_variance_ratio_ci(final_values: np.ndarray, initial_sd: float,
     Args:
         final_values: (N,) final-iteration values, N >= 2.
         initial_sd: The approximation-side standard deviation, positive.
-        alpha: Miscoverage level in (0, 1).
+        alpha: Miscoverage level in (2**-53, 1).
 
     A zero-spread sample yields the degenerate interval (-inf, -inf).
 
     Raises:
-        ValueError: for N < 2, alpha outside (0, 1), or an ``initial_sd``
+        ValueError: for N < 2, alpha outside (2**-53, 1), or an ``initial_sd``
             that is not a positive finite number.
     """
     x = _as_vector("final_values", final_values)
@@ -164,11 +165,11 @@ def column_intervals(values: np.ndarray, columns: Sequence[tuple], alpha: float
         ``(lower, upper, degenerate)``, one entry per functional.
 
     Raises:
-        ValueError: for ``alpha`` outside (0, 1), or a quantile level whose
+        ValueError: for ``alpha`` outside (2**-53, 1), or a quantile level whose
             order statistics N is too few for.
     """
     n = values.shape[1]
-    alpha = checked_fraction("alpha", alpha)
+    alpha = checked_alpha(alpha)
     kinds, rows, initial, levels = zip(*columns)
     rows, initial = np.array(rows, dtype=np.intp), np.array(initial, dtype=float)
     groups = {"mean": [], "log_variance": [], "quantile": []}

@@ -197,7 +197,7 @@ def step_batch(kind: str, x, logpi_x, grad_x, eps, uniforms,
         x: (B, d) current states.
         logpi_x: (B,) current log densities.
         grad_x: (B, d) gradients at x carried by MALA, Barker and HMC, else
-            None; a step given None evaluates and shape-checks them.
+            None; a step given None evaluates them.
         eps: (B, d) standard normal draws.
         uniforms: (B, k) uniforms, k = ``check_kind(kind).uniform_count(d)``:
             Barker's d sign uniforms, then every kind's acceptance uniform;
@@ -220,8 +220,7 @@ def step_batch(kind: str, x, logpi_x, grad_x, eps, uniforms,
     with _quiet():
         grad_y = None
         if tuning.carries_gradient and grad_x is None:
-            grad_x = checked_reals("target grad_log_density",
-                                   target.grad_log_density(x), x.shape)
+            grad_x = target.grad_log_density(x)
         if kind == "hmc":
             y, h_start, h_end, logpi_y, grad_y = _hmc_core(
                 x, logpi_x, grad_x, eps, step_size, n_leapfrog, pre,

@@ -27,7 +27,7 @@ import numpy as np
 from .adaptation import (_LEAPFROG_STEPS, _MAX_CHAINS, _MAX_ITERATIONS, AdaptationState,
                          SizingPolicy, chain_count, check_kind, initial_step_size,
                          iteration_count)
-from .approximations import Approximation, _checked_draws
+from .approximations import Approximation
 from .diagnostics import (MONOTONE_ERROR_CAVEAT, LowerBoundResult,
                           ReliabilityResult, column_intervals, error_lower_bound,
                           log_variance_ratio_ci, lower_bounds, mean_difference_ci,
@@ -278,9 +278,9 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
         ValueError: for invalid configuration (bad kernel, a setting of
             the wrong type or range, out-of-range coordinates, a quantile
             level outside (0, 1) or infeasible for the sized N, a functional
-            listed twice, ...) or a target or scalar
-            functional whose outputs on the initial batch have the wrong
-            shape, an approximation that samples a non-finite start or an
+            listed twice, ...), a target output of the wrong shape at any
+            step or a scalar functional's on the initial batch, an
+            approximation that samples a non-finite start or an
             ensemble whose mean overflows, or, under MALA, Barker and HMC,
             a non-finite gradient at a start whose log density is finite.
         RuntimeError: when more than half the chains start at non-finite
@@ -342,13 +342,8 @@ class _Run:
         # chain j owns stream index j + 1 (see RandomStream)
         streams = chain_streams(self.seed, n_chains)
 
-        # i.i.d. draws, each from its chain's own stream, checked as one block;
-        # a point of another kind gets Approximation.sample's own check and message
-        draws = [approximation.sampler(s) for s in streams]
-        if any(type(p) is not np.ndarray or p.shape != (d,) or p.dtype != float for p in draws):
-            draws = [_checked_draws(p, (d,), approximation.name) for p in draws]
-        self.x0 = self.x = x0 = _checked_draws(np.stack(draws), (n_chains, d),
-                                               approximation.name)
+        # i.i.d. draws, each from its chain's own stream
+        self.x0 = self.x = x0 = approximation.sample(streams)
         with np.errstate(over="ignore", invalid="ignore"):  # the diagnosis's row means
             far = np.flatnonzero(~np.isfinite(x0.T.copy().mean(axis=1)))
         if far.size:
@@ -358,7 +353,7 @@ class _Run:
                 "for any interval; shift the target and approximation nearer 0")
         self.grad_base = target.gradient_evaluations
         with _quiet():  # a far start may overflow, as a proposal may; the checks below name it
-            logpi = checked_reals("target log_density", target.log_density(x0), (n_chains,))
+            logpi = target.log_density(x0)
         self.logpi, self.n_bad = logpi, int(np.sum(~np.isfinite(logpi)))
         if self.n_bad * 2 > n_chains:
             raise RuntimeError(
@@ -369,8 +364,7 @@ class _Run:
         self.grad = None
         if tuning.carries_gradient:
             with _quiet():
-                self.grad = checked_reals("target grad_log_density",
-                                          target.grad_log_density(x0), (n_chains, d))
+                self.grad = target.grad_log_density(x0)
             bad_grad = np.flatnonzero(np.isfinite(logpi) & ~np.isfinite(self.grad).all(axis=1))
             if bad_grad.size:
                 raise ValueError(

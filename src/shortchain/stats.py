@@ -1,7 +1,8 @@
 """The one check of a number or an array, and the diagnostics' quantiles.
 
 ``checked_integer``, ``checked_real``, ``checked_positive`` and
-``checked_fraction`` check a number by name, ``checked_dimension`` the order
+``checked_fraction`` check a number by name, ``checked_alpha`` a
+miscoverage level, ``checked_dimension`` the order
 of a (d, d) matrix and ``check_memory`` any matrix's size, and
 ``checked_reals`` turns every array from outside into floats, checked by
 name, dtype and shape, whose first bad entry ``check_entries`` names; the
@@ -81,6 +82,16 @@ def checked_fraction(name: str, value) -> float:
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must lie in (0, 1), got {value}")
     return value
+
+
+def checked_alpha(value) -> float:
+    """``checked_fraction`` for ``alpha``, the miscoverage level of a two-sided
+    interval, refused too at 2**-53 or below, where 1 - alpha/2 rounds to 1."""
+    alpha = checked_fraction("alpha", value)
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ValueError(f"alpha must exceed 2**-53 (about 1.1e-16), so that 1 - alpha/2 "
+                         f"is below 1, got {alpha}")
+    return alpha
 
 
 def checked_reals(name: str, value, shape: Optional[tuple] = None) -> np.ndarray:

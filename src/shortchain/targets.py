@@ -3,8 +3,9 @@
 A ``TargetModel`` bundles an unnormalized log density with its gradient and
 counts gradient evaluations, one per evaluated point, so that runs can verify
 their gradient budget in closed form.  Every target takes a (B, d) batch
-only, checked by ``stats.checked_reals``, and the built-in ones evaluate it
-with vectorised NumPy operations.
+only and returns (B,) log densities and (B, d) gradients, each checked by
+``stats.checked_reals``, and the built-in ones evaluate it with vectorised
+NumPy operations.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ class TargetModel:
 
     Both methods accept only a (B, d) array of integers or floats and raise
     a ``ValueError`` naming the target for any other shape or dtype, so the
-    wrapped callables never see anything else.  The runner rejects a target whose log density or
-    gradient has the wrong shape at its first use.  The gradient evaluation
-    counter increments by the number of points in each
-    ``grad_log_density`` call.
+    wrapped callables never see anything else.  They check every output of
+    their callable the same way, as floats of shape (B,) and (B, d), and
+    refuse any other as ``target log_density`` or ``target grad_log_density``.
+    The gradient evaluation counter increments by the number of points in
+    each ``grad_log_density`` call.
     """
 
     def __init__(self, dimension: int,
@@ -46,13 +48,14 @@ class TargetModel:
         self._grad_log_density = grad_log_density
         self._n_grad = 0
 
-    def log_density(self, x: np.ndarray):
-        return self._log_density(self._batch(x))
+    def log_density(self, x: np.ndarray) -> np.ndarray:
+        x = self._batch(x)
+        return checked_reals("target log_density", self._log_density(x), x.shape[:1])
 
-    def grad_log_density(self, x: np.ndarray):
+    def grad_log_density(self, x: np.ndarray) -> np.ndarray:
         x = self._batch(x)
         self._n_grad += x.shape[0]
-        return self._grad_log_density(x)
+        return checked_reals("target grad_log_density", self._grad_log_density(x), x.shape)
 
     def _batch(self, x) -> np.ndarray:
         return checked_reals(f"the batch of target {self.name!r}", x, (None, self.dimension))

@@ -1,6 +1,7 @@
 """Step-size adaptation updates and ensemble sizing rules."""
 
 import math
+import re
 import sys
 from dataclasses import fields
 
@@ -298,6 +299,7 @@ class TestChainCountAlpha:
         (-0.5, r"alpha must lie in \(0, 1\), got -0.5"),
         (math.nan, "alpha must be finite, got nan"),
         (True, "alpha must be a real number, got True"),
+        (1e-17, r"alpha must exceed 2\*\*-53 \(about 1.1e-16\), .*, got 1e-17"),
     ])
     def test_alpha_outside_the_unit_interval_refused(self, count, alpha, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -318,6 +320,21 @@ class TestSizingPolicy:
     def test_non_finite_field_is_named(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
             SizingPolicy(**{name: value})
+
+    @pytest.mark.parametrize("alpha", [1e-17, 2**-53, 5e-324])
+    def test_alpha_too_small_for_its_interval_is_named(self, alpha):
+        # 1 - alpha/2 rounds to 1, which chain_count refused only as
+        # "p must lie in (0, 1), got 1.0", after a run with the chains
+        # override had taken all its steps
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"alpha must exceed 2**-53 (about 1.1e-16), so that 1 - alpha/2 is "
+                f"below 1, got {alpha}") + "$"):
+            SizingPolicy(alpha=alpha)
+
+    def test_smallest_alpha_above_the_limit_is_kept(self):
+        policy = SizingPolicy(alpha=2**-52)
+        assert policy.alpha == 2**-52 and 1.0 - policy.alpha / 2.0 < 1.0
+        assert 2 <= chain_count(policy) < _MAX_CHAINS
 
     def test_defaults(self):
         policy = SizingPolicy()

@@ -41,7 +41,7 @@ class TestMeanFieldGaussian:
     def test_sampler_moments(self):
         approx = mean_field_gaussian_approximation([5.0, -1.0], [0.5, 2.0])
         stream = RandomStream(11, 0)
-        draws = np.stack([approx.sample(stream) for _ in range(20_000)])
+        draws = approx.sample([stream] * 20_000)
         assert np.allclose(draws.mean(axis=0), [5.0, -1.0], atol=0.05)
         assert np.allclose(draws.std(axis=0), [0.5, 2.0], atol=0.05)
 
@@ -204,7 +204,7 @@ class TestEmpirical:
         x = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
         approx = empirical_approximation(x)
         stream = RandomStream(6, 0)
-        rows = {tuple(approx.sample(stream)) for _ in range(100)}
+        rows = {tuple(row) for row in approx.sample([stream] * 100)}
         assert rows <= {(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)}
         assert len(rows) == 3
 
@@ -225,7 +225,7 @@ class TestFromSampler:
         assert approx.has_quantiles
         # The original sampler is kept, not a bootstrap of the draws.
         stream = RandomStream(8, 0)
-        fresh = np.stack([approx.sample(stream) for _ in range(5000)])
+        fresh = approx.sample([stream] * 5000)
         assert fresh.std(axis=0)[1] == pytest.approx(3.0, abs=0.15)
 
     def test_rejects_tiny_draw_count(self):
@@ -258,19 +258,36 @@ class TestSampledDrawsChecked:
                                            name="vi")
 
 
+class TestSampledDrawsBounded:
+    # refused before the first draw: n_draws=10**13 at d=2 drew on towards
+    # 160 TB, and d=10**6 drew all its points before the empirical fit refused it
+    @pytest.mark.parametrize("n_draws, dimension, message", [
+        (10**13, 2, "n_draws 10000000000000 with dimension 2 needs 160,000,000,000,000 bytes "),
+        (100_000, 10**6, "dimension 1000000 needs 8,000,000,000,000 bytes "),
+        (2, 2**70, f"dimension {2**70} needs {8 * 4**70:,} bytes "),
+    ], ids=["draws", "dimension", "huge-dimension"])
+    def test_too_large_is_refused_before_any_draw(self, n_draws, dimension, message):
+        def unreachable(stream):
+            raise AssertionError("the sampler was called")
+
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            approximation_from_sampler(unreachable, dimension, RandomStream(0, 0),
+                                       n_draws=n_draws)
+
+
 class TestApproximationValidation:
     def test_sampler_shape_checked(self):
         approx = mean_field_gaussian_approximation([0.0, 0.0], [1.0, 1.0])
         approx.sampler = lambda stream: np.zeros(3)
         with pytest.raises(ValueError):
-            approx.sample(RandomStream(0, 0))
+            approx.sample([RandomStream(0, 0)])
 
     def test_non_finite_sample_names_the_approximation(self):
         approx = mean_field_gaussian_approximation([0.0, 0.0], [1.0, 1.0], name="vi_fit")
         approx.sampler = lambda stream: np.array([0.0, np.nan])
         with pytest.raises(ValueError, match=r"sampler of approximation 'vi_fit' "
                                              r"returned a non-finite point"):
-            approx.sample(RandomStream(0, 0))
+            approx.sample([RandomStream(0, 0)])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_means_are_named(self, value):
@@ -354,7 +371,7 @@ class TestNonRealArrays:
         approx.sampler = lambda stream: stream.standard_normal(2) + 1j
         with pytest.raises(ValueError, match=r"^the draws of approximation 'vi_fit' must "
                                              r"hold integers or floats, got dtype complex128$"):
-            approx.sample(RandomStream(0, 0))
+            approx.sample([RandomStream(0, 0)])
 
     def test_sampler_draws(self):
         with pytest.raises(ValueError, match=r"^the draws of approximation 'vi' must "

@@ -651,6 +651,30 @@ class TestNonFiniteSizing:
         assert captured.out == ""
 
 
+class TestAlphaTooSmall:
+    # 1 - alpha/2 rounds to 1 at alpha = 1e-17; the run with the chains
+    # override took all its steps before chain_count named neither alpha nor a key
+    def test_run_config_is_refused_naming_alpha(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the run built a stream")
+
+        monkeypatch.setattr(runner, "chain_streams", unreachable)
+        cfg = write_config(tmp_path, alpha=1e-17)
+        assert main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: alpha must exceed 2**-53 ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_sizing_flag_is_refused_naming_alpha(self, capsys):
+        assert main(["sizing", "--kernel", "rwmh", "--dimension", "2",
+                     "--alpha", "1e-17"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: alpha must exceed 2**-53 ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 class TestNonFiniteModelParameters:
     # json writes NaN/Infinity; the factories refuse them by name instead of
     # letting the run blame the approximation for where the chains start

@@ -418,6 +418,17 @@ class TestUnitIntervalSettings:
             call(value)
 
 
+class TestAlphaTooSmall:
+    def test_level_whose_upper_quantile_rounds_to_one_is_named(self):
+        # 1 - alpha/2 == 1.0, which the t quantile refused as "p must lie in (0, 1)"
+        with pytest.raises(ValueError, match=r"^alpha must exceed 2\*\*-53 .*got 1e-17$"):
+            mean_difference_ci(np.arange(40.0), 0.0, 1e-17)
+
+    def test_smallest_level_above_the_limit_gives_finite_endpoints(self):
+        ci = mean_difference_ci(np.arange(40.0), 0.0, 2**-52)
+        assert math.isfinite(ci.lower) and math.isfinite(ci.upper) and ci.level < 1.0
+
+
 class TestBoundValidity:
     def test_mean_bound_rarely_exceeds_true_error(self):
         # Direct simulation of the guarantee: the reported bound must sit at

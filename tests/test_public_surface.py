@@ -131,6 +131,30 @@ def test_only_stats_converts_outside_arrays():
         assert calls == [], f"{module.name}:{calls} calls asarray, not stats.checked_reals"
 
 
+def _leading_text(node) -> str:
+    # the literal start of a string or f-string argument, else ""
+    if isinstance(node, ast.JoinedStr) and node.values:
+        node = node.values[0]
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+
+
+def test_one_owner_per_outside_callable():
+    # Approximation.sample is the one caller of an approximation's sampler, and
+    # TargetModel the one checker of a target's outputs; a copy elsewhere
+    # would check them its own way, or leave some calls unchecked
+    for module in sorted(PACKAGE.glob("*.py")):
+        calls = [n for n in ast.walk(ast.parse(module.read_text(), filename=str(module)))
+                 if isinstance(n, ast.Call)]
+        samplers = [n.lineno for n in calls if getattr(n.func, "attr", None) == "sampler"]
+        targets = [n.lineno for n in calls
+                   if getattr(n.func, "attr", getattr(n.func, "id", None)) == "checked_reals"
+                   and n.args and _leading_text(n.args[0]).startswith("target ")]
+        if module.name != "approximations.py":
+            assert samplers == [], f"{module.name}:{samplers} calls a sampler, not sample"
+        if module.name != "targets.py":
+            assert targets == [], f"{module.name}:{targets} checks a target's output"
+
+
 def test_only_stats_refuses_a_non_finite_value():
     # stats.check_entries is the one refusal of an array's bad entry, and
     # checked_real of a number's; a hand-written copy elsewhere would word and

@@ -329,6 +329,27 @@ class TestNoiseFill:
         assert calls == [40] * 7
 
 
+class TestInitialDraw:
+    # x0 is drawn by one Approximation.sample call over the run's N streams,
+    # so a wrapper set on the class sees it and changes nothing
+    @pytest.mark.parametrize("kind", ["rwmh", "mala", "barker", "hmc"])
+    def test_a_wrapper_sees_one_call_with_every_stream(self, kind, monkeypatch):
+        target, approx = small_setup(3)
+        cfg = RunConfig(kernel=kind, seed=5, n_chains=40, n_iterations=7, trace_every=3,
+                        functionals=["mean(*)", "quantile(1,0.5)", "scalar(target_log_density)"])
+        plain = run_diagnostic(cfg, target, approx).to_json_dict()
+        calls = []
+        sample = Approximation.sample
+
+        def wrapped(self, streams):
+            calls.append(len(streams))
+            return sample(self, streams)
+
+        monkeypatch.setattr(Approximation, "sample", wrapped)
+        assert run_diagnostic(cfg, target, approx).to_json_dict() == plain
+        assert calls == [40]
+
+
 class TestNonFiniteScalarValues:
     def test_infinite_values_give_nan_endpoints_without_warnings(self):
         # +inf on the chains with x_0 > 1: the mean interval has no finite
@@ -372,7 +393,7 @@ class TestDrawOrder:
         sign_u, accept_u = uniforms[:, :-1], uniforms[:, -1]
         for j in range(n):
             stream = RandomStream(seed, j + 1)
-            approx.sample(stream)
+            approx.sample([stream])
             assert np.array_equal(eps[j], stream.standard_normal(d))
             if kind == "barker":
                 u = stream.random(d + 1)
@@ -794,6 +815,41 @@ class TestTargetOutputShapes:
     def test_well_shaped_integer_log_density_runs(self):
         report = self.run("rwmh", log_density=lambda x: np.zeros(x.shape[0], dtype=int))
         assert report.n_chains == 40
+
+
+class TestEveryTargetOutputIsChecked:
+    # 40 chains on a d=2 Gaussian whose callable turns out of shape after x0;
+    # checked only at x0, it ended mid-run in a NumPy broadcast or matmul error
+    def run(self, kind, log_density=None, grad_log_density=None):
+        target, approx = small_setup()
+        bent = TargetModel(2, log_density or target.log_density,
+                           grad_log_density or target.grad_log_density)
+        return run_diagnostic(RunConfig(kernel=kind, seed=0, n_chains=40, n_iterations=3),
+                              bent, approx)
+
+    @staticmethod
+    def after_x0(fn, bend):
+        calls = []
+
+        def bent(x):
+            calls.append(len(x))
+            return fn(x) if len(calls) == 1 else bend(fn(x))
+
+        return bent
+
+    @pytest.mark.parametrize("kind", ["rwmh", "barker"])
+    def test_log_density_column_after_x0_is_refused(self, kind):
+        gauss = correlated_gaussian_target(2, correlation=0.3).log_density
+        with pytest.raises(ValueError, match=re.escape(
+                "target log_density must have shape (40,), got shape (40, 1)")):
+            self.run(kind, log_density=self.after_x0(gauss, lambda v: v[:, None]))
+
+    @pytest.mark.parametrize("kind", ["mala", "barker", "hmc"])
+    def test_gradient_sum_after_x0_is_refused(self, kind):
+        grad = correlated_gaussian_target(2, correlation=0.3).grad_log_density
+        with pytest.raises(ValueError, match=re.escape(
+                "target grad_log_density must have shape (40, 2), got shape (40,)")):
+            self.run(kind, grad_log_density=self.after_x0(grad, lambda g: g.sum(axis=1)))
 
 
 class TestIncompatibleSupport:

@@ -23,7 +23,8 @@ class Approximation:
 
     Args:
         dimension: Dimension d.
-        sampler: Maps a RandomStream to one point of shape (d,).
+        sampler: Maps a RandomStream to one point of shape (d,), which
+            ``sample`` copies at once, so it may be one reused array.
         means: Length-d vector of finite coordinate means.
         sds: Length-d vector of positive, finite coordinate standard deviations,
             each between about 1e-162 and 1e154, so that its square, the
@@ -34,8 +35,11 @@ class Approximation:
             which path was taken.
 
     A vector or matrix that breaks its rule is refused, before any draw, with
-    a ``ValueError`` naming its first bad entry.  ``sample`` is the one draw
-    path: it calls ``sampler`` once a stream and checks every point.
+    a ``ValueError`` naming its first bad entry.  ``means`` and ``sds`` are
+    kept as private read-only copies, so a later edit of the caller's arrays
+    changes nothing; ``covariance`` is kept as given, since the run reads it
+    once, to build the preconditioner.  ``sample`` is the one draw path: it
+    calls ``sampler`` once a stream and checks every point.
     """
 
     def __init__(self, dimension: int,
@@ -57,8 +61,8 @@ class Approximation:
         check_entries("covariance", covariance, np.isfinite(covariance))
         self.dimension = d
         self.sampler = sampler
-        self.means = means
-        self.sds = sds
+        self.means = _frozen(means)
+        self.sds = _frozen(sds)
         self.covariance = covariance
         self.quantile_fn = quantile_fn
         self.name = name
@@ -89,11 +93,12 @@ def mean_field_gaussian_approximation(means, sds, name: str = "mean_field") -> A
     """Independent Gaussian approximation with the given means and sds.
 
     ``means`` and ``sds`` are equal-length vectors held to ``Approximation``'s
-    rules; a length d whose (d, d) covariance would not fit in this
-    machine's memory is refused, naming the bytes, before it is built.
+    rules, which the sampler and quantiles read from private copies; a
+    length d whose (d, d) covariance would not fit in this machine's memory
+    is refused, naming the bytes, before it is built.
     """
-    means = np.atleast_1d(checked_reals("means", means))
-    sds = np.atleast_1d(checked_reals("sds", sds))
+    means = _frozen(np.atleast_1d(checked_reals("means", means)))
+    sds = _frozen(np.atleast_1d(checked_reals("sds", sds)))
     if means.shape != sds.shape or means.ndim != 1 or means.size == 0:
         raise ValueError(f"means and sds must be equal-length non-empty vectors, "
                          f"got shapes {means.shape} and {sds.shape}")
@@ -137,8 +142,9 @@ def kl_optimal_mean_field(target) -> Approximation:
 def empirical_approximation(samples: np.ndarray, name: str = "empirical") -> Approximation:
     """Approximation backed by an existing sample matrix.
 
-    Functionals are the sample's own statistics, the sampler bootstraps rows,
-    and quantiles are lower order statistics.  The covariance uses the N - 1
+    Functionals are the sample's own statistics, the sampler bootstraps rows
+    of a private copy of the sample, and quantiles are its lower order
+    statistics.  The covariance uses the N - 1
     denominator with a diagonal fallback when there are too few rows for a
     full-rank estimate.
 
@@ -161,13 +167,14 @@ def empirical_approximation(samples: np.ndarray, name: str = "empirical") -> App
         j, row = int(wide[0]), int(np.argmax(np.abs(x[:, wide[0]])))
         raise ValueError(f"samples spread too widely in coordinate {j} for a finite variance: "
                          f"{x[row, j]:g} in row {row} (counting from 0)")
-    flat = np.flatnonzero(sds * sds == 0)
+    # a constant column's sd need not be 0: its mean may round
+    spread = np.ptp(x, axis=0)
+    flat = np.flatnonzero((spread == 0) | (sds * sds == 0))
     if flat.size:
         j = int(flat[0])
-        spread = float(np.ptp(x[:, j]))
-        if spread > 0:  # the squared deviations underflow to 0
+        if spread[j] > 0:  # the squared deviations underflow to 0
             raise ValueError(f"samples spread too narrowly in coordinate {j} for a positive "
-                             f"variance: their range is {spread:g}")
+                             f"variance: their range is {spread[j]:g}")
         raise ValueError(f"samples are constant in coordinate {j}; "
                          "an empirical approximation needs spread in every coordinate")
     if n <= d:
@@ -184,6 +191,7 @@ def empirical_approximation(samples: np.ndarray, name: str = "empirical") -> App
                 loading *= 10.0
         else:
             cov = np.diag(sds * sds)
+    x = _frozen(x)
 
     def sampler(stream: RandomStream) -> np.ndarray:
         return x[int(stream.integers(0, n))]
@@ -201,33 +209,40 @@ def approximation_from_sampler(sampler: Callable[[RandomStream], np.ndarray],
                                name: str = "sampled") -> Approximation:
     """Estimates an approximation's functionals by Monte Carlo.
 
-    For black-box samplers without closed-form functionals: draws ``n_draws``
-    points once, freezes the resulting empirical functionals, and keeps the
-    original sampler for chain initialization.  The dimension is held to
-    ``stats.checked_dimension`` and the (n_draws, dimension) draws to
-    ``stats.check_memory`` before the first draw.
+    For black-box samplers without closed-form functionals: the empirical
+    approximation of ``n_draws`` points drawn once, with ``sampler`` kept for
+    chain initialization.  ``dimension`` and the (n_draws, dimension) block
+    are held to ``stats.checked_dimension`` and ``check_memory`` first.
     """
     n_draws = checked_integer("n_draws", n_draws, 2)
     dimension = checked_dimension("dimension", dimension)
     check_memory(f"n_draws {n_draws} with dimension {dimension}", (n_draws, dimension))
-    base = empirical_approximation(_draws(sampler, [stream] * n_draws, dimension, name),
-                                   name=name)
-    return Approximation(dimension, sampler, base.means, base.sds, base.covariance,
-                         quantile_fn=base.quantile_fn, name=name)
+    approx = empirical_approximation(_draws(sampler, [stream] * n_draws, dimension, name), name)
+    approx.sampler = sampler
+    return approx
 
 
 def _draws(sampler, streams, d: int, name: str) -> np.ndarray:
-    """``Approximation.sample``'s (n, d) block, checked at once when every point
-    is a (d,) float array, else point by point, in order, before ``np.stack``;
-    a ``ValueError`` names approximation ``name`` for a point that is not real,
-    of another shape than (d,) or not finite."""
-    points = [sampler(stream) for stream in streams]
-    if any(type(p) is not np.ndarray or p.shape != (d,) or p.dtype != float for p in points):
-        points = [checked_reals(f"the draws of approximation {name!r}", p, (d,))
-                  for p in points]
-    x = np.stack(points)
+    """``Approximation.sample``'s (n, d) block, each point copied into its row
+    as it is drawn, checked alone only when not a (d,) float array, and all
+    checked finite at the end; a ``ValueError`` names approximation ``name``
+    for a point that is not real, of another shape than (d,) or not finite."""
+    x = np.empty((len(streams), d))
+    for row, stream in zip(x, streams):
+        point = sampler(stream)
+        if type(point) is not np.ndarray or point.shape != (d,) or point.dtype != float:
+            point = checked_reals(f"the draws of approximation {name!r}", point, (d,))
+        row[:] = point
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         raise ValueError(f"the sampler of approximation {name!r} returned a non-finite "
                          f"point {x[~finite][0]}")
     return x
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``values``, which no later edit of the caller's
+    array reaches."""
+    values = values.copy()
+    values.flags.writeable = False
+    return values

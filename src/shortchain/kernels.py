@@ -198,7 +198,9 @@ def step_batch(kind: str, x, logpi_x, grad_x, eps, uniforms,
         logpi_x: (B,) current log densities.
         grad_x: (B, d) gradients at x carried by MALA, Barker and HMC, else
             None; a step given None evaluates them.
-        eps: (B, d) standard normal draws.
+        eps: (B, d) standard normal draws.  ``logpi_x``, a given ``grad_x``
+            and ``eps`` of another shape raise a ``ValueError`` naming them,
+            before any target evaluation.
         uniforms: (B, k) uniforms, k = ``check_kind(kind).uniform_count(d)``:
             Barker's d sign uniforms, then every kind's acceptance uniform;
             a block of another shape raises a ``ValueError``.
@@ -213,7 +215,12 @@ def step_batch(kind: str, x, logpi_x, grad_x, eps, uniforms,
     """
     tuning = check_kind(kind)
     step_size = checked_positive("step_size", step_size)
-    shape = (x.shape[0], tuning.uniform_count(x.shape[1]))
+    n, d = x.shape
+    for name, value, shape in (("logpi_x", logpi_x, (n,)), ("grad_x", grad_x, (n, d)),
+                               ("eps", eps, (n, d))):
+        if np.shape(value) != shape and not (name == "grad_x" and value is None):
+            raise ValueError(f"{name} must have shape {shape}, got {np.shape(value)}")
+    shape = (n, tuning.uniform_count(d))
     if np.shape(uniforms) != shape:
         raise ValueError(f"uniforms must have shape {shape} under kernel {kind!r}, "
                          f"got {np.shape(uniforms)}")

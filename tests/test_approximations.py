@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from shortchain import (
     kl_optimal_mean_field,
     mean_field_gaussian_approximation,
 )
+from shortchain.rng import chain_streams
 from shortchain.stats import sample_quantile
 
 from oracles import normal_quantile
@@ -133,9 +135,11 @@ class TestKLOptimalMeanField:
 
 class TestEmpirical:
     def test_rejects_constant_column(self):
-        x = np.column_stack([np.arange(10.0), np.full(10, 3.0)])
-        with pytest.raises(ValueError, match="coordinate 1"):
-            empirical_approximation(x)
+        # 1,000 rows of 0.1 have an sd of 1.4e-15, since their mean rounds
+        for column in (np.full(10, 3.0), np.full(1000, 0.1)):
+            x = np.column_stack([np.arange(float(column.size)), column])
+            with pytest.raises(ValueError, match="^samples are constant in coordinate 1;"):
+                empirical_approximation(x)
 
     def test_rejects_single_row(self):
         with pytest.raises(ValueError):
@@ -232,6 +236,106 @@ class TestFromSampler:
         with pytest.raises(ValueError):
             approximation_from_sampler(lambda s: np.zeros(1), 1,
                                        RandomStream(0, 0), n_draws=1)
+
+
+def reusing_sampler():
+    """A sampler that fills and returns one array on every call."""
+    buffer = np.empty(2)
+
+    def sampler(stream):
+        buffer[:] = stream.standard_normal(2)
+        return buffer
+
+    return sampler
+
+
+class TestOneDrawBlock:
+    def test_a_sampler_may_reuse_its_output_array(self):
+        approx = Approximation(2, reusing_sampler(), np.zeros(2), np.ones(2), np.eye(2))
+        assert np.unique(approx.sample(chain_streams(1, 5)), axis=0).shape == (5, 2)
+        sampled = approximation_from_sampler(reusing_sampler(), 2, RandomStream(0, 0),
+                                             n_draws=1000)
+        assert np.allclose(sampled.sds, 1.0, atol=0.1)
+
+    def test_no_streams_give_an_empty_block(self):
+        approx = mean_field_gaussian_approximation([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        assert approx.sample([]).shape == (0, 3)
+
+    def test_sampled_draws_need_little_more_than_their_block(self):
+        # the (n_draws, 2) block itself is 16 bytes a draw
+        n_draws, stream = 20_000, RandomStream(0, 0)
+        tracemalloc.start()
+        try:
+            approximation_from_sampler(lambda s: s.standard_normal(2), 2, stream,
+                                       n_draws=n_draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n_draws
+
+    def test_sampled_approximation_is_the_empirical_one_of_its_draws(self, monkeypatch):
+        built = []
+        init = Approximation.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def sampler(stream):
+            return np.array([4.0, 0.0]) + np.array([1.0, 3.0]) * stream.standard_normal(2)
+
+        monkeypatch.setattr(Approximation, "__init__", counted)
+        approx = approximation_from_sampler(sampler, 2, RandomStream(7, 0), n_draws=500)
+        assert built == [approx]
+        assert approx.sampler is sampler
+        draws = np.array([sampler(s) for s in [RandomStream(7, 0)] * 500])
+        empirical = empirical_approximation(draws)
+        for name in ("means", "sds", "covariance"):
+            assert np.array_equal(getattr(approx, name), getattr(empirical, name))
+        for p in (0.05, 0.5, 0.95):
+            assert approx.quantile(1, p) == empirical.quantile(1, p)
+
+
+class TestPrivateCopies:
+    # an approximation keeps what it checked: a later edit of the caller's
+    # arrays moves neither its draws nor its functionals
+    def assert_unchanged_by(self, approx, edit):
+        def seen():
+            streams = [RandomStream(3, 0)] * 4
+            return (approx.sample(streams), [approx.quantile(j, 0.3) for j in (0, 1)],
+                    approx.means.copy(), approx.sds.copy())
+
+        before = seen()
+        edit()
+        for old, new in zip(before, seen()):
+            assert np.array_equal(old, new)
+
+    def test_empirical_sample(self):
+        x = RandomStream(1, 0).standard_normal((50, 2))
+        approx = empirical_approximation(x)
+        self.assert_unchanged_by(approx, lambda: x.fill(7.0))
+
+    def test_mean_field_vectors(self):
+        means, sds = np.zeros(2), np.ones(2)
+        approx = mean_field_gaussian_approximation(means, sds)
+
+        def edit():
+            means[:] = 100.0
+            sds[:] = 5.0
+
+        self.assert_unchanged_by(approx, edit)
+
+    def test_approximation_functionals(self):
+        means, sds = np.zeros(2), np.ones(2)
+        approx = Approximation(2, lambda s: s.standard_normal(2), means, sds, np.eye(2),
+                               quantile_fn=lambda j, p: 0.0)
+        self.assert_unchanged_by(approx, lambda: (means.fill(100.0), sds.fill(5.0)))
+
+    @pytest.mark.parametrize("name", ["means", "sds"])
+    def test_functionals_are_read_only(self, name):
+        approx = mean_field_gaussian_approximation([0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(approx, name)[0] = 2.0
 
 
 class TestSampledDrawsChecked:

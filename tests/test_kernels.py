@@ -571,6 +571,23 @@ class TestMHStep:
                            np.zeros(bad), 0.5, Preconditioner(np.eye(2)), target)
         assert target.gradient_evaluations == 0
 
+    @pytest.mark.parametrize("kind", list(KERNEL_KINDS))
+    def test_state_of_the_wrong_shape_refused(self, kind):
+        # NumPy broadcast a (1,) logpi_x or a (1, d) grad_x over the batch
+        # and ended a (B, d + 1) eps in a matmul or broadcast error
+        target = flat_target(2)
+        uniforms = np.full((4, check_kind(kind).uniform_count(2)), 0.5)
+        # no gradient is given, so a late check would come after its evaluation
+        state = {"logpi_x": np.zeros(4), "grad_x": None, "eps": np.zeros((4, 2))}
+        for name, bad, wanted in (("logpi_x", (1,), (4,)), ("logpi_x", (4, 1), (4,)),
+                                  ("grad_x", (1, 2), (4, 2)), ("eps", (4, 3), (4, 2))):
+            args = dict(state, **{name: np.zeros(bad)})
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must have shape {wanted}, got {bad}")):
+                step_batch(kind, np.zeros((4, 2)), args["logpi_x"], args["grad_x"],
+                           args["eps"], uniforms, 0.5, Preconditioner(np.eye(2)), target)
+        assert target.gradient_evaluations == 0
+
     @pytest.mark.parametrize("kind", ["mala", "barker", "hmc"])
     def test_gradient_of_the_wrong_shape_is_named(self, kind):
         # a step given no gradient evaluates it and checks its shape first

@@ -35,10 +35,9 @@ class Approximation:
             which path was taken.
 
     A vector or matrix that breaks its rule is refused, before any draw, with
-    a ``ValueError`` naming its first bad entry.  ``means`` and ``sds`` are
-    kept as private read-only copies, so a later edit of the caller's arrays
-    changes nothing; ``covariance`` is kept as given, since the run reads it
-    once, to build the preconditioner.  ``sample`` is the one draw path: it
+    a ``ValueError`` naming its first bad entry.  ``means``, ``sds`` and
+    ``covariance`` are kept as private read-only copies, so a later edit of
+    the caller's arrays changes nothing.  ``sample`` is the one draw path: it
     calls ``sampler`` once a stream and checks every point.
     """
 
@@ -63,7 +62,7 @@ class Approximation:
         self.sampler = sampler
         self.means = _frozen(means)
         self.sds = _frozen(sds)
-        self.covariance = covariance
+        self.covariance = _frozen(covariance)
         self.quantile_fn = quantile_fn
         self.name = name
 
@@ -211,12 +210,14 @@ def approximation_from_sampler(sampler: Callable[[RandomStream], np.ndarray],
 
     For black-box samplers without closed-form functionals: the empirical
     approximation of ``n_draws`` points drawn once, with ``sampler`` kept for
-    chain initialization.  ``dimension`` and the (n_draws, dimension) block
-    are held to ``stats.checked_dimension`` and ``check_memory`` first.
+    chain initialization.  ``dimension`` is held to
+    ``stats.checked_dimension`` first, and two (n_draws, dimension) blocks
+    to ``check_memory``: at its peak the call holds the drawn block and one
+    temporary of that size, which ``x.std`` or ``np.cov`` makes.
     """
     n_draws = checked_integer("n_draws", n_draws, 2)
     dimension = checked_dimension("dimension", dimension)
-    check_memory(f"n_draws {n_draws} with dimension {dimension}", (n_draws, dimension))
+    check_memory(f"n_draws {n_draws} with dimension {dimension}", (n_draws, dimension), 2)
     approx = empirical_approximation(_draws(sampler, [stream] * n_draws, dimension, name), name)
     approx.sampler = sampler
     return approx

@@ -9,11 +9,22 @@ A stream's Philox key is NumPy's ``SeedSequence(seed, spawn_key=(index,))``
 state.  ``chain_streams`` builds an ensemble's streams from one vectorised
 derivation of all their keys, ``_philox_keys``, pinned to that state bit for
 bit, so its streams draw exactly what ``RandomStream`` draws.
+
+``StepNoise`` draws a run's step noise for every chain at once with the
+same bits as each chain's ``standard_normal`` and ``random`` calls: it
+fetches each chain's raw 64-bit words in chunks and decodes them as NumPy
+does, uniforms as their top 53 bits and normals by NumPy's ziggurat
+(Marsaglia & Tsang, 2000).  The ziggurat's tables are read once a process
+from the installed NumPy by feeding crafted words through a spare
+Philox, and a probe checks the decode against NumPy's own draws; when it
+differs, ``step_noise`` returns None and the run draws chain by chain.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import functools
+import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -103,3 +114,254 @@ def chain_streams(seed: int, n: int) -> list:
         stream.generator = np.random.Generator(np.random.Philox(_Key(key)))
         streams.append(stream)
     return streams
+
+
+# A normal's word (NumPy's random_standard_normal): bits 0-7 pick the layer,
+# bit 8 the sign and bits 9-60 the magnitude; a uniform is its top 53 bits.
+_LAYER, _SIGNED, _MAGNITUDE, _TOP = 0xFF, 0x1FF, (1 << 52) - 1, 1 << 52
+_MARGIN = 1e-12  # a wedge test this close is replayed through NumPy
+# words fetched per refill across all chains; a refill's peak holds about 33
+# bytes a word, so this bounds the decoder's memory
+_CHUNK_WORDS = 1 << 14
+_PROBE_KEY = 2023
+
+
+class _Ziggurat(NamedTuple):
+    # wi and ki are indexed by a word's layer and sign bits
+    wi: np.ndarray  # layer widths over 2**52, then their negatives
+    ki: np.ndarray  # fast-path bounds on the magnitude, twice over
+    fi: np.ndarray  # exp(-x_i**2 / 2) at each layer's edge, to about 1e-15
+    r: float  # where the tail starts
+
+
+def _normal_of_words(generator, words) -> tuple:
+    """``generator.standard_normal()`` on a Philox whose next words are
+    ``words`` (at most 4, then 0s); returns the value and how many words it
+    read, 5 for more than 4."""
+    bits = generator.bit_generator
+    state = bits.state
+    state["state"]["counter"][:] = 0
+    state["buffer"] = np.array([*words, 0, 0, 0, 0][:4], np.uint64)
+    state["buffer_pos"] = 0
+    bits.state = state
+    value = generator.standard_normal()
+    after = bits.state
+    return value, 5 if after["state"]["counter"].any() else after["buffer_pos"]
+
+
+def _threshold(fast, guess: int) -> int:
+    """The least m in [0, 2**52] with ``not fast(m)``, where ``fast`` holds
+    exactly below it; galloped out from ``guess``, then bisected."""
+    lo, hi, step, m = -1, _TOP, 1, min(max(guess, 0), _TOP - 1)
+    if fast(m):
+        lo = m
+        while lo + step < _TOP and fast(lo + step):
+            lo, step = lo + step, 2 * step
+        hi = min(lo + step, _TOP)
+    else:
+        hi = m
+        while hi - step >= 0 and not fast(hi - step):
+            hi, step = hi - step, 2 * step
+        lo = max(hi - step, -1)
+    while hi - lo > 1:
+        m = (lo + hi) // 2
+        lo, hi = (m, hi) if fast(m) else (lo, m)
+    return hi
+
+
+@functools.cache
+def _ziggurat() -> Optional[_Ziggurat]:
+    """The installed NumPy's standard normal tables, read once a process by
+    feeding crafted words through a spare Philox's state buffer, or None
+    when ``_probe`` finds a decode that differs from NumPy's."""
+    spare = np.random.Generator(np.random.Philox(0))
+
+    def word(layer: int, magnitude: int) -> int:
+        return magnitude << 9 | layer
+
+    # magnitude 1 returns wi itself: on the fast path, or where ki is 0
+    # through a wedge test that the uniform 0 passes
+    wi = np.array([_normal_of_words(spare, [word(i, 1), 0])[0] for i in range(256)])
+    # layer i spans x_(i-1)..x_i with x_i = wi[i] * 2**52 and x_0 = 0; layer 0
+    # is the base strip and the tail past r = x_255, its wi sized by area
+    x = wi * 2.0 ** 52
+    edges = np.concatenate(([0.0], x[1:]))
+    guesses = np.concatenate(([x[255] / x[0]], edges[:-1] / edges[1:])) * 2.0 ** 52
+    ki = np.array([_threshold(lambda m: _normal_of_words(spare, [word(i, m), 0])[1] == 1,
+                              int(g)) for i, g in enumerate(guesses)], np.uint64)
+    tables = _Ziggurat(np.concatenate((wi, -wi)), np.concatenate((ki, ki)),
+                       np.exp(-0.5 * edges * edges), float(x[255]))
+    for table in tables[:3]:  # shared by every run in the process
+        table.flags.writeable = False
+    return tables if _probe(tables, spare) else None
+
+
+def _probe(tables: _Ziggurat, spare) -> bool:
+    """Whether decoding with ``tables`` gives NumPy's draws bit for bit: one
+    stream's fill of 1,000 normals and 100 uniforms, and 256 crafted slow
+    words (a quarter in the tail), each followed by three natural words."""
+    eps, uniforms = np.empty((1, 1000)), np.empty((1, 100))
+    StepNoise([RandomStream(_PROBE_KEY)], eps, uniforms, 1, tables).fill()
+    natural = RandomStream(_PROBE_KEY)
+    if not (np.array_equal(eps[0], natural.standard_normal(1000))
+            and np.array_equal(uniforms[0], natural.random(100))):
+        return False
+    crafted = np.random.Philox(_PROBE_KEY).random_raw(1 << 10).reshape(256, 4)
+    layer = crafted[:, 0] & _LAYER
+    layer[::4] = 0
+    low = tables.ki[layer]
+    magnitude = low + (crafted[:, 0] >> 9) % (_TOP - low)
+    crafted[:, 0] = magnitude << 9 | crafted[:, 0] & 0x100 | layer
+    resolved = _Resolved(np.hstack((crafted, crafted[:, :1])), tables)
+    for j, four in enumerate(crafted.tolist()):
+        value, read = _normal_of_words(spare, four)
+        got = resolved.val[j, 0]
+        if (read == 5) != math.isnan(got) or read < 5 and (
+                value != got or resolved.skip[j, 0] != read):
+            return False
+    return True
+
+
+class _Resolved:
+    """Chains' words, one row a chain, each resolved as the start of a normal:
+    ``val`` holds the normal drawn from there and ``skip`` how many words it
+    reads.
+
+    The last column stands for the end of each row: a normal that would read
+    past it is NaN and skips to it, and the end skips 0.  Fast words are
+    decoded across the block at once.  Wedge words are settled across the
+    block too, by ``np.exp`` outside ``_MARGIN`` and by NumPy itself on their
+    two words inside it.  Tail words are settled one at a time with
+    ``math.log1p``, as NumPy's C code settles them, and a rejected wedge word
+    takes the normal drawn two words on.
+    """
+
+    def __init__(self, words: np.ndarray, tables: _Ziggurat):
+        """``words`` is (n, c + 1): c words a chain, then the end column,
+        which this overwrites."""
+        n, width = words.shape
+        words[:, -1] = 0  # a fast word, so the end is never settled below
+        self.words = words
+        signed = words.view(np.int64) & _SIGNED
+        magnitude = words >> 9
+        magnitude &= _MAGNITUDE
+        slow = np.flatnonzero(magnitude >= tables.ki.take(signed))
+        self.val = val = tables.wi.take(signed)
+        val *= magnitude
+        layer, magnitude = signed.ravel()[slow] & _LAYER, magnitude.ravel()[slow]
+        del signed
+        self.skip = skip = np.ones((n, width), np.int32)
+        val[:, -1], skip[:, -1] = np.nan, 0
+        val, skip, flat = val.ravel(), skip.ravel(), words.ravel()
+
+        end = slow - slow % width + width - 1  # each slow word's row end
+        x = val[slow]
+        val[slow], skip[slow] = np.nan, end - slow  # until settled below
+        settled = (layer > 0) & (slow + 1 < end)
+        wedge, x, tail = slow[settled], x[settled], layer == 0
+        u = (flat[wedge + 1] >> 11) * 2.0 ** -53
+        top, bottom = tables.fi[layer[settled] - 1], tables.fi[layer[settled]]
+        gap = (top - bottom) * u + bottom - np.exp(-0.5 * x * x)
+        accept = gap < 0
+        for i in np.flatnonzero(abs(gap) <= _MARGIN):
+            spare = np.random.Generator(np.random.Philox(0))
+            accept[i] = _normal_of_words(spare, flat[wedge[i]:wedge[i] + 2].tolist())[1] == 2
+        val[wedge[accept]], skip[wedge[accept]] = x[accept], 2
+
+        r, inv_r = tables.r, 1.0 / tables.r
+        for at, stop, m in zip(slow[tail].tolist(), end[tail].tolist(),
+                               magnitude[tail].tolist()):
+            for t in range(at + 1, stop - 1, 2):
+                u1, u2 = ((flat[t:t + 2] >> 11) * 2.0 ** -53).tolist()
+                xx, yy = -inv_r * math.log1p(-u1), -math.log1p(-u2)
+                if yy + yy > xx * xx:
+                    val[at], skip[at] = -(r + xx) if m >> 8 & 1 else r + xx, t + 2 - at
+                    break
+
+        rejected = wedge[~accept]
+        on = rejected + 2
+        chained = np.zeros(val.size, bool)
+        chained[rejected] = True
+        while (again := chained[on]).any():
+            on[again] += 2
+        val[rejected], skip[rejected] = val[on], on - rejected + skip[on]
+
+
+class StepNoise:
+    """Every chain's step noise, decoded in bulk from the chain's own words.
+
+    ``fill`` writes into ``eps`` and ``uniforms`` exactly what each chain's
+    ``standard_normal(out=eps[j])`` and ``random(out=uniforms[j])`` would.
+    The words come from each chain's bit generator in refills of about
+    ``_CHUNK_WORDS`` in all, but at least 4 steps' words a chain, or of what
+    ``steps`` fills need with a spare word a step, if fewer; the words a
+    refill leaves unread are carried into the next block, so no word is
+    drawn twice or skipped.
+    """
+
+    def __init__(self, streams, eps: np.ndarray, uniforms: np.ndarray, steps: int,
+                 tables: _Ziggurat):
+        self.bits = [s.generator.bit_generator for s in streams]
+        self.eps, self.uniforms, self.tables = eps, uniforms, tables
+        n, d = eps.shape
+        k = uniforms.shape[1]
+        self.normal_cols, self.uniform_cols = np.arange(d), np.arange(k)
+        self.width = max(4 * (d + k), min(_CHUNK_WORDS // n, (d + k + 1) * steps))
+        self.block = _Resolved(np.zeros((n, 1), np.uint64), tables)
+        self.start = np.arange(n)  # each chain's next word, flat in the block
+        self.limit = self.start - d - k  # the last start with a step's words left
+
+    def __len__(self) -> int:
+        return len(self.eps)
+
+    def fill(self):
+        """One step's noise for every chain; refills when a chain would read
+        past the block."""
+        while not self._step():
+            self._refill()
+
+    def _step(self) -> bool:
+        eps, block = self.eps, self.block
+        if (self.start > self.limit).any():
+            return False
+        window = self.start[:, None] + self.normal_cols
+        val, skip = block.val.ravel(), block.skip.ravel()
+        val.take(window, out=eps, mode="clip")
+        at = self.start + eps.shape[1]
+        slow = np.flatnonzero((skip.take(window) != 1).any(axis=1))
+        if slow.size:
+            on = self.start[slow]
+            for i in range(eps.shape[1]):
+                eps[slow, i] = val.take(on)
+                on += skip.take(on)
+            if (on > self.limit[slow] + eps.shape[1]).any():
+                return False
+            at[slow] = on
+        words = block.words.ravel().take(at[:, None] + self.uniform_cols)
+        np.multiply(words >> 11, 2.0 ** -53, out=self.uniforms)
+        self.start = at + len(self.uniform_cols)
+        return True
+
+    def _refill(self):
+        n, (d, k) = len(self.eps), (len(self.normal_cols), len(self.uniform_cols))
+        stride = self.block.words.shape[1]
+        col = self.start - np.arange(n) * stride
+        first = col.min()
+        keep = stride - 1 - first
+        words = np.empty((n, keep + self.width + 1), np.uint64)
+        words[:, :keep] = self.block.words[:, first:-1]
+        self.block = None  # freed before the next is resolved
+        for row, bits in zip(words, self.bits):
+            row[keep:-1] = bits.random_raw(self.width)
+        self.block = _Resolved(words, self.tables)
+        rows = np.arange(n) * words.shape[1]
+        self.start = rows + col - first
+        self.limit = rows + words.shape[1] - 1 - d - k
+
+
+def step_noise(streams, eps: np.ndarray, uniforms: np.ndarray,
+               steps: int) -> Optional[StepNoise]:
+    """The bulk decoder of ``steps`` fills of ``streams``' noise into ``eps``
+    and ``uniforms``, or None when this NumPy's draws could not be decoded."""
+    tables = _ziggurat()
+    return None if tables is None else StepNoise(streams, eps, uniforms, steps, tables)

@@ -131,13 +131,15 @@ def checked_dimension(name: str, value) -> int:
     return d
 
 
-def check_memory(what: str, shape: tuple):
-    """Refuses, before it is allocated, a float matrix of ``shape`` whose 8 bytes
-    an entry exceed this machine's physical memory, naming ``what`` and the bytes."""
-    needed = 8 * math.prod(shape)
+def check_memory(what: str, shape: tuple, count: int = 1):
+    """Refuses, before they are allocated, ``count`` float matrices of ``shape``
+    whose 8 bytes an entry exceed this machine's physical memory, naming
+    ``what`` and the bytes."""
+    needed = 8 * count * math.prod(shape)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > memory:
-        raise ValueError(f"{what} needs {needed:,} bytes for one {shape} matrix, "
+        held = f"one {shape} matrix" if count == 1 else f"{count} {shape} matrices"
+        raise ValueError(f"{what} needs {needed:,} bytes for {held}, "
                          f"more than the {memory:,} bytes of this machine's memory")
 
 

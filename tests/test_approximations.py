@@ -12,12 +12,15 @@ import pytest
 from shortchain import (
     Approximation,
     RandomStream,
+    RunConfig,
     approximation_from_sampler,
     correlated_gaussian_target,
     empirical_approximation,
     kl_optimal_mean_field,
     mean_field_gaussian_approximation,
+    run_diagnostic,
 )
+from shortchain import stats
 from shortchain.rng import chain_streams
 from shortchain.stats import sample_quantile
 
@@ -331,7 +334,19 @@ class TestPrivateCopies:
                                quantile_fn=lambda j, p: 0.0)
         self.assert_unchanged_by(approx, lambda: (means.fill(100.0), sds.fill(5.0)))
 
-    @pytest.mark.parametrize("name", ["means", "sds"])
+    def test_covariance_edit_leaves_the_report(self):
+        # the run preconditions with the approximation's covariance, so an
+        # edit of the caller's matrix after construction must not reach it
+        cov = np.eye(2)
+        approx = Approximation(2, lambda s: s.standard_normal(2), np.zeros(2), np.ones(2), cov)
+        target = correlated_gaussian_target(2, correlation=0.5)
+        config = RunConfig(kernel="mala", seed=4, n_chains=30, n_iterations=5)
+        before = run_diagnostic(config, target, approx).to_json_dict()
+        cov[0, 0] = 4.0
+        assert run_diagnostic(config, target, approx).to_json_dict() == before
+        assert approx.covariance[0, 0] == 1.0
+
+    @pytest.mark.parametrize("name", ["means", "sds", "covariance"])
     def test_functionals_are_read_only(self, name):
         approx = mean_field_gaussian_approximation([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(ValueError, match="read-only"):
@@ -366,7 +381,8 @@ class TestSampledDrawsBounded:
     # refused before the first draw: n_draws=10**13 at d=2 drew on towards
     # 160 TB, and d=10**6 drew all its points before the empirical fit refused it
     @pytest.mark.parametrize("n_draws, dimension, message", [
-        (10**13, 2, "n_draws 10000000000000 with dimension 2 needs 160,000,000,000,000 bytes "),
+        (10**13, 2, "n_draws 10000000000000 with dimension 2 needs 320,000,000,000,000 bytes "
+                    "for 2 (10000000000000, 2) matrices, "),
         (100_000, 10**6, "dimension 1000000 needs 8,000,000,000,000 bytes "),
         (2, 2**70, f"dimension {2**70} needs {8 * 4**70:,} bytes "),
     ], ids=["draws", "dimension", "huge-dimension"])
@@ -377,6 +393,22 @@ class TestSampledDrawsBounded:
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             approximation_from_sampler(unreachable, dimension, RandomStream(0, 0),
                                        n_draws=n_draws)
+
+    @pytest.mark.parametrize("memory, refused", [(32_000, False), (31_999, True)])
+    def test_two_blocks_are_counted(self, memory, refused, monkeypatch):
+        # 1,000 draws at d=2: the drawn block and one temporary of its size,
+        # 16,000 bytes each
+        monkeypatch.setattr(stats.os, "sysconf", lambda name: {
+            "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}[name])
+        draw = lambda stream: stream.standard_normal(2)  # noqa: E731
+        if refused:
+            with pytest.raises(ValueError, match=r"^n_draws 1000 with dimension 2 needs 32,000 "
+                                                 r"bytes for 2 \(1000, 2\) matrices, more "
+                                                 r"than the 31,999 bytes"):
+                approximation_from_sampler(draw, 2, RandomStream(0, 0), n_draws=1000)
+        else:
+            approx = approximation_from_sampler(draw, 2, RandomStream(0, 0), n_draws=1000)
+            assert approx.dimension == 2
 
 
 class TestApproximationValidation:

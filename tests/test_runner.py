@@ -14,6 +14,7 @@ from shortchain import (
     RunConfig,
     SizingPolicy,
     correlated_gaussian_target,
+    empirical_approximation,
     kl_optimal_mean_field,
     mean_field_gaussian_approximation,
     neal_funnel_target,
@@ -21,9 +22,10 @@ from shortchain import (
     run_diagnostic,
     synthetic_logistic_regression_target,
 )
-from shortchain import runner, stats
+from shortchain import rng, runner, stats
 from shortchain.diagnostics import column_intervals
 from shortchain.kernels import step_batch
+from shortchain.rng import StepNoise
 from shortchain.runner import FunctionalSpec
 from shortchain.targets import TargetModel
 
@@ -308,34 +310,62 @@ class TestDeterminism:
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
 
+# (n_chains, the noise the run draws it with) at d = 3: N = 40 is below the
+# bulk decode's size rule and N = 120 above it
+SIDES = [pytest.param(40, list, id="per-chain"), pytest.param(120, StepNoise, id="decoded")]
+
+
 class TestNoiseFill:
     # every iteration refills the noise through the module's _fill_noise, so
     # a wrapper set there sees each call and changes nothing
+    @pytest.mark.parametrize("n, noise_type", SIDES)
     @pytest.mark.parametrize("kind", ["rwmh", "mala", "barker", "hmc"])
-    def test_a_wrapper_sees_every_iteration(self, kind, monkeypatch):
+    def test_a_wrapper_sees_every_iteration(self, kind, n, noise_type, monkeypatch):
         target, approx = small_setup(3)
-        cfg = RunConfig(kernel=kind, seed=5, n_chains=40, n_iterations=7, trace_every=3,
+        cfg = RunConfig(kernel=kind, seed=5, n_chains=n, n_iterations=7, trace_every=3,
                         functionals=["mean(*)", "quantile(1,0.5)", "scalar(target_log_density)"])
         plain = run_diagnostic(cfg, target, approx).to_json_dict()
         calls = []
         fill = runner._fill_noise
 
         def wrapped(noise):
-            calls.append(len(noise))
+            calls.append((len(noise), type(noise)))
             return fill(noise)
 
         monkeypatch.setattr(runner, "_fill_noise", wrapped)
         assert run_diagnostic(cfg, target, approx).to_json_dict() == plain
-        assert calls == [40] * 7
+        assert calls == [(n, noise_type)] * 7
+
+    @pytest.mark.parametrize("kind", ["rwmh", "barker"])
+    def test_a_failed_table_probe_draws_chain_by_chain(self, kind, monkeypatch):
+        # the decoder's tables are read once a process; when their probe
+        # fails, every run draws through the per-chain calls, with the same bits
+        target, approx = small_setup(3)
+        cfg = RunConfig(kernel=kind, seed=5, n_chains=120, n_iterations=7)
+        plain = run_diagnostic(cfg, target, approx).to_json_dict()
+        seen = []
+        fill = runner._fill_noise
+        monkeypatch.setattr(runner, "_fill_noise", lambda noise: (seen.append(type(noise)),
+                                                                  fill(noise)))
+        monkeypatch.setattr(rng, "_probe", lambda tables, spare: False)
+        rng._ziggurat.cache_clear()
+        try:
+            assert run_diagnostic(cfg, target, approx).to_json_dict() == plain
+        finally:
+            monkeypatch.undo()
+            rng._ziggurat.cache_clear()
+        assert seen == [list] * 7
 
 
 class TestInitialDraw:
     # x0 is drawn by one Approximation.sample call over the run's N streams,
     # so a wrapper set on the class sees it and changes nothing
+    @pytest.mark.parametrize("n, noise_type", SIDES)
     @pytest.mark.parametrize("kind", ["rwmh", "mala", "barker", "hmc"])
-    def test_a_wrapper_sees_one_call_with_every_stream(self, kind, monkeypatch):
+    def test_a_wrapper_sees_one_call_with_every_stream(self, kind, n, noise_type,
+                                                       monkeypatch):
         target, approx = small_setup(3)
-        cfg = RunConfig(kernel=kind, seed=5, n_chains=40, n_iterations=7, trace_every=3,
+        cfg = RunConfig(kernel=kind, seed=5, n_chains=n, n_iterations=7, trace_every=3,
                         functionals=["mean(*)", "quantile(1,0.5)", "scalar(target_log_density)"])
         plain = run_diagnostic(cfg, target, approx).to_json_dict()
         calls = []
@@ -347,7 +377,7 @@ class TestInitialDraw:
 
         monkeypatch.setattr(Approximation, "sample", wrapped)
         assert run_diagnostic(cfg, target, approx).to_json_dict() == plain
-        assert calls == [40]
+        assert calls == [n]
 
 
 class TestNonFiniteScalarValues:
@@ -370,37 +400,51 @@ class TestNonFiniteScalarValues:
 
 
 class TestDrawOrder:
+    # (d, noise the run draws it with, start): d = 5 is on the bulk decode's
+    # side of its size rule for every kernel at 101 chains and d = 21 on the
+    # per-chain side; an empirical start draws x0 through integers(0, n),
+    # which leaves half a word buffered
+    @pytest.mark.parametrize("d, noise_type, start", [
+        pytest.param(5, StepNoise, "mean_field", id="decoded"),
+        pytest.param(21, list, "mean_field", id="per-chain"),
+        pytest.param(5, StepNoise, "empirical", id="decoded-empirical")])
     @pytest.mark.parametrize("kind", ["rwmh", "mala", "barker", "hmc"])
-    def test_step_noise_is_each_chains_canonical_draws(self, kind, monkeypatch):
+    def test_step_noise_is_each_chains_canonical_draws(self, kind, d, noise_type, start,
+                                                       monkeypatch):
         # Chain j owns RandomStream(seed, j + 1): after its initial draw it
         # takes standard_normal(d), then random(d + 1) for Barker or one
-        # random() otherwise.  97 chains is not a multiple of any block size.
-        n, d, seed = 97, 5, 31
+        # random() otherwise, at every step.  101 chains is not a multiple of
+        # any block size, and 60 steps cross a refill of the decoded words.
+        n, seed, steps = 101, 31, 60
         target, approx = small_setup(d)
-        seen = []
+        if start == "empirical":
+            approx = empirical_approximation(RandomStream(3, 0).standard_normal((50, d)))
+        seen, kinds, refills = [], [], []
 
         def spy(kind, x, logpi, grad, eps, uniforms, *rest):
             seen.append((eps.copy(), uniforms.copy()))
             return step_batch(kind, x, logpi, grad, eps, uniforms, *rest)
 
+        fill, refill = runner._fill_noise, StepNoise._refill
         monkeypatch.setattr(runner, "step_batch", spy)
-        run_diagnostic(RunConfig(kernel=kind, seed=seed, n_chains=n, n_iterations=1),
+        monkeypatch.setattr(runner, "_fill_noise", lambda noise: (kinds.append(type(noise)),
+                                                                  fill(noise)))
+        monkeypatch.setattr(StepNoise, "_refill", lambda self: (refills.append(1),
+                                                                refill(self)))
+        run_diagnostic(RunConfig(kernel=kind, seed=seed, n_chains=n, n_iterations=steps),
                        target, approx)
-        (eps, uniforms), = seen
+        assert kinds == [noise_type] * steps
+        assert len(refills) >= (2 if noise_type is StepNoise else 0)
         # as wide as the kernel reads: d sign uniforms for Barker, then the
         # acceptance uniform
-        assert uniforms.shape == (n, d + 1 if kind == "barker" else 1)
-        sign_u, accept_u = uniforms[:, :-1], uniforms[:, -1]
+        k = d + 1 if kind == "barker" else 1
+        assert all(u.shape == (n, k) for _, u in seen)
         for j in range(n):
             stream = RandomStream(seed, j + 1)
             approx.sample([stream])
-            assert np.array_equal(eps[j], stream.standard_normal(d))
-            if kind == "barker":
-                u = stream.random(d + 1)
-                assert np.array_equal(sign_u[j], u[:d])
-                assert accept_u[j] == u[d]
-            else:
-                assert accept_u[j] == stream.random()
+            for eps, uniforms in seen:
+                assert np.array_equal(eps[j], stream.standard_normal(d))
+                assert np.array_equal(uniforms[j], stream.random(k))
 
 
 class TestTraces:

@@ -10,14 +10,16 @@ state.  ``chain_streams`` builds an ensemble's streams from one vectorised
 derivation of all their keys, ``_philox_keys``, pinned to that state bit for
 bit, so its streams draw exactly what ``RandomStream`` draws.
 
-``StepNoise`` draws a run's step noise for every chain at once with the
-same bits as each chain's ``standard_normal`` and ``random`` calls: it
-fetches each chain's raw 64-bit words in chunks and decodes them as NumPy
-does, uniforms as their top 53 bits and normals by NumPy's ziggurat
-(Marsaglia & Tsang, 2000).  The ziggurat's tables are read once a process
-from the installed NumPy by feeding crafted words through a spare
-Philox, and a probe checks the decode against NumPy's own draws; when it
-differs, ``step_noise`` returns None and the run draws chain by chain.
+``step_noise`` is the one owner of a run's step noise: it picks how the
+noise is drawn and returns an object whose ``fill()`` writes one step's
+noise for every chain, either way with the bits of each chain's own
+``standard_normal`` and ``random`` calls.  ``ChainCalls`` makes those
+calls.  ``StepNoise`` fetches each chain's raw 64-bit words in chunks and
+decodes them as NumPy does, uniforms as their top 53 bits and normals by
+NumPy's ziggurat (Marsaglia & Tsang, 2000).  The ziggurat's tables are read
+once a process from the installed NumPy by feeding crafted words through a
+spare Philox, and a probe checks the decode against NumPy's own draws;
+when a check fails, every run draws chain by chain.
 """
 
 from __future__ import annotations
@@ -120,10 +122,13 @@ def chain_streams(seed: int, n: int) -> list:
 # bit 8 the sign and bits 9-60 the magnitude; a uniform is its top 53 bits.
 _LAYER, _SIGNED, _MAGNITUDE, _TOP = 0xFF, 0x1FF, (1 << 52) - 1, 1 << 52
 _MARGIN = 1e-12  # a wedge test this close is replayed through NumPy
-# words fetched per refill across all chains; a refill's peak holds about 33
-# bytes a word, so this bounds the decoder's memory
+# words fetched per refill across all chains, and step_noise's cap on a step's;
+# a refill's peak holds about 33 bytes a word, so this bounds the decoder's memory
 _CHUNK_WORDS = 1 << 14
 _PROBE_KEY = 2023
+# the bulk decode's size rule, set from tools/noise_sweep.py's sweep of d,
+# kernel and N (CHANGES.md)
+_DECODE_WORDS, _DECODE_CHAINS = 21, 100
 
 
 class _Ziggurat(NamedTuple):
@@ -149,31 +154,12 @@ def _normal_of_words(generator, words) -> tuple:
     return value, 5 if after["state"]["counter"].any() else after["buffer_pos"]
 
 
-def _threshold(fast, guess: int) -> int:
-    """The least m in [0, 2**52] with ``not fast(m)``, where ``fast`` holds
-    exactly below it; galloped out from ``guess``, then bisected."""
-    lo, hi, step, m = -1, _TOP, 1, min(max(guess, 0), _TOP - 1)
-    if fast(m):
-        lo = m
-        while lo + step < _TOP and fast(lo + step):
-            lo, step = lo + step, 2 * step
-        hi = min(lo + step, _TOP)
-    else:
-        hi = m
-        while hi - step >= 0 and not fast(hi - step):
-            hi, step = hi - step, 2 * step
-        lo = max(hi - step, -1)
-    while hi - lo > 1:
-        m = (lo + hi) // 2
-        lo, hi = (m, hi) if fast(m) else (lo, m)
-    return hi
-
-
 @functools.cache
 def _ziggurat() -> Optional[_Ziggurat]:
     """The installed NumPy's standard normal tables, read once a process by
     feeding crafted words through a spare Philox's state buffer, or None
-    when ``_probe`` finds a decode that differs from NumPy's."""
+    when a layer's ``ki`` is not one of its two candidates or ``_probe``
+    finds a decode that differs from NumPy's."""
     spare = np.random.Generator(np.random.Philox(0))
 
     def word(layer: int, magnitude: int) -> int:
@@ -187,9 +173,21 @@ def _ziggurat() -> Optional[_Ziggurat]:
     x = wi * 2.0 ** 52
     edges = np.concatenate(([0.0], x[1:]))
     guesses = np.concatenate(([x[255] / x[0]], edges[:-1] / edges[1:])) * 2.0 ** 52
-    ki = np.array([_threshold(lambda m: _normal_of_words(spare, [word(i, m), 0])[1] == 1,
-                              int(g)) for i, g in enumerate(guesses)], np.uint64)
-    tables = _Ziggurat(np.concatenate((wi, -wi)), np.concatenate((ki, ki)),
+
+    def fast(i: int, m: int) -> bool:  # magnitude m of layer i reads one word
+        return m < 0 or _normal_of_words(spare, [word(i, m), 0])[1] == 1
+
+    def least_slow(i: int, g: int) -> Optional[int]:
+        # layer i's ki, its least magnitude off the fast path, if that is its
+        # guess g (g - 1 fast and g not) or g + 1 (g fast and g + 1 not)
+        if fast(i, g):
+            return None if fast(i, g + 1) else g + 1
+        return g if fast(i, g - 1) else None
+
+    ki = [least_slow(i, min(int(g), _TOP - 2)) for i, g in enumerate(guesses)]
+    if None in ki:
+        return None
+    tables = _Ziggurat(np.concatenate((wi, -wi)), np.array(ki + ki, np.uint64),
                        np.exp(-0.5 * edges * edges), float(x[255]))
     for table in tables[:3]:  # shared by every run in the process
         table.flags.writeable = False
@@ -303,9 +301,8 @@ class StepNoise:
                  tables: _Ziggurat):
         self.bits = [s.generator.bit_generator for s in streams]
         self.eps, self.uniforms, self.tables = eps, uniforms, tables
-        n, d = eps.shape
-        k = uniforms.shape[1]
-        self.normal_cols, self.uniform_cols = np.arange(d), np.arange(k)
+        (n, d), k = eps.shape, uniforms.shape[1]
+        self.uniform_cols = np.arange(k)
         self.width = max(4 * (d + k), min(_CHUNK_WORDS // n, (d + k + 1) * steps))
         self.block = _Resolved(np.zeros((n, 1), np.uint64), tables)
         self.start = np.arange(n)  # each chain's next word, flat in the block
@@ -324,26 +321,20 @@ class StepNoise:
         eps, block = self.eps, self.block
         if (self.start > self.limit).any():
             return False
-        window = self.start[:, None] + self.normal_cols
         val, skip = block.val.ravel(), block.skip.ravel()
-        val.take(window, out=eps, mode="clip")
-        at = self.start + eps.shape[1]
-        slow = np.flatnonzero((skip.take(window) != 1).any(axis=1))
-        if slow.size:
-            on = self.start[slow]
-            for i in range(eps.shape[1]):
-                eps[slow, i] = val.take(on)
-                on += skip.take(on)
-            if (on > self.limit[slow] + eps.shape[1]).any():
-                return False
-            at[slow] = on
-        words = block.words.ravel().take(at[:, None] + self.uniform_cols)
+        on = self.start.copy()
+        for i in range(eps.shape[1]):
+            eps[:, i] = val.take(on)
+            on += skip.take(on)
+        if (on > self.limit + eps.shape[1]).any():  # a normal read past its row
+            return False
+        words = block.words.ravel().take(on[:, None] + self.uniform_cols)
         np.multiply(words >> 11, 2.0 ** -53, out=self.uniforms)
-        self.start = at + len(self.uniform_cols)
+        self.start = on + len(self.uniform_cols)
         return True
 
     def _refill(self):
-        n, (d, k) = len(self.eps), (len(self.normal_cols), len(self.uniform_cols))
+        (n, d), k = self.eps.shape, len(self.uniform_cols)
         stride = self.block.words.shape[1]
         col = self.start - np.arange(n) * stride
         first = col.min()
@@ -359,9 +350,39 @@ class StepNoise:
         self.limit = rows + words.shape[1] - 1 - d - k
 
 
-def step_noise(streams, eps: np.ndarray, uniforms: np.ndarray,
-               steps: int) -> Optional[StepNoise]:
-    """The bulk decoder of ``steps`` fills of ``streams``' noise into ``eps``
-    and ``uniforms``, or None when this NumPy's draws could not be decoded."""
-    tables = _ziggurat()
-    return None if tables is None else StepNoise(streams, eps, uniforms, steps, tables)
+class ChainCalls:
+    """Every chain's step noise from the chain's own two calls a step:
+    ``standard_normal(out=eps[j])``, then ``random(out=uniforms[j])``."""
+
+    def __init__(self, streams, eps: np.ndarray, uniforms: np.ndarray):
+        self.calls = [(s.generator.standard_normal, s.generator.random, e, u)
+                      for s, e, u in zip(streams, eps, uniforms)]
+
+    def __len__(self) -> int:
+        return len(self.calls)
+
+    def fill(self):
+        """One step's noise for every chain."""
+        for normal, uniform, e, u in self.calls:
+            normal(out=e)
+            uniform(out=u)
+
+
+def step_noise(streams, eps: np.ndarray, uniforms: np.ndarray, steps: int):
+    """What fills ``eps`` and ``uniforms`` with ``streams``' noise, one step
+    a ``fill()``, for ``steps`` fills; either way with the bits of each
+    chain's own calls.
+
+    It is a ``StepNoise`` where per-chain call overhead outweighs the decode,
+    at most ``_DECODE_WORDS`` words a chain and step over at least
+    ``_DECODE_CHAINS`` chains, and where this NumPy's draws decode.  A
+    step's words across all chains are also held to one refill's
+    ``_CHUNK_WORDS``, so a block of 4 steps' words, the refill floor,
+    stays near 2 MB.  Otherwise it is ``ChainCalls``.
+    """
+    (n, d), k = eps.shape, uniforms.shape[1]
+    decodes = d + k <= _DECODE_WORDS and n >= _DECODE_CHAINS and n * (d + k) <= _CHUNK_WORDS
+    tables = _ziggurat() if decodes else None
+    if tables is None:
+        return ChainCalls(streams, eps, uniforms)
+    return StepNoise(streams, eps, uniforms, steps, tables)

@@ -13,11 +13,8 @@ the loop refills every chain's noise through ``_fill_noise``, steps and
 adapts; the finish diagnoses the final ensemble.  Checkpoints and the final
 ensemble are diagnosed from the same plan and value rows, with the same bits.
 
-Step noise is drawn one of two ways, with the same bits: by each chain's
-own ``standard_normal`` and ``random`` calls, or, where per-chain call
-overhead dominates (``_decodes``: at most ``_DECODE_WORDS`` words a chain
-and step, d plus the kernel's uniforms, over at least ``_DECODE_CHAINS``
-chains), by ``rng.StepNoise``, which decodes every chain's words at once.
+The run's step noise comes from ``rng.step_noise``, which picks how it is
+drawn; either way each chain draws its own stream's bits.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from .diagnostics import (MONOTONE_ERROR_CAVEAT, LowerBoundResult,
                           quantile_difference_ci, reliability_check,
                           scalar_functional_diagnostics, scalar_tags)
 from .kernels import Preconditioner, _quiet, step_batch
-from .rng import StepNoise, chain_streams, step_noise
+from .rng import chain_streams, step_noise
 from .stats import (binomial_quantile, checked_integer, checked_positive, checked_reals,
                     sample_quantile)
 from .targets import TargetModel
@@ -49,9 +46,6 @@ _FUNCTIONAL_RE = re.compile(
     r"^\s*(mean|variance|quantile|scalar)\s*\(\s*([^)]*?)\s*\)\s*$")
 
 BUILTIN_SCALAR_FUNCTIONS = ("target_log_density",)
-
-# the bulk decode's size rule, set from a sweep of d, kernel and N (CHANGES.md)
-_DECODE_WORDS, _DECODE_CHAINS = 21, 100
 
 
 @dataclass(frozen=True)
@@ -303,24 +297,10 @@ def run_diagnostic(config: RunConfig, target: TargetModel,
 
 
 def _fill_noise(noise):
-    """Refills each chain's noise in place, as allocating calls would: its
-    standard_normal(d) into its eps row, then its kernel's uniforms.  A
-    ``StepNoise`` decodes every chain's at once from the chain's own words; a
-    list of each chain's (normal, uniform, eps row, uniforms row) makes its
-    two calls.  The loop looks this up at each iteration, so a wrapper set
-    on the module sees all."""
-    if isinstance(noise, StepNoise):
-        noise.fill()
-        return
-    for normal, uniform, e, u in noise:
-        normal(out=e)
-        uniform(out=u)
-
-
-def _decodes(n_chains: int, dimension: int, n_uniforms: int) -> bool:
-    """Whether a run's step noise is decoded in bulk: where per-chain call
-    overhead outweighs the decode, at few words a step and many chains."""
-    return dimension + n_uniforms <= _DECODE_WORDS and n_chains >= _DECODE_CHAINS
+    """Refills each chain's noise in place through ``noise.fill()``, with
+    the bits of each chain's own calls (``rng.step_noise``).  The loop looks
+    this up at each iteration, so a wrapper set on the module sees all."""
+    noise.fill()
 
 
 class _Run:
@@ -409,11 +389,7 @@ class _Run:
         self.traces = [] if self.checkpoints else None
         self.eps = np.empty((n_chains, d))
         self.uniforms = np.empty((n_chains, tuning.uniform_count(d)))
-        self.noise = (step_noise(streams, self.eps, self.uniforms, n_iters)
-                      if _decodes(n_chains, d, self.uniforms.shape[1]) else None)
-        if self.noise is None:
-            self.noise = [(s.generator.standard_normal, s.generator.random, e, u)
-                          for s, e, u in zip(streams, self.eps, self.uniforms)]
+        self.noise = step_noise(streams, self.eps, self.uniforms, n_iters)
 
     def iterate(self):
         """The loop phase: T iterations of ``_fill_noise``, one batched step

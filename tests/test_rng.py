@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shortchain import rng
-from shortchain.rng import StepNoise, chain_streams
+from shortchain.rng import ChainCalls, StepNoise, chain_streams
 
 TABLES = rng._ziggurat()
 LAYER_WEDGE = 100  # a layer whose slow words take the wedge test
@@ -71,6 +71,43 @@ def test_tables_pass_their_probe():
     assert TABLES.wi.shape == TABLES.ki.shape == (512,) and TABLES.fi.shape == (256,)
 
 
+def test_every_ki_is_exact():
+    # each layer's ki is its least magnitude off the fast path: NumPy's own
+    # standard_normal reads one word below it and more at it
+    spare = np.random.Generator(np.random.Philox(0))
+
+    def reads(layer, magnitude):
+        return rng._normal_of_words(spare, [word(layer, magnitude), 0])[1]
+
+    assert np.array_equal(TABLES.ki[:256], TABLES.ki[256:])
+    for layer, ki in enumerate(TABLES.ki[:256].tolist()):
+        assert ki == 0 or reads(layer, ki - 1) == 1, layer
+        assert reads(layer, ki) > 1, layer
+
+
+@pytest.mark.parametrize("d, k, n, decodes", [
+    pytest.param(10, 11, 100, True, id="21-words"),
+    pytest.param(11, 11, 100, False, id="22-words"),
+    pytest.param(5, 1, 99, False, id="99-chains"),
+    pytest.param(5, 1, 100, True, id="100-chains"),
+    pytest.param(15, 1, rng._CHUNK_WORDS // 16, True, id="a-refill-a-step"),
+    pytest.param(15, 1, rng._CHUNK_WORDS // 16 + 1, False, id="past-a-refill-a-step")])
+def test_step_noise_size_rule(d, k, n, decodes):
+    # the decode takes at most 21 words a chain and step, over at least 100
+    # chains and at most _CHUNK_WORDS words a step across them; either side
+    # fills each chain's own draws
+    eps, uniforms = np.empty((n, d)), np.empty((n, k))
+    noise = rng.step_noise(chain_streams(3, n), eps, uniforms, 5)
+    assert type(noise) is (StepNoise if decodes else ChainCalls)
+    assert len(noise) == n
+    references = chain_streams(3, n)
+    for step in range(2):
+        noise.fill()
+        for j in (0, n - 1):
+            assert eps[j].tobytes() == references[j].standard_normal(d).tobytes(), (step, j)
+            assert uniforms[j].tobytes() == references[j].random(k).tobytes(), (step, j)
+
+
 class TestSameDraws:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400),
            barker=st.booleans(), dimension=st.integers(1, 20),
@@ -78,7 +115,7 @@ class TestSameDraws:
            rows=st.integers(1, 2**31 - 1))
     def test_every_step_equals_each_chains_calls(self, seed, n, barker, dimension,
                                                  prefix, m, rows):
-        # d and the uniform count on the decoded side of the runner's size
+        # d and the uniform count on the decoded side of rng.step_noise's size
         # rule; 14 steps span at least 3 refills, since one holds at most 5 steps
         d = min(dimension, 10) if barker else dimension
         k = d + 1 if barker else 1

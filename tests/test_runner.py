@@ -25,7 +25,7 @@ from shortchain import (
 from shortchain import rng, runner, stats
 from shortchain.diagnostics import column_intervals
 from shortchain.kernels import step_batch
-from shortchain.rng import StepNoise
+from shortchain.rng import ChainCalls, StepNoise
 from shortchain.runner import FunctionalSpec
 from shortchain.targets import TargetModel
 
@@ -312,7 +312,7 @@ class TestDeterminism:
 
 # (n_chains, the noise the run draws it with) at d = 3: N = 40 is below the
 # bulk decode's size rule and N = 120 above it
-SIDES = [pytest.param(40, list, id="per-chain"), pytest.param(120, StepNoise, id="decoded")]
+SIDES = [pytest.param(40, ChainCalls, id="per-chain"), pytest.param(120, StepNoise, id="decoded")]
 
 
 class TestNoiseFill:
@@ -336,25 +336,40 @@ class TestNoiseFill:
         assert run_diagnostic(cfg, target, approx).to_json_dict() == plain
         assert calls == [(n, noise_type)] * 7
 
+    @pytest.mark.parametrize("fault", ["probe", "ki-early", "ki-late"])
     @pytest.mark.parametrize("kind", ["rwmh", "barker"])
-    def test_a_failed_table_probe_draws_chain_by_chain(self, kind, monkeypatch):
+    def test_a_failed_table_probe_draws_chain_by_chain(self, kind, fault, monkeypatch):
         # the decoder's tables are read once a process; when their probe
-        # fails, every run draws through the per-chain calls, with the same bits
+        # fails, or a layer's ki is neither of the two values its neighbour
+        # checks allow, every run draws through the per-chain calls, with
+        # the same bits
         target, approx = small_setup(3)
         cfg = RunConfig(kernel=kind, seed=5, n_chains=120, n_iterations=7)
         plain = run_diagnostic(cfg, target, approx).to_json_dict()
         seen = []
-        fill = runner._fill_noise
+        fill, normal_of_words = runner._fill_noise, rng._normal_of_words
         monkeypatch.setattr(runner, "_fill_noise", lambda noise: (seen.append(type(noise)),
                                                                   fill(noise)))
-        monkeypatch.setattr(rng, "_probe", lambda tables, spare: False)
+        if fault == "probe":
+            monkeypatch.setattr(rng, "_probe", lambda tables, spare: False)
+        else:  # layer 100 leaves the fast path 2 magnitudes early or late
+            ki = int(rng._ziggurat().ki[100])
+            moved = range(ki - 2, ki) if fault == "ki-early" else range(ki, ki + 2)
+
+            def moved_ki(generator, words):
+                value, read = normal_of_words(generator, words)
+                if words[0] & 0xFF == 100 and (words[0] >> 9) & (2**52 - 1) in moved:
+                    read = 2 if fault == "ki-early" else 1
+                return value, read
+
+            monkeypatch.setattr(rng, "_normal_of_words", moved_ki)
         rng._ziggurat.cache_clear()
         try:
             assert run_diagnostic(cfg, target, approx).to_json_dict() == plain
         finally:
             monkeypatch.undo()
             rng._ziggurat.cache_clear()
-        assert seen == [list] * 7
+        assert seen == [ChainCalls] * 7
 
 
 class TestInitialDraw:
@@ -406,7 +421,7 @@ class TestDrawOrder:
     # which leaves half a word buffered
     @pytest.mark.parametrize("d, noise_type, start", [
         pytest.param(5, StepNoise, "mean_field", id="decoded"),
-        pytest.param(21, list, "mean_field", id="per-chain"),
+        pytest.param(21, ChainCalls, "mean_field", id="per-chain"),
         pytest.param(5, StepNoise, "empirical", id="decoded-empirical")])
     @pytest.mark.parametrize("kind", ["rwmh", "mala", "barker", "hmc"])
     def test_step_noise_is_each_chains_canonical_draws(self, kind, d, noise_type, start,

@@ -75,16 +75,19 @@ def mean_difference_ci(final_values: np.ndarray, initial_mean: float,
 
     Args:
         final_values: (N,) final-iteration values of the coordinate, N >= 2.
-        initial_mean: The approximation-side mean.
+        initial_mean: The approximation-side mean, a real number; an
+            infinite or NaN one gives infinite or NaN endpoints.
         alpha: Miscoverage level in (2**-53, 1).
 
     A zero-spread sample yields a degenerate point interval, flagged rather
     than raised so callers can surface it.
 
     Raises:
-        ValueError: for N < 2 or alpha outside (2**-53, 1).
+        ValueError: for N < 2, alpha outside (2**-53, 1), or an
+            ``initial_mean`` that is not one integer or float.
     """
     x = _as_vector("final_values", final_values)
+    initial_mean = float(checked_reals("initial_mean", initial_mean, ()))
     return _one_row(x, "mean", initial_mean, alpha, functional_tag)
 
 
@@ -117,13 +120,18 @@ def quantile_difference_ci(final_values: np.ndarray, p: float, initial_quantile:
     Uses the 1-based order statistics X_(l) and X_(u) with
     l = BinomialQuantile(alpha/2; N, p) and u = BinomialQuantile(1 - alpha/2; N, p) + 1.
 
+    ``initial_quantile`` is a real number; an infinite or NaN one gives
+    infinite or NaN endpoints.
+
     Raises:
-        ValueError: when N is too small for the requested (p, alpha), i.e.
+        ValueError: for an ``initial_quantile`` that is not one integer or
+            float, or when N is too small for the requested (p, alpha), i.e.
             l < 1 or u > N; widening by clamping would silently change the
             level, so this is an error instead.
     """
     x = _as_vector("final_values", final_values)
     p = checked_fraction("p", p)
+    initial_quantile = float(checked_reals("initial_quantile", initial_quantile, ()))
     return _one_row(x, "quantile", initial_quantile, alpha, functional_tag, p)
 
 

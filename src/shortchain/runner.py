@@ -70,6 +70,8 @@ class FunctionalSpec:
 def parse_functional(text: str) -> FunctionalSpec:
     """Parses 'mean(i)', 'variance(i)', 'quantile(i,p)' or 'scalar(name)'; the
     wildcards mean(*) and variance(*) expand only in a functionals list."""
+    if not isinstance(text, str):
+        raise ValueError(f"a functional must be a string, got {text!r}")
     m = _FUNCTIONAL_RE.match(text)
     if not m:
         raise ValueError(
@@ -336,7 +338,7 @@ class _Run:
                              f"step size to {h0}; it must stay positive and finite")
 
         specs = _resolve_specs(config, d)
-        scalar_fns = _resolve_scalar_functions(specs, config)
+        self.scalars = _resolve_scalar_functions(specs, config)
         _check_quantile_ranks(specs, n_chains, alpha)
 
         self.target, self.pre = target, Preconditioner(approximation.covariance)
@@ -344,7 +346,7 @@ class _Run:
         streams = chain_streams(self.seed, n_chains)
 
         # i.i.d. draws, each from its chain's own stream
-        self.x0 = self.x = x0 = approximation.sample(streams)
+        self.x = x0 = approximation.sample(streams)
         with np.errstate(over="ignore", invalid="ignore"):  # the diagnosis's row means
             far = np.flatnonzero(~np.isfinite(x0.T.copy().mean(axis=1)))
         if far.size:
@@ -373,14 +375,12 @@ class _Run:
                     f"{n_chains} starting points where the log density is finite "
                     f"(first at chain {bad_grad[0]}); a gradient kernel cannot move them")
         self.init_grads = target.gradient_evaluations - self.grad_base
-        # each scalar functional's initial values, computed once and reused at
-        # every checkpoint: name -> (callable, (N,) values at x0); the built-in
-        # target_log_density has no callable and reads the run's own logpi
-        self.scalars = {name: (fn, logpi if fn is None else checked_reals(
-                            f"scalar function {name!r}", fn(x0), (n_chains,)))
-                        for name, fn in scalar_fns.items()}
-        # every reported result with its initial side, also computed once
-        self.plan = _audit_plan(specs, approximation, x0, self.scalars)
+        # x0's value rows are the run's one copy of x0, read by every initial
+        # side and, through their coordinate rows, every reliability check
+        self.x0_rows = _value_rows(x0, logpi, self.scalars)
+        self.x0 = self.x0_rows[:d].T
+        # every reported result with its initial side, computed once
+        self.plan = _audit_plan(specs, approximation, self.x0_rows)
 
         self.adapt = AdaptationState(log_step_size=math.log(h0))
         self.a_star = tuning.target_acceptance
@@ -416,7 +416,7 @@ class _Run:
         iter_grads = self.target.gradient_evaluations - self.grad_base - self.init_grads
         reliability = reliability_check(self.x0, self.x)
         functionals = _functional_results(
-            self.plan, _value_rows(self.x, self.logpi, self.scalars), self.alpha, self.scalars)
+            self.plan, _value_rows(self.x, self.logpi, self.scalars), self.x0_rows, self.alpha)
         if self.n_iters in self.checkpoints:
             self.traces.append(TraceRow(self.n_iters, reliability.rho2_max,
                                         {r.tag: r.result.bound for r in functionals}))
@@ -517,15 +517,16 @@ def _check_quantile_ranks(specs, n_chains: int, alpha: float):
                 f"on {tag}; increase chains or relax alpha")
 
 
-def _audit_plan(specs, approximation: Approximation, x0, scalars: dict) -> list[_Audited]:
-    """Every reported result of the run in report order, built once from x0.
+def _audit_plan(specs, approximation: Approximation, x0_rows: np.ndarray) -> list[_Audited]:
+    """Every reported result of the run in report order, built once from
+    x0's ``_value_rows``, whose scalar rows follow the specs' order.
 
-    Rows follow ``_value_rows``.  A quantile compares with the
-    approximation's own quantile when it has a quantile function, else
-    with the initial-sample one.
+    A quantile compares with the approximation's own quantile when it has
+    a quantile function, else with the initial-sample one.
     """
     d = approximation.dimension
-    scalar_rows = {name: d + j for j, name in enumerate(scalars)}
+    scalar_rows = {spec.name: d + j for j, spec in
+                   enumerate(spec for spec in specs if spec.kind == "scalar")}
     plan = []
     for spec in specs:
         i = spec.coordinate
@@ -541,13 +542,12 @@ def _audit_plan(specs, approximation: Approximation, x0, scalars: dict) -> list[
         elif spec.kind == "quantile":
             side, q0 = (("approximation", approximation.quantile(i, spec.p))
                         if approximation.has_quantiles
-                        else ("initial_samples", sample_quantile(x0[:, i], spec.p)))
+                        else ("initial_samples", sample_quantile(x0_rows[i], spec.p)))
             plan.append(_Audited(spec, spec.tag, "quantile", i, q0, spec.p, side, q0))
         else:
-            v0 = scalars[spec.name][1]
-            mean0, median0 = float(v0.mean()), sample_quantile(v0, 0.5)
-            mean_tag, median_tag = scalar_tags(spec.name)
             row = scalar_rows[spec.name]
+            mean0, median0 = float(x0_rows[row].mean()), sample_quantile(x0_rows[row], 0.5)
+            mean_tag, median_tag = scalar_tags(spec.name)
             plan.append(_Audited(spec, mean_tag, "mean", row, mean0, None,
                                  "initial_samples", mean0))
             plan.append(_Audited(spec, median_tag, "quantile", row, median0, 0.5,
@@ -557,27 +557,28 @@ def _audit_plan(specs, approximation: Approximation, x0, scalars: dict) -> list[
 
 def _value_rows(states, logpi_states, scalars: dict) -> np.ndarray:
     """One C-contiguous row per coordinate, then one per scalar functional
-    in ``scalars`` order, evaluated at ``states`` and checked."""
+    in ``scalars`` order, evaluated at ``states`` and checked; the one caller
+    of a scalar functional, whose callable is None for target_log_density."""
     n, d = states.shape
     values = np.empty((d + len(scalars), n))
     values[:d] = states.T
-    for row, (name, (fn, _)) in enumerate(scalars.items(), start=d):
+    for row, (name, fn) in enumerate(scalars.items(), start=d):
         values[row] = logpi_states if fn is None else checked_reals(
             f"scalar function {name!r}", fn(states), (n,))
     return values
 
 
-def _functional_results(plan, values: np.ndarray, alpha: float,
-                        scalars: dict) -> list[FunctionalResult]:
-    """Each planned result from the final ``_value_rows``, with the bits
-    ``column_intervals`` gives.  The interval functions are looked up in this
-    module at each call, so a wrapper set on it sees every call."""
+def _functional_results(plan, values: np.ndarray, x0_rows: np.ndarray,
+                        alpha: float) -> list[FunctionalResult]:
+    """Each planned result from the final ``_value_rows`` and x0's, with the
+    bits ``column_intervals`` gives.  The interval functions are looked up in
+    this module at each call, so a wrapper set on it sees every call."""
     results = []
     for a in plan:
         row = values[a.row]
         if a.spec.kind == "scalar":
             if a.interval == "mean":  # the median's entry follows
-                pair = scalar_functional_diagnostics(scalars[a.spec.name][1], row, alpha,
+                pair = scalar_functional_diagnostics(x0_rows[a.row], row, alpha,
                                                      name=a.spec.name)
             res = pair[0] if a.interval == "mean" else pair[1]
         elif a.interval == "quantile":

@@ -8,6 +8,7 @@ import csv
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -826,6 +827,74 @@ class TestConfigFuzz:
             mp.setattr(runner, "chain_streams", first_stream)
             with pytest.raises((ValueError, FirstStream)):
                 run_diagnostic(run_config, target, approximation)
+
+
+# NumPy's AVX-512 dispatch targets; disabling the ones this NumPy dispatches
+# and this CPU has sends NumPy to its AVX2 loops, as on an AVX2-only host
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+# the cross-machine bound on a reported float, fixed from the measured
+# worst of 3.3e-10 relative before this test first ran
+CROSS_MACHINE_RTOL = 1e-8
+
+
+def _avx512_targets():
+    umath = getattr(getattr(np, "_core", None), "_multiarray_umath", None)
+    dispatched, present = (getattr(umath, "__cpu_dispatch__", ()),
+                           getattr(umath, "__cpu_features__", {}))
+    return [name for name in AVX512_TARGETS if name in dispatched and present.get(name)]
+
+
+def _assert_same_verdicts(a, b, where="report"):
+    # every flag, integer and string equal, every float within the bound;
+    # returns the number of flags compared
+    if isinstance(a, dict):
+        assert list(a) == list(b), where
+        return sum(_assert_same_verdicts(a[k], b[k], f"{where}.{k}") for k in a)
+    if isinstance(a, list):
+        assert len(a) == len(b), where
+        return sum(_assert_same_verdicts(x, y, f"{where}[{i}]")
+                   for i, (x, y) in enumerate(zip(a, b)))
+    if isinstance(a, float) and isinstance(b, float):
+        assert math.isclose(a, b, rel_tol=CROSS_MACHINE_RTOL, abs_tol=0.0), (where, a, b)
+        return 0
+    assert type(a) is type(b) and a == b, (where, a, b)
+    return isinstance(a, bool)
+
+
+class TestCrossMachineContract:
+    # report bytes hold on one host, build and BLAS thread count; elsewhere
+    # the verdicts hold and the floats agree to about 1e-10 relative.  An
+    # AVX2-only host is stood in for by OpenBLAS's Haswell kernels and
+    # NumPy's AVX2 loops, in subprocesses
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="the AVX2 stand-in needs an x86-64 host")
+    @pytest.mark.parametrize("logistic", [False, True], ids=["d10-preset", "logistic"])
+    def test_an_avx2_host_gives_the_same_verdicts(self, tmp_path, logistic):
+        targets = _avx512_targets()
+        if not targets:
+            pytest.skip("this NumPy dispatches no AVX-512 loop this CPU runs")
+        config = json.loads((Path(__file__).resolve().parent.parent / "presets"
+                             / "gaussian_correlated_d10.json").read_text())
+        if logistic:
+            config.update(target={"kind": "logistic_synthetic", "dimension": 10,
+                                  "observations": 500, "data_seed": 10},
+                          approximation={"kind": "mean_field_gaussian"})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        package_root = str(Path(shortchain.__file__).resolve().parents[1])
+        base = {key: value for key, value in os.environ.items()
+                if key not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
+                                                           os.environ.get("PYTHONPATH")]))
+        avx2 = dict(base, OPENBLAS_CORETYPE="Haswell", NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+        reports = []
+        for name, env in (("default", base), ("avx2", avx2)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "shortchain", "run", "--config", str(path),
+                 "--out", str(tmp_path / name)], capture_output=True, text=True, env=env)
+            assert proc.returncode in (EXIT_OK, EXIT_UNRELIABLE), proc.stderr
+            reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+        assert _assert_same_verdicts(*reports) > 0
 
 
 class TestPresets:

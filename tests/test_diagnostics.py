@@ -200,6 +200,44 @@ class TestQuantileDifferenceCI:
         assert 0.92 <= hits / reps <= 0.985
 
 
+# the two intervals that take an initial side as one real number, by name
+INITIAL_SIDES = [
+    pytest.param(lambda x, v: mean_difference_ci(x, v, 0.05), "initial_mean", id="mean"),
+    pytest.param(lambda x, v: quantile_difference_ci(x, 0.5, v, 0.05), "initial_quantile",
+                 id="quantile")]
+
+
+class TestInitialSide:
+    @pytest.mark.parametrize("interval, name", INITIAL_SIDES)
+    @pytest.mark.parametrize("value, problem", [
+        ("a", "must hold integers or floats, got dtype <U1"),
+        ([1.0, 2.0], "must have shape (), got shape (2,)"),
+        (np.array([1.0]), "must have shape (), got shape (1,)"),
+        (True, "must hold integers or floats, got dtype bool"),
+        (None, "must hold integers or floats, got dtype object"),
+        (1 + 2j, "must hold integers or floats, got dtype complex128")])
+    def test_anything_but_one_real_is_named(self, interval, name, value, problem):
+        with pytest.raises(ValueError, match=re.escape(f"{name} {problem}")):
+            interval(np.arange(20.0), value)
+
+    @pytest.mark.parametrize("interval, name", INITIAL_SIDES)
+    def test_non_finite_gives_non_finite_endpoints(self, interval, name):
+        # a run's scalar(target_log_density) has an infinite initial mean when
+        # a chain starts outside the target's support
+        x = np.arange(20.0)
+        for value, end in ((math.inf, -math.inf), (-math.inf, math.inf)):
+            ci = interval(x, value)
+            assert (ci.lower, ci.upper) == (end, end)
+        ci = interval(x, math.nan)
+        assert math.isnan(ci.lower) and math.isnan(ci.upper)
+
+    @pytest.mark.parametrize("interval, name", INITIAL_SIDES)
+    def test_integers_and_numpy_scalars_read_as_their_floats(self, interval, name):
+        x = np.arange(20.0) / 3.0
+        for value in (2, np.int64(2), np.float32(1.5), np.float64(0.1), np.array(0.1)):
+            assert interval(x, value) == interval(x, float(value))
+
+
 class TestErrorLowerBound:
     def test_interval_containing_zero_gives_zero(self):
         res = error_lower_bound(ConfidenceInterval(-1.0, 2.0, 0.95, "mean(0)"))

@@ -155,6 +155,17 @@ def test_one_owner_per_outside_callable():
             assert targets == [], f"{module.name}:{targets} checks a target's output"
 
 
+def test_one_caller_of_a_scalar_functional():
+    # runner._value_rows calls and checks every scalar functional, at x0 and
+    # at each diagnosed ensemble; a second site would check it its own way
+    sites = [f"{module.name}:{n.lineno}" for module in sorted(PACKAGE.glob("*.py"))
+             for n in ast.walk(ast.parse(module.read_text(), filename=str(module)))
+             if isinstance(n, ast.Call)
+             and getattr(n.func, "attr", getattr(n.func, "id", None)) == "checked_reals"
+             and n.args and _leading_text(n.args[0]).startswith("scalar function")]
+    assert len(sites) == 1, sites
+
+
 def test_only_stats_refuses_a_non_finite_value():
     # stats.check_entries is the one refusal of an array's bad entry, and
     # checked_real of a number's; a hand-written copy elsewhere would word and

@@ -66,6 +66,14 @@ class TestParseFunctional:
             with pytest.raises(ValueError):
                 parse_functional(bad)
 
+    @pytest.mark.parametrize("text", [5, None, b"mean(0)", ["mean(0)"],
+                                      FunctionalSpec("mean", coordinate=0)])
+    def test_non_string_is_named(self, text):
+        # not the regular expression's TypeError
+        with pytest.raises(ValueError, match=re.escape(
+                f"a functional must be a string, got {text!r}")):
+            parse_functional(text)
+
     @pytest.mark.parametrize("text, got", [("mean(x)", "'x'"), ("variance(1.5)", "'1.5'"),
                                            ("quantile(a,0.5)", "'a,0.5'"),
                                            ("quantile(0,half)", "'0,half'")])
@@ -260,7 +268,7 @@ class TestFinalIntervalsMatchColumnPass:
                 kernel=kind, seed=13, n_chains=70, n_iterations=6, trace_every=trace_every,
                 functionals=functionals,
                 scalar_functions={"r": lambda x: np.sum(x * x, axis=1)}), target, approximation)
-            assert len(rows) == (7 if trace_every else 1)
+            assert len(rows) == (8 if trace_every else 2)  # x0's rows come first
             columns = []  # (interval kind, row, initial-side value, level)
             for f in report.functionals:
                 i, p = f.spec.coordinate, f.spec.p

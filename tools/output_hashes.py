@@ -1,4 +1,4 @@
-"""Hashes every file the CLI writes for the shipped presets.
+"""Hashes every file the CLI writes for the shipped presets, and API reports.
 
 Usage: python tools/output_hashes.py SRC_DIR OUT_DIR
 
@@ -19,16 +19,28 @@ logistic target and the config's ``observations`` key.  The presets
 plus the kernel's uniform count is at most 21, so it then runs ``SMALL_D``,
 the criterion-4 null shape (a d=5 ``gaussian_correlated`` target from a
 unit mean-field Gaussian, N=386 and T=85 through ``overrides``), which
-decodes under every kernel, with both commands at seeds 1 and 7.  Last
+decodes under every kernel, with both commands at seeds 1 and 7.  Then
+it runs this checkout's ``tools/api_reports.py``, also with
+``PYTHONPATH=SRC_DIR``, which writes into ``api/`` the reports of audits that
+no CLI config can set up: custom scalar functionals and the initial-sample
+quantiles of an approximation without a quantile function.  Last
 it runs ``python -m shortchain sizing`` for each kernel at every dimension
 in ``SIZING_DIMENSIONS`` and writes the printout to
 ``sizing/KERNEL-dD.txt``, which reaches ``chain_count``,
 ``iteration_count`` and ``initial_step_size`` through the CLI.  Everything it writes, the configs
 and CSVs included, goes under OUT_DIR, and the commands run there, so each
 config names its CSV by a relative path.  It prints one ``sha256  path``
-line per output file, with paths relative to OUT_DIR, so diffing the
-printout of two source trees shows any output that changed byte for byte.
-Standard library only.
+line per output file (528: 496 from the CLI and 32 API reports), with paths
+relative to OUT_DIR, so diffing the printout of two source trees shows any
+output that changed byte for byte.  The tool itself uses the standard
+library only.
+
+Compare printouts only from one host, one NumPy and OpenBLAS build and one
+BLAS thread count, ideally run one after the other: only there are the bytes
+identical.  Elsewhere the reports' verdicts (every ``detected``, ``passed``
+and ``degenerate`` flag) are identical and their floats agree to about
+1e-10 relative, as measured with OpenBLAS's and NumPy's AVX2 code paths on
+an AVX-512 host; ``tests/test_cli.py`` checks that at 1e-8.
 """
 
 from __future__ import annotations
@@ -43,6 +55,7 @@ import sys
 from pathlib import Path
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
+API_REPORTS = Path(__file__).resolve().parent / "api_reports.py"
 KERNELS = ("rwmh", "mala", "barker", "hmc")
 COMMANDS = ("run", "trace")
 FUNCTIONALS = ["mean(*)", "variance(*)", "quantile(0,0.1)", "quantile(1,0.5)",
@@ -94,6 +107,13 @@ def main(argv=None) -> int:
     for kernel in KERNELS:
         if not run_config(out, env, name, kernel, dict(base, kernel=kernel), seeds):
             return 1
+    done = subprocess.run([sys.executable, str(API_REPORTS), str(out / "api")], env=env,
+                          cwd=out, capture_output=True, text=True)
+    if done.returncode != 0:
+        print(done.stderr, file=sys.stderr)
+        return 1
+    for report in sorted((out / "api").iterdir()):
+        print_hash(report, out)
     (out / "sizing").mkdir(exist_ok=True)
     for kernel, dimension in itertools.product(KERNELS, SIZING_DIMENSIONS):
         done = subprocess.run(

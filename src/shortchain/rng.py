@@ -122,13 +122,16 @@ def chain_streams(seed: int, n: int) -> list:
 # bit 8 the sign and bits 9-60 the magnitude; a uniform is its top 53 bits.
 _LAYER, _SIGNED, _MAGNITUDE, _TOP = 0xFF, 0x1FF, (1 << 52) - 1, 1 << 52
 _MARGIN = 1e-12  # a wedge test this close is replayed through NumPy
-# words fetched per refill across all chains, and step_noise's cap on a step's;
-# a refill's peak holds about 33 bytes a word, so this bounds the decoder's memory
+# words fetched per refill across all chains, step_noise's cap on a step's, and
+# the words (whole rows, at least one) whose temporaries, 32 bytes each,
+# _Resolved holds at once; a resolved block keeps 20 bytes a word, so this
+# bounds the decoder's memory
 _CHUNK_WORDS = 1 << 14
 _PROBE_KEY = 2023
 # the bulk decode's size rule, set from tools/noise_sweep.py's sweep of d,
-# kernel and N (CHANGES.md)
-_DECODE_WORDS, _DECODE_CHAINS = 21, 100
+# kernel and N; 31 words admit the d=30 preset under RWMH, MALA and HMC, a
+# gain measured in alternating benchmark pairs (CHANGES.md)
+_DECODE_WORDS, _DECODE_CHAINS = 31, 100
 
 
 class _Ziggurat(NamedTuple):
@@ -227,7 +230,8 @@ class _Resolved:
 
     The last column stands for the end of each row: a normal that would read
     past it is NaN and skips to it, and the end skips 0.  Fast words are
-    decoded across the block at once.  Wedge words are settled across the
+    decoded across the block, ``_CHUNK_WORDS`` words of whole rows at a
+    time, so the temporaries stay small.  Wedge words are settled across the
     block too, by ``np.exp`` outside ``_MARGIN`` and by NumPy itself on their
     two words inside it.  Tail words are settled one at a time with
     ``math.log1p``, as NumPy's C code settles them, and a rejected wedge word
@@ -240,14 +244,20 @@ class _Resolved:
         n, width = words.shape
         words[:, -1] = 0  # a fast word, so the end is never settled below
         self.words = words
-        signed = words.view(np.int64) & _SIGNED
-        magnitude = words >> 9
-        magnitude &= _MAGNITUDE
-        slow = np.flatnonzero(magnitude >= tables.ki.take(signed))
-        self.val = val = tables.wi.take(signed)
-        val *= magnitude
-        layer, magnitude = signed.ravel()[slow] & _LAYER, magnitude.ravel()[slow]
-        del signed
+        self.val = val = np.empty((n, width))
+        slow = np.empty((n, width), bool)
+        step = max(1, _CHUNK_WORDS // width)
+        for first in range(0, n, step):
+            rows = slice(first, first + step)
+            signed = words[rows].view(np.int64) & _SIGNED
+            magnitude = words[rows] >> 9
+            magnitude &= _MAGNITUDE
+            np.greater_equal(magnitude, tables.ki.take(signed), out=slow[rows])
+            np.multiply(tables.wi.take(signed), magnitude, out=val[rows])
+        del signed, magnitude
+        slow = np.flatnonzero(slow)
+        slow_words = words.ravel()[slow]
+        layer, magnitude = slow_words & _LAYER, slow_words >> 9 & _MAGNITUDE
         self.skip = skip = np.ones((n, width), np.int32)
         val[:, -1], skip[:, -1] = np.nan, 0
         val, skip, flat = val.ravel(), skip.ravel(), words.ravel()
@@ -293,8 +303,9 @@ class StepNoise:
     The words come from each chain's bit generator in refills of about
     ``_CHUNK_WORDS`` in all, but at least 4 steps' words a chain, or of what
     ``steps`` fills need with a spare word a step, if fewer; the words a
-    refill leaves unread are carried into the next block, so no word is
-    drawn twice or skipped.
+    refill leaves unread lead each chain's row of the next block, so no
+    word is drawn twice or skipped, and each row is topped up to the
+    longest such carry plus the refill's words a chain.
     """
 
     def __init__(self, streams, eps: np.ndarray, uniforms: np.ndarray, steps: int,
@@ -335,19 +346,22 @@ class StepNoise:
 
     def _refill(self):
         (n, d), k = self.eps.shape, len(self.uniform_cols)
-        stride = self.block.words.shape[1]
-        col = self.start - np.arange(n) * stride
-        first = col.min()
-        keep = stride - 1 - first
+        old = self.block.words.ravel()
+        self.block = None  # its values freed before the next is resolved
+        # each chain's unread words lead its new row (the gathered words past
+        # them are overwritten below), and every row is topped up to one
+        # length, so chains that drift apart do not widen the blocks
+        carry = self.limit + d + k - self.start
+        keep = int(carry.max())
         words = np.empty((n, keep + self.width + 1), np.uint64)
-        words[:, :keep] = self.block.words[:, first:-1]
-        self.block = None  # freed before the next is resolved
-        for row, bits in zip(words, self.bits):
-            row[keep:-1] = bits.random_raw(self.width)
+        words[:, :keep] = old.take(self.start[:, None] + np.arange(keep), mode="clip")
+        del old
+        end = keep + self.width
+        for row, bits, c in zip(words, self.bits, carry.tolist()):
+            row[c:-1] = bits.random_raw(end - c)
         self.block = _Resolved(words, self.tables)
-        rows = np.arange(n) * words.shape[1]
-        self.start = rows + col - first
-        self.limit = rows + words.shape[1] - 1 - d - k
+        self.start = np.arange(n) * words.shape[1]
+        self.limit = self.start + end - d - k
 
 
 class ChainCalls:
@@ -374,11 +388,13 @@ def step_noise(streams, eps: np.ndarray, uniforms: np.ndarray, steps: int):
     chain's own calls.
 
     It is a ``StepNoise`` where per-chain call overhead outweighs the decode,
-    at most ``_DECODE_WORDS`` words a chain and step over at least
-    ``_DECODE_CHAINS`` chains, and where this NumPy's draws decode.  A
-    step's words across all chains are also held to one refill's
-    ``_CHUNK_WORDS``, so a block of 4 steps' words, the refill floor,
-    stays near 2 MB.  Otherwise it is ``ChainCalls``.
+    at most ``_DECODE_WORDS`` (31) words a chain and step over at least
+    ``_DECODE_CHAINS`` chains, and where this NumPy's draws decode: the d=30
+    preset under RWMH, MALA and HMC reads 31 words a step and decodes, and
+    Barker past d=15 draws chain by chain.  A step's words across all
+    chains are also held to one refill's ``_CHUNK_WORDS``, so a block of 4
+    steps' words, the refill floor, stays near 2 MB.  Otherwise it is
+    ``ChainCalls``.
     """
     (n, d), k = eps.shape, uniforms.shape[1]
     decodes = d + k <= _DECODE_WORDS and n >= _DECODE_CHAINS and n * (d + k) <= _CHUNK_WORDS

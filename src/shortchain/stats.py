@@ -51,18 +51,27 @@ def checked_integer(name: str, value, minimum: int, maximum: Optional[int] = Non
     return value
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _as_float(value) -> float:
+    """``float(value)``, or inf with its sign for an integer beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def checked_real(name: str, value) -> float:
     """Returns ``value`` as a plain float; the one check of a real setting.
 
     Raises a ``ValueError`` naming ``name`` for a bool, a value that is not
     a real number, or a non-finite one.  Ranges stay with each caller.
     """
-    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+    if not _is_real(value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
+    value = _as_float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
@@ -99,9 +108,13 @@ def checked_reals(name: str, value, shape: Optional[tuple] = None) -> np.ndarray
 
     Raises a ``ValueError`` naming ``name`` unless it holds integers or floats
     (not bools, complex numbers, strings or objects) and, given ``shape``, has
-    that shape, where a None axis takes any length.
+    that shape, where a None axis takes any length.  An integer beyond NumPy's
+    integer types, which makes the array one of objects, maps as in
+    ``checked_real``, to inf with its sign past the float range.
     """
     array = np.asarray(value)
+    if array.dtype == object and all(map(_is_real, array.flat)):
+        array = np.fromiter(map(_as_float, array.flat), float, array.size).reshape(array.shape)
     if array.dtype.kind not in "fiu":
         raise ValueError(f"{name} must hold integers or floats, got dtype {array.dtype}")
     if shape is not None and (array.ndim != len(shape) or any(

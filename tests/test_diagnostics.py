@@ -232,6 +232,15 @@ class TestInitialSide:
         assert math.isnan(ci.lower) and math.isnan(ci.upper)
 
     @pytest.mark.parametrize("interval, name", INITIAL_SIDES)
+    def test_an_integer_past_int64_reads_as_its_float_or_signed_inf(self, interval, name):
+        # NumPy holds such an int as an object; it is read as checked_real
+        # reads it, not refused
+        x = np.arange(20.0)
+        for value, same in ((2**70, float(2**70)), (10**400, math.inf),
+                            (-10**400, -math.inf)):
+            assert interval(x, value) == interval(x, same)
+
+    @pytest.mark.parametrize("interval, name", INITIAL_SIDES)
     def test_integers_and_numpy_scalars_read_as_their_floats(self, interval, name):
         x = np.arange(20.0) / 3.0
         for value in (2, np.int64(2), np.float32(1.5), np.float64(0.1), np.array(0.1)):

@@ -86,14 +86,14 @@ def test_every_ki_is_exact():
 
 
 @pytest.mark.parametrize("d, k, n, decodes", [
-    pytest.param(10, 11, 100, True, id="21-words"),
-    pytest.param(11, 11, 100, False, id="22-words"),
+    pytest.param(20, 11, 100, True, id="31-words"),
+    pytest.param(21, 11, 100, False, id="32-words"),
     pytest.param(5, 1, 99, False, id="99-chains"),
     pytest.param(5, 1, 100, True, id="100-chains"),
     pytest.param(15, 1, rng._CHUNK_WORDS // 16, True, id="a-refill-a-step"),
     pytest.param(15, 1, rng._CHUNK_WORDS // 16 + 1, False, id="past-a-refill-a-step")])
 def test_step_noise_size_rule(d, k, n, decodes):
-    # the decode takes at most 21 words a chain and step, over at least 100
+    # the decode takes at most 31 words a chain and step, over at least 100
     # chains and at most _CHUNK_WORDS words a step across them; either side
     # fills each chain's own draws
     eps, uniforms = np.empty((n, d)), np.empty((n, k))
@@ -110,7 +110,7 @@ def test_step_noise_size_rule(d, k, n, decodes):
 
 class TestSameDraws:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400),
-           barker=st.booleans(), dimension=st.integers(1, 20),
+           barker=st.booleans(), dimension=st.integers(1, 30),
            prefix=st.sampled_from(["normals", "integers"]), m=st.integers(0, 7),
            rows=st.integers(1, 2**31 - 1))
     def test_every_step_equals_each_chains_calls(self, seed, n, barker, dimension,

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,11 +24,15 @@ from shortchain import (
     synthetic_logistic_regression_target,
 )
 from shortchain import rng, runner, stats
+from shortchain.cli import build_run, load_config
 from shortchain.diagnostics import column_intervals
 from shortchain.kernels import step_batch
 from shortchain.rng import ChainCalls, StepNoise
 from shortchain.runner import FunctionalSpec
 from shortchain.targets import TargetModel
+
+
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
 
 def small_setup(dimension=2, correlation=0.3):
@@ -424,16 +429,26 @@ class TestNonFiniteScalarValues:
 
 class TestDrawOrder:
     # (d, noise the run draws it with, start): d = 5 is on the bulk decode's
-    # side of its size rule for every kernel at 101 chains and d = 21 on the
+    # side of its size rule for every kernel at 101 chains and d = 31 on the
     # per-chain side; an empirical start draws x0 through integers(0, n),
     # which leaves half a word buffered
     @pytest.mark.parametrize("d, noise_type, start", [
         pytest.param(5, StepNoise, "mean_field", id="decoded"),
-        pytest.param(21, ChainCalls, "mean_field", id="per-chain"),
+        pytest.param(31, ChainCalls, "mean_field", id="per-chain"),
         pytest.param(5, StepNoise, "empirical", id="decoded-empirical")])
     @pytest.mark.parametrize("kind", ["rwmh", "mala", "barker", "hmc"])
     def test_step_noise_is_each_chains_canonical_draws(self, kind, d, noise_type, start,
                                                        monkeypatch):
+        self.check(kind, d, noise_type, start, monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["rwmh", "mala", "hmc"])
+    def test_d30_decodes_the_canonical_draws_with_one_uniform(self, kind, monkeypatch):
+        # d = 30 and one acceptance uniform are 31 words a step, the most
+        # the decode takes; Barker's 61 stay on the per-chain side
+        self.check(kind, 30, StepNoise, "mean_field", monkeypatch)
+
+    @staticmethod
+    def check(kind, d, noise_type, start, monkeypatch):
         # Chain j owns RandomStream(seed, j + 1): after its initial draw it
         # takes standard_normal(d), then random(d + 1) for Barker or one
         # random() otherwise, at every step.  101 chains is not a multiple of
@@ -468,6 +483,25 @@ class TestDrawOrder:
             for eps, uniforms in seen:
                 assert np.array_equal(eps[j], stream.standard_normal(d))
                 assert np.array_equal(uniforms[j], stream.random(k))
+
+    @pytest.mark.parametrize("kind", ["rwmh", "mala", "hmc"])
+    def test_the_d30_preset_reports_the_same_decoded_or_per_chain(self, kind, monkeypatch):
+        # the shipped d=30 preset at its sized N and T decodes under the k = 1
+        # kernels; forcing the per-chain calls gives the same report
+        cfg = load_config(PRESETS / "gaussian_correlated_d30.json")
+        cfg["kernel"] = kind
+        run_config, target, approx = build_run(cfg)
+        paths = []
+        fill = runner._fill_noise
+        monkeypatch.setattr(runner, "_fill_noise", lambda noise: (paths.append(type(noise)),
+                                                                  fill(noise)))
+        decoded = run_diagnostic(run_config, target, approx)
+        assert decoded.n_chains == 387 and set(paths) == {StepNoise}
+        paths.clear()
+        monkeypatch.setattr(rng, "_ziggurat", lambda: None)
+        per_chain = run_diagnostic(run_config, target, approx)
+        assert set(paths) == {ChainCalls}
+        assert per_chain.to_json_dict() == decoded.to_json_dict()
 
 
 class TestTraces:

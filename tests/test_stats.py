@@ -28,6 +28,8 @@ from shortchain.kernels import Preconditioner, leapfrog, step_batch
 from shortchain.rng import _philox_keys, chain_streams
 from shortchain.stats import (
     binomial_quantile,
+    checked_real,
+    checked_reals,
     chi_square_quantile,
     sample_quantile,
     student_t_quantile,
@@ -129,6 +131,34 @@ def test_array_entry_points_refuse_complex_bool_and_string_arrays(entry, dtype):
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must hold integers or floats, "
                                          rf"got dtype {re.escape(str(spoiled))}"):
         call(lambda array: np.asarray(array).astype(dtype))
+
+
+class TestIntegersPastInt64:
+    # NumPy holds a Python int past its integer types as an object; the array
+    # check reads it as checked_real does: as its float, or as inf with its
+    # sign past the float range
+    @pytest.mark.parametrize("value, expected", [
+        pytest.param(2**70, float(2**70), id="2**70"),
+        pytest.param(10**400, math.inf, id="10**400"),
+        pytest.param(-10**400, -math.inf, id="-10**400"),
+        pytest.param([1, 2**70, -10**400], [1.0, float(2**70), -math.inf], id="list"),
+        pytest.param([[1.5, 10**400], [-(2**70), 3]], [[1.5, math.inf], [-float(2**70), 3.0]],
+                     id="matrix")])
+    def test_read_as_their_floats(self, value, expected):
+        array = checked_reals("x", value)
+        assert array.dtype == float and array.tolist() == expected
+
+    def test_the_scalar_check_reads_them_alike(self):
+        assert checked_real("x", 2**70) == float(2**70)
+        for value, shown in ((10**400, "inf"), (-10**400, "-inf")):
+            with pytest.raises(ValueError, match=f"^x must be finite, got {shown}$"):
+                checked_real("x", value)
+
+    @pytest.mark.parametrize("value", [[True, 2**70], ["a", 2**70], [None, 2**70], [1j, 2**70]],
+                             ids=["bool", "str", "None", "complex"])
+    def test_beside_a_non_real_the_array_is_refused(self, value):
+        with pytest.raises(ValueError, match="^x must hold integers or floats, got dtype object$"):
+            checked_reals("x", value)
 
 
 class TestStudentTQuantile:

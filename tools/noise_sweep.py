@@ -7,11 +7,12 @@ uniform a step (RWMH, MALA, HMC) and k = d + 1 (Barker), and N in
 ``CHAINS``, it times T = floor(50 d^(1/3)) fills of ``rng.StepNoise`` and
 of ``rng.ChainCalls`` on fresh ``rng.chain_streams``, best of ``REPEATS``,
 and records their ratio, decode over per-chain, and which of the two
-``rng.step_noise`` picks for that shape.  Then it runs the audit
-``PEAK`` (N = 10,000, d = 10, Barker, T = 20, a correlated Gaussian from a
-unit mean-field Gaussian) with the noise ``rng.step_noise`` picks and with
-the per-chain calls forced, and records each one's ``tracemalloc`` peak and
-its best wall time.  It writes everything to OUT_JSON and prints one line a
+``rng.step_noise`` picks for that shape.  Then it runs each audit in
+``PEAKS``, a correlated Gaussian from a unit mean-field Gaussian at N =
+10,000, d = 10, Barker and T = 20, and at the d=30 preset's RWMH shape, N =
+387 and T = 155, with the noise ``rng.step_noise`` picks and with the
+per-chain calls forced, and records each one's ``tracemalloc`` peak and its
+best wall time.  It writes everything to OUT_JSON and prints one line a
 measurement.  Timings depend on the host: compare runs made on one host,
 close together in time.
 """
@@ -29,7 +30,8 @@ DIMENSIONS = (1, 2, 5, 10, 20, 30)
 CHAINS = (32, 64, 100, 200, 386, 1000)
 REPEATS = 3
 SEED = 1
-PEAK = {"n_chains": 10_000, "dimension": 10, "kernel": "barker", "n_iterations": 20}
+PEAKS = ({"n_chains": 10_000, "dimension": 10, "kernel": "barker", "n_iterations": 20},
+         {"n_chains": 387, "dimension": 30, "kernel": "rwmh", "n_iterations": 155})
 
 
 def best_time(make, steps: int) -> float:
@@ -62,11 +64,12 @@ def fill_ratio(shortchain, d: int, k: int, n: int) -> dict:
             "per_chain_s": chain_s, "ratio": decode_s / chain_s, "picked": picked}
 
 
-def peak(shortchain, forced_per_chain: bool) -> dict:
-    """The ``PEAK`` audit's path, ``tracemalloc`` peak and best wall time."""
-    rng, runner, d = shortchain.rng, shortchain.runner, PEAK["dimension"]
-    config = shortchain.RunConfig(kernel=PEAK["kernel"], seed=SEED, n_chains=PEAK["n_chains"],
-                                  n_iterations=PEAK["n_iterations"])
+def peak(shortchain, shape: dict, forced_per_chain: bool) -> dict:
+    """An audit's path, ``tracemalloc`` peak and best wall time at ``shape``,
+    one of ``PEAKS``."""
+    rng, runner, d = shortchain.rng, shortchain.runner, shape["dimension"]
+    config = shortchain.RunConfig(kernel=shape["kernel"], seed=SEED, n_chains=shape["n_chains"],
+                                  n_iterations=shape["n_iterations"])
     target = shortchain.correlated_gaussian_target(d)
     approx = shortchain.mean_field_gaussian_approximation(np.zeros(d), np.ones(d))
     paths, fill, tables = set(), runner._fill_noise, rng._ziggurat
@@ -85,7 +88,7 @@ def peak(shortchain, forced_per_chain: bool) -> dict:
             times.append(time.perf_counter() - start)
     finally:
         runner._fill_noise, rng._ziggurat = fill, tables
-    return {**PEAK, "forced_per_chain": forced_per_chain, "path": sorted(paths),
+    return {**shape, "forced_per_chain": forced_per_chain, "path": sorted(paths),
             "peak_mb": peak_bytes / 1e6, "wall_s": min(times)}
 
 
@@ -105,11 +108,11 @@ def main(argv) -> int:
                 grid.append(cell)
                 print(f"N={n:5d} d={d:2d} k={k:2d}  decode/per-chain {cell['ratio']:.2f}  "
                       f"picks {cell['picked']}", flush=True)
-    peaks = [peak(shortchain, forced) for forced in (False, True)]
+    peaks = [peak(shortchain, shape, forced) for shape in PEAKS for forced in (False, True)]
     for p in peaks:
         print(f"N={p['n_chains']} d={p['dimension']} {p['kernel']} T={p['n_iterations']} "
               f"forced_per_chain={p['forced_per_chain']}: {'/'.join(p['path'])} "
-              f"peak {p['peak_mb']:.1f} MB, {p['wall_s']:.3f} s", flush=True)
+              f"peak {p['peak_mb']:.2f} MB, {p['wall_s']:.3f} s", flush=True)
     with open(argv[2], "w") as f:
         json.dump({"numpy": np.__version__, "repeats": REPEATS, "grid": grid, "peak": peaks},
                   f, indent=1)

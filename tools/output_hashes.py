@@ -16,7 +16,8 @@ with ``LOGISTIC_OBSERVATIONS`` observations and that dimension as
 ``data_seed``, audited from a unit mean-field Gaussian, which reaches the
 logistic target and the config's ``observations`` key.  The presets
 (d = 10, 20 and 30) reach ``rng``'s bulk step-noise decode only where d
-plus the kernel's uniform count is at most 21, so it then runs ``SMALL_D``,
+plus the kernel's uniform count is at most 31, which Barker at d = 20 and
+30 exceeds, so it then runs ``SMALL_D``,
 the criterion-4 null shape (a d=5 ``gaussian_correlated`` target from a
 unit mean-field Gaussian, N=386 and T=85 through ``overrides``), which
 decodes under every kernel, with both commands at seeds 1 and 7.  Then
